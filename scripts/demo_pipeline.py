@@ -13,14 +13,13 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from mot3d.calibration import calibrate, save_noise_model
-from mot3d.cli import _outputs_to_track_boxes
 from mot3d.dataset_io import (RunConfig, load_ground_truth, load_tracks,
                               write_detections, write_ground_truth,
                               write_tracks)
 from mot3d.metrics import amota, write_report
 from mot3d.synthetic import (generate_suite, standard_suite,
                              standard_suite_calibration)
-from mot3d.tracker import run_scene
+from mot3d.tracker import boxes_by_frame, run_scene
 from mot3d.viz import write_scene_svg
 
 
@@ -65,8 +64,9 @@ def main() -> int:
     print(f"        {len(outputs)} scenes in {elapsed:.2f}s")
 
     print("[5/5] evaluating and rendering")
-    report = amota(_outputs_to_track_boxes(outputs), ground_truth,
-                   n=args.n_samples)
+    tracks = {scene_id: boxes_by_frame(frame_outputs)
+              for scene_id, frame_outputs in outputs.items()}
+    report = amota(tracks, ground_truth, n=args.n_samples)
     write_report(report, os.path.join(out, "report.json"))
     loaded_tracks = load_tracks(tracks_path)
     loaded_gt = load_ground_truth(os.path.join(out, "gt.json"))

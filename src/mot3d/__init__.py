@@ -12,14 +12,14 @@ from .calibration import (CALIBRATION_GATE, ClassNoise, GroundTruthTrack,
                           estimate_process_noise, load_noise_model,
                           save_noise_model, tracks_from_ground_truth)
 from .core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
-                   STATE_DIM, TRANSITION_MATRIX, Detection, Observation,
-                   StateEstimate, StateVector, apply_transition,
-                   observation_residual, symmetrize, validate_covariance,
-                   wrap_angle, wrap_angle_array)
-from .dataset_io import (DEFAULT_MAHA_GATE, GroundTruthBox, RunConfig, TrackBox,
-                         load_config, load_detections, load_ground_truth,
-                         load_tracks, merge_config, write_detections,
-                         write_ground_truth, write_tracks)
+                   STATE_DIM, TRANSITION_MATRIX, Box, Observation,
+                   StateEstimate, StateVector, observation_residual,
+                   symmetrize, validate_covariance, wrap_angle,
+                   wrap_angle_array)
+from .dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
+                         load_detections, load_ground_truth, load_tracks,
+                         merge_config, write_detections, write_ground_truth,
+                         write_tracks)
 from .errors import (CalibrationError, ConfigError, Mot3dError, NumericalError,
                      SchemaError, SequencingError)
 from .kalman import Prediction, predict, update
@@ -30,8 +30,8 @@ from .synthetic import (CLASS_SIZES, NoiseSpec, ObjectSpec, ScenarioSpec,
                         load_scenarios, noiseless_scene, scenario_meta,
                         spec_from_dict, spec_to_dict, standard_suite,
                         standard_suite_calibration, turning_scenario)
-from .tracker import (FrameOutput, MultiObjectTracker, SceneStats, TrackRecord,
-                      run_scene)
+from .tracker import (FrameOutput, MultiObjectTracker, SceneStats,
+                      boxes_by_frame, run_scene)
 from .viz import render_scene_svg, track_color, write_scene_svg
 
 __all__ = [
@@ -42,9 +42,9 @@ __all__ = [
     # core state and geometry
     "STATE_DIM", "OBS_DIM", "ANGLE_INDEX", "CLASS_LABELS",
     "TRANSITION_MATRIX", "OBSERVATION_MATRIX",
-    "Observation", "StateVector", "StateEstimate", "Detection",
+    "Observation", "StateVector", "StateEstimate", "Box",
     "wrap_angle", "wrap_angle_array", "symmetrize", "validate_covariance",
-    "apply_transition", "observation_residual",
+    "observation_residual",
     # filtering
     "Prediction", "predict", "update",
     # association
@@ -52,7 +52,7 @@ __all__ = [
     "mahalanobis", "mahalanobis_affinity", "iou_affinity", "iou_3d",
     "greedy_match", "hungarian_match", "greedy_center_match", "center_distance_2d",
     # dataset io and configuration
-    "DEFAULT_MAHA_GATE", "GroundTruthBox", "TrackBox", "RunConfig",
+    "DEFAULT_MAHA_GATE", "RunConfig",
     "load_config", "merge_config", "load_detections", "load_ground_truth",
     "load_tracks", "write_detections", "write_ground_truth", "write_tracks",
     # calibration
@@ -61,7 +61,7 @@ __all__ = [
     "estimate_observation_noise", "calibrate", "save_noise_model",
     "load_noise_model",
     # tracking
-    "MultiObjectTracker", "run_scene", "TrackRecord", "FrameOutput", "SceneStats",
+    "MultiObjectTracker", "run_scene", "boxes_by_frame", "FrameOutput", "SceneStats",
     # metrics
     "EVALUATION_GATE", "match_frame", "motar", "amota",
     "RecallSample", "ClassReport", "EvalReport", "write_report", "write_amota_csv",

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import linear_sum_assignment
 
-from .core import Observation, StateEstimate, StateVector, wrap_angle
+from .core import (Observation, StateEstimate, StateVector, observation_residual,
+                   wrap_angle)
 from .errors import NumericalError
 from .kalman import Prediction
 
@@ -128,8 +129,7 @@ def _innovation_factor(innovation_cov: np.ndarray):
 
 
 def _mahalanobis_from_factor(factor, predicted: Observation, observation: Observation) -> float:
-    nu = observation.to_array() - predicted.to_array()
-    nu[3] = wrap_angle(nu[3])
+    nu = observation_residual(observation, predicted)
     return float(math.sqrt(nu @ cho_solve(factor, nu)))
 
 

@@ -18,8 +18,6 @@ All variances are population variances (divide by the sample count).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,12 +28,12 @@ from .core import (
     CLASS_LABELS,
     OBS_DIM,
     STATE_DIM,
-    Detection,
+    Box,
     Observation,
-    wrap_angle,
+    observation_residual,
     wrap_angle_array,
 )
-from .dataset_io import GroundTruthBox
+from .dataset_io import number_list, read_json, write_json
 from .errors import CalibrationError, SchemaError
 
 # Matching gate in meters for pairing detections with annotations.
@@ -132,7 +130,7 @@ class GroundTruthTrack:
 
 
 def tracks_from_ground_truth(
-        ground_truth: Mapping[str, Mapping[int, Sequence[GroundTruthBox]]],
+        ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
 ) -> list:
     """Group ground-truth boxes into per-instance tracks."""
     grouped: dict = {}
@@ -241,7 +239,7 @@ def _gt_boxes_by_frame(gt_tracks: Sequence[GroundTruthTrack]) -> dict:
 
 
 def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
-                               detections: Mapping[str, Mapping[int, Sequence[Detection]]],
+                               detections: Mapping[str, Mapping[int, Sequence[Box]]],
                                process_noise: Mapping[str, np.ndarray] | None = None,
                                pooled: bool = False,
                                gate: float = CALIBRATION_GATE) -> dict:
@@ -267,8 +265,7 @@ def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
                 continue
             result = greedy_center_match(gt_obs, det_obs, gate)
             for gi, dj, _ in result.pairs:
-                nu = det_obs[dj].to_array() - gt_obs[gi].to_array()
-                nu[3] = wrap_angle(nu[3])
+                nu = observation_residual(det_obs[dj], gt_obs[gi])
                 residuals.setdefault(label, []).append(nu)
     out = {}
     if pooled:
@@ -291,8 +288,8 @@ def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
     return out
 
 
-def calibrate(ground_truth: Mapping[str, Mapping[int, Sequence[GroundTruthBox]]],
-              detections: Mapping[str, Mapping[int, Sequence[Detection]]],
+def calibrate(ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
+              detections: Mapping[str, Mapping[int, Sequence[Box]]],
               pooled: bool = False) -> NoiseModel:
     """Estimate a full NoiseModel from a ground-truth and detection split."""
     gt_tracks = tracks_from_ground_truth(ground_truth)
@@ -325,21 +322,11 @@ def save_noise_model(model: NoiseModel, path: str):
             for label, noise in sorted(model.classes.items())
         },
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(payload, path)
 
 
 def load_noise_model(path: str) -> NoiseModel:
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError(f"noise model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"noise model file {path} is not valid JSON: {exc}") from None
+    data = read_json(path, "noise model")
     if not isinstance(data, dict) or not isinstance(data.get("classes"), dict):
         raise SchemaError("noise model file must hold an object with a 'classes' map", path)
     classes = {}
@@ -349,16 +336,10 @@ def load_noise_model(path: str) -> NoiseModel:
             raise SchemaError(f"unknown class {label!r}", location)
         if not isinstance(entry, dict):
             raise SchemaError("class entry must be an object", location)
-        arrays = {}
-        for name, size in (("q", STATE_DIM), ("r", OBS_DIM), ("sigma0", STATE_DIM)):
-            values = entry.get(name)
-            if (not isinstance(values, list) or len(values) != size
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in values)):
-                raise SchemaError(f"field {name!r} must be an array of {size} numbers", location)
-            arrays[name] = np.array(values, dtype=float)
+        arrays = [number_list(entry.get(name), name, size, location)
+                  for name, size in (("q", STATE_DIM), ("r", OBS_DIM), ("sigma0", STATE_DIM))]
         try:
-            classes[label] = ClassNoise(arrays["q"], arrays["r"], arrays["sigma0"])
+            classes[label] = ClassNoise(*arrays)
         except ValueError as exc:
             raise SchemaError(str(exc), location) from None
     try:

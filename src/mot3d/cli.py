@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import __version__
 from .calibration import NoiseModel, calibrate, load_noise_model, save_noise_model
-from .dataset_io import (RunConfig, TrackBox, load_config, load_detections,
+from .dataset_io import (RunConfig, load_config, load_detections,
                          load_ground_truth, load_tracks, merge_config,
                          write_detections, write_ground_truth, write_tracks)
 from .errors import ConfigError, Mot3dError, NumericalError
@@ -27,7 +27,7 @@ from .metrics import EVALUATION_GATE, amota, write_amota_csv, write_report
 from .synthetic import (calibration_scenario, generate_suite, load_scenarios,
                         noiseless_scene, scenario_meta, standard_suite,
                         standard_suite_calibration, turning_scenario)
-from .tracker import MultiObjectTracker
+from .tracker import MultiObjectTracker, boxes_by_frame
 from .viz import write_scene_svg
 
 
@@ -203,27 +203,9 @@ def _csv_list(text: str) -> list:
 def _ablate_cell(payload):
     name, detections, ground_truth, noise, config, n_samples, gate = payload
     outputs, _ = _run_scenes(detections, noise, config, jobs=1)
-    boxes = _outputs_to_track_boxes(outputs)
-    return name, amota(boxes, ground_truth, n=n_samples, gate=gate)
-
-
-def _outputs_to_track_boxes(outputs):
-    """FrameOutput records -> the TrackBox view the evaluator consumes."""
-    by_scene: dict = {}
-    for scene_id, frame_outputs in outputs.items():
-        frames = {}
-        for output in frame_outputs:
-            frames[output.frame_index] = [
-                TrackBox(observation=record.state.observed(),
-                         class_label=record.class_label,
-                         track_id=record.track_id,
-                         score=record.score,
-                         frame_index=output.frame_index,
-                         scene_id=scene_id)
-                for record in output.records
-            ]
-        by_scene[scene_id] = frames
-    return by_scene
+    tracks = {scene_id: boxes_by_frame(frame_outputs)
+              for scene_id, frame_outputs in outputs.items()}
+    return name, amota(tracks, ground_truth, n=n_samples, gate=gate)
 
 
 def _cmd_ablate(args) -> int:
@@ -303,13 +285,7 @@ def _cmd_plot(args) -> int:
         raise ConfigError("--out names one .svg but the input holds "
                           f"{len(scene_ids)} scenes; pass --scene or a directory")
     for scene_id in scene_ids:
-        if single_file:
-            path = args.out
-            directory = os.path.dirname(os.path.abspath(path))
-        else:
-            directory = args.out
-            path = os.path.join(directory, f"{scene_id}.svg")
-        os.makedirs(directory, exist_ok=True)
+        path = args.out if single_file else os.path.join(args.out, f"{scene_id}.svg")
         write_scene_svg(path, tracks[scene_id], ground_truth.get(scene_id),
                         title=f"scene {scene_id}")
         print(f"wrote {path}")

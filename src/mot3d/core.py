@@ -95,6 +95,10 @@ def _check_finite(label: str, value: float) -> float:
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Observation:
     """A detected 3D box: center, yaw, and extents."""
@@ -192,23 +196,6 @@ TRANSITION_MATRIX = _build_transition()
 OBSERVATION_MATRIX = _build_observation()
 
 
-def apply_transition(state: StateVector) -> StateVector:
-    """Advance a state one frame under the constant-velocity motion model."""
-    return StateVector(
-        state.x + state.dx,
-        state.y + state.dy,
-        state.z + state.dz,
-        wrap_angle(state.a + state.da),
-        state.l,
-        state.w,
-        state.h,
-        state.dx,
-        state.dy,
-        state.dz,
-        state.da,
-    )
-
-
 def observation_residual(observation: Observation, predicted: Observation) -> np.ndarray:
     """Component-wise residual observation - predicted with the yaw wrapped."""
     nu = observation.to_array() - predicted.to_array()
@@ -230,23 +217,34 @@ class StateEstimate:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """One detector output box with class, confidence, and provenance."""
+class Box:
+    """A 3D box of a known class in one frame of one scene.
+
+    Each source fills in what it knows: detections a score, tracker
+    output a score and a track_id, ground truth an instance_id.  This
+    is the only place the rules on those fields are checked.
+    """
 
     observation: Observation
     class_label: str
-    score: float
     frame_index: int
     scene_id: str = ""
+    score: float | None = None
+    track_id: int | None = None
+    instance_id: str | None = None
 
     def __post_init__(self):
         if self.class_label not in CLASS_LABELS:
             raise ValueError(f"unknown class label {self.class_label!r}")
-        score = _check_finite("score", self.score)
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {score}")
-        object.__setattr__(self, "score", score)
-        if not isinstance(self.frame_index, int) or isinstance(self.frame_index, bool):
-            raise ValueError(f"frame_index must be an int, got {self.frame_index!r}")
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be non-negative, got {self.frame_index}")
+        if not _is_int(self.frame_index) or self.frame_index < 0:
+            raise ValueError(f"frame_index must be a non-negative int, got {self.frame_index!r}")
+        if self.score is not None:
+            score = _check_finite("score", self.score)
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score must lie in [0, 1], got {score}")
+            object.__setattr__(self, "score", score)
+        if self.track_id is not None and (not _is_int(self.track_id) or self.track_id < 1):
+            raise ValueError(f"track_id must be a positive int, got {self.track_id!r}")
+        if self.instance_id is not None and (
+                not isinstance(self.instance_id, str) or not self.instance_id):
+            raise ValueError(f"instance_id must be a non-empty string, got {self.instance_id!r}")

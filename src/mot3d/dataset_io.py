@@ -1,16 +1,21 @@
-"""File formats and run configuration.
+"""File formats, run configuration, and the one JSON read/write path.
 
 All three box files share one shape: a JSON object mapping scene_id to
 an object mapping the decimal frame index to an array of box records.
 A box record always carries "center" [x, y, z], "yaw", "size"
-[l, w, h], and "class"; detections and tracks add "score", tracks add
-"track_id", and ground truth adds "instance_id".  Top-level keys
+[l, w, h], and "class"; BOX_SCHEMAS names the fields each file adds.
+Frame keys are canonical decimals ("7", never "07").  Top-level keys
 beginning with an underscore are reserved for metadata (for example
 the generator provenance header) and are skipped by the loaders.
 
+Loaders check the JSON shape (numbers, finiteness, array lengths,
+unexpected fields); the rules on values live in core.Box and surface
+here as SchemaError with the offending scene, frame and record.
+
 Writers emit sorted keys with a fixed layout, so equal inputs always
 serialize to identical bytes, and floats keep full round-trip
-precision.
+precision.  Every output file is written atomically: a temp file in
+the target directory replaces the target only once it is complete.
 """
 
 from __future__ import annotations
@@ -18,12 +23,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from scipy.stats import chi2
 
-from .core import CLASS_LABELS, Detection, Observation
+from .core import CLASS_LABELS, Box, Observation
 from .errors import ConfigError, SchemaError
 
 if TYPE_CHECKING:
@@ -37,42 +45,64 @@ MATCHER_NAMES = ("greedy", "hungarian")
 AFFINITY_NAMES = ("mahalanobis", "iou")
 SCORE_MODES = ("last_detection", "running_mean")
 
-
-@dataclass(frozen=True)
-class GroundTruthBox:
-    """An annotated box with its persistent instance identity."""
-
-    observation: Observation
-    class_label: str
-    instance_id: str
-    frame_index: int
-    scene_id: str = ""
-
-    def __post_init__(self):
-        if self.class_label not in CLASS_LABELS:
-            raise ValueError(f"unknown class label {self.class_label!r}")
-        if not isinstance(self.instance_id, str) or not self.instance_id:
-            raise ValueError("instance_id must be a non-empty string")
+# Box file kind -> the Box fields its records carry besides the box itself.
+BOX_SCHEMAS = {
+    "detections": ("score",),
+    "ground truth": ("instance_id",),
+    "tracks": ("score", "track_id"),
+}
+_BOX_FIELDS = ("center", "yaw", "size", "class")
 
 
-@dataclass(frozen=True)
-class TrackBox:
-    """A tracker output box, as read back from a track file."""
+def read_json(path: str, label: str, error_cls=SchemaError):
+    """Parse a JSON file; a missing, unreadable or malformed file raises error_cls."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise error_cls(f"{label} file not found: {path}") from None
+    except OSError as exc:
+        raise error_cls(f"cannot read {label} file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise error_cls(f"{label} file {path} is not valid JSON: {exc}") from None
 
-    observation: Observation
-    class_label: str
-    track_id: int
-    score: float
-    frame_index: int
-    scene_id: str = ""
 
-    def __post_init__(self):
-        if self.class_label not in CLASS_LABELS:
-            raise ValueError(f"unknown class label {self.class_label!r}")
-        if not isinstance(self.track_id, int) or isinstance(self.track_id, bool) or self.track_id < 1:
-            raise ValueError(f"track_id must be a positive int, got {self.track_id!r}")
-        if not 0.0 <= float(self.score) <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
+@contextmanager
+def atomic_open(path: str, newline: str | None = None):
+    """Yield a text handle whose content replaces path once the block succeeds.
+
+    The handle writes a temp file in path's directory (created when
+    missing); os.replace swaps it in at the end.  On any exception the
+    temp file is removed and an existing file at path is left as it was.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    temp = os.path.join(directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(temp, "w", newline=newline) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
+
+
+def write_json(payload, path: str):
+    """Write payload with sorted keys and two-space indents, atomically."""
+    with atomic_open(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def _positive_number(value) -> bool:
+    """A real number above zero that fits a float (JSON integers may not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return float(value) > 0.0
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -102,15 +132,19 @@ class RunConfig:
             raise ConfigError(f"affinity must be one of {AFFINITY_NAMES}, got {self.affinity!r}")
         if self.score_mode not in SCORE_MODES:
             raise ConfigError(f"score_mode must be one of {SCORE_MODES}, got {self.score_mode!r}")
-        if not self.maha_threshold > 0.0:
-            raise ConfigError("maha_threshold must be positive")
-        if not 0.0 < self.iou_threshold < 1.0:
+        if not _positive_number(self.maha_threshold):
+            raise ConfigError("maha_threshold must be a positive number")
+        if not _positive_number(self.iou_threshold) or not self.iou_threshold < 1.0:
             raise ConfigError("iou_threshold must lie strictly between 0 and 1")
-        for label, value in dict(self.class_maha_thresholds).items():
+        if not isinstance(self.class_maha_thresholds, Mapping):
+            raise ConfigError("class_maha_thresholds must map class labels to thresholds")
+        for label, value in self.class_maha_thresholds.items():
             if label not in CLASS_LABELS:
                 raise ConfigError(f"per-class threshold for unknown class {label!r}")
-            if not value > 0.0:
-                raise ConfigError(f"per-class threshold for {label!r} must be positive")
+            if not _positive_number(value):
+                raise ConfigError(f"per-class threshold for {label!r} must be a positive number")
+        if not isinstance(self.angular_velocity, bool):
+            raise ConfigError(f"angular_velocity must be a boolean, got {self.angular_velocity!r}")
         for name in ("birth_hits", "death_misses"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -150,13 +184,7 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Read a RunConfig from a JSON file."""
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    data = read_json(path, "config", ConfigError)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return RunConfig.from_dict(data)
@@ -177,205 +205,132 @@ def _require(record: Mapping, key: str, location: str):
 def _number(value, name: str, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"field {name!r} must be a number, got {value!r}", location)
-    if not math.isfinite(value):
-        raise SchemaError(f"field {name!r} must be finite, got {value!r}", location)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"field {name!r} must be a finite number", location)
+    return number
 
 
-def _vector(value, name: str, length: int, location: str) -> list:
+def number_list(value, name: str, length: int, location: str) -> list:
+    """Check a JSON array of `length` finite numbers; return them as floats."""
     if not isinstance(value, list) or len(value) != length:
         raise SchemaError(f"field {name!r} must be an array of {length} numbers", location)
     return [_number(item, name, location) for item in value]
 
 
-def _observation(record: Mapping, location: str) -> Observation:
-    center = _vector(_require(record, "center", location), "center", 3, location)
-    yaw = _number(_require(record, "yaw", location), "yaw", location)
-    size = _vector(_require(record, "size", location), "size", 3, location)
+def _frame_index(key: str, location: str) -> int:
+    """Parse a frame key written as a canonical decimal: "7", not "07" or "²"."""
     try:
-        return Observation(center[0], center[1], center[2], yaw, size[0], size[1], size[2])
+        index = int(key) if key.isascii() and key.isdigit() else None
+    except ValueError:  # more digits than int() parses
+        index = None
+    if index is None or str(index) != key:
+        raise SchemaError(f"frame key {key!r} is not a canonical non-negative integer", location)
+    return index
+
+
+def _box(record, kind: str, frame_index: int, scene_id: str, location: str) -> Box:
+    if not isinstance(record, dict):
+        raise SchemaError("box record must be a JSON object", location)
+    extras = BOX_SCHEMAS[kind]
+    unexpected = set(record).difference(_BOX_FIELDS, extras)
+    if unexpected:
+        raise SchemaError(f"unexpected fields {sorted(unexpected)}", location)
+    center = number_list(_require(record, "center", location), "center", 3, location)
+    yaw = _number(_require(record, "yaw", location), "yaw", location)
+    size = number_list(_require(record, "size", location), "size", 3, location)
+    values = {name: _require(record, name, location) for name in extras}
+    if "score" in values:
+        values["score"] = _number(values["score"], "score", location)
+    class_label = _require(record, "class", location)
+    try:
+        return Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
     except ValueError as exc:
         raise SchemaError(str(exc), location) from None
 
 
-def _class_label(record: Mapping, location: str) -> str:
-    label = _require(record, "class", location)
-    if label not in CLASS_LABELS:
-        raise SchemaError(f"unknown class {label!r}", location)
-    return label
-
-
-def _check_fields(record: Mapping, allowed: frozenset, location: str):
-    if not isinstance(record, dict):
-        raise SchemaError("box record must be a JSON object", location)
-    extra = set(record) - allowed
-    if extra:
-        raise SchemaError(f"unexpected fields {sorted(extra)}", location)
-
-
-_DET_FIELDS = frozenset({"center", "yaw", "size", "class", "score"})
-_GT_FIELDS = frozenset({"center", "yaw", "size", "class", "instance_id"})
-_TRACK_FIELDS = frozenset({"center", "yaw", "size", "class", "score", "track_id"})
-
-
-def _iter_file(path: str, file_label: str):
-    """Yield (scene_id, frame_index, record_index, record, location) tuples."""
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError(f"{file_label} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{file_label} file {path} is not valid JSON: {exc}") from None
+def _load_boxes(path: str, kind: str) -> dict:
+    """Parse a box file into scene -> frame -> [Box], scenes and frames sorted."""
+    data = read_json(path, kind)
     if not isinstance(data, dict):
-        raise SchemaError(f"{file_label} file must hold a JSON object", path)
+        raise SchemaError(f"{kind} file must hold a JSON object", path)
+    out: dict = {}
+    instances: set = set()
     for scene_id in sorted(key for key in data if not key.startswith("_")):
         frames = data[scene_id]
+        scene_location = f"{kind} scene {scene_id!r}"
         if not isinstance(frames, dict):
-            raise SchemaError("scene must map frame indices to arrays",
-                              f"{file_label} scene {scene_id!r}")
-        parsed_frames = []
-        for frame_key in frames:
-            if not frame_key.isdigit():
-                raise SchemaError(
-                    f"frame key {frame_key!r} is not a non-negative integer",
-                    f"{file_label} scene {scene_id!r}")
-            parsed_frames.append(int(frame_key))
-        for frame_index in sorted(parsed_frames):
+            raise SchemaError("scene must map frame indices to arrays", scene_location)
+        for frame_index in sorted(_frame_index(key, scene_location) for key in frames):
             records = frames[str(frame_index)]
-            location_base = f"{file_label} scene {scene_id!r} frame {frame_index}"
+            frame_location = f"{scene_location} frame {frame_index}"
             if not isinstance(records, list):
-                raise SchemaError("frame must hold an array of box records", location_base)
+                raise SchemaError("frame must hold an array of box records", frame_location)
             for record_index, record in enumerate(records):
-                yield (scene_id, frame_index, record_index, record,
-                       f"{location_base} record {record_index}")
+                location = f"{frame_location} record {record_index}"
+                box = _box(record, kind, frame_index, scene_id, location)
+                if box.instance_id is not None:
+                    key = (scene_id, frame_index, box.instance_id)
+                    if key in instances:
+                        raise SchemaError(f"duplicate instance_id {box.instance_id!r}",
+                                          location)
+                    instances.add(key)
+                out.setdefault(scene_id, {}).setdefault(frame_index, []).append(box)
+    return out
 
 
 def load_detections(path: str) -> dict:
-    """Parse a detection file into scene -> frame -> [Detection]."""
-    out: dict = {}
-    for scene_id, frame_index, _, record, location in _iter_file(path, "detections"):
-        _check_fields(record, _DET_FIELDS, location)
-        score = _number(_require(record, "score", location), "score", location)
-        if not 0.0 <= score <= 1.0:
-            raise SchemaError(f"score must lie in [0, 1], got {score}", location)
-        detection = Detection(
-            observation=_observation(record, location),
-            class_label=_class_label(record, location),
-            score=score,
-            frame_index=frame_index,
-            scene_id=scene_id,
-        )
-        out.setdefault(scene_id, {}).setdefault(frame_index, []).append(detection)
-    return out
+    """Parse a detection file into scene -> frame -> [Box with score]."""
+    return _load_boxes(path, "detections")
 
 
 def load_ground_truth(path: str) -> dict:
-    """Parse a ground-truth file into scene -> frame -> [GroundTruthBox]."""
-    out: dict = {}
-    seen: set = set()
-    for scene_id, frame_index, _, record, location in _iter_file(path, "ground truth"):
-        _check_fields(record, _GT_FIELDS, location)
-        instance_id = _require(record, "instance_id", location)
-        if not isinstance(instance_id, str) or not instance_id:
-            raise SchemaError("instance_id must be a non-empty string", location)
-        key = (scene_id, frame_index, instance_id)
-        if key in seen:
-            raise SchemaError(f"duplicate instance_id {instance_id!r}", location)
-        seen.add(key)
-        box = GroundTruthBox(
-            observation=_observation(record, location),
-            class_label=_class_label(record, location),
-            instance_id=instance_id,
-            frame_index=frame_index,
-            scene_id=scene_id,
-        )
-        out.setdefault(scene_id, {}).setdefault(frame_index, []).append(box)
-    return out
+    """Parse a ground-truth file into scene -> frame -> [Box with instance_id]."""
+    return _load_boxes(path, "ground truth")
 
 
 def load_tracks(path: str) -> dict:
-    """Parse a track file into scene -> frame -> [TrackBox]."""
-    out: dict = {}
-    for scene_id, frame_index, _, record, location in _iter_file(path, "tracks"):
-        _check_fields(record, _TRACK_FIELDS, location)
-        score = _number(_require(record, "score", location), "score", location)
-        track_id = _require(record, "track_id", location)
-        if isinstance(track_id, bool) or not isinstance(track_id, int) or track_id < 1:
-            raise SchemaError(f"track_id must be a positive integer, got {track_id!r}", location)
-        if not 0.0 <= score <= 1.0:
-            raise SchemaError(f"score must lie in [0, 1], got {score}", location)
-        box = TrackBox(
-            observation=_observation(record, location),
-            class_label=_class_label(record, location),
-            track_id=track_id,
-            score=score,
-            frame_index=frame_index,
-            scene_id=scene_id,
-        )
-        out.setdefault(scene_id, {}).setdefault(frame_index, []).append(box)
-    return out
+    """Parse a track file into scene -> frame -> [Box with score and track_id]."""
+    return _load_boxes(path, "tracks")
 
 
-def _box_payload(observation: Observation, class_label: str) -> dict:
-    return {
-        "center": [observation.x, observation.y, observation.z],
-        "yaw": observation.a,
-        "size": [observation.l, observation.w, observation.h],
-        "class": class_label,
-    }
+def _write_boxes(boxes: Mapping[str, Mapping[int, Sequence[Box]]], kind: str, path: str,
+                 meta: Mapping | None):
+    extras = BOX_SCHEMAS[kind]
+    payload: dict = {} if meta is None else {"_meta": dict(meta)}
+    for scene_id, frames in boxes.items():
+        payload[scene_id] = {str(frame_index): [_record(box, extras) for box in frame_boxes]
+                             for frame_index, frame_boxes in frames.items()}
+    write_json(payload, path)
 
 
-def _dump(payload: dict, path: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _record(box: Box, extras: tuple) -> dict:
+    obs = box.observation
+    record = {"center": [obs.x, obs.y, obs.z], "yaw": obs.a,
+              "size": [obs.l, obs.w, obs.h], "class": box.class_label}
+    for name in extras:
+        record[name] = getattr(box, name)
+        if record[name] is None:
+            raise ValueError(f"box {box!r} has no {name}, which its file requires")
+    return record
 
 
-def write_detections(detections: Mapping[str, Mapping[int, Sequence[Detection]]],
+def write_detections(detections: Mapping[str, Mapping[int, Sequence[Box]]],
                      path: str, meta: Mapping | None = None):
-    payload: dict = {} if meta is None else {"_meta": dict(meta)}
-    for scene_id, frames in detections.items():
-        payload[scene_id] = {
-            str(frame_index): [
-                {**_box_payload(d.observation, d.class_label), "score": d.score}
-                for d in frames[frame_index]
-            ]
-            for frame_index in frames
-        }
-    _dump(payload, path)
+    _write_boxes(detections, "detections", path, meta)
 
 
-def write_ground_truth(ground_truth: Mapping[str, Mapping[int, Sequence[GroundTruthBox]]],
+def write_ground_truth(ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
                        path: str, meta: Mapping | None = None):
-    payload: dict = {} if meta is None else {"_meta": dict(meta)}
-    for scene_id, frames in ground_truth.items():
-        payload[scene_id] = {
-            str(frame_index): [
-                {**_box_payload(g.observation, g.class_label), "instance_id": g.instance_id}
-                for g in frames[frame_index]
-            ]
-            for frame_index in frames
-        }
-    _dump(payload, path)
+    _write_boxes(ground_truth, "ground truth", path, meta)
 
 
 def write_tracks(outputs: "Mapping[str, Sequence[FrameOutput]]", path: str,
                  meta: Mapping | None = None):
     """Serialize per-scene tracker outputs to a track file."""
-    payload: dict = {} if meta is None else {"_meta": dict(meta)}
-    for scene_id, frame_outputs in outputs.items():
-        payload[scene_id] = {
-            str(output.frame_index): [
-                {
-                    **_box_payload(record.state.observed(), record.class_label),
-                    "score": record.score,
-                    "track_id": record.track_id,
-                }
-                for record in output.records
-            ]
-            for output in frame_outputs
-        }
-    _dump(payload, path)
+    from .tracker import boxes_by_frame  # the tracker imports RunConfig from here
+    _write_boxes({scene_id: boxes_by_frame(frame_outputs)
+                  for scene_id, frame_outputs in outputs.items()}, "tracks", path, meta)

@@ -24,6 +24,7 @@ from .core import (
     Observation,
     StateEstimate,
     StateVector,
+    observation_residual,
     symmetrize,
     validate_covariance,
     wrap_angle,
@@ -102,8 +103,7 @@ def update(prediction: Prediction, observation: Observation) -> StateEstimate:
     # K = Sigma H^T S^-1, computed as S^-1 (H Sigma) transposed.
     gain = cho_solve(factor, h @ sigma).T
 
-    nu = observation.to_array() - prediction.predicted_observation.to_array()
-    nu[ANGLE_INDEX] = wrap_angle(nu[ANGLE_INDEX])
+    nu = observation_residual(observation, prediction.predicted_observation)
 
     mean = prediction.predicted_estimate.mean.to_array() + gain @ nu
     mean[ANGLE_INDEX] = wrap_angle(mean[ANGLE_INDEX])

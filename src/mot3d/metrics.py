@@ -21,15 +21,13 @@ carries this note).
 from __future__ import annotations
 
 import csv
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .association import greedy_center_match
-from .core import CLASS_LABELS
-from .dataset_io import GroundTruthBox, TrackBox
+from .core import CLASS_LABELS, Box
+from .dataset_io import atomic_open, write_json
 
 EVALUATION_GATE = 2.0
 
@@ -40,7 +38,7 @@ REPORT_NOTE = (
 )
 
 
-def match_frame(gt_boxes: Sequence[GroundTruthBox], track_boxes: Sequence[TrackBox],
+def match_frame(gt_boxes: Sequence[Box], track_boxes: Sequence[Box],
                 prev_assignment: Mapping[str, int],
                 gate: float = EVALUATION_GATE) -> tuple:
     """Match one frame and count TP / FP / FN / identity switches.
@@ -239,8 +237,8 @@ def _class_report(label: str, gt: Mapping, tracks: Mapping, n: int,
     return ClassReport(label, amota_value, positives, tuple(samples))
 
 
-def amota(tracks: Mapping[str, Mapping[int, Sequence[TrackBox]]],
-          ground_truth: Mapping[str, Mapping[int, Sequence[GroundTruthBox]]],
+def amota(tracks: Mapping[str, Mapping[int, Sequence[Box]]],
+          ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
           n: int = 40, gate: float = EVALUATION_GATE) -> EvalReport:
     """Recall-averaged accuracy over every class present in the ground truth.
 
@@ -271,18 +269,12 @@ def amota(tracks: Mapping[str, Mapping[int, Sequence[TrackBox]]],
 
 
 def write_report(report: EvalReport, path: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(report.to_dict(), path)
 
 
 def write_amota_csv(rows: Sequence[tuple], path: str):
     """Write (configuration label, EvalReport) rows as a class-by-row table."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["configuration", "overall"] + list(CLASS_LABELS))
         for label, report in rows:

@@ -17,15 +17,14 @@ file's metadata header.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CLASS_LABELS, Detection, Observation, wrap_angle
-from .dataset_io import GroundTruthBox
+from .core import CLASS_LABELS, Box, Observation, wrap_angle
+from .dataset_io import read_json
 from .errors import SchemaError
 
 # Typical box extents (l, w, h) in meters used for false positives and
@@ -187,7 +186,7 @@ def generate(spec: ScenarioSpec) -> tuple:
             if pose is None:
                 continue
             extents = obj.extents()
-            gt_frames[frame].append(GroundTruthBox(
+            gt_frames[frame].append(Box(
                 observation=Observation(pose[0], pose[1], pose[2], pose[3],
                                         extents[0], extents[1], extents[2]),
                 class_label=obj.class_label,
@@ -203,7 +202,7 @@ def generate(spec: ScenarioSpec) -> tuple:
                 np.array(extents) + rng.normal(0.0, 1.0, size=3) * noise.size_sigma,
                 MIN_EXTENT)
             score = rng.uniform(noise.score_range[0], noise.score_range[1])
-            det_frames[frame].append(Detection(
+            det_frames[frame].append(Box(
                 observation=Observation(center[0], center[1], center[2], yaw,
                                         size[0], size[1], size[2]),
                 class_label=obj.class_label,
@@ -216,7 +215,7 @@ def generate(spec: ScenarioSpec) -> tuple:
                 label = fp_classes[int(rng.integers(len(fp_classes)))]
                 base = np.array(CLASS_SIZES[label])
                 size = np.maximum(base * rng.uniform(0.9, 1.1, size=3), MIN_EXTENT)
-                det_frames[frame].append(Detection(
+                det_frames[frame].append(Box(
                     observation=Observation(
                         rng.uniform(spec.bounds[0], spec.bounds[1]),
                         rng.uniform(spec.bounds[2], spec.bounds[3]),
@@ -289,6 +288,8 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def spec_from_dict(data: Mapping) -> ScenarioSpec:
+    if not isinstance(data, Mapping):
+        raise SchemaError(f"invalid scenario spec: expected an object, got {data!r}")
     try:
         noise = NoiseSpec(**data.get("noise", {}))
         objects = tuple(ObjectSpec(**entry) for entry in data.get("objects", []))
@@ -306,13 +307,7 @@ def spec_from_dict(data: Mapping) -> ScenarioSpec:
 
 def load_scenarios(path: str) -> list:
     """Read one scenario or a {"scenarios": [...]} collection from JSON."""
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"scenario file {path} is not valid JSON: {exc}") from None
+    data = read_json(path, "scenario")
     if isinstance(data, dict) and "scenarios" in data:
         entries = data["scenarios"]
         if not isinstance(entries, list) or not entries:

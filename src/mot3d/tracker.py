@@ -21,7 +21,7 @@ from .association import (
     mahalanobis_affinity,
 )
 from .calibration import ClassNoise, NoiseModel
-from .core import Detection, StateEstimate, StateVector
+from .core import Box, StateEstimate, StateVector
 from .dataset_io import RunConfig
 from .errors import ConfigError, SequencingError
 from .kalman import predict, update
@@ -51,21 +51,20 @@ class Track:
 
 
 @dataclass(frozen=True)
-class TrackRecord:
-    """One reported box: identity, class, full state, and confidence."""
-
-    track_id: int
-    class_label: str
-    state: StateVector
-    score: float
-
-
-@dataclass(frozen=True)
 class FrameOutput:
-    """Confirmed tracks emitted for one frame, sorted by track_id."""
+    """Confirmed tracks emitted for one frame as Boxes, sorted by track_id.
+
+    Each Box carries the track's observed state, its score under the
+    configured score_mode, and its track_id.
+    """
 
     frame_index: int
     records: tuple
+
+
+def boxes_by_frame(frame_outputs: Sequence[FrameOutput]) -> dict:
+    """One scene's outputs as frame -> boxes, the view metrics.amota reads."""
+    return {output.frame_index: output.records for output in frame_outputs}
 
 
 @dataclass
@@ -107,7 +106,7 @@ class MultiObjectTracker:
             for label in noise.classes
         }
 
-    def step(self, frame_index: int, detections: Sequence[Detection]) -> FrameOutput:
+    def step(self, frame_index: int, detections: Sequence[Box]) -> FrameOutput:
         """Process one frame and return the confirmed tracks."""
         if not isinstance(frame_index, int) or isinstance(frame_index, bool) or frame_index < 0:
             raise SequencingError(f"frame_index must be a non-negative int, got {frame_index!r}")
@@ -137,8 +136,8 @@ class MultiObjectTracker:
         self.stats.frames += 1
 
         records = tuple(
-            TrackRecord(t.track_id, t.class_label, t.estimate.mean,
-                        t.current_score(self.config.score_mode))
+            Box(t.estimate.mean.observed(), t.class_label, frame_index,
+                score=t.current_score(self.config.score_mode), track_id=t.track_id)
             for t in self.tracks
             if t.status == CONFIRMED
         )
@@ -213,7 +212,7 @@ class MultiObjectTracker:
         return survivors
 
 
-def run_scene(frames: Mapping[int, Sequence[Detection]], noise: NoiseModel,
+def run_scene(frames: Mapping[int, Sequence[Box]], noise: NoiseModel,
               config: RunConfig | None = None) -> list:
     """Track one scene: a mapping of ascending frame_index to detections.
 

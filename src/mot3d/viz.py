@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .association import box_corners_bev
+from .dataset_io import atomic_open
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -122,5 +123,5 @@ def _escape(text: str) -> str:
 def write_scene_svg(path: str, track_frames: Mapping,
                     gt_frames: Mapping | None = None, title: str = "") -> None:
     svg = render_scene_svg(track_frames, gt_frames, title=title)
-    with open(path, "w") as handle:
+    with atomic_open(path) as handle:
         handle.write(svg)

@@ -6,6 +6,7 @@ seeds, fixed scenario presets, no tolerance slack beyond what each
 test states.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -14,16 +15,14 @@ import numpy as np
 
 from mot3d.association import hungarian_match, iou_3d
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
-from mot3d.cli import _outputs_to_track_boxes
-from mot3d.core import (OBS_DIM, STATE_DIM, Detection, Observation,
-                        wrap_angle)
+from mot3d.core import OBS_DIM, STATE_DIM, Box, Observation, wrap_angle
 from mot3d.dataset_io import RunConfig
 from mot3d.kalman import predict, update
 from mot3d.metrics import amota, motar
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite,
                              noiseless_scene, standard_suite,
                              standard_suite_calibration, turning_scenario)
-from mot3d.tracker import run_scene
+from mot3d.tracker import boxes_by_frame, run_scene
 from tests.test_association import distances
 from tests.test_iou3d import mc_iou
 from tests.test_kalman import (angle_aware_diff, build_transition,
@@ -190,8 +189,9 @@ def test_noiseless_scene_tracks_perfectly_under_one_second():
     noise = NoiseModel.default_covariance()
     config = RunConfig(birth_hits=1)
     started = time.perf_counter()
-    outputs = {spec.scene_id: run_scene(detections[spec.scene_id], noise, config)}
-    report = amota(_outputs_to_track_boxes(outputs), ground_truth, n=40)
+    tracks = {spec.scene_id: boxes_by_frame(
+        run_scene(detections[spec.scene_id], noise, config))}
+    report = amota(tracks, ground_truth, n=40)
     elapsed = time.perf_counter() - started
     switches = sum(sample.ids
                    for entry in report.classes.values()
@@ -227,9 +227,9 @@ def test_distance_affinity_beats_overlap_on_fast_small_objects():
     ground_truth, detections = generate_suite(suite)
 
     def score(config):
-        outputs = {scene_id: run_scene(detections[scene_id], noise, config)
-                   for scene_id in sorted(detections)}
-        return amota(_outputs_to_track_boxes(outputs), ground_truth, n=40)
+        tracks = {scene_id: boxes_by_frame(run_scene(detections[scene_id], noise, config))
+                  for scene_id in sorted(detections)}
+        return amota(tracks, ground_truth, n=40)
 
     maha = score(RunConfig(affinity="mahalanobis", matcher="greedy"))
     overlap = score(RunConfig(affinity="iou", iou_threshold=0.25, matcher="greedy"))
@@ -287,8 +287,8 @@ def test_track_lifecycle_is_exhaustively_correct():
         for frame, hit in enumerate(bits):
             frames[frame] = []
             if hit:
-                frames[frame] = [Detection(Observation(0, 0, 0, 0, 4, 2, 1.5),
-                                           "car", 0.9, frame, "s")]
+                frames[frame] = [Box(Observation(0, 0, 0, 0, 4, 2, 1.5),
+                                     "car", frame, "s", score=0.9)]
         outputs = run_scene(frames, noise)
         got = [len(out.records) > 0 for out in outputs]
         assert got == reference_visibility(bits), bits
@@ -328,7 +328,7 @@ def test_turning_object_heading_needs_angular_velocity():
         for out in outputs:
             truth = ground_truth[out.frame_index][0].observation.a
             assert len(out.records) == 1
-            errors[out.frame_index] = abs(wrap_angle(out.records[0].state.a - truth))
+            errors[out.frame_index] = abs(wrap_angle(out.records[0].observation.a - truth))
         return errors
 
     with_rate = heading_errors(True)
@@ -356,33 +356,32 @@ def test_metric_formulas_spot_values_and_invariance():
     size = (4.0, 2.0, 1.5)
     gt: dict = {"s": {}}
     tracks: dict = {"s": {}}
-    from mot3d.dataset_io import GroundTruthBox, TrackBox
     for frame in range(12):
         gt["s"][frame] = [
-            GroundTruthBox(Observation(10.0 * obj, 0.4 * frame, 0, 0, *size),
-                           "car", f"obj{obj}", frame, "s")
+            Box(Observation(10.0 * obj, 0.4 * frame, 0, 0, *size),
+                "car", frame, "s", instance_id=f"obj{obj}")
             for obj in range(3)]
         boxes = []
         for obj in range(3):
             if rng.random() < 0.15:
                 continue  # occasional miss
             track_id = obj + 1 if frame < 6 or obj != 1 else 9  # one switch
-            boxes.append(TrackBox(
+            boxes.append(Box(
                 Observation(10.0 * obj + rng.normal(0, 0.3),
                             0.4 * frame + rng.normal(0, 0.3), 0, 0, *size),
-                "car", track_id, float(rng.uniform(0.3, 1.0)), frame, "s"))
+                "car", frame, "s", score=float(rng.uniform(0.3, 1.0)),
+                track_id=track_id))
         if rng.random() < 0.3:
-            boxes.append(TrackBox(Observation(77.0, 0, 0, 0, *size), "car",
-                                  50 + frame, float(rng.uniform(0.1, 0.6)),
-                                  frame, "s"))
+            boxes.append(Box(Observation(77.0, 0, 0, 0, *size), "car", frame, "s",
+                             score=float(rng.uniform(0.1, 0.6)),
+                             track_id=50 + frame))
         tracks["s"][frame] = boxes
 
     def remap(transform):
         remapped = {"s": {}}
         for frame, boxes in tracks["s"].items():
             remapped["s"][frame] = [
-                TrackBox(b.observation, b.class_label, b.track_id,
-                         float(transform(b.score)), b.frame_index, b.scene_id)
+                dataclasses.replace(b, score=float(transform(b.score)))
                 for b in boxes]
         return amota(remapped, gt, n=11)
 

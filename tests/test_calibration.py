@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,7 @@ from mot3d.calibration import (CALIBRATION_GATE, ClassNoise, GroundTruthTrack,
                                NoiseModel, calibrate, estimate_observation_noise,
                                estimate_process_noise, load_noise_model,
                                save_noise_model, tracks_from_ground_truth)
-from mot3d.core import Detection, Observation, wrap_angle
-from mot3d.dataset_io import GroundTruthBox
+from mot3d.core import Box, Observation, wrap_angle
 from mot3d.errors import CalibrationError, SchemaError
 
 CAR_SIZE = (4.0, 2.0, 1.5)
@@ -43,9 +43,9 @@ def gt_dict(tracks):
     for track in tracks:
         for idx, frame in enumerate(track.frames):
             x, y, z, a = track.poses[idx]
-            box = GroundTruthBox(Observation(x, y, z, a, *track.sizes[idx]),
-                                 track.class_label, track.instance_id, frame,
-                                 track.scene_id)
+            box = Box(Observation(x, y, z, a, *track.sizes[idx]),
+                      track.class_label, frame, track.scene_id,
+                      instance_id=track.instance_id)
             out.setdefault(track.scene_id, {}).setdefault(frame, []).append(box)
     return out
 
@@ -59,7 +59,7 @@ def shifted_detections(ground_truth, dx=0.0, dy=0.0, da=0.0, score=0.9):
                 o = box.observation
                 obs = Observation(o.x + dx, o.y + dy, o.z, wrap_angle(o.a + da),
                                   o.l, o.w, o.h)
-                dets.append(Detection(obs, box.class_label, score, frame, scene_id))
+                dets.append(Box(obs, box.class_label, frame, scene_id, score=score))
             out.setdefault(scene_id, {})[frame] = dets
     return out
 
@@ -159,7 +159,7 @@ def test_observation_noise_alternating_offset_exact():
     for frame in range(6):
         offset = 0.25 if frame % 2 == 0 else -0.25
         obs = Observation(0.0, offset, 0.0, 0.0, *CAR_SIZE)
-        dets["s0"][frame] = [Detection(obs, "car", 0.9, frame, "s0")]
+        dets["s0"][frame] = [Box(obs, "car", frame, "s0", score=0.9)]
     r, _ = estimate_observation_noise(
         [track], dets, process_noise={"car": np.zeros(11)})["car"]
     assert r[1] == 0.0625
@@ -170,8 +170,8 @@ def test_observation_noise_wraps_angle_residuals():
     track = make_track([0.0, 0.0], yaws=[math.pi - 0.01, -math.pi + 0.01],
                        frames=[0, 1])
     dets: dict = {"s0": {
-        0: [Detection(Observation(0, 0, 0, -math.pi + 0.01, *CAR_SIZE), "car", 0.9, 0, "s0")],
-        1: [Detection(Observation(0, 0, 0, math.pi - 0.01, *CAR_SIZE), "car", 0.9, 1, "s0")],
+        0: [Box(Observation(0, 0, 0, -math.pi + 0.01, *CAR_SIZE), "car", 0, "s0", score=0.9)],
+        1: [Box(Observation(0, 0, 0, math.pi - 0.01, *CAR_SIZE), "car", 1, "s0", score=0.9)],
     }}
     r, _ = estimate_observation_noise(
         [track], dets, process_noise={"car": np.zeros(11)})["car"]
@@ -207,8 +207,8 @@ def test_calibrate_sigma0_structure():
 
 def test_instance_class_change_rejected():
     scene = {"s0": {
-        0: [GroundTruthBox(Observation(0, 0, 0, 0, *CAR_SIZE), "car", "i0", 0, "s0")],
-        1: [GroundTruthBox(Observation(0, 0, 0, 0, *CAR_SIZE), "bus", "i0", 1, "s0")],
+        0: [Box(Observation(0, 0, 0, 0, *CAR_SIZE), "car", 0, "s0", instance_id="i0")],
+        1: [Box(Observation(0, 0, 0, 0, *CAR_SIZE), "bus", 1, "s0", instance_id="i0")],
     }}
     with pytest.raises(CalibrationError, match="changes class"):
         tracks_from_ground_truth(scene)
@@ -264,7 +264,7 @@ def test_save_load_round_trip(tmp_path):
         o = boxes[0].observation
         obs = Observation(o.x + rng.normal(0, 0.1), o.y + rng.normal(0, 0.1),
                           o.z, o.a, o.l, o.w, o.h)
-        dets["s0"][frame] = [Detection(obs, "car", 0.9, frame, "s0")]
+        dets["s0"][frame] = [Box(obs, "car", frame, "s0", score=0.9)]
     model = calibrate(gt, dets)
     path = tmp_path / "noise.json"
     save_noise_model(model, str(path))
@@ -301,3 +301,11 @@ def test_load_noise_model_errors(tmp_path):
     negative.write_text(str({"classes": {"car": entry}}).replace("'", '"'))
     with pytest.raises(SchemaError):
         load_noise_model(str(negative))
+    # an integer literal beyond the float range used to raise OverflowError
+    for name, size in (("q", 11), ("r", 7), ("sigma0", 11)):
+        huge = {"q": [0.0] * 11, "r": [0.0] * 7, "sigma0": [0.0] * 11}
+        huge[name] = [10 ** 400] + [0.0] * (size - 1)
+        overflow = tmp_path / f"overflow_{name}.json"
+        overflow.write_text(json.dumps({"classes": {"car": huge}}))
+        with pytest.raises(SchemaError, match=name):
+            load_noise_model(str(overflow))

@@ -6,7 +6,7 @@ import pytest
 
 from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
 from mot3d.cli import build_parser, main
-from mot3d.core import Detection, Observation
+from mot3d.core import Box, Observation
 from mot3d.dataset_io import write_detections
 
 SUBCOMMANDS = ("calibrate", "track", "evaluate", "simulate", "ablate", "plot")
@@ -130,8 +130,8 @@ def test_degenerate_noise_exits_two(tmp_path, capsys):
     zeros = NoiseModel({"car": ClassNoise(np.zeros(11), np.zeros(7), np.zeros(11))})
     noise_path = tmp_path / "zeros.json"
     save_noise_model(zeros, str(noise_path))
-    detections = {"s": {f: [Detection(Observation(0, 0, 0, 0, 4, 2, 1.5),
-                                      "car", 0.9, f, "s")] for f in (0, 1)}}
+    detections = {"s": {f: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", f, "s",
+                                score=0.9)] for f in (0, 1)}}
     det_path = tmp_path / "det.json"
     write_detections(detections, str(det_path))
     code = main(["track", "--detections", str(det_path),
@@ -260,3 +260,39 @@ def test_plot_directory_and_single_file(pipeline, tmp_path, capsys):
 def test_parser_prog_name():
     parser = build_parser()
     assert parser.prog == "mot3d"
+
+
+def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
+    def put(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    record = {"center": [0.0, 0.0, 0.0], "yaw": 0.0, "size": [4.0, 2.0, 1.5],
+              "class": "car"}
+    huge_noise = {"classes": {"car": {"q": [10 ** 400] + [0.0] * 10, "r": [0.0] * 7,
+                                      "sigma0": [0.0] * 11}}}
+    out = str(tmp_path / "out.json")
+    track = ["track", "--detections", pipeline["det"], "--out", out]
+    cases = [
+        ["track", "--detections", put("d0.json", {"s": {"007": []}}),
+         "--default-covariance", "--out", out],
+        ["track", "--detections", put("d1.json", {"s": {"²": []}}),
+         "--default-covariance", "--out", out],
+        ["track", "--detections", put("d2.json", {"s": {"0": [dict(record, score=10 ** 400)]}}),
+         "--default-covariance", "--out", out],
+        track + ["--noise-model", put("noise.json", huge_noise)],
+        track + ["--default-covariance", "--config", put("c1.json", {"maha_threshold": "x"})],
+        track + ["--default-covariance",
+                 "--config", put("c2.json", {"class_maha_thresholds": [1]})],
+        ["evaluate", "--ground-truth", pipeline["gt"],
+         "--tracks", put("t.json", {"s": {"7": [], "07": []}})],
+        ["calibrate", "--detections", pipeline["cal_det"], "--out", out,
+         "--ground-truth", put("g.json", {"s": {"0": [dict(record, instance_id="a",
+                                                           yaw=10 ** 400)]}})],
+        ["simulate", "--spec", put("spec.json", {"scenarios": [1]}),
+         "--out-detections", out, "--out-ground-truth", out],
+    ]
+    for argv in cases:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("mot3d: error:"), argv

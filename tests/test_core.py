@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
-                        STATE_DIM, TRANSITION_MATRIX, Detection, Observation,
-                        StateEstimate, StateVector, apply_transition,
-                        observation_residual, symmetrize, validate_covariance,
-                        wrap_angle, wrap_angle_array)
+                        STATE_DIM, TRANSITION_MATRIX, Box, Observation,
+                        StateEstimate, StateVector, observation_residual,
+                        symmetrize, validate_covariance, wrap_angle,
+                        wrap_angle_array)
+from mot3d.kalman import predict
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -130,9 +131,16 @@ def test_observation_matrix_selects_observed_block():
     np.testing.assert_array_equal(OBSERVATION_MATRIX @ state, state[:OBS_DIM])
 
 
+def transition(state: StateVector) -> StateVector:
+    """The constant-velocity transition as predict applies it to the mean."""
+    estimate = StateEstimate(state, np.eye(STATE_DIM))
+    prediction = predict(estimate, np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
+    return prediction.predicted_estimate.mean
+
+
 def test_apply_transition_zero_velocity_is_identity():
     state = StateVector(1.0, 2.0, 3.0, 0.5, 4.0, 2.0, 1.5)
-    assert apply_transition(state) == state
+    assert transition(state) == state
 
 
 def test_apply_transition_matches_matrix_product():
@@ -141,7 +149,7 @@ def test_apply_transition_matches_matrix_product():
         arr = rng.normal(scale=3.0, size=STATE_DIM)
         arr[4:7] = np.abs(arr[4:7]) + 0.1
         state = StateVector.from_array(arr)
-        moved = apply_transition(state).to_array()
+        moved = transition(state).to_array()
         expected = TRANSITION_MATRIX @ state.to_array()
         expected[ANGLE_INDEX] = wrap_angle(expected[ANGLE_INDEX])
         np.testing.assert_allclose(moved, expected, atol=1e-12)
@@ -149,7 +157,7 @@ def test_apply_transition_matches_matrix_product():
 
 def test_apply_transition_wraps_angle():
     state = StateVector(0, 0, 0, 3.0, 1, 1, 1, da=1.0)
-    assert apply_transition(state).a == pytest.approx(wrap_angle(4.0))
+    assert transition(state).a == pytest.approx(wrap_angle(4.0))
 
 
 def test_observation_residual_wraps_yaw():
@@ -172,12 +180,21 @@ def test_state_estimate_validates_covariance():
 
 def test_detection_validation():
     obs = Observation(0, 0, 0, 0, 1, 1, 1)
-    det = Detection(obs, "car", 0.5, 0)
+    det = Box(obs, "car", 0, score=0.5)
     assert det.scene_id == ""
     with pytest.raises(ValueError):
-        Detection(obs, "plane", 0.5, 0)
+        Box(obs, "plane", 0, score=0.5)
     with pytest.raises(ValueError):
-        Detection(obs, "car", 1.5, 0)
+        Box(obs, "car", 0, score=1.5)
     with pytest.raises(ValueError):
-        Detection(obs, "car", 0.5, -1)
+        Box(obs, "car", -1, score=0.5)
     assert "car" in CLASS_LABELS and len(CLASS_LABELS) == 7
+    assert Box(obs, "car", 0, score=1, track_id=3).score == 1.0
+    assert Box(obs, "car", 0, instance_id="a").instance_id == "a"
+    for fields in (dict(score=math.nan), dict(score="high"), dict(track_id=0),
+                   dict(track_id=True), dict(track_id=1.0), dict(instance_id=""),
+                   dict(instance_id=7), dict(instance_id=["a"])):
+        with pytest.raises(ValueError):
+            Box(obs, "car", 0, **fields)
+    with pytest.raises(ValueError):
+        Box(obs, "car", True, score=0.5)

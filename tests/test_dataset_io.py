@@ -1,14 +1,17 @@
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from mot3d.core import Detection, Observation
-from mot3d.dataset_io import (DEFAULT_MAHA_GATE, GroundTruthBox, RunConfig,
-                              TrackBox, load_config, load_detections,
-                              load_ground_truth, load_tracks, merge_config,
-                              write_detections, write_ground_truth, write_tracks)
+from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
+from mot3d.core import Box, Observation
+from mot3d.dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
+                              load_detections, load_ground_truth, load_tracks,
+                              merge_config, write_detections, write_ground_truth,
+                              write_tracks)
 from mot3d.errors import ConfigError, SchemaError
 from mot3d.tracker import run_scene
 from tests.test_tracker import hand_noise, moving_car_frames
@@ -35,12 +38,12 @@ def test_default_gate_value():
 
 def test_detection_round_trip(tmp_path):
     detections = {
-        "scene-b": {0: [Detection(Observation(1.25, -3.5, 0.125, 0.75, 4, 2, 1.5),
-                                  "car", 0.875, 0, "scene-b")],
-                    2: [Detection(Observation(7, 8, 0, -2.5, 0.7, 0.7, 1.8),
-                                  "pedestrian", 0.5, 2, "scene-b")]},
-        "scene-a": {5: [Detection(Observation(0.1, 0.2, 0.3, 0.4, 10, 2.9, 3.4),
-                                  "bus", 1.0, 5, "scene-a")]},
+        "scene-b": {0: [Box(Observation(1.25, -3.5, 0.125, 0.75, 4, 2, 1.5),
+                            "car", 0, "scene-b", score=0.875)],
+                    2: [Box(Observation(7, 8, 0, -2.5, 0.7, 0.7, 1.8),
+                            "pedestrian", 2, "scene-b", score=0.5)]},
+        "scene-a": {5: [Box(Observation(0.1, 0.2, 0.3, 0.4, 10, 2.9, 3.4),
+                            "bus", 5, "scene-a", score=1.0)]},
     }
     path = tmp_path / "det.json"
     write_detections(detections, str(path))
@@ -58,8 +61,8 @@ def test_arbitrary_float_values_round_trip_exactly(tmp_path):
     x = 0.1 + 0.2  # not representable prettily
     from mot3d.core import wrap_angle
     yaw = wrap_angle(1.1)
-    detections = {"s": {0: [Detection(Observation(x, math.pi, -0.0, yaw, 4, 2, 1.5),
-                                      "car", 0.123456789012345, 0, "s")]}}
+    detections = {"s": {0: [Box(Observation(x, math.pi, -0.0, yaw, 4, 2, 1.5),
+                                "car", 0, "s", score=0.123456789012345)]}}
     path = tmp_path / "det.json"
     write_detections(detections, str(path))
     loaded = load_detections(str(path))["s"][0][0]
@@ -70,10 +73,10 @@ def test_arbitrary_float_values_round_trip_exactly(tmp_path):
 
 
 def test_ground_truth_round_trip(tmp_path):
-    gt = {"s": {0: [GroundTruthBox(Observation(0, 0, 0, 0, 4, 2, 1.5), "car",
-                                   "inst001", 0, "s")],
-                1: [GroundTruthBox(Observation(1, 0, 0, 0, 4, 2, 1.5), "car",
-                                   "inst001", 1, "s")]}}
+    gt = {"s": {0: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", 0, "s",
+                        instance_id="inst001")],
+                1: [Box(Observation(1, 0, 0, 0, 4, 2, 1.5), "car", 1, "s",
+                        instance_id="inst001")]}}
     path = tmp_path / "gt.json"
     write_ground_truth(gt, str(path))
     loaded = load_ground_truth(str(path))
@@ -145,6 +148,11 @@ def test_schema_errors_carry_location(tmp_path):
                        if k != "class"}]}}, "class"),
         ({"s": {"0": [detection_payload(extra_field=1)]}}, "extra_field"),
         ({"s": {"0": [detection_payload(**{"class": "unicorn"})]}}, "unicorn"),
+        # integer literals beyond the float range used to raise OverflowError
+        ({"s": {"0": [detection_payload(yaw=10 ** 400)]}}, "yaw"),
+        ({"s": {"0": [detection_payload(score=10 ** 400)]}}, "score"),
+        ({"s": {"0": [detection_payload(center=[1.0, -10 ** 400, 0.5])]}}, "center"),
+        ({"s": {"0": [detection_payload(size=[10 ** 400, 2.0, 1.5])]}}, "size"),
     ]
     for payload, needle in cases:
         path = write_json(tmp_path / "case.json", payload)
@@ -156,8 +164,13 @@ def test_schema_errors_carry_location(tmp_path):
 
 
 def test_frame_key_validation(tmp_path):
-    for bad_key in ("-1", "1.5", "x", ""):
-        payload = {"s": {bad_key: []}}
+    # only canonical decimals: "007" raised KeyError, "²" passed isdigit
+    # and raised ValueError
+    cases = [{bad_key: []} for bad_key in ("-1", "1.5", "x", "", "007", "²")]
+    # "07" next to "7" loaded the "7" boxes twice and dropped the "07" ones
+    cases.append({"7": [detection_payload()], "07": [detection_payload(score=0.1)]})
+    for frames in cases:
+        payload = {"s": frames}
         with pytest.raises(SchemaError, match="frame key"):
             load_detections(write_json(tmp_path / "d.json", payload))
 
@@ -206,6 +219,13 @@ def test_run_config_defaults_and_validation():
         dict(amota_samples=1),
         dict(class_maha_thresholds={"griffin": 2.0}),
         dict(class_maha_thresholds={"car": 0.0}),
+        # values of the wrong type used to escape as TypeError
+        dict(maha_threshold="x"),
+        dict(maha_threshold=10 ** 400),
+        dict(iou_threshold=[0.2]),
+        dict(class_maha_thresholds=[1]),
+        dict(class_maha_thresholds={"car": None}),
+        dict(angular_velocity="no"),
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):
@@ -257,3 +277,31 @@ def test_merge_config_skips_none():
     assert merged.matcher == "hungarian"
     assert merged.birth_hits == 4
     assert merge_config(base) is base
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    detections = {"s": {0: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", 0, "s",
+                                score=0.5)]}}
+    det_path = tmp_path / "det.json"
+    write_detections(detections, str(det_path))
+    noise_path = tmp_path / "noise.json"
+    noise = NoiseModel({"car": ClassNoise(np.ones(11), np.ones(7), np.ones(11))})
+    save_noise_model(noise, str(noise_path))
+    before = {path: path.read_bytes() for path in (det_path, noise_path)}
+
+    with pytest.raises(TypeError):  # meta that JSON cannot hold
+        write_detections(detections, str(det_path), meta={"bad": object()})
+    with pytest.raises(ValueError, match="score"):  # a box the loader would reject
+        write_detections({"s": {0: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", 0)]}},
+                         str(det_path))
+
+    def dump_half_then_fail(payload, handle, **kwargs):
+        handle.write('{"classes": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_half_then_fail)
+    with pytest.raises(OSError):
+        save_noise_model(noise, str(noise_path))
+
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(os.listdir(tmp_path)) == ["det.json", "noise.json"]

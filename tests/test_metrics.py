@@ -1,11 +1,11 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
-from mot3d.core import CLASS_LABELS, Observation
-from mot3d.dataset_io import GroundTruthBox, TrackBox
+from mot3d.core import CLASS_LABELS, Box, Observation
 from mot3d.metrics import (EVALUATION_GATE, amota, match_frame, motar,
                            write_amota_csv, write_report)
 
@@ -13,13 +13,13 @@ CAR_SIZE = (4.0, 2.0, 1.5)
 
 
 def gt_box(frame, x=0.0, y=0.0, instance="A", label="car", scene="s"):
-    return GroundTruthBox(Observation(x, y, 0, 0, *CAR_SIZE), label, instance,
-                          frame, scene)
+    return Box(Observation(x, y, 0, 0, *CAR_SIZE), label, frame, scene,
+               instance_id=instance)
 
 
 def track_box(frame, x=0.0, y=0.0, track_id=1, score=0.9, label="car", scene="s"):
-    return TrackBox(Observation(x, y, 0, 0, *CAR_SIZE), label, track_id, score,
-                    frame, scene)
+    return Box(Observation(x, y, 0, 0, *CAR_SIZE), label, frame, scene,
+               score=score, track_id=track_id)
 
 
 def by_frame(boxes, scene="s"):
@@ -162,8 +162,7 @@ def test_monotone_score_transform_is_invariant():
             + [track_box(1, x=90.0, track_id=3, score=0.5)])
 
     def transformed(boxes):
-        return [TrackBox(b.observation, b.class_label, b.track_id,
-                         b.score ** 3, b.frame_index, b.scene_id) for b in boxes]
+        return [dataclasses.replace(b, score=b.score ** 3) for b in boxes]
 
     original = amota(by_frame(base), gt, n=6)
     cubed = amota(by_frame(transformed(base)), gt, n=6)
@@ -192,8 +191,8 @@ def test_overall_is_unweighted_class_mean():
 def test_tracker_only_classes_are_skipped_not_scored():
     gt = by_frame([gt_box(f) for f in range(2)])
     tracks = by_frame([track_box(f, track_id=1) for f in range(2)]
-                      + [TrackBox(Observation(5, 5, 0, 0, 10, 2.9, 3.4), "bus",
-                                  7, 0.9, f, "s") for f in range(2)])
+                      + [Box(Observation(5, 5, 0, 0, 10, 2.9, 3.4), "bus", f, "s",
+                             score=0.9, track_id=7) for f in range(2)])
     report = amota(tracks, gt, n=3)
     assert report.skipped_classes == ("bus",)
     assert sorted(report.classes) == ["car"]

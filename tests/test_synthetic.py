@@ -188,6 +188,11 @@ def test_load_scenarios_errors(tmp_path):
     unknown_field.write_text(json.dumps(payload))
     with pytest.raises(SchemaError, match="invalid scenario spec"):
         load_scenarios(str(unknown_field))
+    # a non-object entry used to raise AttributeError
+    not_an_object = tmp_path / "not_an_object.json"
+    not_an_object.write_text(json.dumps({"scenarios": [1]}))
+    with pytest.raises(SchemaError, match="invalid scenario spec"):
+        load_scenarios(str(not_an_object))
 
 
 def test_generate_suite_and_meta():

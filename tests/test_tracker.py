@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mot3d.calibration import ClassNoise, NoiseModel
-from mot3d.core import Detection, Observation
+from mot3d.core import Box, Observation
 from mot3d.dataset_io import RunConfig
 from mot3d.errors import ConfigError, SequencingError
 from mot3d.tracker import MultiObjectTracker, run_scene
@@ -21,12 +21,27 @@ def hand_noise(labels=("car",)) -> NoiseModel:
 
 
 def det(frame, x=0.0, y=0.0, z=0.0, a=0.0, label="car", score=0.9,
-        size=CAR_SIZE, scene="s0") -> Detection:
-    return Detection(Observation(x, y, z, a, *size), label, score, frame, scene)
+        size=CAR_SIZE, scene="s0") -> Box:
+    return Box(Observation(x, y, z, a, *size), label, frame, scene, score=score)
 
 
 def moving_car_frames(n, vx=1.0, start=0, x0=0.0):
     return {start + k: [det(start + k, x=x0 + vx * k)] for k in range(n)}
+
+
+def reported_states(frames, noise, config=None) -> list:
+    """Per frame, (record, full state) for every reported track.
+
+    Records carry the observed box; velocities are read off the
+    tracker's own estimates.
+    """
+    tracker = MultiObjectTracker(noise, config)
+    per_frame = []
+    for frame_index in frames:
+        records = tracker.step(frame_index, frames[frame_index]).records
+        means = {t.track_id: t.estimate.mean for t in tracker.tracks}
+        per_frame.append([(rec, means[rec.track_id]) for rec in records])
+    return per_frame
 
 
 def ids_by_frame(outputs):
@@ -58,8 +73,8 @@ def test_missed_track_coasts_on_prediction_then_dies():
     by_frame = {out.frame_index: out.records for out in outputs}
     # one miss: still reported, on the extrapolated state
     assert len(by_frame[5]) == 1
-    coasted = by_frame[5][0].state
-    held = by_frame[4][0].state
+    coasted = by_frame[5][0].observation
+    held = by_frame[4][0].observation
     assert coasted.x > held.x + 0.5
     assert coasted.x == pytest.approx(5.0, abs=0.5)
     # second consecutive miss removes the track
@@ -144,24 +159,23 @@ def test_deterministic_across_runs():
         frames[k] = [det(k, x=float(k) + rng.normal(0, 0.1), y=rng.normal(0, 0.1)),
                      det(k, x=20.0 - k + rng.normal(0, 0.1))]
     def run():
-        outputs = run_scene(frames, hand_noise())
-        return [(out.frame_index, rec.track_id, rec.state.to_array().tobytes(),
-                 rec.score) for out in outputs for rec in out.records]
+        return [(rec.frame_index, rec.track_id, state.to_array().tobytes(), rec.score)
+                for pairs in reported_states(frames, hand_noise()) for rec, state in pairs]
     assert run() == run()
 
 
 def test_angular_velocity_toggle():
     noise = hand_noise()
     frames = {k: [det(k, a=0.1 * k)] for k in range(10)}
-    with_rate = run_scene(frames, noise, RunConfig(angular_velocity=True))
-    without = run_scene(frames, noise, RunConfig(angular_velocity=False))
-    assert with_rate[-1].records[0].state.da > 0.05
-    for out in without:
-        for rec in out.records:
-            assert rec.state.da == 0.0
+    with_rate = reported_states(frames, noise, RunConfig(angular_velocity=True))
+    without = reported_states(frames, noise, RunConfig(angular_velocity=False))
+    assert with_rate[-1][0][1].da > 0.05
+    for pairs in without:
+        for _, state in pairs:
+            assert state.da == 0.0
     # the constant-yaw tracker follows the ramping heading, with lag
-    assert 0.5 < without[-1].records[0].state.a <= 0.9
-    assert without[-1].records[0].state.a < with_rate[-1].records[0].state.a
+    assert 0.5 < without[-1][0][0].observation.a <= 0.9
+    assert without[-1][0][0].observation.a < with_rate[-1][0][0].observation.a
 
 
 def test_birth_hits_one_reports_immediately():
@@ -246,4 +260,4 @@ def test_per_class_gate_override():
     assert last_default == {1}
     tracker_ids = {rec.track_id for out in loose for rec in out.records}
     assert tracker_ids == {1}
-    assert loose[-1].records[0].state.x > 1.0
+    assert loose[-1].records[0].observation.x > 1.0

@@ -1,15 +1,14 @@
 import pytest
 
-from mot3d.core import Observation
-from mot3d.dataset_io import GroundTruthBox, TrackBox
+from mot3d.core import Box, Observation
 from mot3d.viz import PALETTE, render_scene_svg, track_color, write_scene_svg
 
 CAR_SIZE = (4.0, 2.0, 1.5)
 
 
 def track_frames(n=5, track_id=1):
-    return {frame: [TrackBox(Observation(1.0 * frame, 0, 0, 0.2, *CAR_SIZE),
-                             "car", track_id, 0.9, frame, "s")]
+    return {frame: [Box(Observation(1.0 * frame, 0, 0, 0.2, *CAR_SIZE),
+                        "car", frame, "s", score=0.9, track_id=track_id)]
             for frame in range(n)}
 
 
@@ -37,8 +36,8 @@ def test_one_track_renders_all_frames_in_one_color():
 def test_distinct_tracks_get_distinct_colors():
     frames = track_frames(3, track_id=1)
     for frame, boxes in track_frames(3, track_id=2).items():
-        moved = TrackBox(Observation(boxes[0].observation.x, 15.0, 0, 0.0,
-                                     *CAR_SIZE), "car", 2, 0.9, frame, "s")
+        moved = Box(Observation(boxes[0].observation.x, 15.0, 0, 0.0, *CAR_SIZE),
+                    "car", frame, "s", score=0.9, track_id=2)
         frames[frame] = frames[frame] + [moved]
     svg = render_scene_svg(frames)
     assert track_color(1) in svg
@@ -46,8 +45,7 @@ def test_distinct_tracks_get_distinct_colors():
 
 
 def test_ground_truth_drawn_dashed():
-    gt = {0: [GroundTruthBox(Observation(0, 0, 0, 0, *CAR_SIZE), "car", "i0",
-                             0, "s")]}
+    gt = {0: [Box(Observation(0, 0, 0, 0, *CAR_SIZE), "car", 0, "s", instance_id="i0")]}
     svg = render_scene_svg({}, gt)
     assert "stroke-dasharray" in svg
     assert svg.count("<polygon") == 1
@@ -76,7 +74,7 @@ def test_write_scene_svg(tmp_path):
 
 def test_y_axis_points_up():
     # svg pixel y grows downward; the renderer must flip world y
-    frames = {0: [TrackBox(Observation(0, 10.0, 0, 0, *CAR_SIZE), "car", 1,
-                           0.9, 0, "s")]}
+    frames = {0: [Box(Observation(0, 10.0, 0, 0, *CAR_SIZE), "car", 0, "s",
+                      score=0.9, track_id=1)]}
     svg = render_scene_svg(frames)
     assert 'scale(1,-1)' in svg.replace(" ", "")
