@@ -4,8 +4,8 @@ evaluation, and synthetic data generation."""
 __version__ = "0.1.0"
 
 from .association import (AffinityMatrix, MatchResult, center_distance_2d,
-                          correct_prediction, greedy_center_match, greedy_match,
-                          hungarian_match, iou_3d, iou_affinity, mahalanobis,
+                          greedy_center_match, greedy_match, hungarian_match,
+                          iou_3d, iou_affinity, mahalanobis,
                           mahalanobis_affinity, orientation_correct)
 from .calibration import (CALIBRATION_GATE, ClassNoise, GroundTruthTrack,
                           NoiseModel, calibrate, estimate_observation_noise,
@@ -13,9 +13,8 @@ from .calibration import (CALIBRATION_GATE, ClassNoise, GroundTruthTrack,
                           save_noise_model, tracks_from_ground_truth)
 from .core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
                    STATE_DIM, TRANSITION_MATRIX, Box, Observation,
-                   StateEstimate, StateVector, observation_residual,
-                   symmetrize, validate_covariance, wrap_angle,
-                   wrap_angle_array)
+                   observation_residual, symmetrize, validate_covariance,
+                   wrap_angle, wrap_angle_array)
 from .dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
                          load_detections, load_ground_truth, load_tracks,
                          merge_config, write_detections, write_ground_truth,
@@ -42,13 +41,13 @@ __all__ = [
     # core state and geometry
     "STATE_DIM", "OBS_DIM", "ANGLE_INDEX", "CLASS_LABELS",
     "TRANSITION_MATRIX", "OBSERVATION_MATRIX",
-    "Observation", "StateVector", "StateEstimate", "Box",
+    "Observation", "Box",
     "wrap_angle", "wrap_angle_array", "symmetrize", "validate_covariance",
     "observation_residual",
     # filtering
     "Prediction", "predict", "update",
     # association
-    "AffinityMatrix", "MatchResult", "orientation_correct", "correct_prediction",
+    "AffinityMatrix", "MatchResult", "orientation_correct",
     "mahalanobis", "mahalanobis_affinity", "iou_affinity", "iou_3d",
     "greedy_match", "hungarian_match", "greedy_center_match", "center_distance_2d",
     # dataset io and configuration

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.optimize import linear_sum_assignment
 
-from .core import (Observation, StateEstimate, StateVector, observation_residual,
-                   wrap_angle)
-from .errors import NumericalError
-from .kalman import Prediction
+from .core import (ANGLE_INDEX, OBS_DIM, Observation, observation_residual,
+                   wrap_angle, wrap_angle_array)
+from .kalman import Prediction, innovation_factor
 
 MAHALANOBIS_DISTANCE = "mahalanobis_distance"
 IOU_SCORE = "iou_score"
@@ -75,37 +74,21 @@ class MatchResult:
     unmatched_detections: tuple
 
 
-def orientation_correct(predicted_angle: float, detected_angle: float) -> float:
-    """Flip the predicted yaw by pi when it faces away from the detection.
+def orientation_correct(predicted_angle: float, detected_angle):
+    """Flip the predicted yaw by pi where it faces away from the detection.
 
-    Detectors cannot tell a box from its 180-degree flip, so when the
+    Detectors cannot tell a box from its 180-degree flip, so where the
     wrapped difference lies beyond pi/2 in magnitude the prediction is
-    rotated by pi before residuals are formed.  Returns the corrected
-    predicted yaw, wrapped.
+    rotated by pi before residuals are formed.  detected_angle is a
+    scalar or an array; returns the corrected predicted yaw, wrapped,
+    in the same shape.  Covariances are left alone: the flip relabels
+    an orientation the box cannot distinguish, it adds no information.
     """
     predicted_angle = wrap_angle(predicted_angle)
-    delta = wrap_angle(detected_angle - predicted_angle)
-    if abs(delta) > math.pi / 2.0:
-        return wrap_angle(predicted_angle + math.pi)
-    return predicted_angle
-
-
-def correct_prediction(prediction: Prediction, detected_angle: float) -> Prediction:
-    """Apply orientation_correct to a prediction's yaw.
-
-    Covariances are unchanged: the flip is a relabeling of an
-    orientation the box cannot distinguish, not new information.
-    """
-    predicted = prediction.predicted_observation
-    corrected = orientation_correct(predicted.a, detected_angle)
-    if corrected == predicted.a:
-        return prediction
-    mean = prediction.predicted_estimate.mean.to_array()
-    mean[3] = corrected
-    estimate = StateEstimate(
-        StateVector.from_array(mean), prediction.predicted_estimate.covariance
-    )
-    return Prediction(estimate, estimate.mean.observed(), prediction.innovation_cov)
+    delta = wrap_angle_array(np.subtract(detected_angle, predicted_angle))
+    flipped = np.where(np.abs(delta) > math.pi / 2.0,
+                       wrap_angle(predicted_angle + math.pi), predicted_angle)
+    return flipped if flipped.ndim else float(flipped)
 
 
 def mahalanobis(prediction: Prediction, observation: Observation) -> float:
@@ -114,39 +97,23 @@ def mahalanobis(prediction: Prediction, observation: Observation) -> float:
     The caller is expected to have orientation-corrected the prediction
     (see orientation_correct); the yaw residual is wrapped here.
     """
-    factor = _innovation_factor(prediction.innovation_cov)
-    return _mahalanobis_from_factor(factor, prediction.predicted_observation, observation)
-
-
-def _innovation_factor(innovation_cov: np.ndarray):
-    try:
-        return cho_factor(innovation_cov, lower=True)
-    except LinAlgError:
-        raise NumericalError(
-            "innovation covariance is not positive definite",
-            condition=float(np.linalg.cond(innovation_cov)),
-        ) from None
-
-
-def _mahalanobis_from_factor(factor, predicted: Observation, observation: Observation) -> float:
-    nu = observation_residual(observation, predicted)
-    return float(math.sqrt(nu @ cho_solve(factor, nu)))
+    nu = observation_residual(observation.to_array(), prediction.mean[:OBS_DIM])
+    return math.sqrt(nu @ cho_solve(innovation_factor(prediction.innovation_cov), nu))
 
 
 def mahalanobis_affinity(predictions: Sequence[Prediction],
                          observations: Sequence[Observation]) -> AffinityMatrix:
     """Pairwise Mahalanobis distances with per-pair orientation correction."""
-    values = np.zeros((len(predictions), len(observations)))
+    detected = np.array([obs.to_array() for obs in observations]).reshape(-1, OBS_DIM)
+    values = np.zeros((len(predictions), len(detected)))
     for i, prediction in enumerate(predictions):
-        factor = _innovation_factor(prediction.innovation_cov)
-        predicted = prediction.predicted_observation
-        for j, obs in enumerate(observations):
-            corrected_a = orientation_correct(predicted.a, obs.a)
-            corrected = Observation(
-                predicted.x, predicted.y, predicted.z, corrected_a,
-                predicted.l, predicted.w, predicted.h,
-            )
-            values[i, j] = _mahalanobis_from_factor(factor, corrected, obs)
+        predicted = np.tile(prediction.mean[:OBS_DIM], (len(detected), 1))
+        predicted[:, ANGLE_INDEX] = orientation_correct(
+            prediction.mean[ANGLE_INDEX], detected[:, ANGLE_INDEX])
+        nu = observation_residual(detected, predicted)
+        solved = cho_solve(innovation_factor(prediction.innovation_cov), nu.T)
+        # Row j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
+        values[i] = np.sqrt((nu[:, None, :] @ solved.T[:, :, None]).ravel())
     return AffinityMatrix(values, MAHALANOBIS_DISTANCE)
 
 
@@ -155,8 +122,9 @@ def iou_affinity(predictions: Sequence[Prediction],
     """Pairwise 3D IOU between predicted boxes and detections."""
     values = np.zeros((len(predictions), len(observations)))
     for i, prediction in enumerate(predictions):
+        predicted = Observation.from_array(prediction.mean[:OBS_DIM])
         for j, obs in enumerate(observations):
-            values[i, j] = iou_3d(prediction.predicted_observation, obs)
+            values[i, j] = iou_3d(predicted, obs)
     return AffinityMatrix(values, IOU_SCORE)
 
 

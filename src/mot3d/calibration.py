@@ -265,7 +265,7 @@ def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
                 continue
             result = greedy_center_match(gt_obs, det_obs, gate)
             for gi, dj, _ in result.pairs:
-                nu = observation_residual(det_obs[dj], gt_obs[gi])
+                nu = observation_residual(det_obs[dj].to_array(), gt_obs[gi].to_array())
                 residuals.setdefault(label, []).append(nu)
     out = {}
     if pooled:

@@ -23,7 +23,8 @@ from .dataset_io import (RunConfig, load_config, load_detections,
                          load_ground_truth, load_tracks, merge_config,
                          write_detections, write_ground_truth, write_tracks)
 from .errors import ConfigError, Mot3dError, NumericalError
-from .metrics import EVALUATION_GATE, amota, write_amota_csv, write_report
+from .metrics import (EVALUATION_GATE, amota, check_amota_args, write_amota_csv,
+                      write_report)
 from .synthetic import (calibration_scenario, generate_suite, load_scenarios,
                         noiseless_scene, scenario_meta, standard_suite,
                         standard_suite_calibration, turning_scenario)
@@ -209,6 +210,15 @@ def _ablate_cell(payload):
 
 
 def _cmd_ablate(args) -> int:
+    try:
+        check_amota_args(args.n_samples, args.gate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    axes = {name: _csv_list(getattr(args, name))
+            for name in ("affinities", "matchers", "noise", "angular")}
+    for name, tokens in axes.items():
+        if not tokens:
+            raise ConfigError(f"--{name} lists no value")
     detections = load_detections(args.detections)
     ground_truth = load_ground_truth(args.ground_truth)
     cal_det_path = args.calibration_detections or args.detections
@@ -216,7 +226,7 @@ def _cmd_ablate(args) -> int:
     base = RunConfig()
 
     noise_models = {}
-    for token in _csv_list(args.noise):
+    for token in axes["noise"]:
         if token == "calibrated":
             cal_detections = (detections if cal_det_path == args.detections
                               else load_detections(cal_det_path))
@@ -230,7 +240,7 @@ def _cmd_ablate(args) -> int:
             raise ConfigError(f"bad noise token {token!r}; use 'calibrated' or 'default'")
 
     angular_axis = []
-    for token in _csv_list(args.angular):
+    for token in axes["angular"]:
         if token == "with":
             angular_axis.append(("", True))
         elif token == "without":
@@ -239,10 +249,10 @@ def _cmd_ablate(args) -> int:
             raise ConfigError(f"bad angular token {token!r}; use 'with' or 'without'")
 
     cells = []
-    for affinity_token in _csv_list(args.affinities):
+    for affinity_token in axes["affinities"]:
         affinity_name, affinity, iou_threshold = _parse_affinity_token(
             affinity_token, base.iou_threshold)
-        for matcher in _csv_list(args.matchers):
+        for matcher in axes["matchers"]:
             if matcher not in ("greedy", "hungarian"):
                 raise ConfigError(f"bad matcher token {matcher!r}")
             for noise_name, noise in noise_models.items():

@@ -130,51 +130,6 @@ class Observation:
         return cls(*arr)
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Full 11-dimensional track state; velocities default to zero."""
-
-    x: float
-    y: float
-    z: float
-    a: float
-    l: float
-    w: float
-    h: float
-    dx: float = 0.0
-    dy: float = 0.0
-    dz: float = 0.0
-    da: float = 0.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            _check_finite(f.name, getattr(self, f.name))
-        for name in ("l", "w", "h"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        object.__setattr__(self, "a", wrap_angle(self.a))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.a, self.l, self.w, self.h,
-                         self.dx, self.dy, self.dz, self.da])
-
-    @classmethod
-    def from_array(cls, arr) -> "StateVector":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (STATE_DIM,):
-            raise ValueError(f"state vector must have shape ({STATE_DIM},), got {arr.shape}")
-        return cls(*arr)
-
-    def observed(self) -> Observation:
-        """Project the state onto the observed components (first seven)."""
-        return Observation(self.x, self.y, self.z, self.a, self.l, self.w, self.h)
-
-    @classmethod
-    def from_observation(cls, obs: Observation) -> "StateVector":
-        """Lift an observation to a state with zero velocities."""
-        return cls(obs.x, obs.y, obs.z, obs.a, obs.l, obs.w, obs.h)
-
-
 def _build_transition() -> np.ndarray:
     a = np.eye(STATE_DIM)
     # Center and yaw advance by their per-frame velocities; extents are constant.
@@ -196,24 +151,11 @@ TRANSITION_MATRIX = _build_transition()
 OBSERVATION_MATRIX = _build_observation()
 
 
-def observation_residual(observation: Observation, predicted: Observation) -> np.ndarray:
-    """Component-wise residual observation - predicted with the yaw wrapped."""
-    nu = observation.to_array() - predicted.to_array()
-    nu[ANGLE_INDEX] = wrap_angle(nu[ANGLE_INDEX])
+def observation_residual(observation: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """observation - predicted over (..., 7) arrays with the yaw wrapped."""
+    nu = np.asarray(observation, dtype=float) - predicted
+    nu[..., ANGLE_INDEX] = wrap_angle_array(nu[..., ANGLE_INDEX])
     return nu
-
-
-@dataclass(frozen=True)
-class StateEstimate:
-    """A Gaussian belief over the state: mean plus 11x11 covariance."""
-
-    mean: StateVector
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "covariance", validate_covariance(self.covariance, STATE_DIM)
-        )
 
 
 @dataclass(frozen=True)

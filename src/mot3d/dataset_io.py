@@ -95,7 +95,7 @@ def write_json(payload, path: str):
         handle.write("\n")
 
 
-def _positive_number(value) -> bool:
+def positive_number(value) -> bool:
     """A real number above zero that fits a float (JSON integers may not)."""
     if isinstance(value, bool) or not isinstance(value, Real):
         return False
@@ -132,16 +132,16 @@ class RunConfig:
             raise ConfigError(f"affinity must be one of {AFFINITY_NAMES}, got {self.affinity!r}")
         if self.score_mode not in SCORE_MODES:
             raise ConfigError(f"score_mode must be one of {SCORE_MODES}, got {self.score_mode!r}")
-        if not _positive_number(self.maha_threshold):
+        if not positive_number(self.maha_threshold):
             raise ConfigError("maha_threshold must be a positive number")
-        if not _positive_number(self.iou_threshold) or not self.iou_threshold < 1.0:
+        if not positive_number(self.iou_threshold) or not self.iou_threshold < 1.0:
             raise ConfigError("iou_threshold must lie strictly between 0 and 1")
         if not isinstance(self.class_maha_thresholds, Mapping):
             raise ConfigError("class_maha_thresholds must map class labels to thresholds")
         for label, value in self.class_maha_thresholds.items():
             if label not in CLASS_LABELS:
                 raise ConfigError(f"per-class threshold for unknown class {label!r}")
-            if not _positive_number(value):
+            if not positive_number(value):
                 raise ConfigError(f"per-class threshold for {label!r} must be a positive number")
         if not isinstance(self.angular_velocity, bool):
             raise ConfigError(f"angular_velocity must be a boolean, got {self.angular_velocity!r}")

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .association import greedy_center_match
 from .core import CLASS_LABELS, Box
-from .dataset_io import atomic_open, write_json
+from .dataset_io import atomic_open, positive_number, write_json
 
 EVALUATION_GATE = 2.0
 
@@ -237,6 +237,14 @@ def _class_report(label: str, gt: Mapping, tracks: Mapping, n: int,
     return ClassReport(label, amota_value, positives, tuple(samples))
 
 
+def check_amota_args(n: int, gate: float):
+    """Raise ValueError unless n and gate can define an amota sweep."""
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if not positive_number(gate):
+        raise ValueError(f"gate must be a positive number, got {gate!r}")
+
+
 def amota(tracks: Mapping[str, Mapping[int, Sequence[Box]]],
           ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
           n: int = 40, gate: float = EVALUATION_GATE) -> EvalReport:
@@ -246,8 +254,7 @@ def amota(tracks: Mapping[str, Mapping[int, Sequence[Box]]],
     Unreachable targets contribute MOTAR = 0 and are flagged in their
     sample record.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    check_amota_args(n, gate)
     labels = sorted({box.class_label
                      for frames in ground_truth.values()
                      for boxes in frames.values()

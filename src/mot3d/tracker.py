@@ -11,19 +11,21 @@ living tracks appear in the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .association import (
     MATCHERS,
-    correct_prediction,
     iou_affinity,
     mahalanobis_affinity,
+    orientation_correct,
 )
 from .calibration import ClassNoise, NoiseModel
-from .core import Box, StateEstimate, StateVector
+from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, Observation
 from .dataset_io import RunConfig
-from .errors import ConfigError, SequencingError
+from .errors import ConfigError, SchemaError, SequencingError
 from .kalman import predict, update
 
 TENTATIVE = "tentative"
@@ -32,11 +34,16 @@ CONFIRMED = "confirmed"
 
 @dataclass
 class Track:
-    """Mutable per-object bookkeeping; estimates are replaced, not edited."""
+    """Mutable per-object bookkeeping.
+
+    The belief is mean (11,) and cov (11, 11); both arrays are
+    replaced each frame, never edited in place.
+    """
 
     track_id: int
     class_label: str
-    estimate: StateEstimate
+    mean: np.ndarray
+    cov: np.ndarray
     status: str = TENTATIVE
     consecutive_hits: int = 1
     consecutive_misses: int = 0
@@ -122,6 +129,8 @@ class MultiObjectTracker:
             if detection.class_label not in self.noise:
                 raise ConfigError(
                     f"noise model has no entry for class {detection.class_label!r}")
+            if detection.score is None:
+                raise SchemaError(f"detection in frame {frame_index} has no score")
         self._last_frame = frame_index
 
         labels = sorted({t.class_label for t in self.tracks}
@@ -136,7 +145,7 @@ class MultiObjectTracker:
         self.stats.frames += 1
 
         records = tuple(
-            Box(t.estimate.mean.observed(), t.class_label, frame_index,
+            Box(Observation.from_array(t.mean[:OBS_DIM]), t.class_label, frame_index,
                 score=t.current_score(self.config.score_mode), track_id=t.track_id)
             for t in self.tracks
             if t.status == CONFIRMED
@@ -147,7 +156,7 @@ class MultiObjectTracker:
                     spawned: list) -> list:
         config = self.config
         q, r, sigma0 = self._matrices[label]
-        predictions = [predict(t.estimate, q, r) for t in tracks]
+        predictions = [predict(t.mean, t.cov, q, r) for t in tracks]
 
         if predictions and detections:
             observations = [d.observation for d in detections]
@@ -168,8 +177,11 @@ class MultiObjectTracker:
             for i, j, _ in result.pairs:
                 track = tracks[i]
                 detection = detections[j]
-                corrected = correct_prediction(predictions[i], detection.observation.a)
-                track.estimate = update(corrected, detection.observation)
+                flipped = predictions[i].mean.copy()
+                flipped[ANGLE_INDEX] = orientation_correct(
+                    flipped[ANGLE_INDEX], detection.observation.a)
+                track.mean, track.cov = update(replace(predictions[i], mean=flipped),
+                                               detection.observation.to_array())
                 track.consecutive_hits += 1
                 track.consecutive_misses = 0
                 track.last_score = detection.score
@@ -183,7 +195,7 @@ class MultiObjectTracker:
         for i, track in enumerate(tracks):
             if i in matched_tracks:
                 continue
-            track.estimate = predictions[i].predicted_estimate
+            track.mean, track.cov = predictions[i].mean, predictions[i].cov
             track.consecutive_misses += 1
             track.consecutive_hits = 0
             if track.consecutive_misses >= config.death_misses:
@@ -197,8 +209,9 @@ class MultiObjectTracker:
             track = Track(
                 track_id=self._next_id,
                 class_label=label,
-                estimate=StateEstimate(
-                    StateVector.from_observation(detection.observation), sigma0),
+                mean=np.concatenate([detection.observation.to_array(),
+                                     np.zeros(STATE_DIM - OBS_DIM)]),
+                cov=sigma0,
                 last_score=detection.score,
                 score_sum=detection.score,
                 score_count=1,

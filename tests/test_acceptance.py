@@ -39,9 +39,10 @@ ANGLE = 3
 def np_dense_predict(estimate, q):
     """Dense-matrix predict oracle in plain numpy matrix algebra."""
     a = np.array(build_transition())
-    mu = a @ estimate.mean.to_array()
+    mean, covariance = estimate
+    mu = a @ mean
     mu[ANGLE] = wrap_angle(mu[ANGLE])
-    cov = a @ estimate.covariance @ a.T + q
+    cov = a @ covariance @ a.T + q
     cov = 0.5 * (cov + cov.T)
     return mu, cov, cov[:OBS_DIM, :OBS_DIM]
 
@@ -62,11 +63,11 @@ def test_filter_algebra_matches_independent_oracles_1000x():
         q = random_spd(rng, STATE_DIM, scale=0.5)
         r = random_spd(rng, OBS_DIM, scale=0.5)
 
-        prediction = predict(estimate, q, r)
+        prediction = predict(*estimate, q, r)
         mu_hat, sigma_hat, s_block = np_dense_predict(estimate, q)
-        got_mu = prediction.predicted_estimate.mean.to_array()
+        got_mu = prediction.mean
         assert np.all(angle_aware_diff(got_mu, mu_hat) < 1e-8)
-        np.testing.assert_allclose(prediction.predicted_estimate.covariance,
+        np.testing.assert_allclose(prediction.cov,
                                    sigma_hat, atol=1e-8)
         np.testing.assert_allclose(prediction.innovation_cov, s_block + r,
                                    atol=1e-8)
@@ -74,25 +75,24 @@ def test_filter_algebra_matches_independent_oracles_1000x():
             # slow pure-python triple-loop oracle on a subset
             mu_py, sigma_py, _ = oracle_predict(estimate, q)
             assert np.all(angle_aware_diff(got_mu, mu_py) < 1e-8)
-            np.testing.assert_allclose(prediction.predicted_estimate.covariance,
+            np.testing.assert_allclose(prediction.cov,
                                        sigma_py, atol=1e-8)
 
-        obs_arr = prediction.predicted_observation.to_array() + rng.normal(size=OBS_DIM)
+        obs_arr = prediction.mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
         obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
         obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.2
-        posterior = update(prediction, Observation.from_array(obs_arr))
-        got = posterior.mean.to_array()
+        got, posterior_cov = update(prediction, obs_arr)
         mu_a, cov_a = oracle_update_inverse(prediction, obs_arr)
         mu_b, cov_b = oracle_update_conditioning(prediction, obs_arr)
         assert np.all(angle_aware_diff(got, mu_a) < 1e-8)
         assert np.all(angle_aware_diff(got, mu_b) < 1e-8)
-        np.testing.assert_allclose(posterior.covariance, cov_a, atol=1e-8)
-        np.testing.assert_allclose(posterior.covariance, cov_b, atol=1e-8)
+        np.testing.assert_allclose(posterior_cov, cov_a, atol=1e-8)
+        np.testing.assert_allclose(posterior_cov, cov_b, atol=1e-8)
         worst_mean = max(worst_mean, float(angle_aware_diff(got, mu_a).max()),
                          float(angle_aware_diff(got, mu_b).max()))
         worst_cov = max(worst_cov,
-                        float(np.abs(posterior.covariance - cov_a).max()),
-                        float(np.abs(posterior.covariance - cov_b).max()))
+                        float(np.abs(posterior_cov - cov_a).max()),
+                        float(np.abs(posterior_cov - cov_b).max()))
     elapsed = time.perf_counter() - started
     print(f"filter algebra: 1000 instances, worst mean err {worst_mean:.2e}, "
           f"worst cov err {worst_cov:.2e}, {elapsed:.2f}s")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,20 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mot3d.association import (IOU_SCORE, MAHALANOBIS_DISTANCE, AffinityMatrix,
-                               center_distance_2d, correct_prediction,
-                               greedy_center_match, greedy_match, hungarian_match,
-                               mahalanobis, mahalanobis_affinity,
-                               orientation_correct)
-from mot3d.core import Observation, StateEstimate, StateVector, wrap_angle
+                               center_distance_2d, greedy_center_match,
+                               greedy_match, hungarian_match, mahalanobis,
+                               mahalanobis_affinity, orientation_correct)
+from mot3d.core import Observation, wrap_angle
 from mot3d.kalman import Prediction
 
 
 def make_prediction(obs: Observation, innovation_cov=None) -> Prediction:
-    state = StateVector.from_observation(obs)
-    estimate = StateEstimate(state, np.eye(11))
+    mean = np.concatenate([obs.to_array(), np.zeros(4)])
     if innovation_cov is None:
         innovation_cov = np.eye(7)
-    return Prediction(estimate, obs, innovation_cov)
+    return Prediction(mean, np.eye(11), innovation_cov)
 
 
 def distances(values) -> AffinityMatrix:
@@ -48,23 +47,14 @@ def test_orientation_correct_lands_within_quarter_turn(pred, det):
     assert abs(wrap_angle(det - corrected)) <= math.pi / 2 + 1e-9
 
 
-def test_correct_prediction_flips_mean_not_covariance():
-    obs = Observation(1.0, 2.0, 0.0, 0.1, 4.0, 2.0, 1.5)
-    prediction = make_prediction(obs)
-    corrected = correct_prediction(prediction, 0.1 + math.pi)
-    assert corrected.predicted_observation.a == pytest.approx(wrap_angle(0.1 + math.pi))
-    assert corrected.predicted_estimate.mean.a == corrected.predicted_observation.a
-    np.testing.assert_array_equal(corrected.predicted_estimate.covariance,
-                                  prediction.predicted_estimate.covariance)
-    np.testing.assert_array_equal(corrected.innovation_cov, prediction.innovation_cov)
-    # other components untouched
-    assert corrected.predicted_observation.x == obs.x
-
-
-def test_correct_prediction_no_flip_returns_same_object():
-    obs = Observation(0, 0, 0, 0.2, 1, 1, 1)
-    prediction = make_prediction(obs)
-    assert correct_prediction(prediction, 0.3) is prediction
+def test_orientation_correct_array_matches_scalar():
+    rng = np.random.default_rng(8)
+    detected = rng.uniform(-math.pi, math.pi, size=200)
+    for predicted in (0.0, 0.3, -2.9, math.radians(179.0)):
+        corrected = orientation_correct(predicted, detected)
+        assert corrected.shape == detected.shape
+        np.testing.assert_array_equal(
+            corrected, [orientation_correct(predicted, float(d)) for d in detected])
 
 
 def test_mahalanobis_identity_innovation():
@@ -91,6 +81,27 @@ def test_mahalanobis_affinity_applies_orientation_correction():
     corrected = mahalanobis_affinity([pred], [obs]).values[0, 0]
     assert raw > 2.0
     assert corrected == pytest.approx(0.01, abs=1e-9)
+
+
+def test_mahalanobis_affinity_matches_per_pair_loop():
+    # the row-at-a-time affinity repeats the per-pair arithmetic exactly:
+    # flip the predicted yaw toward the detection, then mahalanobis
+    rng = np.random.default_rng(9)
+    predictions = []
+    for _ in range(6):
+        b = rng.normal(size=(7, 7))
+        obs = Observation(*rng.normal(scale=5.0, size=3), rng.uniform(-math.pi, math.pi),
+                          *rng.uniform(1.0, 5.0, size=3))
+        predictions.append(make_prediction(obs, b @ b.T + 0.1 * np.eye(7)))
+    detections = [Observation(*rng.normal(scale=5.0, size=3), rng.uniform(-4.0, 4.0),
+                              *rng.uniform(1.0, 5.0, size=3)) for _ in range(9)]
+    values = mahalanobis_affinity(predictions, detections).values
+    for i, prediction in enumerate(predictions):
+        for j, obs in enumerate(detections):
+            mean = prediction.mean.copy()
+            mean[3] = orientation_correct(mean[3], obs.a)
+            flipped = dataclasses.replace(prediction, mean=mean)
+            assert values[i, j] == mahalanobis(flipped, obs)
 
 
 def test_affinity_matrix_validation():

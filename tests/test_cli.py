@@ -293,6 +293,15 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
         ["simulate", "--spec", put("spec.json", {"scenarios": [1]}),
          "--out-detections", out, "--out-ground-truth", out],
     ]
+    # bad sweep arguments are refused before any cell is tracked
+    ablate = ["ablate", "--detections", pipeline["det"], "--ground-truth", pipeline["gt"],
+              "--noise", "default", "--jobs", "1", "--out", str(tmp_path / "grid.csv")]
+    evaluate = ["evaluate", "--ground-truth", pipeline["gt"], "--tracks", pipeline["tracks"]]
+    cases += [ablate + ["--n-samples", "1"]]
+    cases += [ablate + [f"--{axis}", ","]
+              for axis in ("affinities", "matchers", "noise", "angular")]
+    cases += [command + [f"--gate={gate}"]
+              for command in (evaluate, ablate) for gate in ("nan", "0", "-1")]
     for argv in cases:
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("mot3d: error:"), argv

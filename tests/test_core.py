@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 
 from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
                         STATE_DIM, TRANSITION_MATRIX, Box, Observation,
-                        StateEstimate, StateVector, observation_residual,
-                        symmetrize, validate_covariance, wrap_angle,
-                        wrap_angle_array)
+                        observation_residual, symmetrize, validate_covariance,
+                        wrap_angle, wrap_angle_array)
 from mot3d.kalman import predict
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6,
@@ -109,13 +108,6 @@ def test_observation_array_round_trip():
     assert again == obs
 
 
-def test_state_vector_from_observation_zero_velocity():
-    obs = Observation(1.0, 2.0, 3.0, 0.5, 1.0, 1.0, 1.0)
-    state = StateVector.from_observation(obs)
-    assert (state.dx, state.dy, state.dz, state.da) == (0.0, 0.0, 0.0, 0.0)
-    assert state.observed() == obs
-
-
 def test_transition_matrix_structure():
     expected = np.eye(STATE_DIM)
     for pose_row, velocity_col in ((0, 7), (1, 8), (2, 9), (3, 10)):
@@ -131,16 +123,16 @@ def test_observation_matrix_selects_observed_block():
     np.testing.assert_array_equal(OBSERVATION_MATRIX @ state, state[:OBS_DIM])
 
 
-def transition(state: StateVector) -> StateVector:
+def transition(state: np.ndarray) -> np.ndarray:
     """The constant-velocity transition as predict applies it to the mean."""
-    estimate = StateEstimate(state, np.eye(STATE_DIM))
-    prediction = predict(estimate, np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
-    return prediction.predicted_estimate.mean
+    prediction = predict(state, np.eye(STATE_DIM), np.zeros((STATE_DIM, STATE_DIM)),
+                         np.eye(OBS_DIM))
+    return prediction.mean
 
 
 def test_apply_transition_zero_velocity_is_identity():
-    state = StateVector(1.0, 2.0, 3.0, 0.5, 4.0, 2.0, 1.5)
-    assert transition(state) == state
+    state = np.array([1.0, 2.0, 3.0, 0.5, 4.0, 2.0, 1.5, 0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(transition(state), state)
 
 
 def test_apply_transition_matches_matrix_product():
@@ -148,34 +140,30 @@ def test_apply_transition_matches_matrix_product():
     for _ in range(1000):
         arr = rng.normal(scale=3.0, size=STATE_DIM)
         arr[4:7] = np.abs(arr[4:7]) + 0.1
-        state = StateVector.from_array(arr)
-        moved = transition(state).to_array()
-        expected = TRANSITION_MATRIX @ state.to_array()
+        arr[ANGLE_INDEX] = wrap_angle(arr[ANGLE_INDEX])
+        moved = transition(arr)
+        expected = TRANSITION_MATRIX @ arr
         expected[ANGLE_INDEX] = wrap_angle(expected[ANGLE_INDEX])
         np.testing.assert_allclose(moved, expected, atol=1e-12)
 
 
 def test_apply_transition_wraps_angle():
-    state = StateVector(0, 0, 0, 3.0, 1, 1, 1, da=1.0)
-    assert transition(state).a == pytest.approx(wrap_angle(4.0))
+    state = np.array([0, 0, 0, 3.0, 1, 1, 1, 0, 0, 0, 1.0])
+    assert transition(state)[ANGLE_INDEX] == pytest.approx(wrap_angle(4.0))
 
 
 def test_observation_residual_wraps_yaw():
     # detection at -179 degrees against +179 degrees: 2 degrees, not 358
     predicted = Observation(0, 0, 0, math.radians(179.0), 1, 1, 1)
     detected = Observation(0, 0, 0, math.radians(-179.0), 1, 1, 1)
-    residual = observation_residual(detected, predicted)
+    residual = observation_residual(detected.to_array(), predicted.to_array())
     assert residual[ANGLE_INDEX] == pytest.approx(math.radians(2.0), abs=1e-12)
     assert np.all(residual[:3] == 0.0)
-
-
-def test_state_estimate_validates_covariance():
-    state = StateVector(0, 0, 0, 0, 1, 1, 1)
-    bad = np.eye(STATE_DIM)
-    bad[0, 1] = 0.5
-    bad[1, 0] = -0.5
-    with pytest.raises(ValueError):
-        StateEstimate(state, bad)
+    # a block of residuals is formed row by row
+    block = observation_residual(np.array([detected.to_array(), predicted.to_array()]),
+                                 predicted.to_array())
+    np.testing.assert_array_equal(block[0], residual)
+    np.testing.assert_array_equal(block[1], np.zeros(OBS_DIM))
 
 
 def test_detection_validation():

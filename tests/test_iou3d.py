@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mot3d.association import (IOU_SCORE, box_corners_bev, clip_polygon,
                                iou_3d, iou_affinity, polygon_area)
-from mot3d.core import Observation, StateEstimate, StateVector, wrap_angle
+from mot3d.core import Observation, wrap_angle
 from mot3d.kalman import Prediction
 
 
@@ -19,8 +19,8 @@ def volume(o: Observation) -> float:
 
 
 def as_prediction(obs: Observation) -> Prediction:
-    estimate = StateEstimate(StateVector.from_observation(obs), np.eye(11))
-    return Prediction(estimate, obs, np.eye(7))
+    mean = np.concatenate([obs.to_array(), np.zeros(4)])
+    return Prediction(mean, np.eye(11), np.eye(7))
 
 
 def test_corners_axis_aligned():

@@ -12,10 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from mot3d.core import (OBS_DIM, STATE_DIM, Observation, StateEstimate,
-                        StateVector, wrap_angle)
+from mot3d.core import OBS_DIM, STATE_DIM, wrap_angle
 from mot3d.errors import CalibrationError, NumericalError
-from mot3d.kalman import Prediction, predict, update
+from mot3d.kalman import predict, update
 
 ANGLE = 3
 
@@ -57,17 +56,23 @@ def random_estimate(rng):
     # extents stay far from zero so posterior means keep them positive
     arr[4:7] = np.abs(arr[4:7]) + 8.0
     arr[ANGLE] = wrap_angle(arr[ANGLE])
-    return StateEstimate(StateVector.from_array(arr), random_spd(rng, STATE_DIM))
+    return arr, random_spd(rng, STATE_DIM)
+
+
+def state(x, y, z, a, l, w, h, dx=0.0, dy=0.0, dz=0.0, da=0.0):
+    """An 11-D state mean; velocities default to zero."""
+    return np.array([x, y, z, a, l, w, h, dx, dy, dz, da], dtype=float)
 
 
 def oracle_predict(estimate, q):
     """Dense-matrix predict with pure-Python matrix products."""
     a = build_transition()
     h = build_observation()
-    mu = [[v] for v in estimate.mean.to_array()]
+    mean, covariance = estimate
+    mu = [[v] for v in mean]
     mu_hat = [row[0] for row in matmul(a, mu)]
     mu_hat[ANGLE] = wrap_angle(mu_hat[ANGLE])
-    sigma = [list(row) for row in estimate.covariance]
+    sigma = [list(row) for row in covariance]
     sigma_hat = matmul(matmul(a, sigma), transpose(a))
     for i in range(STATE_DIM):
         for j in range(STATE_DIM):
@@ -82,8 +87,8 @@ def oracle_predict(estimate, q):
 def oracle_update_inverse(prediction, obs_arr, r_unused=None):
     """Dense-matrix update via an explicit matrix inverse."""
     h = np.array(build_observation())
-    sigma_hat = np.asarray(prediction.predicted_estimate.covariance)
-    mu_hat = prediction.predicted_estimate.mean.to_array()
+    sigma_hat = np.asarray(prediction.cov)
+    mu_hat = prediction.mean
     s = np.asarray(prediction.innovation_cov)
     gain = sigma_hat @ h.T @ np.linalg.inv(s)
     nu = obs_arr - h @ mu_hat
@@ -97,8 +102,8 @@ def oracle_update_inverse(prediction, obs_arr, r_unused=None):
 def oracle_update_conditioning(prediction, obs_arr):
     """Update as conditioning of the joint Gaussian over (state, z)."""
     h = np.array(build_observation())
-    sigma_hat = np.asarray(prediction.predicted_estimate.covariance)
-    mu_hat = prediction.predicted_estimate.mean.to_array()
+    sigma_hat = np.asarray(prediction.cov)
+    mu_hat = prediction.mean
     s = np.asarray(prediction.innovation_cov)
     cross = sigma_hat @ h.T
     nu = obs_arr - h @ mu_hat
@@ -121,11 +126,11 @@ def test_predict_matches_dense_oracle():
         estimate = random_estimate(rng)
         q = random_spd(rng, STATE_DIM, scale=0.5)
         r = random_spd(rng, OBS_DIM, scale=0.5)
-        prediction = predict(estimate, q, r)
+        prediction = predict(*estimate, q, r)
         mu_hat, sigma_hat, s_part = oracle_predict(estimate, q)
-        assert np.all(angle_aware_diff(prediction.predicted_estimate.mean.to_array(),
+        assert np.all(angle_aware_diff(prediction.mean,
                                        mu_hat) < 1e-9)
-        np.testing.assert_allclose(prediction.predicted_estimate.covariance,
+        np.testing.assert_allclose(prediction.cov,
                                    sigma_hat, atol=1e-9)
         np.testing.assert_allclose(prediction.innovation_cov, s_part + r, atol=1e-9)
 
@@ -136,19 +141,19 @@ def test_update_matches_both_oracles():
         estimate = random_estimate(rng)
         q = random_spd(rng, STATE_DIM, scale=0.5)
         r = random_spd(rng, OBS_DIM, scale=0.5)
-        prediction = predict(estimate, q, r)
-        obs_arr = prediction.predicted_observation.to_array() + rng.normal(size=OBS_DIM)
+        prediction = predict(*estimate, q, r)
+        obs_arr = prediction.mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
         obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
         obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.2
-        posterior = update(prediction, Observation.from_array(obs_arr))
+        posterior_mean, posterior_cov = update(prediction, obs_arr)
 
         mu_a, cov_a = oracle_update_inverse(prediction, obs_arr)
         mu_b, cov_b = oracle_update_conditioning(prediction, obs_arr)
-        got = posterior.mean.to_array()
+        got = posterior_mean
         assert np.all(angle_aware_diff(got, mu_a) < 1e-8)
         assert np.all(angle_aware_diff(got, mu_b) < 1e-8)
-        np.testing.assert_allclose(posterior.covariance, cov_a, atol=1e-8)
-        np.testing.assert_allclose(posterior.covariance, cov_b, atol=1e-8)
+        np.testing.assert_allclose(posterior_cov, cov_a, atol=1e-8)
+        np.testing.assert_allclose(posterior_cov, cov_b, atol=1e-8)
 
 
 def test_posterior_trace_never_exceeds_predicted():
@@ -157,13 +162,13 @@ def test_posterior_trace_never_exceeds_predicted():
         estimate = random_estimate(rng)
         q = random_spd(rng, STATE_DIM, scale=0.3)
         r = random_spd(rng, OBS_DIM, scale=0.3)
-        prediction = predict(estimate, q, r)
-        obs_arr = prediction.predicted_observation.to_array() + rng.normal(size=OBS_DIM)
+        prediction = predict(*estimate, q, r)
+        obs_arr = prediction.mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
         obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
         obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.2
-        posterior = update(prediction, Observation.from_array(obs_arr))
-        predicted_trace = float(np.trace(prediction.predicted_estimate.covariance))
-        assert float(np.trace(posterior.covariance)) <= predicted_trace + 1e-9
+        posterior_mean, posterior_cov = update(prediction, obs_arr)
+        predicted_trace = float(np.trace(prediction.cov))
+        assert float(np.trace(posterior_cov)) <= predicted_trace + 1e-9
 
 
 def test_huge_observation_noise_leaves_mean():
@@ -172,55 +177,50 @@ def test_huge_observation_noise_leaves_mean():
     estimate = random_estimate(rng)
     q = random_spd(rng, STATE_DIM)
     r = 1e12 * np.eye(OBS_DIM)
-    prediction = predict(estimate, q, r)
-    predicted_mean = prediction.predicted_estimate.mean.to_array()
+    prediction = predict(*estimate, q, r)
+    predicted_mean = prediction.mean
     obs_arr = predicted_mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
     obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
     obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.2
-    posterior = update(prediction, Observation.from_array(obs_arr))
-    assert np.all(angle_aware_diff(posterior.mean.to_array(), predicted_mean) < 1e-4)
+    posterior_mean, posterior_cov = update(prediction, obs_arr)
+    assert np.all(angle_aware_diff(posterior_mean, predicted_mean) < 1e-4)
 
 
 def test_tiny_predicted_covariance_ignores_measurement():
     # a near-certain prediction barely moves toward the measurement
-    state = StateVector(1.0, 2.0, 3.0, 0.4, 2.0, 1.0, 1.5, 0.1, 0.0, 0.0, 0.0)
-    estimate = StateEstimate(state, 1e-12 * np.eye(STATE_DIM))
-    prediction = predict(estimate, np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
-    predicted_mean = prediction.predicted_estimate.mean.to_array()
+    prediction = predict(state(1.0, 2.0, 3.0, 0.4, 2.0, 1.0, 1.5, dx=0.1), 1e-12 * np.eye(STATE_DIM),
+                         np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
+    predicted_mean = prediction.mean
     shifted = predicted_mean[:OBS_DIM] + 0.5
     shifted[ANGLE] = wrap_angle(shifted[ANGLE])
-    posterior = update(prediction, Observation.from_array(shifted))
-    assert np.all(angle_aware_diff(posterior.mean.to_array(), predicted_mean) < 1e-6)
+    posterior_mean, _ = update(prediction, shifted)
+    assert np.all(angle_aware_diff(posterior_mean, predicted_mean) < 1e-6)
 
 
 def test_predict_unit_covariance_zero_noise():
     # with Sigma = I and Q = 0 the predicted covariance is exactly A A^T
-    state = StateVector(0, 0, 0, 0, 1, 1, 1)
-    estimate = StateEstimate(state, np.eye(STATE_DIM))
-    prediction = predict(estimate, np.zeros((STATE_DIM, STATE_DIM)),
-                         np.eye(OBS_DIM))
+    prediction = predict(state(0, 0, 0, 0, 1, 1, 1), np.eye(STATE_DIM),
+                         np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
     a = np.array(build_transition())
-    np.testing.assert_allclose(prediction.predicted_estimate.covariance,
+    np.testing.assert_allclose(prediction.cov,
                                a @ a.T, atol=1e-14)
 
 
 def test_update_wraps_residual_across_seam():
     # prediction and measurement straddle +-pi; the posterior stays at
     # the seam instead of swinging through zero
-    state = StateVector(0, 0, 0, 3.1, 1, 1, 1)
-    estimate = StateEstimate(state, np.eye(STATE_DIM))
-    prediction = predict(estimate, np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
-    posterior = update(prediction, Observation(0, 0, 0, -3.1, 1, 1, 1))
-    assert abs(posterior.mean.a) > 3.05
+    prediction = predict(state(0, 0, 0, 3.1, 1, 1, 1), np.eye(STATE_DIM),
+                         np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
+    posterior_mean, _ = update(prediction, np.array([0, 0, 0, -3.1, 1, 1, 1]))
+    assert abs(posterior_mean[ANGLE]) > 3.05
 
 
 def test_singular_innovation_raises_numerical_error():
-    state = StateVector(0, 0, 0, 0, 1, 1, 1)
-    estimate = StateEstimate(state, np.zeros((STATE_DIM, STATE_DIM)))
-    prediction = predict(estimate, np.zeros((STATE_DIM, STATE_DIM)),
+    prediction = predict(state(0, 0, 0, 0, 1, 1, 1), np.zeros((STATE_DIM, STATE_DIM)),
+                         np.zeros((STATE_DIM, STATE_DIM)),
                          np.zeros((OBS_DIM, OBS_DIM)))
     with pytest.raises(NumericalError) as exc_info:
-        update(prediction, Observation(0, 0, 0, 0, 1, 1, 1))
+        update(prediction, np.array([0, 0, 0, 0, 1, 1, 1]))
     assert "condition" in str(exc_info.value)
 
 
@@ -228,31 +228,30 @@ def test_invalid_noise_raises_calibration_error():
     rng = np.random.default_rng(46)
     estimate = random_estimate(rng)
     with pytest.raises(CalibrationError):
-        predict(estimate, np.zeros((3, 3)), np.eye(OBS_DIM))
+        predict(*estimate, np.zeros((3, 3)), np.eye(OBS_DIM))
     asym = np.eye(STATE_DIM)
     asym[0, 1] = 0.5
     with pytest.raises(CalibrationError):
-        predict(estimate, asym, np.eye(OBS_DIM))
+        predict(*estimate, asym, np.eye(OBS_DIM))
 
 
 def test_thousand_cycles_stay_symmetric_psd():
     # calibrated-magnitude noise; covariance must remain a valid
-    # StateEstimate covariance (symmetric, eigenvalues >= -1e-9)
+    # covariance (symmetric, eigenvalues >= -1e-9)
     rng = np.random.default_rng(47)
     q = np.diag(np.concatenate([np.full(4, 0.01), np.zeros(3), np.full(4, 0.01)]))
     r = np.diag(np.concatenate([np.full(3, 0.09), [0.0025], np.full(3, 0.0004)]))
-    state = StateVector(0, 0, 0, 0, 4.5, 1.9, 1.6, 0.5, 0.0, 0.0, 0.01)
-    estimate = StateEstimate(state, np.diag(np.concatenate([np.diag(r), np.full(4, 0.01)])))
+    mean = state(0, 0, 0, 0, 4.5, 1.9, 1.6, dx=0.5, da=0.01)
+    cov = np.diag(np.concatenate([np.diag(r), np.full(4, 0.01)]))
     for step in range(1000):
-        prediction = predict(estimate, q, r)
-        obs_arr = prediction.predicted_observation.to_array()
+        prediction = predict(mean, cov, q, r)
+        obs_arr = prediction.mean[:OBS_DIM].copy()
         obs_arr[:4] += rng.normal(scale=0.3, size=4) * [1, 1, 1, 0.05]
         obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
         obs_arr[4:7] = np.maximum(obs_arr[4:7] + rng.normal(scale=0.02, size=3), 0.05)
-        estimate = update(prediction, Observation.from_array(obs_arr))
-        cov = estimate.covariance
+        mean, cov = update(prediction, obs_arr)
         np.testing.assert_array_equal(cov, cov.T)
         if step % 100 == 0:
             assert np.linalg.eigvalsh(cov).min() >= -1e-9
-    assert np.linalg.eigvalsh(estimate.covariance).min() >= -1e-9
-    assert math.isfinite(estimate.mean.x)
+    assert np.linalg.eigvalsh(cov).min() >= -1e-9
+    assert math.isfinite(mean[0])

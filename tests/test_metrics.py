@@ -204,6 +204,9 @@ def test_amota_input_validation():
         amota({}, gt, n=1)
     with pytest.raises(ValueError):
         amota({}, {"s": {0: []}}, n=3)
+    for gate in (math.nan, 0.0, -1.0, "2"):
+        with pytest.raises(ValueError, match="gate"):
+            amota({}, gt, n=3, gate=gate)
 
 
 def test_separate_scenes_do_not_share_assignments():

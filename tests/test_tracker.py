@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from mot3d.calibration import ClassNoise, NoiseModel
-from mot3d.core import Box, Observation
+from mot3d.calibration import ClassNoise, NoiseModel, calibrate
+from mot3d.core import ANGLE_INDEX, Box, Observation, wrap_angle
 from mot3d.dataset_io import RunConfig
-from mot3d.errors import ConfigError, SequencingError
+from mot3d.errors import ConfigError, SchemaError, SequencingError
+from mot3d.synthetic import generate_suite, standard_suite, standard_suite_calibration
 from mot3d.tracker import MultiObjectTracker, run_scene
 
 CAR_SIZE = (4.0, 2.0, 1.5)
+
+# Index of the yaw rate in the 11-D state.
+DA = 10
 
 
 def hand_noise(labels=("car",)) -> NoiseModel:
@@ -33,13 +37,13 @@ def reported_states(frames, noise, config=None) -> list:
     """Per frame, (record, full state) for every reported track.
 
     Records carry the observed box; velocities are read off the
-    tracker's own estimates.
+    tracker's own means.
     """
     tracker = MultiObjectTracker(noise, config)
     per_frame = []
     for frame_index in frames:
         records = tracker.step(frame_index, frames[frame_index]).records
-        means = {t.track_id: t.estimate.mean for t in tracker.tracks}
+        means = {t.track_id: t.mean for t in tracker.tracks}
         per_frame.append([(rec, means[rec.track_id]) for rec in records])
     return per_frame
 
@@ -129,6 +133,60 @@ def test_sequencing_validation():
     tracker.step(10, [det(10)])
 
 
+def test_detection_without_score_is_a_schema_error():
+    # a ground-truth box carries no score and cannot feed a track
+    tracker = MultiObjectTracker(NoiseModel.default_covariance())
+    with pytest.raises(SchemaError, match="frame 4"):
+        tracker.step(4, [det(4), det(4, x=30.0, score=None)])
+    # the rejected frame left no trace
+    tracker.step(4, [det(4)])
+    assert len(tracker.tracks) == 1
+
+
+def test_newborn_track_is_detection_with_zero_velocity():
+    noise = hand_noise()
+    tracker = MultiObjectTracker(noise)
+    detection = det(0, x=1.0, y=2.0, z=3.0, a=0.5)
+    tracker.step(0, [detection])
+    (track,) = tracker.tracks
+    np.testing.assert_array_equal(track.mean[:7], detection.observation.to_array())
+    np.testing.assert_array_equal(track.mean[7:], np.zeros(4))
+    np.testing.assert_array_equal(track.cov, noise.sigma0_matrix("car"))
+
+
+def test_matched_update_flips_predicted_yaw_not_covariance():
+    # a detection facing backwards updates the flipped prediction: the
+    # yaw lands on the detection, everything else matches a detection
+    # that faces the same way
+    tracks = []
+    for yaw in (0.1, wrap_angle(0.1 + math.pi)):
+        tracker = MultiObjectTracker(hand_noise())
+        tracker.step(0, [det(0, a=0.1)])
+        tracker.step(1, [det(1, x=0.5, a=yaw)])
+        tracks.extend(tracker.tracks)
+    same, flipped = tracks
+    assert flipped.mean[ANGLE_INDEX] == pytest.approx(wrap_angle(0.1 + math.pi))
+    assert same.mean[ANGLE_INDEX] == pytest.approx(0.1)
+    np.testing.assert_array_equal(np.delete(flipped.mean, ANGLE_INDEX),
+                                  np.delete(same.mean, ANGLE_INDEX))
+    np.testing.assert_array_equal(flipped.cov, same.cov)
+
+
+def test_covariances_stay_symmetric_psd_over_standard_suite():
+    # the filter validates none of the covariances it computes, so the
+    # standard suite checks every live one after every frame
+    cal_gt, cal_det = generate_suite([standard_suite_calibration()])
+    _, detections = generate_suite(standard_suite())
+    for noise in (calibrate(cal_gt, cal_det), NoiseModel.default_covariance()):
+        for scene_id in sorted(detections):
+            tracker = MultiObjectTracker(noise)
+            for frame_index, frame in detections[scene_id].items():
+                tracker.step(frame_index, frame)
+                for track in tracker.tracks:
+                    np.testing.assert_array_equal(track.cov, track.cov.T)
+                    assert np.linalg.eigvalsh(track.cov).min() >= -1e-9
+
+
 def test_unknown_class_is_a_config_error():
     tracker = MultiObjectTracker(hand_noise(labels=("car",)))
     with pytest.raises(ConfigError, match="bus"):
@@ -159,7 +217,7 @@ def test_deterministic_across_runs():
         frames[k] = [det(k, x=float(k) + rng.normal(0, 0.1), y=rng.normal(0, 0.1)),
                      det(k, x=20.0 - k + rng.normal(0, 0.1))]
     def run():
-        return [(rec.frame_index, rec.track_id, state.to_array().tobytes(), rec.score)
+        return [(rec.frame_index, rec.track_id, state.tobytes(), rec.score)
                 for pairs in reported_states(frames, hand_noise()) for rec, state in pairs]
     assert run() == run()
 
@@ -169,10 +227,10 @@ def test_angular_velocity_toggle():
     frames = {k: [det(k, a=0.1 * k)] for k in range(10)}
     with_rate = reported_states(frames, noise, RunConfig(angular_velocity=True))
     without = reported_states(frames, noise, RunConfig(angular_velocity=False))
-    assert with_rate[-1][0][1].da > 0.05
+    assert with_rate[-1][0][1][DA] > 0.05
     for pairs in without:
         for _, state in pairs:
-            assert state.da == 0.0
+            assert state[DA] == 0.0
     # the constant-yaw tracker follows the ramping heading, with lag
     assert 0.5 < without[-1][0][0].observation.a <= 0.9
     assert without[-1][0][0].observation.a < with_rate[-1][0][0].observation.a
