@@ -3,18 +3,17 @@ evaluation, and synthetic data generation."""
 
 __version__ = "0.1.0"
 
-from .association import (AffinityMatrix, MatchResult, center_distance_2d,
-                          greedy_center_match, greedy_match, hungarian_match,
-                          iou_3d, iou_affinity, mahalanobis,
-                          mahalanobis_affinity, orientation_correct)
+from .association import (AffinityMatrix, MatchResult, greedy_center_match,
+                          greedy_match, hungarian_match, iou_3d, iou_affinity,
+                          mahalanobis, mahalanobis_affinity, orientation_correct)
 from .calibration import (CALIBRATION_GATE, ClassNoise, GroundTruthTrack,
                           NoiseModel, calibrate, estimate_observation_noise,
                           estimate_process_noise, load_noise_model,
                           save_noise_model, tracks_from_ground_truth)
 from .core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
                    STATE_DIM, TRANSITION_MATRIX, Box, Observation,
-                   observation_residual, symmetrize, validate_covariance,
-                   wrap_angle, wrap_angle_array)
+                   observation_residual, symmetrize, wrap_angle,
+                   wrap_angle_array)
 from .dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
                          load_detections, load_ground_truth, load_tracks,
                          merge_config, write_detections, write_ground_truth,
@@ -42,14 +41,13 @@ __all__ = [
     "STATE_DIM", "OBS_DIM", "ANGLE_INDEX", "CLASS_LABELS",
     "TRANSITION_MATRIX", "OBSERVATION_MATRIX",
     "Observation", "Box",
-    "wrap_angle", "wrap_angle_array", "symmetrize", "validate_covariance",
-    "observation_residual",
+    "wrap_angle", "wrap_angle_array", "symmetrize", "observation_residual",
     # filtering
     "Prediction", "predict", "update",
     # association
     "AffinityMatrix", "MatchResult", "orientation_correct",
     "mahalanobis", "mahalanobis_affinity", "iou_affinity", "iou_3d",
-    "greedy_match", "hungarian_match", "greedy_center_match", "center_distance_2d",
+    "greedy_match", "hungarian_match", "greedy_center_match",
     # dataset io and configuration
     "DEFAULT_MAHA_GATE", "RunConfig",
     "load_config", "merge_config", "load_detections", "load_ground_truth",

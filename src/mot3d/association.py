@@ -240,42 +240,54 @@ def _as_distances(affinity: AffinityMatrix, threshold: float):
     return 1.0 - affinity.values, 1.0 - threshold
 
 
-def greedy_match(affinity: AffinityMatrix, threshold: float) -> MatchResult:
-    """Greedy nearest-first one-to-one matching.
-
-    All pairs are visited in ascending distance order (ties broken by
-    prediction index then detection index); a pair is accepted when
-    both sides are still free and its distance is strictly below the
-    threshold.  The scan stops at the first fully-unmatched pair at or
-    beyond the threshold, since every later candidate is worse.
-
-    For an iou_score matrix the threshold is a minimum IOU and reported
-    affinities are IOUs.
-    """
-    distances, limit = _as_distances(affinity, threshold)
-    n_pred, n_det = distances.shape
-    order = np.lexsort((
-        np.tile(np.arange(n_det), n_pred),
-        np.repeat(np.arange(n_pred), n_det),
-        distances.ravel(),
-    ))
-    matched_pred = set()
-    matched_det = set()
-    pairs = []
-    for flat in order:
-        i, j = divmod(int(flat), n_det)
-        if i in matched_pred or j in matched_det:
-            continue
-        if not distances[i, j] < limit:
-            break
-        matched_pred.add(i)
-        matched_det.add(j)
-        pairs.append((i, j, float(affinity.values[i, j])))
+def _match_result(pairs: list, n_pred: int, n_det: int) -> MatchResult:
+    matched_pred = {i for i, _, _ in pairs}
+    matched_det = {j for _, j, _ in pairs}
     return MatchResult(
         tuple(pairs),
         tuple(i for i in range(n_pred) if i not in matched_pred),
         tuple(j for j in range(n_det) if j not in matched_det),
     )
+
+
+def _greedy_scan(distances: np.ndarray, limit: float, affinities: np.ndarray) -> MatchResult:
+    """Greedy one-to-one matching over an (N, M) distance array.
+
+    Only pairs strictly below the limit are candidates.  They are
+    visited in ascending distance, ties broken by row and then column
+    (a stable sort of the row-major candidate indices), and a pair is
+    accepted when both its row and its column are still free.  Pairs
+    report affinities[i, j].
+    """
+    n_pred, n_det = distances.shape
+    flat = distances.ravel()
+    candidates = np.flatnonzero(flat < limit)
+    order = candidates[np.argsort(flat[candidates], kind="stable")]
+    free_pred = [True] * n_pred
+    free_det = [True] * n_det
+    pairs = []
+    rows, cols = divmod(order, n_det)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if free_pred[i] and free_det[j]:
+            free_pred[i] = free_det[j] = False
+            pairs.append((i, j, float(affinities[i, j])))
+    return _match_result(pairs, n_pred, n_det)
+
+
+def greedy_match(affinity: AffinityMatrix, threshold: float) -> MatchResult:
+    """Greedy nearest-first one-to-one matching.
+
+    Every pair whose distance is strictly below the threshold is a
+    candidate; candidates are visited in ascending distance order (ties
+    broken by prediction index, then detection index) and a pair is
+    accepted while both its prediction and its detection are still
+    free.  Pairs at or beyond the threshold are never visited.
+
+    For an iou_score matrix the distance is 1 - IOU, the threshold is a
+    minimum IOU, and reported affinities are IOUs.
+    """
+    distances, limit = _as_distances(affinity, threshold)
+    return _greedy_scan(distances, limit, affinity.values)
 
 
 # Finite stand-in for +inf so the assignment solver accepts the matrix;
@@ -293,26 +305,13 @@ def hungarian_match(affinity: AffinityMatrix, threshold: float) -> MatchResult:
     distances, limit = _as_distances(affinity, threshold)
     n_pred, n_det = distances.shape
     if n_pred == 0 or n_det == 0:
-        return MatchResult((), tuple(range(n_pred)), tuple(range(n_det)))
+        return _match_result([], n_pred, n_det)
     solver_costs = np.where(np.isfinite(distances), distances, _INFEASIBLE)
     rows, cols = linear_sum_assignment(solver_costs)
-    pairs = []
-    for i, j in zip(rows, cols):
-        if distances[i, j] < limit:
-            pairs.append((int(i), int(j), float(affinity.values[i, j])))
+    pairs = [(int(i), int(j), float(affinity.values[i, j]))
+             for i, j in zip(rows, cols) if distances[i, j] < limit]
     pairs.sort(key=lambda pair: (distances[pair[0], pair[1]], pair[0], pair[1]))
-    matched_pred = {i for i, _, _ in pairs}
-    matched_det = {j for _, j, _ in pairs}
-    return MatchResult(
-        tuple(pairs),
-        tuple(i for i in range(n_pred) if i not in matched_pred),
-        tuple(j for j in range(n_det) if j not in matched_det),
-    )
-
-
-def center_distance_2d(box_a: Observation, box_b: Observation) -> float:
-    """Euclidean distance between box centers in the x-y plane."""
-    return math.hypot(box_a.x - box_b.x, box_a.y - box_b.y)
+    return _match_result(pairs, n_pred, n_det)
 
 
 def greedy_center_match(boxes_a: Sequence[Observation], boxes_b: Sequence[Observation],
@@ -320,13 +319,13 @@ def greedy_center_match(boxes_a: Sequence[Observation], boxes_b: Sequence[Observ
     """Greedy one-to-one matching by ascending 2D center distance.
 
     Used by the evaluation protocol and by observation-noise
-    calibration; pairs at or beyond the gate stay unmatched.
+    calibration; z is ignored, pairs at or beyond the gate stay
+    unmatched, and pairs report their center distance.
     """
-    values = np.zeros((len(boxes_a), len(boxes_b)))
-    for i, box_a in enumerate(boxes_a):
-        for j, box_b in enumerate(boxes_b):
-            values[i, j] = center_distance_2d(box_a, box_b)
-    return greedy_match(AffinityMatrix(values, MAHALANOBIS_DISTANCE), gate)
+    a = np.array([(box.x, box.y) for box in boxes_a], dtype=float).reshape(-1, 2)
+    b = np.array([(box.x, box.y) for box in boxes_b], dtype=float).reshape(-1, 2)
+    distances = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+    return _greedy_scan(distances, gate, distances)
 
 
 MATCHERS = {

@@ -22,7 +22,7 @@ from .calibration import NoiseModel, calibrate, load_noise_model, save_noise_mod
 from .dataset_io import (RunConfig, load_config, load_detections,
                          load_ground_truth, load_tracks, merge_config,
                          write_detections, write_ground_truth, write_tracks)
-from .errors import ConfigError, Mot3dError, NumericalError
+from .errors import ConfigError, Mot3dError, NumericalError, SchemaError
 from .metrics import (EVALUATION_GATE, amota, check_amota_args, write_amota_csv,
                       write_report)
 from .synthetic import (calibration_scenario, generate_suite, load_scenarios,
@@ -53,15 +53,24 @@ def _resolve_jobs(jobs: int) -> int:
     return jobs if jobs else (os.cpu_count() or 1)
 
 
+def _pool_map(function, payloads: list, jobs: int) -> list:
+    """Map function over payloads with at most one worker process each.
+
+    The pool starts every worker up front, so it never gets more
+    workers than payloads; one worker runs in this process instead.
+    """
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
+        return [function(payload) for payload in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(function, payloads))
+
+
 def _run_scenes(detections, noise, config, jobs):
     """Track every scene, optionally across worker processes."""
     payloads = [(scene_id, detections[scene_id], noise, config)
                 for scene_id in sorted(detections)]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_track_scene, payloads))
-    else:
-        results = [_track_scene(payload) for payload in payloads]
+    results = _pool_map(_track_scene, payloads, jobs)
     outputs = {scene_id: scene_outputs for scene_id, scene_outputs, _ in results}
     stats = [(scene_id, scene_stats) for scene_id, _, scene_stats in results]
     return outputs, stats
@@ -140,35 +149,35 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+# Each preset takes an optional seed= and otherwise uses its own default.
 _PRESETS = {
-    "noiseless": lambda seed: [noiseless_scene(seed=seed)],
-    "standard": lambda seed: standard_suite(seed=seed),
-    "standard-calibration": lambda seed: [standard_suite_calibration(seed=seed)],
-    "calibration": lambda seed: [calibration_scenario(seed=seed)],
-    "turning": lambda seed: [turning_scenario(seed=seed)],
-}
-
-_PRESET_SEEDS = {
-    "noiseless": 7,
-    "standard": 11,
-    "standard-calibration": 12,
-    "calibration": 101,
-    "turning": 5,
+    "noiseless": lambda **seed: [noiseless_scene(**seed)],
+    "standard": standard_suite,
+    "standard-calibration": lambda **seed: [standard_suite_calibration(**seed)],
+    "calibration": lambda **seed: [calibration_scenario(**seed)],
+    "turning": lambda **seed: [turning_scenario(**seed)],
 }
 
 
 def _cmd_simulate(args) -> int:
     if bool(args.spec) == bool(args.preset):
         raise ConfigError("pass exactly one of --spec FILE or --preset NAME")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if args.spec:
         specs = load_scenarios(args.spec)
         if args.seed is not None:
             specs = [replace(spec, seed=args.seed + index)
                      for index, spec in enumerate(specs)]
     else:
-        seed = args.seed if args.seed is not None else _PRESET_SEEDS[args.preset]
-        specs = _PRESETS[args.preset](seed)
-    ground_truth, detections = generate_suite(specs)
+        seed = {} if args.seed is None else {"seed": args.seed}
+        specs = _PRESETS[args.preset](**seed)
+    try:
+        ground_truth, detections = generate_suite(specs)
+    except ValueError as exc:
+        # a spec that passes its own checks can still fail to generate,
+        # e.g. a trajectory that overflows or a Poisson rate numpy refuses
+        raise SchemaError(f"cannot generate scenes: {exc}", args.spec) from None
     meta = scenario_meta(specs)
     write_ground_truth(ground_truth, args.out_ground_truth, meta=meta)
     write_detections(detections, args.out_detections, meta=meta)
@@ -264,12 +273,7 @@ def _cmd_ablate(args) -> int:
                     cells.append((name, detections, ground_truth, noise, config,
                                   args.n_samples, args.gate))
 
-    jobs = _resolve_jobs(args.jobs)
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_ablate_cell, cells))
-    else:
-        rows = [_ablate_cell(cell) for cell in cells]
+    rows = _pool_map(_ablate_cell, cells, _resolve_jobs(args.jobs))
 
     width = max(len(name) for name, _ in rows)
     for name, report in rows:
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-angular-velocity", action="store_true",
                    help="pin the yaw-rate state at zero")
     p.add_argument("--jobs", type=int, default=0,
-                   help="scene-level worker processes (0 = all cores)")
+                   help="scene-level worker processes, at most one per scene (0 = all cores)")
     p.set_defaults(handler=_cmd_track)
 
     p = sub.add_parser("evaluate", help="score a track file against ground truth")
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", type=int, default=40)
     p.add_argument("--gate", type=float, default=EVALUATION_GATE)
     p.add_argument("--jobs", type=int, default=0,
-                   help="cell-level worker processes (0 = all cores)")
+                   help="cell-level worker processes, at most one per cell (0 = all cores)")
     p.set_defaults(handler=_cmd_ablate)
 
     p = sub.add_parser("plot", help="render a track file to SVG")

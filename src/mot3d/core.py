@@ -63,31 +63,6 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.T) / 2.0
 
 
-# Symmetry deviation and eigenvalue floor tolerated by covariance checks.
-SYMMETRY_TOL = 1e-9
-EIGENVALUE_FLOOR = -1e-9
-
-
-def validate_covariance(matrix: np.ndarray, size: int, name: str = "covariance") -> np.ndarray:
-    """Check a square covariance: symmetric within 1e-9, eigenvalues >= -1e-9.
-
-    Returns a symmetrized, read-only copy.  Raises ValueError otherwise.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (size, size):
-        raise ValueError(f"{name} must have shape ({size}, {size}), got {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"{name} must be finite")
-    if np.max(np.abs(matrix - matrix.T), initial=0.0) > SYMMETRY_TOL:
-        raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL}")
-    out = symmetrize(matrix)
-    min_eig = float(np.min(np.linalg.eigvalsh(out)))
-    if min_eig < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} has eigenvalue {min_eig:.3e} below {EIGENVALUE_FLOOR}")
-    out.flags.writeable = False
-    return out
-
-
 def _check_finite(label: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):

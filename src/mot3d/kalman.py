@@ -24,10 +24,9 @@ from .core import (
     TRANSITION_MATRIX,
     observation_residual,
     symmetrize,
-    validate_covariance,
     wrap_angle,
 )
-from .errors import CalibrationError, NumericalError
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,6 @@ class Prediction:
     mean: np.ndarray
     cov: np.ndarray
     innovation_cov: np.ndarray
-
-
-def _require_noise(matrix: np.ndarray, size: int, name: str) -> np.ndarray:
-    try:
-        return validate_covariance(matrix, size, name)
-    except ValueError as exc:
-        raise CalibrationError(str(exc)) from None
 
 
 def innovation_factor(innovation_cov: np.ndarray):
@@ -67,17 +59,16 @@ def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
     """Forecast a belief one frame ahead.
 
     Returns the predicted mean and covariance together with the
-    innovation covariance S = H (A Sigma A^T + Q) H^T + R.
+    innovation covariance S = H (A Sigma A^T + Q) H^T + R.  Q and R are
+    used as given: they are validated once, where a noise model is
+    built (ClassNoise accepts only finite non-negative diagonals).
     """
-    q = _require_noise(process_noise, STATE_DIM, "process noise")
-    r = _require_noise(observation_noise, OBS_DIM, "observation noise")
-
     a = TRANSITION_MATRIX
     h = OBSERVATION_MATRIX
     mean = a @ mean
     mean[ANGLE_INDEX] = wrap_angle(mean[ANGLE_INDEX])
-    cov = symmetrize(a @ cov @ a.T + q)
-    return Prediction(mean, cov, symmetrize(h @ cov @ h.T + r))
+    cov = symmetrize(a @ cov @ a.T + process_noise)
+    return Prediction(mean, cov, symmetrize(h @ cov @ h.T + observation_noise))
 
 
 def update(prediction: Prediction, observation: np.ndarray) -> tuple:

@@ -45,12 +45,22 @@ MIN_EXTENT = 0.05
 RNG_NAME = "numpy-pcg64"
 
 
+def _check_numbers(name: str, values, non_negative: bool = False) -> None:
+    """Raise ValueError unless every value is finite (and >= 0 if asked)."""
+    for value in np.atleast_1d(values):
+        if not math.isfinite(value) or (non_negative and value < 0.0):
+            rule = "finite and non-negative" if non_negative else "finite"
+            raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 def _as_tuple(value, length: int, name: str) -> tuple:
     if isinstance(value, (int, float)):
-        return (float(value),) * length
-    out = tuple(float(v) for v in value)
+        out = (float(value),) * length
+    else:
+        out = tuple(float(v) for v in value)
     if len(out) != length:
         raise ValueError(f"{name} must be a scalar or {length} numbers, got {value!r}")
+    _check_numbers(name, out)
     return out
 
 
@@ -74,6 +84,8 @@ class ObjectSpec:
     def __post_init__(self):
         if self.class_label not in CLASS_LABELS:
             raise ValueError(f"unknown class label {self.class_label!r}")
+        for name in ("x", "y", "z", "yaw", "vx", "vy", "vz", "yaw_rate"):
+            _check_numbers(name, getattr(self, name))
         if self.size is not None:
             size = _as_tuple(self.size, 3, "size")
             if any(v <= 0 for v in size):
@@ -114,10 +126,10 @@ class NoiseSpec:
         object.__setattr__(self, "score_range", _as_tuple(self.score_range, 2, "score_range"))
         object.__setattr__(self, "fp_score_range",
                            _as_tuple(self.fp_score_range, 2, "fp_score_range"))
+        for name in ("position_sigma", "angle_sigma", "size_sigma", "accel_sigma", "fp_rate"):
+            _check_numbers(name, getattr(self, name), non_negative=True)
         if not 0.0 <= self.p_miss < 1.0:
             raise ValueError("p_miss must lie in [0, 1)")
-        if self.fp_rate < 0.0:
-            raise ValueError("fp_rate must be non-negative")
         for name in ("score_range", "fp_score_range"):
             lo, hi = getattr(self, name)
             if not 0.0 <= lo <= hi <= 1.0:
@@ -141,6 +153,8 @@ class ScenarioSpec:
             raise ValueError("scene_id must be non-empty and must not start with '_'")
         if self.frame_count < 1:
             raise ValueError("frame_count must be positive")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "objects", tuple(self.objects))
         bounds = _as_tuple(self.bounds, 4, "bounds")
         if bounds[0] >= bounds[1] or bounds[2] >= bounds[3]:
@@ -301,7 +315,7 @@ def spec_from_dict(data: Mapping) -> ScenarioSpec:
             noise=noise,
             **extra,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"invalid scenario spec: {exc}") from None
 
 

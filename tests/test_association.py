@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mot3d.association import (IOU_SCORE, MAHALANOBIS_DISTANCE, AffinityMatrix,
-                               center_distance_2d, greedy_center_match,
-                               greedy_match, hungarian_match, mahalanobis,
-                               mahalanobis_affinity, orientation_correct)
+                               greedy_center_match, greedy_match, hungarian_match,
+                               mahalanobis, mahalanobis_affinity,
+                               orientation_correct)
 from mot3d.core import Observation, wrap_angle
 from mot3d.kalman import Prediction
 
@@ -258,9 +258,11 @@ def test_gated_hungarian_can_keep_fewer_pairs_than_greedy():
 
 
 def test_center_distance_2d_ignores_z():
+    # the center distance is planar: z, yaw and extents play no part
     a = Observation(0, 0, 0, 0, 1, 1, 1)
     b = Observation(3.0, 4.0, 50.0, 1.0, 2, 2, 2)
-    assert center_distance_2d(a, b) == pytest.approx(5.0)
+    result = greedy_center_match([a], [b], gate=6.0)
+    assert result.pairs == ((0, 0, pytest.approx(5.0)),)
 
 
 def test_greedy_center_match_gate():
@@ -270,3 +272,73 @@ def test_greedy_center_match_gate():
     assert {(i, j) for i, j, _ in result.pairs} == {(0, 0)}
     assert result.unmatched_predictions == (1,)
     assert result.unmatched_detections == (1,)
+
+
+def reference_greedy(dist, n_cols, limit):
+    """Per-pair greedy matching by the documented rule.
+
+    Pairs are visited by ascending (distance, row, column); a pair is
+    accepted while both sides are free and its distance is < limit.
+    """
+    n_rows = len(dist)
+    order = sorted((dist[i][j], i, j) for i in range(n_rows) for j in range(n_cols))
+    free_rows, free_cols = set(range(n_rows)), set(range(n_cols))
+    pairs = []
+    for d, i, j in order:
+        if i in free_rows and j in free_cols and d < limit:
+            free_rows.discard(i)
+            free_cols.discard(j)
+            pairs.append((i, j, d))
+    return pairs, sorted(free_rows), sorted(free_cols)
+
+
+def test_greedy_matchers_equal_per_pair_reference():
+    rng = np.random.default_rng(20)
+    gate = 2.0
+
+    def box(x, y):
+        return Observation(float(x), float(y), 0.0, 0.0, 1.0, 1.0, 1.0)
+
+    frames = []
+    for _ in range(150):
+        n, m = rng.integers(0, 9, size=2)
+        # half the frames sit on a quarter-metre grid, where exact
+        # distance ties and distances equal to the gate are common
+        scale = 0.25 if rng.random() < 0.5 else None
+        points = rng.uniform(-4.0, 4.0, size=(n + m, 2))
+        if scale:
+            points = np.round(points / scale) * scale
+        frames.append(([box(*p) for p in points[:n]], [box(*p) for p in points[n:]]))
+    # explicit ties, gate-equal distances and empty sides
+    frames += [
+        ([box(0, 0), box(4, 0)], [box(2, 0), box(6, 0)]),
+        ([box(0, 0)], [box(2, 0), box(0, 2), box(-2, 0)]),
+        ([box(0, 0), box(0, 1)], [box(1.2, 1.6), box(0, 3)]),
+        ([], [box(0, 0), box(1, 1)]),
+        ([box(0, 0), box(1, 1)], []),
+        ([], []),
+    ]
+    gated_at_boundary = tied = 0
+    for boxes_a, boxes_b in frames:
+        dist = [[math.hypot(a.x - b.x, a.y - b.y) for b in boxes_b] for a in boxes_a]
+        pairs, free_a, free_b = reference_greedy(dist, len(boxes_b), gate)
+        result = greedy_center_match(boxes_a, boxes_b, gate)
+        assert [(i, j) for i, j, _ in result.pairs] == [(i, j) for i, j, _ in pairs]
+        assert [d for _, _, d in result.pairs] == pytest.approx([d for _, _, d in pairs],
+                                                               rel=1e-15, abs=0.0)
+        assert list(result.unmatched_predictions) == free_a
+        assert list(result.unmatched_detections) == free_b
+        flat = [d for row in dist for d in row]
+        gated_at_boundary += flat.count(gate)
+        tied += len(flat) - len(set(flat))
+
+        # the same frame as a plain distance matrix, with +inf entries
+        values = np.array(dist, dtype=float).reshape(len(boxes_a), len(boxes_b))
+        values[rng.random(values.shape) < 0.2] = math.inf
+        for limit in (gate, math.inf):
+            pairs, free_a, free_b = reference_greedy(values.tolist(), len(boxes_b), limit)
+            result = greedy_match(distances(values), limit)
+            assert list(result.pairs) == pairs
+            assert list(result.unmatched_predictions) == free_a
+            assert list(result.unmatched_detections) == free_b
+    assert gated_at_boundary > 0 and tied > 0

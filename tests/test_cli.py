@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
+from mot3d import cli
 from mot3d.cli import build_parser, main
 from mot3d.core import Box, Observation
 from mot3d.dataset_io import write_detections
@@ -178,11 +180,15 @@ def test_simulate_requires_exactly_one_source(tmp_path, capsys):
     assert main(base + ["--spec", str(spec_path)]) == 0
 
 
-def test_simulate_seed_override(tmp_path):
+@pytest.mark.parametrize("preset, own_seed", [
+    ("noiseless", 7), ("standard", 11), ("standard-calibration", 12),
+    ("calibration", 101), ("turning", 5),
+])
+def test_simulate_seed_override(tmp_path, preset, own_seed):
     def run(seed, tag):
         det = tmp_path / f"d{tag}.json"
         gt = tmp_path / f"g{tag}.json"
-        args = ["simulate", "--preset", "standard",
+        args = ["simulate", "--preset", preset,
                 "--out-detections", str(det), "--out-ground-truth", str(gt)]
         if seed is not None:
             args += ["--seed", str(seed)]
@@ -190,10 +196,44 @@ def test_simulate_seed_override(tmp_path):
         return det.read_bytes()
 
     default = run(None, "a")
-    explicit = run(11, "b")  # the preset's own seed
+    explicit = run(own_seed, "b")
     other = run(99, "c")
     assert default == explicit
     assert other != default
+
+
+def test_jobs_never_exceed_the_work(pipeline, tmp_path, monkeypatch):
+    """A pool gets at most one worker per scene or ablation cell."""
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, function, payloads):
+            return map(function, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    track = ["track", "--detections", pipeline["det"], "--noise-model", pipeline["noise"]]
+    assert main(track + ["--jobs", "64", "--out", str(tmp_path / "t64.json")]) == 0
+    assert requested == [3]
+    assert main(track + ["--jobs", "1", "--out", str(tmp_path / "t1.json")]) == 0
+    assert requested == [3]
+    assert (tmp_path / "t64.json").read_bytes() == (tmp_path / "t1.json").read_bytes()
+    det, gt = str(tmp_path / "det.json"), str(tmp_path / "gt.json")
+    assert main(["simulate", "--preset", "noiseless",
+                 "--out-detections", det, "--out-ground-truth", gt]) == 0
+    assert main(["ablate", "--detections", det, "--ground-truth", gt,
+                 "--affinities", "mahalanobis", "--matchers", "greedy,hungarian",
+                 "--noise", "default", "--jobs", "64",
+                 "--out", str(tmp_path / "grid.csv")]) == 0
+    assert requested == [3, 2]
 
 
 def test_ablate_writes_grid_csv(tmp_path, capsys):
@@ -290,9 +330,21 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
         ["calibrate", "--detections", pipeline["cal_det"], "--out", out,
          "--ground-truth", put("g.json", {"s": {"0": [dict(record, instance_id="a",
                                                            yaw=10 ** 400)]}})],
-        ["simulate", "--spec", put("spec.json", {"scenarios": [1]}),
-         "--out-detections", out, "--out-ground-truth", out],
     ]
+    car = {"class_label": "car", "x": 0.0, "y": 0.0}
+    specs = [
+        {"scenarios": [1]},
+        {"noise": {"fp_rate": 1e300}},
+        {"seed": -1},
+        {"noise": {"position_sigma": math.nan}},
+        {"objects": [dict(car, x=1e308, vx=1e308)]},
+    ]
+    for index, spec in enumerate(specs):
+        spec = dict({"scene_id": "s", "frame_count": 3, "objects": [car]}, **spec)
+        cases.append(["simulate", "--spec", put(f"spec{index}.json", spec),
+                      "--out-detections", out, "--out-ground-truth", out])
+    cases.append(["simulate", "--preset", "turning", "--seed", "-1",
+                  "--out-detections", out, "--out-ground-truth", out])
     # bad sweep arguments are refused before any cell is tracked
     ablate = ["ablate", "--detections", pipeline["det"], "--ground-truth", pipeline["gt"],
               "--noise", "default", "--jobs", "1", "--out", str(tmp_path / "grid.csv")]

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
                         STATE_DIM, TRANSITION_MATRIX, Box, Observation,
-                        observation_residual, symmetrize, validate_covariance,
-                        wrap_angle, wrap_angle_array)
+                        observation_residual, symmetrize, wrap_angle,
+                        wrap_angle_array)
 from mot3d.kalman import predict
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6,
@@ -56,39 +56,6 @@ def test_symmetrize_fixpoint(seed):
     once = symmetrize(m)
     np.testing.assert_array_equal(symmetrize(once), once)
     np.testing.assert_allclose(once, once.T, atol=0)
-
-
-def test_validate_covariance_accepts_psd():
-    rng = np.random.default_rng(3)
-    b = rng.normal(size=(7, 7))
-    cov = b @ b.T
-    out = validate_covariance(cov, 7)
-    assert not out.flags.writeable
-    np.testing.assert_allclose(out, out.T, atol=0)
-
-
-def test_validate_covariance_rejects_asymmetric():
-    cov = np.eye(3)
-    cov[0, 1] = 1e-3
-    with pytest.raises(ValueError, match="symmetric"):
-        validate_covariance(cov, 3)
-
-
-def test_validate_covariance_rejects_negative_eigenvalue():
-    cov = np.diag([1.0, -0.5, 1.0])
-    with pytest.raises(ValueError):
-        validate_covariance(cov, 3)
-
-
-def test_validate_covariance_rejects_wrong_size():
-    with pytest.raises(ValueError):
-        validate_covariance(np.eye(4), 3)
-
-
-def test_validate_covariance_allows_tiny_negative_drift():
-    # eigenvalues down to the -1e-9 floor pass
-    cov = np.diag([1.0, -5e-10, 1.0])
-    validate_covariance(cov, 3)
 
 
 def test_observation_validation():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mot3d.core import OBS_DIM, STATE_DIM, wrap_angle
-from mot3d.errors import CalibrationError, NumericalError
+from mot3d.errors import NumericalError
 from mot3d.kalman import predict, update
 
 ANGLE = 3
@@ -222,17 +222,6 @@ def test_singular_innovation_raises_numerical_error():
     with pytest.raises(NumericalError) as exc_info:
         update(prediction, np.array([0, 0, 0, 0, 1, 1, 1]))
     assert "condition" in str(exc_info.value)
-
-
-def test_invalid_noise_raises_calibration_error():
-    rng = np.random.default_rng(46)
-    estimate = random_estimate(rng)
-    with pytest.raises(CalibrationError):
-        predict(*estimate, np.zeros((3, 3)), np.eye(OBS_DIM))
-    asym = np.eye(STATE_DIM)
-    asym[0, 1] = 0.5
-    with pytest.raises(CalibrationError):
-        predict(*estimate, asym, np.eye(OBS_DIM))
 
 
 def test_thousand_cycles_stay_symmetric_psd():

@@ -244,6 +244,8 @@ def test_object_spec_validation():
         ObjectSpec("car", x=0.0, y=0.0, first_frame=-1)
     with pytest.raises(ValueError, match="lifespan"):
         ObjectSpec("car", x=0.0, y=0.0, lifespan=0)
+    with pytest.raises(ValueError, match="vx must be finite"):
+        ObjectSpec("car", x=0.0, y=0.0, vx=math.inf)
     assert ObjectSpec("car", x=0.0, y=0.0).extents() == CLASS_SIZES["car"]
     custom = ObjectSpec("car", x=0.0, y=0.0, size=[5.0, 2.2, 1.6])
     assert custom.extents() == (5.0, 2.2, 1.6)
@@ -260,6 +262,14 @@ def test_noise_spec_validation():
         NoiseSpec(score_range=(0.9, 0.5))
     with pytest.raises(ValueError, match="score_range"):
         NoiseSpec(score_range=(0.5, 1.2))
+    with pytest.raises(ValueError, match="fp_rate"):
+        NoiseSpec(fp_rate=math.nan)
+    with pytest.raises(ValueError, match="position_sigma must be finite"):
+        NoiseSpec(position_sigma=math.nan)
+    with pytest.raises(ValueError, match="accel_sigma must be finite and non-negative"):
+        NoiseSpec(accel_sigma=(0.1, -0.1, 0.0, 0.0))
+    with pytest.raises(ValueError, match="angle_sigma"):
+        NoiseSpec(angle_sigma=-1.0)
 
 
 def test_scenario_spec_validation():
@@ -271,3 +281,8 @@ def test_scenario_spec_validation():
         simple_spec(frame_count=0)
     with pytest.raises(ValueError, match="bounds"):
         simple_spec(bounds=(5.0, -5.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        simple_spec(bounds=(-5.0, math.inf, 0.0, 1.0))
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            simple_spec(seed=seed)
