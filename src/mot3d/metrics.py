@@ -11,6 +11,12 @@ and the average of MOTAR over an evenly spaced recall grid
 {1/(n-1), ..., 1} is the class AMOTA.  The overall score is the
 unweighted mean over classes present in the ground truth.
 
+The thresholds are a class's distinct track scores.  A frame's kept
+boxes change only at its own scores, so each frame is matched once per
+distinct score it holds; a threshold then recounts only the scenes
+holding a box with that score, replaying their kept matchings (identity
+switches depend on frame order).  Cost grows linearly with the scenes.
+
 Matching uses greedy 2D center distance under a 2 meter gate.  The
 formulas are implemented exactly as stated; counts, thresholds, and
 tie-breaking follow this module's matching protocol, so scores are not
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -48,24 +55,30 @@ def match_frame(gt_boxes: Sequence[Box], track_boxes: Sequence[Box],
     changed counts one identity switch.  Returns (assignment, tp, fp,
     fn, ids) where assignment covers only this frame's matches.
     """
-    result = greedy_center_match(
-        [g.observation for g in gt_boxes],
-        [t.observation for t in track_boxes],
-        gate,
-    )
+    pairs, fp = _match_pairs(gt_boxes, track_boxes, gate)
+    assignment, ids = _switches(pairs, prev_assignment)
+    return assignment, len(pairs), fp, len(gt_boxes) - len(pairs), ids
+
+
+def _match_pairs(gt_boxes: Sequence[Box], track_boxes: Sequence[Box], gate: float) -> tuple:
+    """Greedy center matching as ([(instance_id, track_id), ...], fp)."""
+    result = greedy_center_match([g.observation for g in gt_boxes],
+                                 [t.observation for t in track_boxes], gate)
+    pairs = [(gt_boxes[gi].instance_id, track_boxes[tj].track_id)
+             for gi, tj, _ in result.pairs]
+    return pairs, len(result.unmatched_detections)
+
+
+def _switches(pairs, prev_assignment: Mapping[str, int]) -> tuple:
+    """This frame's instance -> track_id assignment and its identity switches."""
     assignment = {}
     ids = 0
-    for gi, tj, _ in result.pairs:
-        instance = gt_boxes[gi].instance_id
-        track_id = track_boxes[tj].track_id
+    for instance, track_id in pairs:
         previous = prev_assignment.get(instance)
         if previous is not None and previous != track_id:
             ids += 1
         assignment[instance] = track_id
-    tp = len(result.pairs)
-    fp = len(result.unmatched_detections)
-    fn = len(result.unmatched_predictions)
-    return assignment, tp, fp, fn, ids
+    return assignment, ids
 
 
 def motar(ids: int, fp: int, fn: int, positives: int, recall: float) -> float:
@@ -151,14 +164,7 @@ class EvalReport:
         }
 
 
-@dataclass(frozen=True)
-class _OperatingPoint:
-    threshold: float
-    recall: float
-    tp: int
-    fp: int
-    fn: int
-    ids: int
+_OperatingPoint = namedtuple("_OperatingPoint", "threshold recall tp fp fn ids")
 
 
 def _boxes_for_class(boxes_by_scene: Mapping, label: str) -> dict:
@@ -172,25 +178,50 @@ def _boxes_for_class(boxes_by_scene: Mapping, label: str) -> dict:
     return out
 
 
-def _counts_at_threshold(gt: Mapping, tracks: Mapping, threshold: float,
-                         positives: int, gate: float) -> _OperatingPoint:
-    """Full-split counts keeping only track boxes with score >= threshold."""
-    tp = fp = ids = 0
+def _sweep(gt: Mapping, tracks: Mapping, thresholds: Sequence[float],
+           positives: int, gate: float) -> list:
+    """Full-split counts at each descending threshold (see the module notes)."""
+    matchings = []  # per scene, per frame: (pairs, fp) at the current threshold
+    changes: dict = {}  # score -> frames holding a track box with that score
     for scene_id in sorted(set(gt) | set(tracks)):
-        prev_assignment: dict = {}
         gt_frames = gt.get(scene_id, {})
         track_frames = tracks.get(scene_id, {})
-        for frame_index in sorted(set(gt_frames) | set(track_frames)):
-            gt_boxes = gt_frames.get(frame_index, [])
-            track_boxes = [t for t in track_frames.get(frame_index, [])
-                           if t.score >= threshold]
-            assignment, frame_tp, frame_fp, _, frame_ids = match_frame(
-                gt_boxes, track_boxes, prev_assignment, gate)
-            prev_assignment.update(assignment)
-            tp += frame_tp
-            fp += frame_fp
-            ids += frame_ids
-    return _OperatingPoint(threshold, tp / positives, tp, fp, positives - tp, ids)
+        frame_indices = sorted(set(gt_frames) | set(track_frames))
+        for position, frame_index in enumerate(frame_indices):
+            boxes = track_frames.get(frame_index, [])
+            for score in {t.score for t in boxes}:
+                changes.setdefault(score, []).append(
+                    (len(matchings), position, gt_frames.get(frame_index, []), boxes))
+        matchings.append([((), 0)] * len(frame_indices))
+
+    scene_counts = [(0, 0, 0)] * len(matchings)  # per scene: tp, fp, ids
+    totals = (0, 0, 0)
+    points = []
+    for threshold in thresholds:
+        touched = set()
+        for scene, position, gt_boxes, boxes in changes[threshold]:
+            kept = [t for t in boxes if t.score >= threshold]
+            matchings[scene][position] = _match_pairs(gt_boxes, kept, gate)
+            touched.add(scene)
+        for scene in touched:
+            old, scene_counts[scene] = scene_counts[scene], _replay(matchings[scene])
+            totals = tuple(t + a - b for t, a, b in zip(totals, scene_counts[scene], old))
+        tp, fp, ids = totals
+        points.append(_OperatingPoint(threshold, tp / positives, tp, fp, positives - tp, ids))
+    return points
+
+
+def _replay(frames) -> tuple:
+    """(tp, fp, ids) of one scene from its frames' (pairs, fp) in order."""
+    prev_assignment: dict = {}
+    tp = fp = ids = 0
+    for pairs, frame_fp in frames:
+        assignment, frame_ids = _switches(pairs, prev_assignment)
+        prev_assignment.update(assignment)
+        tp += len(pairs)
+        fp += frame_fp
+        ids += frame_ids
+    return tp, fp, ids
 
 
 def _class_report(label: str, gt: Mapping, tracks: Mapping, n: int,
@@ -200,38 +231,26 @@ def _class_report(label: str, gt: Mapping, tracks: Mapping, n: int,
         {t.score for frames in tracks.values() for boxes in frames.values() for t in boxes},
         reverse=True,
     )
-    points = [_counts_at_threshold(gt, tracks, threshold, positives, gate)
-              for threshold in thresholds]
-
+    points = _sweep(gt, tracks, thresholds, positives, gate)
+    # an unreachable target reports the highest-recall point, or no tracks at all
+    fallback = max(points, key=lambda point: point.recall,
+                   default=_OperatingPoint(math.nan, 0.0, 0, 0, positives, 0))
     samples = []
     for i in range(1, n):
         target = i / (n - 1)
         chosen = next((point for point in points if point.recall >= target), None)
-        if chosen is None:
-            fallback = max(points, key=lambda point: point.recall) if points else None
-            samples.append(RecallSample(
-                target_recall=target,
-                achieved_recall=fallback.recall if fallback else 0.0,
-                motar=0.0,
-                ids=fallback.ids if fallback else 0,
-                fp=fallback.fp if fallback else 0,
-                fn=fallback.fn if fallback else positives,
-                positives=positives,
-                score_threshold=fallback.threshold if fallback else math.nan,
-                reachable=False,
-            ))
-            continue
-        value = min(1.0, motar(chosen.ids, chosen.fp, chosen.fn, positives, target))
+        point = chosen or fallback
         samples.append(RecallSample(
             target_recall=target,
-            achieved_recall=chosen.recall,
-            motar=value,
-            ids=chosen.ids,
-            fp=chosen.fp,
-            fn=chosen.fn,
+            achieved_recall=point.recall,
+            motar=0.0 if chosen is None else min(
+                1.0, motar(point.ids, point.fp, point.fn, positives, target)),
+            ids=point.ids,
+            fp=point.fp,
+            fn=point.fn,
             positives=positives,
-            score_threshold=chosen.threshold,
-            reachable=True,
+            score_threshold=point.threshold,
+            reachable=chosen is not None,
         ))
     amota_value = sum(sample.motar for sample in samples) / len(samples)
     return ClassReport(label, amota_value, positives, tuple(samples))

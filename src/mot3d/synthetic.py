@@ -184,8 +184,17 @@ def generate(spec: ScenarioSpec) -> tuple:
     """Build one scene; returns (gt_frames, detection_frames).
 
     Both are dicts over every frame index in [0, frame_count); frames
-    may hold empty lists.
+    may hold empty lists.  A scene whose poses or noise leave the float
+    range raises ValueError.
     """
+    with np.errstate(over="raise"):
+        try:
+            return _generate(spec)
+        except FloatingPointError as exc:
+            raise ValueError(f"scene {spec.scene_id!r} leaves the float range: {exc}") from None
+
+
+def _generate(spec: ScenarioSpec) -> tuple:
     rng = np.random.default_rng(spec.seed)
     noise = spec.noise
     trajectories = [_trajectory(spec, obj, rng) for obj in spec.objects]
@@ -301,9 +310,9 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
     }
 
 
-def spec_from_dict(data: Mapping) -> ScenarioSpec:
+def spec_from_dict(data: Mapping, location: str = "") -> ScenarioSpec:
     if not isinstance(data, Mapping):
-        raise SchemaError(f"invalid scenario spec: expected an object, got {data!r}")
+        raise SchemaError(f"invalid scenario spec: expected an object, got {data!r}", location)
     try:
         noise = NoiseSpec(**data.get("noise", {}))
         objects = tuple(ObjectSpec(**entry) for entry in data.get("objects", []))
@@ -316,7 +325,7 @@ def spec_from_dict(data: Mapping) -> ScenarioSpec:
             **extra,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"invalid scenario spec: {exc}") from None
+        raise SchemaError(f"invalid scenario spec: {exc}", location) from None
 
 
 def load_scenarios(path: str) -> list:
@@ -326,9 +335,10 @@ def load_scenarios(path: str) -> list:
         entries = data["scenarios"]
         if not isinstance(entries, list) or not entries:
             raise SchemaError("'scenarios' must be a non-empty array", path)
-        return [spec_from_dict(entry) for entry in entries]
+        return [spec_from_dict(entry, f"{path} scenarios[{index}]")
+                for index, entry in enumerate(entries)]
     if isinstance(data, dict):
-        return [spec_from_dict(data)]
+        return [spec_from_dict(data, path)]
     raise SchemaError("scenario file must hold an object", path)
 
 

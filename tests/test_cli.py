@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
 from mot3d import cli
 from mot3d.cli import build_parser, main
 from mot3d.core import Box, Observation
-from mot3d.dataset_io import write_detections
+from mot3d.dataset_io import load_tracks, write_detections
 
 SUBCOMMANDS = ("calibrate", "track", "evaluate", "simulate", "ablate", "plot")
 
@@ -157,6 +159,19 @@ def test_evaluate_reports_per_class(pipeline, tmp_path, capsys):
     data = json.loads(report_path.read_text())
     assert 0.0 <= data["overall_amota"] <= 1.0
     assert data["_meta"]["n_samples"] == 40
+    # per class: thresholds swept (distinct track scores) and the counts
+    # of the best-MOTAR sample; then the evaluation time
+    lines = printed.splitlines()
+    tracks = load_tracks(pipeline["tracks"])
+    for label, entry in data["classes"].items():
+        scores = {box.score for frames in tracks.values() for boxes in frames.values()
+                  for box in boxes if box.class_label == label}
+        best = max(entry["samples"], key=lambda sample: sample["motar"])
+        line = next(line for line in lines if line.split()[0] == label)
+        assert f" thresholds {len(scores)} " in line
+        assert f" best motar {best['motar']:.4f} " in line
+        assert line.endswith(f"ids {best['ids']} fp {best['fp']} fn {best['fn']}")
+    assert any(re.fullmatch(r"evaluated in \d+\.\d\ds", line) for line in lines)
 
 
 def test_evaluate_rejects_bad_sample_count(pipeline, capsys):
@@ -339,10 +354,13 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
         {"noise": {"position_sigma": math.nan}},
         {"objects": [dict(car, x=1e308, vx=1e308)]},
     ]
+    spec_cases = []
     for index, spec in enumerate(specs):
         spec = dict({"scene_id": "s", "frame_count": 3, "objects": [car]}, **spec)
-        cases.append(["simulate", "--spec", put(f"spec{index}.json", spec),
-                      "--out-detections", out, "--out-ground-truth", out])
+        spec_cases.append(["simulate", "--spec", put(f"spec{index}.json", spec),
+                           "--out-detections", out, "--out-ground-truth", out])
+    cases += spec_cases
+    negative_seed, overflow = spec_cases[2], spec_cases[4]
     cases.append(["simulate", "--preset", "turning", "--seed", "-1",
                   "--out-detections", out, "--out-ground-truth", out])
     # bad sweep arguments are refused before any cell is tracked
@@ -355,5 +373,15 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
     cases += [command + [f"--gate={gate}"]
               for command in (evaluate, ablate) for gate in ("nan", "0", "-1")]
     for argv in cases:
-        assert main(argv) == 1, argv
-        assert capsys.readouterr().err.startswith("mot3d: error:"), argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("mot3d: error:"), argv
+        if argv is negative_seed:
+            # the error names the spec file it came from
+            assert f"mot3d: error: {argv[2]}: invalid scenario spec: seed" in err
+        if argv is overflow:
+            # one error line, no numpy overflow warning before it
+            assert err.count("\n") == 1, err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1,13 +1,20 @@
+import collections
 import csv
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 
+from mot3d import metrics
+from mot3d.calibration import calibrate
 from mot3d.core import CLASS_LABELS, Box, Observation
+from mot3d.dataset_io import RunConfig
 from mot3d.metrics import (EVALUATION_GATE, amota, match_frame, motar,
                            write_amota_csv, write_report)
+from mot3d.synthetic import generate_suite, standard_suite, standard_suite_calibration
+from mot3d.tracker import boxes_by_frame, run_scene
 
 CAR_SIZE = (4.0, 2.0, 1.5)
 
@@ -254,3 +261,137 @@ def test_write_amota_csv_layout(tmp_path):
     # classes without ground truth stay blank
     bus_column = rows[0].index("bus")
     assert rows[1][bus_column] == ""
+
+
+# ------------------------------------------------ the incremental sweep
+
+
+def reference_counts_at_threshold(gt, tracks, threshold, positives, gate):
+    """Brute force: every frame of the split re-matched at this threshold."""
+    tp = fp = ids = 0
+    for scene_id in sorted(set(gt) | set(tracks)):
+        prev_assignment: dict = {}
+        gt_frames = gt.get(scene_id, {})
+        track_frames = tracks.get(scene_id, {})
+        for frame_index in sorted(set(gt_frames) | set(track_frames)):
+            gt_boxes = gt_frames.get(frame_index, [])
+            track_boxes = [t for t in track_frames.get(frame_index, [])
+                           if t.score >= threshold]
+            assignment, frame_tp, frame_fp, _, frame_ids = match_frame(
+                gt_boxes, track_boxes, prev_assignment, gate)
+            prev_assignment.update(assignment)
+            tp += frame_tp
+            fp += frame_fp
+            ids += frame_ids
+    return metrics._OperatingPoint(threshold, tp / positives, tp, fp, positives - tp, ids)
+
+
+def reference_sweep(gt, tracks, thresholds, positives, gate):
+    return [reference_counts_at_threshold(gt, tracks, threshold, positives, gate)
+            for threshold in thresholds]
+
+
+def reference_report_json(tracks, gt, n, monkeypatch):
+    """The report as the brute-force sweep gives it; NaN serializes as NaN."""
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "_sweep", reference_sweep)
+        return json.dumps(amota(tracks, gt, n=n).to_dict())
+
+
+def random_case(rng):
+    """A few scenes and classes on a half-meter grid with five score values.
+
+    Instances sit exactly one gate apart, so distances tie; track ids
+    come from a small pool, so identities switch and switch back; a
+    frame may hold only ground truth or only tracks, and buses appear
+    only in the tracks.
+    """
+    gt: dict = {}
+    tracks: dict = {}
+    for s in range(rng.randint(1, 3)):
+        scene = f"s{s}"
+        for frame in sorted(rng.sample(range(8), rng.randint(1, 6))):
+            for label in ("car", "pedestrian", "bus"):
+                if label != "bus":
+                    for k in range(rng.randint(0, 3)):
+                        if rng.random() < 0.7:
+                            gt.setdefault(scene, {}).setdefault(frame, []).append(gt_box(
+                                frame, x=EVALUATION_GATE * k, instance=f"{label}{k}",
+                                label=label, scene=scene))
+                for track_id in rng.sample(range(1, 6), rng.randint(0, 4)):
+                    tracks.setdefault(scene, {}).setdefault(frame, []).append(track_box(
+                        frame, x=rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 20.0]),
+                        y=rng.choice([0.0, 0.5]), track_id=track_id,
+                        score=rng.choice([0.2, 0.4, 0.6, 0.8, 1.0]), label=label, scene=scene))
+    return gt, tracks
+
+
+def test_incremental_sweep_equals_brute_force(monkeypatch):
+    rng = random.Random(5)
+    seen: collections.Counter = collections.Counter()
+    cases = 0
+    while cases < 200:
+        gt, tracks = random_case(rng)
+        if not gt:
+            continue
+        cases += 1
+        n = rng.choice([2, 3, 7, 40])
+        report = amota(tracks, gt, n=n)
+        assert json.dumps(report.to_dict()) == reference_report_json(tracks, gt, n, monkeypatch)
+
+        scene_scores = []
+        for scene, frames in tracks.items():
+            frame_scores = []
+            for frame, boxes in frames.items():
+                scores = [(b.class_label, b.score) for b in boxes]
+                seen["tie in a frame"] += len(set(scores)) < len(scores)
+                seen["tracks-only frame"] += frame not in gt.get(scene, {})
+                frame_scores.append(set(scores))
+            scene_scores.append(set().union(*frame_scores))
+            seen["tie across frames"] += sum(map(len, frame_scores)) > len(scene_scores[-1])
+        seen["tie across scenes"] += any(a & b for i, a in enumerate(scene_scores)
+                                         for b in scene_scores[i + 1:])
+        seen["gt-only frame"] += any(frame not in tracks.get(scene, {})
+                                     for scene, frames in gt.items() for frame in frames)
+        seen["tracks-only class"] += "bus" in report.skipped_classes
+        samples = [sample for entry in report.classes.values() for sample in entry.samples]
+        seen["unreachable target"] += any(not sample.reachable for sample in samples)
+        seen["identity switch"] += any(sample.ids for sample in samples)
+        seen["no thresholds"] += any(math.isnan(sample.score_threshold) for sample in samples)
+    assert len(seen) == 9 and all(seen.values()), seen
+
+
+def test_switch_back_to_an_earlier_track_counts_twice(monkeypatch):
+    # A is tracked by 1, then 2, then 1 again; frames 0 and 2 share a score
+    gt = by_frame([gt_box(f, instance="A") for f in range(3)])
+    tracks = by_frame([track_box(0, track_id=1, score=0.5),
+                       track_box(1, track_id=2, score=0.7),
+                       track_box(2, track_id=1, score=0.5)])
+    report = amota(tracks, gt, n=4)
+    assert json.dumps(report.to_dict()) == reference_report_json(tracks, gt, 4, monkeypatch)
+    low, _, full = report.classes["car"].samples
+    assert (low.score_threshold, low.ids) == (0.7, 0)
+    assert (full.score_threshold, full.ids) == (0.5, 2)
+
+
+def test_amota_matches_each_frame_once_per_score_it_holds(monkeypatch):
+    cal_gt, cal_det = generate_suite([standard_suite_calibration()])
+    noise = calibrate(cal_gt, cal_det)
+    ground_truth, detections = generate_suite(standard_suite())
+    config = RunConfig(matcher="greedy", affinity="mahalanobis")
+    tracks = {scene: boxes_by_frame(run_scene(frames, noise, config))
+              for scene, frames in detections.items()}
+    # the sweep is per class, so a frame holds one score set per class
+    bound = sum(len({(box.class_label, box.score) for box in boxes})
+                for frames in tracks.values() for boxes in frames.values())
+    calls = []
+    match = metrics.greedy_center_match
+
+    def counted(*args):
+        calls.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(metrics, "greedy_center_match", counted)
+    report = amota(tracks, ground_truth)
+    assert report.overall_amota == 0.7648924008865539
+    assert 0 < len(calls) <= bound

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 
@@ -122,6 +123,16 @@ def test_detection_scores_respect_range():
     assert all(0.55 <= s <= 0.8 for s in scores)
 
 
+def test_overflowing_scene_is_a_value_error_without_warnings():
+    runaway = simple_spec(objects=(ObjectSpec("car", x=1e308, y=0.0, vx=1e308),))
+    wide = simple_spec(noise=NoiseSpec(position_sigma=1e308))
+    for spec in (runaway, wide):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                generate(spec)
+
+
 def test_first_frame_and_lifespan_window():
     spec = simple_spec(
         frame_count=30,
@@ -193,6 +204,16 @@ def test_load_scenarios_errors(tmp_path):
     not_an_object.write_text(json.dumps({"scenarios": [1]}))
     with pytest.raises(SchemaError, match="invalid scenario spec"):
         load_scenarios(str(not_an_object))
+    # errors name the file and, in a collection, the entry
+    third_bad = tmp_path / "third_bad.json"
+    good = spec_to_dict(simple_spec())
+    third_bad.write_text(json.dumps({"scenarios": [good, good, dict(good, seed=-1)]}))
+    with pytest.raises(SchemaError) as raised:
+        load_scenarios(str(third_bad))
+    assert str(raised.value).startswith(f"{third_bad} scenarios[2]: invalid scenario spec: seed")
+    with pytest.raises(SchemaError) as raised:
+        load_scenarios(str(invalid))
+    assert str(raised.value).startswith(f"{invalid}: invalid scenario spec")
 
 
 def test_generate_suite_and_meta():
