@@ -117,14 +117,35 @@ def mahalanobis_affinity(predictions: Sequence[Prediction],
     return AffinityMatrix(values, MAHALANOBIS_DISTANCE)
 
 
+def _bounds(boxes: Sequence[Observation]):
+    """Centers (K, 2), footprint circle radii, and z bottoms and tops of boxes."""
+    arr = np.array([box.to_array() for box in boxes]).reshape(-1, OBS_DIM)
+    z, half_h = arr[:, 2], arr[:, 6] / 2.0
+    return arr[:, :2], 0.5 * np.hypot(arr[:, 4], arr[:, 5]), z - half_h, z + half_h
+
+
 def iou_affinity(predictions: Sequence[Prediction],
                  observations: Sequence[Observation]) -> AffinityMatrix:
-    """Pairwise 3D IOU between predicted boxes and detections."""
-    values = np.zeros((len(predictions), len(observations)))
-    for i, prediction in enumerate(predictions):
-        predicted = Observation.from_array(prediction.mean[:OBS_DIM])
-        for j, obs in enumerate(observations):
-            values[i, j] = iou_3d(predicted, obs)
+    """Pairwise 3D IOU between predicted boxes and detections.
+
+    A pair whose footprint circles (centered on the box, radius half
+    the footprint diagonal) or height intervals are disjoint scores 0
+    without clipping, the value iou_3d gives it; iou_3d runs on the
+    other pairs only.  Circles within a relative 1e-9 of touching count
+    as overlapping, so rounding cannot drop a pair that iou_3d scores.
+    """
+    predicted = [Observation.from_array(p.mean[:OBS_DIM]) for p in predictions]
+    centers_a, radii_a, bottoms_a, tops_a = _bounds(predicted)
+    centers_b, radii_b, bottoms_b, tops_b = _bounds(observations)
+    offsets = centers_a[:, None, :] - centers_b[None, :, :]
+    near = (np.hypot(offsets[..., 0], offsets[..., 1])
+            <= (radii_a[:, None] + radii_b[None, :]) * (1.0 + 1e-9))
+    # The same sums iou_3d forms: its height overlap is positive exactly here.
+    z_overlap = (np.minimum(tops_a[:, None], tops_b[None, :])
+                 > np.maximum(bottoms_a[:, None], bottoms_b[None, :]))
+    values = np.zeros((len(predicted), len(observations)))
+    for i, j in zip(*np.nonzero(near & z_overlap)):
+        values[i, j] = iou_3d(predicted[i], observations[j])
     return AffinityMatrix(values, IOU_SCORE)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mot3d import association
 from mot3d.association import (IOU_SCORE, box_corners_bev, clip_polygon,
                                iou_3d, iou_affinity, polygon_area)
 from mot3d.core import Observation, wrap_angle
@@ -178,3 +179,95 @@ def test_iou_affinity_matrix():
     assert matrix.values[1, 1] > 0.7
     assert matrix.values[0, 2] == 0.0
     assert matrix.kind == IOU_SCORE
+
+
+def per_pair_iou(boxes, detections) -> np.ndarray:
+    return np.array([[iou_3d(b, d) for d in detections] for b in boxes]).reshape(
+        len(boxes), len(detections))
+
+
+def corner_to_corner(turn: float, side: float = 2.0) -> tuple:
+    """Two squares turned by turn whose corners meet on their center line.
+
+    The center distance is the sum of the two half-diagonals, up to the
+    rounding of the placement.
+    """
+    reach = 2.0 * (0.5 * math.hypot(side, side))
+    direction = turn + math.pi / 4.0
+    return (box(a=turn, l=side, w=side),
+            box(x=reach * math.cos(direction), y=reach * math.sin(direction),
+                a=turn, l=side, w=side))
+
+
+EDGE_FRAMES = {
+    "far apart": ([box(), box(x=-30, y=7)], [box(x=100.0), box(y=-40.0, a=1.2)]),
+    "faces touching in x": ([box(l=1, w=1, h=1), box(x=5, a=0.3, l=3)],
+                            [box(x=1.0, l=1, w=1, h=1), box(x=-1.0, l=1, w=1, h=1),
+                             box(x=8, a=0.3, l=3)]),
+    "corners touching": tuple(zip(*[corner_to_corner(turn)
+                                    for turn in np.linspace(-3.0, 3.0, 13)])),
+    "nested and coincident centers": ([box(l=4, w=4, h=4), box(x=3, a=0.7)],
+                                      [box(l=2, w=2, h=2), box(x=3, a=-0.2, l=5, w=1),
+                                       box(l=4, w=4, h=4), box(x=3, a=0.7)]),
+    "disjoint and touching in z": ([box(h=1)],
+                                   [box(z=5.0, h=1), box(z=1.0, h=1), box(z=-1.0, h=1),
+                                    box(z=0.999, h=1), box(z=-0.5, h=0.5)]),
+    "no predictions": ([], [box(), box(x=3)]),
+    "no detections": ([box(), box(x=3)], []),
+}
+
+
+def random_frame(rng) -> tuple:
+    """Boxes on a 12 m square, half the detections placed near a prediction."""
+    def random_box(x, y, z):
+        return box(x=x, y=y, z=z, a=rng.choice([0.0, rng.uniform(-math.pi, math.pi)]),
+                   l=rng.uniform(0.5, 5.0), w=rng.uniform(0.5, 3.0), h=rng.uniform(0.5, 3.0))
+
+    boxes = [random_box(*rng.uniform(-6, 6, 2), rng.uniform(-1, 1))
+             for _ in range(rng.integers(0, 10))]
+    detections = []
+    for _ in range(rng.integers(0, 10)):
+        if boxes and rng.random() < 0.5:
+            near = boxes[rng.integers(len(boxes))]
+            detections.append(random_box(near.x + rng.uniform(-2, 2),
+                                         near.y + rng.uniform(-2, 2),
+                                         near.z + rng.choice([0.0, near.h, -2.5])))
+        else:
+            detections.append(random_box(*rng.uniform(-6, 6, 2), rng.uniform(-1, 1)))
+    return boxes, detections
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FRAMES))
+def test_iou_affinity_equals_per_pair_iou_on_edge_cases(name, monkeypatch):
+    boxes, detections = EDGE_FRAMES[name]
+    clipped = []
+    monkeypatch.setattr(association, "iou_3d",
+                        lambda a, b: clipped.append((a, b)) or iou_3d(a, b))
+    values = iou_affinity([as_prediction(b) for b in boxes], detections).values
+    assert np.array_equal(values, per_pair_iou(boxes, detections))
+    if name == "corners touching":
+        # every center distance is the sum of the radii up to rounding,
+        # so every pair must be clipped rather than pruned
+        assert len(clipped) == len(boxes) * len(detections)
+    if name == "far apart":
+        assert clipped == []
+
+
+def test_iou_affinity_equals_per_pair_iou_on_random_frames():
+    rng = np.random.default_rng(6)
+    scored = 0
+    for _ in range(300):
+        boxes, detections = random_frame(rng)
+        expected = per_pair_iou(boxes, detections)
+        values = iou_affinity([as_prediction(b) for b in boxes], detections).values
+        assert np.array_equal(values, expected)
+        scored += np.count_nonzero(expected)
+    assert scored > 300
+
+
+def test_iou_affinity_rejects_an_invalid_prediction_that_overlaps_nothing():
+    mean = np.concatenate([box(x=100.0, y=100.0).to_array(), np.zeros(4)])
+    mean[4] = -1.0  # l <= 0
+    invalid = Prediction(mean, np.eye(11), np.eye(7))
+    with pytest.raises(ValueError, match="l must be positive"):
+        iou_affinity([as_prediction(box()), invalid], [box(), box(x=1.0)])

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from mot3d import association
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
 from mot3d.core import ANGLE_INDEX, Box, Observation, wrap_angle
 from mot3d.dataset_io import RunConfig
 from mot3d.errors import ConfigError, SchemaError, SequencingError
-from mot3d.synthetic import generate_suite, standard_suite, standard_suite_calibration
+from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
+                             standard_suite_calibration)
 from mot3d.tracker import MultiObjectTracker, run_scene
 
 CAR_SIZE = (4.0, 2.0, 1.5)
@@ -319,3 +321,20 @@ def test_per_class_gate_override():
     tracker_ids = {rec.track_id for out in loose for rec in out.records}
     assert tracker_ids == {1}
     assert loose[-1].records[0].observation.x > 1.0
+
+
+def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):
+    # 100 objects 15 m apart: each track can overlap about one detection
+    _, frames = generate(calibration_scenario(objects=100, frame_count=10, spacing=15.0))
+    clipped = []
+    real_iou_3d = association.iou_3d
+    monkeypatch.setattr(association, "iou_3d",
+                        lambda a, b: clipped.append(1) or real_iou_3d(a, b))
+    tracker = MultiObjectTracker(NoiseModel.default_covariance(),
+                                 RunConfig(affinity="iou", matcher="hungarian"))
+    for frame_index, detections in frames.items():
+        clipped.clear()
+        tracks = len(tracker.tracks)
+        tracker.step(frame_index, detections)
+        assert len(clipped) <= 2 * max(tracks, len(detections))
+    assert tracker.stats.confirmed > 0
