@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.optimize import linear_sum_assignment
 
-from .core import (ANGLE_INDEX, OBS_DIM, Observation, observation_residual,
-                   wrap_angle, wrap_angle_array)
-from .kalman import Prediction, innovation_factor
+from .core import ANGLE_INDEX, OBS_DIM, Observation, observation_residual, wrap_angle_array
+from .errors import NumericalError
+from .kalman import Prediction
 
 MAHALANOBIS_DISTANCE = "mahalanobis_distance"
 IOU_SCORE = "iou_score"
@@ -74,20 +73,20 @@ class MatchResult:
     unmatched_detections: tuple
 
 
-def orientation_correct(predicted_angle: float, detected_angle):
+def orientation_correct(predicted_angle, detected_angle):
     """Flip the predicted yaw by pi where it faces away from the detection.
 
     Detectors cannot tell a box from its 180-degree flip, so where the
     wrapped difference lies beyond pi/2 in magnitude the prediction is
-    rotated by pi before residuals are formed.  detected_angle is a
-    scalar or an array; returns the corrected predicted yaw, wrapped,
-    in the same shape.  Covariances are left alone: the flip relabels
+    rotated by pi before residuals are formed.  The angles are scalars or
+    arrays that broadcast; returns the corrected predicted yaw, wrapped,
+    in their shape.  Covariances are left alone: the flip relabels
     an orientation the box cannot distinguish, it adds no information.
     """
-    predicted_angle = wrap_angle(predicted_angle)
+    predicted_angle = wrap_angle_array(predicted_angle)
     delta = wrap_angle_array(np.subtract(detected_angle, predicted_angle))
     flipped = np.where(np.abs(delta) > math.pi / 2.0,
-                       wrap_angle(predicted_angle + math.pi), predicted_angle)
+                       wrap_angle_array(predicted_angle + math.pi), predicted_angle)
     return flipped if flipped.ndim else float(flipped)
 
 
@@ -98,22 +97,28 @@ def mahalanobis(prediction: Prediction, observation: Observation) -> float:
     (see orientation_correct); the yaw residual is wrapped here.
     """
     nu = observation_residual(observation.to_array(), prediction.mean[:OBS_DIM])
-    return math.sqrt(nu @ cho_solve(innovation_factor(prediction.innovation_cov), nu))
+    return math.sqrt(nu @ prediction.solve(nu))
 
 
 def mahalanobis_affinity(predictions: Sequence[Prediction],
                          observations: Sequence[Observation]) -> AffinityMatrix:
     """Pairwise Mahalanobis distances with per-pair orientation correction."""
     detected = np.array([obs.to_array() for obs in observations]).reshape(-1, OBS_DIM)
-    values = np.zeros((len(predictions), len(detected)))
-    for i, prediction in enumerate(predictions):
-        predicted = np.tile(prediction.mean[:OBS_DIM], (len(detected), 1))
-        predicted[:, ANGLE_INDEX] = orientation_correct(
-            prediction.mean[ANGLE_INDEX], detected[:, ANGLE_INDEX])
+    predicted = np.array([p.mean[:OBS_DIM] for p in predictions]).reshape(-1, 1, OBS_DIM)
+    predicted = predicted.repeat(len(detected), axis=1)
+    predicted[..., ANGLE_INDEX] = orientation_correct(
+        predicted[..., ANGLE_INDEX], detected[:, ANGLE_INDEX])
+    with np.errstate(over="ignore"):  # inf residuals fail the solve; inf distances never match
         nu = observation_residual(detected, predicted)
-        solved = cho_solve(innovation_factor(prediction.innovation_cov), nu.T)
-        # Row j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
-        values[i] = np.sqrt((nu[:, None, :] @ solved.T[:, :, None]).ravel())
+        values = np.zeros(nu.shape[:2])
+        for i, prediction in enumerate(predictions):
+            try:
+                solved = prediction.solve(nu[i].T)
+            except NumericalError as exc:
+                exc.row = i  # the tracker names the track from it
+                raise
+            # Row j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
+            values[i] = np.sqrt((nu[i][:, None, :] @ solved.T[:, :, None]).ravel())
     return AffinityMatrix(values, MAHALANOBIS_DISTANCE)
 
 

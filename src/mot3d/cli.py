@@ -43,7 +43,11 @@ class _Parser(argparse.ArgumentParser):
 def _track_scene(payload):
     scene_id, frames, noise, config = payload
     tracker = MultiObjectTracker(noise, config)
-    outputs = [tracker.step(frame, frames[frame]) for frame in frames]
+    try:
+        outputs = [tracker.step(frame, frames[frame]) for frame in frames]
+    except NumericalError as exc:
+        exc.location = f"scene {scene_id}, {exc.location}"
+        raise
     return scene_id, outputs, tracker.stats
 
 

@@ -48,7 +48,7 @@ def wrap_angle(theta: float) -> float:
 def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
     """Vectorized wrap to [-pi, pi); inputs must be finite."""
     theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("angles must be finite")
     return (theta + math.pi) % _TWO_PI - math.pi
 

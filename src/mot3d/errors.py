@@ -38,6 +38,13 @@ class SequencingError(Mot3dError):
 class NumericalError(Mot3dError):
     """Linear algebra failed; carries the offending matrix condition estimate."""
 
+    row = None  # index of the failing prediction within a batch
+    location = ""  # scene, frame, class and track, filled in by callers that know them
+
     def __init__(self, message, condition=float("nan")):
         self.condition = condition
-        super().__init__(f"{message} (condition estimate: {condition:.3e})")
+        super().__init__(message)
+
+    def __str__(self):
+        text = f"{self.args[0]} (condition estimate: {self.condition:.3e})"
+        return f"{self.location}: {text}" if self.location else text

@@ -4,17 +4,18 @@ A belief is a mean array of shape (11,) and a covariance array of
 shape (11, 11).  The motion model is linear constant-velocity over
 discrete frames, so both steps are the textbook equations.  The only
 non-linearity is the yaw component, which gets re-wrapped after every
-additive operation.  Innovation covariances are factored once by
-Cholesky (innovation_factor); a factorization failure is surfaced as
-NumericalError rather than silently regularized.
+additive operation.  Each prediction factors S by Cholesky once, on first
+use, for association and update to share; bad input or a failed
+factorization is surfaced as NumericalError, never silently regularized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .core import (
     ANGLE_INDEX,
@@ -27,6 +28,9 @@ from .core import (
     wrap_angle,
 )
 from .errors import NumericalError
+
+# What scipy.linalg.cho_factor and cho_solve call, minus their per-call checks.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((OBS_DIM, OBS_DIM)),))
 
 
 @dataclass(frozen=True)
@@ -42,16 +46,22 @@ class Prediction:
     cov: np.ndarray
     innovation_cov: np.ndarray
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor of S; NumericalError if S is not finite and PD."""
+        if not np.isfinite(self.innovation_cov).all():
+            raise NumericalError("innovation covariance is not finite")
+        factor, info = _POTRF(self.innovation_cov, lower=True, clean=False)
+        if info:
+            raise NumericalError("innovation covariance is not positive definite",
+                                 condition=float(np.linalg.cond(self.innovation_cov)))
+        return factor
 
-def innovation_factor(innovation_cov: np.ndarray):
-    """Lower Cholesky factor of S for cho_solve; NumericalError if S is not PD."""
-    try:
-        return cho_factor(innovation_cov, lower=True)
-    except LinAlgError:
-        raise NumericalError(
-            "innovation covariance is not positive definite",
-            condition=float(np.linalg.cond(innovation_cov)),
-        ) from None
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """S^-1 rhs for rhs of shape (7,) or (7, K); NumericalError if rhs is not finite."""
+        if not np.isfinite(rhs).all():
+            raise NumericalError("residual or covariance is not finite")
+        return _POTRS(self.factor, rhs, lower=True)[0]
 
 
 def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
@@ -71,22 +81,25 @@ def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
     return Prediction(mean, cov, symmetrize(h @ cov @ h.T + observation_noise))
 
 
-def update(prediction: Prediction, observation: np.ndarray) -> tuple:
+def update(prediction: Prediction, observation: np.ndarray, yaw=None) -> tuple:
     """Condition a prediction on a matched observation of shape (7,).
 
     K = Sigma H^T S^-1, mean <- mean + K nu, Sigma <- (I - K H) Sigma,
     with the yaw residual wrapped before it enters the correction.
+    yaw, if given, replaces the predicted yaw (an orientation flip).
     Returns the posterior (mean, cov).
     """
     sigma = prediction.cov
     h = OBSERVATION_MATRIX
+    predicted = prediction.mean.copy()
+    predicted[ANGLE_INDEX] = predicted[ANGLE_INDEX] if yaw is None else yaw
 
     # K = Sigma H^T S^-1, computed as S^-1 (H Sigma) transposed.
-    gain = cho_solve(innovation_factor(prediction.innovation_cov), h @ sigma).T
+    gain = prediction.solve(h @ sigma).T
 
-    nu = observation_residual(observation, prediction.mean[:OBS_DIM])
+    nu = observation_residual(observation, predicted[:OBS_DIM])
 
-    mean = prediction.mean + gain @ nu
+    mean = predicted + gain @ nu
     mean[ANGLE_INDEX] = wrap_angle(mean[ANGLE_INDEX])
     cov = symmetrize((np.eye(STATE_DIM) - gain @ h) @ sigma)
     return mean, cov

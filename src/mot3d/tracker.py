@@ -11,13 +11,14 @@ living tracks appear in the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .association import (
     MATCHERS,
+    MatchResult,
     iou_affinity,
     mahalanobis_affinity,
     orientation_correct,
@@ -25,7 +26,7 @@ from .association import (
 from .calibration import ClassNoise, NoiseModel
 from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, Observation
 from .dataset_io import RunConfig
-from .errors import ConfigError, SchemaError, SequencingError
+from .errors import ConfigError, NumericalError, SchemaError, SequencingError
 from .kalman import predict, update
 
 TENTATIVE = "tentative"
@@ -140,7 +141,12 @@ class MultiObjectTracker:
         for label in labels:
             tracks = [t for t in self.tracks if t.class_label == label]
             dets = [d for d in detections if d.class_label == label]
-            survivors.extend(self._step_class(label, tracks, dets, spawned))
+            try:
+                survivors.extend(self._step_class(label, tracks, dets, spawned))
+            except NumericalError as exc:
+                exc.location = (f"frame {frame_index}, class {label}, "
+                                f"track {tracks[exc.row].track_id}")
+                raise
         self.tracks = sorted(survivors + spawned, key=lambda t: t.track_id)
         self.stats.frames += 1
 
@@ -158,6 +164,7 @@ class MultiObjectTracker:
         q, r, sigma0 = self._matrices[label]
         predictions = [predict(t.mean, t.cov, q, r) for t in tracks]
 
+        result = MatchResult((), tuple(range(len(tracks))), tuple(range(len(detections))))
         if predictions and detections:
             observations = [d.observation for d in detections]
             if config.affinity == "iou":
@@ -165,36 +172,31 @@ class MultiObjectTracker:
             else:
                 affinity = mahalanobis_affinity(predictions, observations)
             result = MATCHERS[config.matcher](affinity, config.gate_for(label))
-            matched_tracks = {i for i, _, _ in result.pairs}
-            matched_dets = {j for _, j, _ in result.pairs}
-        else:
-            result = None
-            matched_tracks = set()
-            matched_dets = set()
 
         survivors = []
-        if result is not None:
-            for i, j, _ in result.pairs:
-                track = tracks[i]
-                detection = detections[j]
-                flipped = predictions[i].mean.copy()
-                flipped[ANGLE_INDEX] = orientation_correct(
-                    flipped[ANGLE_INDEX], detection.observation.a)
-                track.mean, track.cov = update(replace(predictions[i], mean=flipped),
-                                               detection.observation.to_array())
-                track.consecutive_hits += 1
-                track.consecutive_misses = 0
-                track.last_score = detection.score
-                track.score_sum += detection.score
-                track.score_count += 1
-                if track.status == TENTATIVE and track.consecutive_hits >= config.birth_hits:
-                    track.status = CONFIRMED
-                    self.stats.confirmed += 1
-                survivors.append(track)
+        yaws = orientation_correct([predictions[i].mean[ANGLE_INDEX] for i, _, _ in result.pairs],
+                                   [detections[j].observation.a for _, j, _ in result.pairs])
+        for (i, j, _), yaw in zip(result.pairs, yaws):
+            track = tracks[i]
+            detection = detections[j]
+            try:
+                track.mean, track.cov = update(predictions[i],
+                                               detection.observation.to_array(), yaw)
+            except NumericalError as exc:
+                exc.row = i
+                raise
+            track.consecutive_hits += 1
+            track.consecutive_misses = 0
+            track.last_score = detection.score
+            track.score_sum += detection.score
+            track.score_count += 1
+            if track.status == TENTATIVE and track.consecutive_hits >= config.birth_hits:
+                track.status = CONFIRMED
+                self.stats.confirmed += 1
+            survivors.append(track)
 
-        for i, track in enumerate(tracks):
-            if i in matched_tracks:
-                continue
+        for i in result.unmatched_predictions:
+            track = tracks[i]
             track.mean, track.cov = predictions[i].mean, predictions[i].cov
             track.consecutive_misses += 1
             track.consecutive_hits = 0
@@ -203,9 +205,8 @@ class MultiObjectTracker:
                 continue
             survivors.append(track)
 
-        for j, detection in enumerate(detections):
-            if j in matched_dets:
-                continue
+        for j in result.unmatched_detections:
+            detection = detections[j]
             track = Track(
                 track_id=self._next_id,
                 class_label=label,

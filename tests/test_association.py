@@ -10,6 +10,7 @@ from mot3d.association import (IOU_SCORE, MAHALANOBIS_DISTANCE, AffinityMatrix,
                                mahalanobis, mahalanobis_affinity,
                                orientation_correct)
 from mot3d.core import Observation, wrap_angle
+from mot3d.errors import NumericalError
 from mot3d.kalman import Prediction
 
 
@@ -102,6 +103,64 @@ def test_mahalanobis_affinity_matches_per_pair_loop():
             mean[3] = orientation_correct(mean[3], obs.a)
             flipped = dataclasses.replace(prediction, mean=mean)
             assert values[i, j] == mahalanobis(flipped, obs)
+
+
+def per_pair_mahalanobis(prediction, obs):
+    """The flip and distance of one pair, as the per-pair reference computes them."""
+    mean = prediction.mean.copy()
+    mean[3] = orientation_correct(mean[3], obs.a)
+    return mahalanobis(dataclasses.replace(prediction, mean=mean), obs)
+
+
+@pytest.mark.parametrize("n_pred, n_det", [(1, 1), (2, 9), (7, 3), (16, 16), (30, 45)])
+def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_det):
+    # the one-pass residual and flip repeat the per-pair arithmetic exactly,
+    # also for yaws on either side of +-pi and detections a quarter turn off
+    rng = np.random.default_rng(100 * n_pred + n_det)
+    for _ in range(4):
+        predictions = []
+        for _ in range(n_pred):
+            b = rng.normal(size=(7, 7))
+            yaw = rng.choice([rng.uniform(-math.pi, math.pi),
+                              wrap_angle(math.pi - rng.uniform(0.0, 1e-3)),
+                              wrap_angle(-math.pi + rng.uniform(0.0, 1e-3))])
+            obs = Observation(*rng.normal(scale=5.0, size=3), yaw, *rng.uniform(1.0, 5.0, size=3))
+            predictions.append(make_prediction(obs, b @ b.T + 0.1 * np.eye(7)))
+        detections = []
+        for _ in range(n_det):
+            base = predictions[rng.integers(n_pred)].mean[3]
+            yaw = rng.choice([rng.uniform(-math.pi, math.pi),
+                              wrap_angle(base + math.pi / 2), wrap_angle(base - math.pi / 2),
+                              wrap_angle(base + math.pi), wrap_angle(-base)])
+            detections.append(Observation(*rng.normal(scale=5.0, size=3), yaw,
+                                          *rng.uniform(1.0, 5.0, size=3)))
+        values = mahalanobis_affinity(predictions, detections).values
+        assert values.shape == (n_pred, n_det)
+        for i, prediction in enumerate(predictions):
+            for j, obs in enumerate(detections):
+                assert values[i, j] == per_pair_mahalanobis(prediction, obs)
+
+
+def test_mahalanobis_affinity_keeps_empty_shapes():
+    predictions = [make_prediction(Observation(i, 0, 0, 0, 1, 1, 1)) for i in range(3)]
+    observations = [Observation(0, i, 0, 0, 1, 1, 1) for i in range(4)]
+    assert mahalanobis_affinity([], observations).values.shape == (0, 4)
+    assert mahalanobis_affinity(predictions, []).values.shape == (3, 0)
+    assert mahalanobis_affinity([], []).values.shape == (0, 0)
+
+
+def test_mahalanobis_affinity_error_names_the_failing_row():
+    obs = Observation(0, 0, 0, 0, 1, 1, 1)
+    good = make_prediction(obs)
+    singular = make_prediction(obs, np.zeros((7, 7)))
+    with pytest.raises(NumericalError, match="not positive definite") as info:
+        mahalanobis_affinity([good, good, singular], [obs])
+    assert info.value.row == 2
+    # a residual that overflows, against an otherwise valid factor
+    far = make_prediction(Observation(1e308, 0, 0, 0, 1, 1, 1))
+    with pytest.raises(NumericalError, match="not finite") as info:
+        mahalanobis_affinity([good, far], [Observation(-1e308, 0, 0, 0, 1, 1, 1)])
+    assert info.value.row == 1
 
 
 def test_affinity_matrix_validation():

@@ -145,6 +145,51 @@ def test_degenerate_noise_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical error" in err
     assert "condition" in err
+    # the error names where it happened: from the affinity, and under IOU
+    # association (no Mahalanobis solve) from the matched update
+    assert "mot3d: numerical error: scene s, frame 1, class car, track 1: " in err
+    assert main(["track", "--detections", str(det_path), "--noise-model", str(noise_path),
+                 "--affinity", "iou", "--out", str(tmp_path / "t.json")]) == 2
+    err = capsys.readouterr().err
+    assert "mot3d: numerical error: scene s, frame 1, class car, track 1: " in err
+    assert "not positive definite" in err
+
+
+def test_numerical_error_from_a_worker_keeps_its_message(tmp_path, capsys):
+    # two scenes on two workers: the error crosses a process boundary
+    zeros = NoiseModel({"car": ClassNoise(np.zeros(11), np.zeros(7), np.zeros(11))})
+    noise_path = tmp_path / "zeros.json"
+    save_noise_model(zeros, str(noise_path))
+    detections = {scene: {f: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", f, scene,
+                                  score=0.9)] for f in (0, 1)} for scene in ("s", "t")}
+    det_path = tmp_path / "det.json"
+    write_detections(detections, str(det_path))
+    assert main(["track", "--detections", str(det_path), "--noise-model", str(noise_path),
+                 "--jobs", "2", "--out", str(tmp_path / "t.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mot3d: numerical error: scene s, frame 1, class car, track 1: ")
+    assert err.count("condition estimate") == 1, err
+
+
+def test_overflowing_residual_exits_two(tmp_path, capsys):
+    # finite coordinates whose difference overflows to inf in the residual
+    detections = {"s": {f: [Box(Observation(x, 0, 0, 0, 4, 2, 1.5), "car", f, "s", score=0.9)]
+                        for f, x in ((0, 1e308), (1, -1e308))}}
+    det_path = tmp_path / "det.json"
+    write_detections(detections, str(det_path))
+    out = tmp_path / "t.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["track", "--detections", str(det_path), "--default-covariance",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mot3d: numerical error: scene s, frame 1, class car, track 1: ")
+    assert "not finite" in err
+    # one error line, no numpy overflow warning before it, and no output file
+    assert err.count("\n") == 1, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
 
 
 def test_evaluate_reports_per_class(pipeline, tmp_path, capsys):

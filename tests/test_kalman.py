@@ -7,14 +7,16 @@ solves the Schur complement directly.  The implementation under test
 uses Cholesky solves, so agreement is numerical, not definitional.
 """
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from mot3d.core import OBS_DIM, STATE_DIM, wrap_angle
 from mot3d.errors import NumericalError
-from mot3d.kalman import predict, update
+from mot3d.kalman import Prediction, predict, update
 
 ANGLE = 3
 
@@ -222,6 +224,49 @@ def test_singular_innovation_raises_numerical_error():
     with pytest.raises(NumericalError) as exc_info:
         update(prediction, np.array([0, 0, 0, 0, 1, 1, 1]))
     assert "condition" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_innovation_raises_numerical_error(bad):
+    prediction = predict(state(0, 0, 0, 0, 1, 1, 1), np.eye(STATE_DIM),
+                         np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
+    s = prediction.innovation_cov.copy()
+    s[2, 2] = bad
+    with pytest.raises(NumericalError, match="not finite"):
+        update(Prediction(prediction.mean, prediction.cov, s),
+               np.array([0, 0, 0, 0, 1, 1, 1]))
+
+
+def test_numerical_error_survives_pickling():
+    # worker processes hand errors back pickled: message, condition and
+    # location must come through unchanged
+    error = NumericalError("innovation covariance is not positive definite", condition=12.5)
+    error.row = 3
+    error.location = "scene s, frame 1, class car, track 4"
+    copy = pickle.loads(pickle.dumps(error))
+    assert str(copy) == str(error) == (
+        "scene s, frame 1, class car, track 4: innovation covariance is not "
+        "positive definite (condition estimate: 1.250e+01)")
+    assert (copy.condition, copy.row) == (12.5, 3)
+
+
+def test_update_with_yaw_equals_update_of_the_flipped_prediction():
+    # passing the flipped yaw is the same arithmetic as updating a
+    # prediction whose mean carries it, bit for bit
+    rng = np.random.default_rng(48)
+    for _ in range(100):
+        estimate = random_estimate(rng)
+        prediction = predict(*estimate, random_spd(rng, STATE_DIM, scale=0.5),
+                             random_spd(rng, OBS_DIM, scale=0.5))
+        obs_arr = prediction.mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
+        obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
+        yaw = wrap_angle(prediction.mean[ANGLE] + math.pi)
+        flipped_mean = prediction.mean.copy()
+        flipped_mean[ANGLE] = yaw
+        expected = update(dataclasses.replace(prediction, mean=flipped_mean), obs_arr)
+        got = update(prediction, obs_arr, yaw)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_thousand_cycles_stay_symmetric_psd():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mot3d import association
+from mot3d import association, kalman
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
 from mot3d.core import ANGLE_INDEX, Box, Observation, wrap_angle
 from mot3d.dataset_io import RunConfig
-from mot3d.errors import ConfigError, SchemaError, SequencingError
+from mot3d.errors import ConfigError, NumericalError, SchemaError, SequencingError
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
                              standard_suite_calibration)
 from mot3d.tracker import MultiObjectTracker, run_scene
@@ -338,3 +338,29 @@ def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):
         tracker.step(frame_index, detections)
         assert len(clipped) <= 2 * max(tracks, len(detections))
     assert tracker.stats.confirmed > 0
+
+
+def test_mahalanobis_tracking_factors_each_innovation_once_per_frame(monkeypatch):
+    # 100 objects 15 m apart: affinity and update share each track's factor
+    _, frames = generate(calibration_scenario(objects=100, frame_count=10, spacing=15.0))
+    factored = []
+    real_potrf = kalman._POTRF
+    monkeypatch.setattr(kalman, "_POTRF",
+                        lambda *args, **kwargs: factored.append(1) or real_potrf(*args, **kwargs))
+    tracker = MultiObjectTracker(NoiseModel.default_covariance())
+    for frame_index, detections in frames.items():
+        factored.clear()
+        live = len(tracker.tracks)
+        tracker.step(frame_index, detections)
+        assert len(factored) <= live
+    # tracks were confirmed, so matched updates ran
+    assert tracker.stats.confirmed > 0
+
+
+def test_numerical_error_names_frame_class_and_track():
+    # the second car's residual overflows; the first car's track is fine
+    tracker = MultiObjectTracker(hand_noise())
+    tracker.step(0, [det(0), det(0, x=1e308)])
+    with pytest.raises(NumericalError) as info:
+        tracker.step(1, [det(1), det(1, x=-1e308)])
+    assert str(info.value).startswith("frame 1, class car, track 2: residual")
