@@ -340,16 +340,22 @@ def hungarian_match(affinity: AffinityMatrix, threshold: float) -> MatchResult:
     return _match_result(pairs, n_pred, n_det)
 
 
-def greedy_center_match(boxes_a: Sequence[Observation], boxes_b: Sequence[Observation],
-                        gate: float) -> MatchResult:
+def _centers_2d(boxes) -> np.ndarray:
+    if isinstance(boxes, np.ndarray):
+        return boxes[:, :2]
+    return np.array([(box.x, box.y) for box in boxes], dtype=float).reshape(-1, 2)
+
+
+def greedy_center_match(boxes_a, boxes_b, gate: float) -> MatchResult:
     """Greedy one-to-one matching by ascending 2D center distance.
 
-    Used by the evaluation protocol and by observation-noise
-    calibration; z is ignored, pairs at or beyond the gate stay
-    unmatched, and pairs report their center distance.
+    Each side is a sequence of Observations or an (n, >= 2) array whose
+    first two columns are x and y.  Used by the evaluation protocol and
+    by observation-noise calibration; z is ignored, pairs at or beyond
+    the gate stay unmatched, and pairs report their center distance.
     """
-    a = np.array([(box.x, box.y) for box in boxes_a], dtype=float).reshape(-1, 2)
-    b = np.array([(box.x, box.y) for box in boxes_b], dtype=float).reshape(-1, 2)
+    a = _centers_2d(boxes_a)
+    b = _centers_2d(boxes_b)
     distances = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
     return _greedy_scan(distances, gate, distances)
 

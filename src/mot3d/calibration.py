@@ -13,6 +13,13 @@ detections and the annotations they match (greedy, 2D center distance
 under a 2 meter gate).  Initial covariances copy R for the observed
 components and the Q velocity entries for the velocity components.
 
+Both passes run over arrays.  A track's second differences are one
+difference of its (n, 4) poses, the yaw column wrapped, the difference
+of neighbouring rows, and a mask that keeps the rows whose three frames
+are consecutive.  Residuals are formed per frame and class with one
+call over the matched (k, 7) rows.  Rows keep the order of the tracks
+and frames, so every variance sums its samples in a fixed order.
+
 All variances are population variances (divide by the sample count).
 """
 
@@ -25,6 +32,7 @@ import numpy as np
 
 from .association import greedy_center_match
 from .core import (
+    ANGLE_INDEX,
     CLASS_LABELS,
     OBS_DIM,
     STATE_DIM,
@@ -164,21 +172,14 @@ def _second_differences(track: GroundTruthTrack) -> np.ndarray:
     """Second differences of (x, y, z, yaw) over consecutive frame triples.
 
     Only triples of frames (f, f+1, f+2) all present in the track
-    contribute; gaps never mix into one difference.  The two inner
-    yaw differences are wrapped before they are subtracted.
+    contribute; gaps never mix into one difference.  The one-step
+    differences are taken once, their yaw column wrapped, and each
+    kept row is the difference of two neighbouring steps.
     """
-    frames = np.array(track.frames)
-    rows = []
-    for idx in range(len(frames) - 2):
-        if frames[idx + 1] - frames[idx] == 1 and frames[idx + 2] - frames[idx + 1] == 1:
-            first = track.poses[idx + 1] - track.poses[idx]
-            second = track.poses[idx + 2] - track.poses[idx + 1]
-            first = np.concatenate([first[:3], wrap_angle_array(first[3:])])
-            second = np.concatenate([second[:3], wrap_angle_array(second[3:])])
-            rows.append(second - first)
-    if not rows:
-        return np.empty((0, 4))
-    return np.array(rows)
+    steps = np.diff(track.poses, axis=0)
+    steps[:, ANGLE_INDEX] = wrap_angle_array(steps[:, ANGLE_INDEX])
+    unit = np.diff(track.frames) == 1
+    return (steps[1:] - steps[:-1])[unit[:-1] & unit[1:]]
 
 
 def _q_from_pose_variance(pose_var: np.ndarray) -> np.ndarray:
@@ -226,16 +227,36 @@ def estimate_process_noise(gt_tracks: Sequence[GroundTruthTrack],
     return out
 
 
-def _gt_boxes_by_frame(gt_tracks: Sequence[GroundTruthTrack]) -> dict:
-    """Scatter tracks back to (scene, frame) -> [(class, Observation)]."""
-    by_frame: dict = {}
+def _gt_rows_by_frame(gt_tracks: Sequence[GroundTruthTrack]) -> tuple:
+    """Every annotation as one (x, y, z, yaw, l, w, h) row, in track order.
+
+    Returns the (n, 7) rows and (scene, frame) -> class -> row indices.
+    The rows pass the same rules as an Observation (finite, positive
+    extents, wrapped yaw); the first row that breaks one raises the
+    Observation's own ValueError.
+    """
+    blocks = []
+    groups: dict = {}
+    start = 0
     for track in gt_tracks:
-        for idx, frame_index in enumerate(track.frames):
-            x, y, z, a = track.poses[idx]
-            l, w, h = track.sizes[idx]
-            by_frame.setdefault((track.scene_id, frame_index), []).append(
-                (track.class_label, Observation(x, y, z, a, l, w, h)))
-    return by_frame
+        blocks.append(np.hstack([track.poses, track.sizes]))
+        for row, frame_index in enumerate(track.frames, start):
+            groups.setdefault((track.scene_id, frame_index), {}).setdefault(
+                track.class_label, []).append(row)
+        start += len(track.frames)
+    rows = np.concatenate(blocks) if blocks else np.empty((0, OBS_DIM))
+    valid = np.isfinite(rows).all(axis=1) & (rows[:, 4:] > 0.0).all(axis=1)
+    if not valid.all():
+        Observation(*rows[np.argmin(valid)].tolist())
+    rows[:, ANGLE_INDEX] = wrap_angle_array(rows[:, ANGLE_INDEX])
+    return rows, groups
+
+
+def _detection_rows(boxes: Sequence[Box], label: str) -> np.ndarray:
+    """The (k, 7) observations of one class among a frame's detections."""
+    return np.array([(o.x, o.y, o.z, o.a, o.l, o.w, o.h)
+                     for o in (box.observation for box in boxes if box.class_label == label)],
+                    dtype=float).reshape(-1, OBS_DIM)
 
 
 def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
@@ -255,24 +276,25 @@ def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
     if process_noise is None:
         process_noise = estimate_process_noise(gt_tracks, pooled=pooled)
     residuals: dict = {label: [] for label in process_noise}
-    gt_by_frame = _gt_boxes_by_frame(gt_tracks)
-    for (scene_id, frame_index), labeled_boxes in sorted(gt_by_frame.items()):
+    gt_rows, gt_by_frame = _gt_rows_by_frame(gt_tracks)
+    for (scene_id, frame_index), by_class in sorted(gt_by_frame.items()):
         frame_detections = detections.get(scene_id, {}).get(frame_index, [])
-        for label in sorted({label for label, _ in labeled_boxes}):
-            gt_obs = [obs for lab, obs in labeled_boxes if lab == label]
-            det_obs = [d.observation for d in frame_detections if d.class_label == label]
-            if not det_obs:
+        for label in sorted(by_class):
+            det_rows = _detection_rows(frame_detections, label)
+            if not len(det_rows):
                 continue
-            result = greedy_center_match(gt_obs, det_obs, gate)
-            for gi, dj, _ in result.pairs:
-                nu = observation_residual(det_obs[dj].to_array(), gt_obs[gi].to_array())
-                residuals.setdefault(label, []).append(nu)
+            gt_block = gt_rows[by_class[label]]
+            result = greedy_center_match(gt_block, det_rows, gate)
+            if result.pairs:
+                gi, dj, _ = zip(*result.pairs)
+                residuals.setdefault(label, []).append(
+                    observation_residual(det_rows[list(dj)], gt_block[list(gi)]))
     out = {}
     if pooled:
-        rows = [nu for per_class in residuals.values() for nu in per_class]
+        rows = [block for per_class in residuals.values() for block in per_class]
         if not rows:
             raise CalibrationError("no detection matched any annotation within the gate")
-        r = np.var(np.array(rows), axis=0)
+        r = np.var(np.concatenate(rows), axis=0)
         for label in sorted(process_noise):
             sigma0 = np.concatenate([r, process_noise[label][7:11]])
             out[label] = (r.copy(), sigma0)
@@ -282,7 +304,7 @@ def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
         if not rows:
             raise CalibrationError(
                 f"class {label!r} has zero matched detection/annotation pairs")
-        r = np.var(np.array(rows), axis=0)
+        r = np.var(np.concatenate(rows), axis=0)
         sigma0 = np.concatenate([r, process_noise[label][7:11]])
         out[label] = (r, sigma0)
     return out

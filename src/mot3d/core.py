@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -76,7 +77,11 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class Observation:
-    """A detected 3D box: center, yaw, and extents."""
+    """A detected 3D box: center, yaw, and extents.
+
+    Every field must be a finite real number (not a bool) and the
+    extents must be positive; the yaw is stored wrapped to [-pi, pi).
+    """
 
     x: float
     y: float
@@ -87,12 +92,27 @@ class Observation:
     h: float
 
     def __post_init__(self):
+        x, y, z, a, l, w, h = self.x, self.y, self.z, self.a, self.l, self.w, self.h
+        # One pass for seven Python floats: their sum is finite only when
+        # every term is.  Any other input takes the per-field checks, which
+        # name the first field at fault.
+        if not (type(x) is float and type(y) is float and type(z) is float
+                and type(a) is float and type(l) is float and type(w) is float
+                and type(h) is float and math.isfinite(x + y + z + a + l + w + h)
+                and l > 0.0 and w > 0.0 and h > 0.0):
+            self._check_each_field()
+        object.__setattr__(self, "a", wrap_angle(a))
+
+    def _check_each_field(self):
         for f in fields(self):
-            _check_finite(f.name, getattr(self, f.name))
+            name, value = f.name, getattr(self, f.name)
+            # float and int first: an isinstance check against the Real ABC is slow
+            if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            _check_finite(name, value)
         for name in ("l", "w", "h"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        object.__setattr__(self, "a", wrap_angle(self.a))
 
     def to_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.a, self.l, self.w, self.h])
@@ -102,7 +122,7 @@ class Observation:
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (OBS_DIM,):
             raise ValueError(f"observation vector must have shape ({OBS_DIM},), got {arr.shape}")
-        return cls(*arr)
+        return cls(*arr.tolist())
 
 
 def _build_transition() -> np.ndarray:

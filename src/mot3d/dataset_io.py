@@ -8,9 +8,16 @@ Frame keys are canonical decimals ("7", never "07").  Top-level keys
 beginning with an underscore are reserved for metadata (for example
 the generator provenance header) and are skipped by the loaders.
 
-Loaders check the JSON shape (numbers, finiteness, array lengths,
-unexpected fields); the rules on values live in core.Box and surface
-here as SchemaError with the offending scene, frame and record.
+Each rule is checked once, in one place.  The loader checks the JSON
+shape: unexpected fields, array lengths, and that every number is a
+finite number that fits a float.  A field that is already a finite
+float passes in one check; any other value goes to _number, which
+writes the error.  The rules on values (positive extents, score range,
+known class, ids) live in core.Observation and core.Box, and surface
+here as SchemaError with the offending scene, frame and record.  A
+record with several faults reports the first in the order: unexpected
+fields, center, yaw, size, the file's extra fields, class, and only
+then the value rules.
 
 Writers emit sorted keys with a fixed layout, so equal inputs always
 serialize to identical bytes, and floats keep full round-trip
@@ -52,6 +59,7 @@ BOX_SCHEMAS = {
     "tracks": ("score", "track_id"),
 }
 _BOX_FIELDS = ("center", "yaw", "size", "class")
+_RECORD_KEYS = {kind: frozenset(_BOX_FIELDS + extras) for kind, extras in BOX_SCHEMAS.items()}
 
 
 def read_json(path: str, label: str, error_cls=SchemaError):
@@ -218,7 +226,8 @@ def number_list(value, name: str, length: int, location: str) -> list:
     """Check a JSON array of `length` finite numbers; return them as floats."""
     if not isinstance(value, list) or len(value) != length:
         raise SchemaError(f"field {name!r} must be an array of {length} numbers", location)
-    return [_number(item, name, location) for item in value]
+    return [item if type(item) is float and math.isfinite(item)
+            else _number(item, name, location) for item in value]
 
 
 def _frame_index(key: str, location: str) -> int:
@@ -236,14 +245,17 @@ def _box(record, kind: str, frame_index: int, scene_id: str, location: str) -> B
     if not isinstance(record, dict):
         raise SchemaError("box record must be a JSON object", location)
     extras = BOX_SCHEMAS[kind]
-    unexpected = set(record).difference(_BOX_FIELDS, extras)
+    unexpected = record.keys() - _RECORD_KEYS[kind]
     if unexpected:
         raise SchemaError(f"unexpected fields {sorted(unexpected)}", location)
     center = number_list(_require(record, "center", location), "center", 3, location)
-    yaw = _number(_require(record, "yaw", location), "yaw", location)
+    yaw = _require(record, "yaw", location)
+    if not (type(yaw) is float and math.isfinite(yaw)):
+        yaw = _number(yaw, "yaw", location)
     size = number_list(_require(record, "size", location), "size", 3, location)
     values = {name: _require(record, name, location) for name in extras}
-    if "score" in values:
+    if "score" in values and not (type(values["score"]) is float
+                                  and math.isfinite(values["score"])):
         values["score"] = _number(values["score"], "score", location)
     class_label = _require(record, "class", location)
     try:
@@ -269,6 +281,7 @@ def _load_boxes(path: str, kind: str) -> dict:
             frame_location = f"{scene_location} frame {frame_index}"
             if not isinstance(records, list):
                 raise SchemaError("frame must hold an array of box records", frame_location)
+            boxes = []
             for record_index, record in enumerate(records):
                 location = f"{frame_location} record {record_index}"
                 box = _box(record, kind, frame_index, scene_id, location)
@@ -278,7 +291,9 @@ def _load_boxes(path: str, kind: str) -> dict:
                         raise SchemaError(f"duplicate instance_id {box.instance_id!r}",
                                           location)
                     instances.add(key)
-                out.setdefault(scene_id, {}).setdefault(frame_index, []).append(box)
+                boxes.append(box)
+            if boxes:
+                out.setdefault(scene_id, {})[frame_index] = boxes
     return out
 
 

@@ -210,8 +210,7 @@ def _generate(spec: ScenarioSpec) -> tuple:
                 continue
             extents = obj.extents()
             gt_frames[frame].append(Box(
-                observation=Observation(pose[0], pose[1], pose[2], pose[3],
-                                        extents[0], extents[1], extents[2]),
+                observation=Observation(*pose.tolist(), *extents),
                 class_label=obj.class_label,
                 instance_id=f"inst{index:03d}",
                 frame_index=frame,
@@ -226,8 +225,7 @@ def _generate(spec: ScenarioSpec) -> tuple:
                 MIN_EXTENT)
             score = rng.uniform(noise.score_range[0], noise.score_range[1])
             det_frames[frame].append(Box(
-                observation=Observation(center[0], center[1], center[2], yaw,
-                                        size[0], size[1], size[2]),
+                observation=Observation(*center.tolist(), yaw, *size.tolist()),
                 class_label=obj.class_label,
                 score=float(min(1.0, max(0.0, score))),
                 frame_index=frame,
@@ -244,7 +242,7 @@ def _generate(spec: ScenarioSpec) -> tuple:
                         rng.uniform(spec.bounds[2], spec.bounds[3]),
                         rng.uniform(spec.fp_z_range[0], spec.fp_z_range[1]),
                         rng.uniform(-math.pi, math.pi),
-                        size[0], size[1], size[2]),
+                        *size.tolist()),
                     class_label=label,
                     score=float(rng.uniform(noise.fp_score_range[0],
                                             noise.fp_score_range[1])),

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from mot3d.association import greedy_center_match
 from mot3d.calibration import (CALIBRATION_GATE, ClassNoise, GroundTruthTrack,
-                               NoiseModel, calibrate, estimate_observation_noise,
-                               estimate_process_noise, load_noise_model,
-                               save_noise_model, tracks_from_ground_truth)
-from mot3d.core import Box, Observation, wrap_angle
+                               NoiseModel, _second_differences, calibrate,
+                               estimate_observation_noise, estimate_process_noise,
+                               load_noise_model, save_noise_model, tracks_from_ground_truth)
+from mot3d.core import (Box, Observation, observation_residual, wrap_angle,
+                        wrap_angle_array)
 from mot3d.errors import CalibrationError, SchemaError
 
 CAR_SIZE = (4.0, 2.0, 1.5)
@@ -309,3 +311,130 @@ def test_load_noise_model_errors(tmp_path):
         overflow.write_text(json.dumps({"classes": {"car": huge}}))
         with pytest.raises(SchemaError, match=name):
             load_noise_model(str(overflow))
+
+
+# Bit-identity oracle: the estimates equal those of the straightforward
+# per-triple and per-pair loops below, down to the last bit.
+
+def reference_second_differences(track: GroundTruthTrack) -> np.ndarray:
+    frames = np.array(track.frames)
+    rows = []
+    for idx in range(len(frames) - 2):
+        if frames[idx + 1] - frames[idx] == 1 and frames[idx + 2] - frames[idx + 1] == 1:
+            first = track.poses[idx + 1] - track.poses[idx]
+            second = track.poses[idx + 2] - track.poses[idx + 1]
+            first = np.concatenate([first[:3], wrap_angle_array(first[3:])])
+            second = np.concatenate([second[:3], wrap_angle_array(second[3:])])
+            rows.append(second - first)
+    return np.array(rows) if rows else np.empty((0, 4))
+
+
+def reference_noise(ground_truth, detections, pooled: bool) -> dict:
+    """label -> (q, r, sigma0) from one residual per matched pair."""
+    tracks = tracks_from_ground_truth(ground_truth)
+    samples: dict = {}
+    for track in tracks:
+        diffs = reference_second_differences(track)
+        samples.setdefault(track.class_label, []).extend([diffs] if len(diffs) else [])
+    q = {}
+    for label in sorted(samples):
+        rows = ([d for per_class in samples.values() for d in per_class] if pooled
+                else samples[label])
+        pose_var = np.var(np.concatenate(rows), axis=0)
+        q[label] = np.concatenate([pose_var, np.zeros(3), pose_var])
+
+    by_frame: dict = {}
+    for track in tracks:
+        for idx, frame_index in enumerate(track.frames):
+            x, y, z, a = track.poses[idx]
+            l, w, h = track.sizes[idx]
+            by_frame.setdefault((track.scene_id, frame_index), []).append(
+                (track.class_label, Observation(x, y, z, a, l, w, h)))
+    residuals: dict = {label: [] for label in q}
+    for (scene_id, frame_index), labeled in sorted(by_frame.items()):
+        frame_detections = detections.get(scene_id, {}).get(frame_index, [])
+        for label in sorted({lab for lab, _ in labeled}):
+            gt_obs = [obs for lab, obs in labeled if lab == label]
+            det_obs = [d.observation for d in frame_detections if d.class_label == label]
+            if not det_obs:
+                continue
+            for gi, dj, _ in greedy_center_match(gt_obs, det_obs, CALIBRATION_GATE).pairs:
+                residuals[label].append(
+                    observation_residual(det_obs[dj].to_array(), gt_obs[gi].to_array()))
+    out = {}
+    for label in q:
+        rows = ([nu for per_class in residuals.values() for nu in per_class] if pooled
+                else residuals[label])
+        r = np.var(np.array(rows), axis=0)
+        out[label] = (q[label], r, np.concatenate([r, q[label][7:11]]))
+    return out
+
+
+def seeded_split(seed: int):
+    """Ground truth and detections over three scenes and three classes.
+
+    Tracks drop frames at random (gaps), some cover one or two frames,
+    yaws start next to the +-pi seam and turn across it, and detections
+    miss, stray past the 2 m gate and add false positives.
+    """
+    rng = np.random.default_rng(seed)
+    ground_truth: dict = {}
+    detections: dict = {}
+    for scene_id in ("s-a", "s-b", "s-c"):
+        gt_frames = ground_truth.setdefault(scene_id, {})
+        det_frames = detections.setdefault(scene_id, {})
+        for index in range(12):
+            label = ("car", "pedestrian", "bus")[index % 3]
+            length = (1, 2, 3, 6, 25)[int(rng.integers(5))]
+            start = int(rng.integers(0, 8))
+            frames = [f for f in range(start, start + length) if rng.random() > 0.15]
+            x, y, z = rng.uniform(-60.0, 60.0, size=3)
+            vx, vy = rng.normal(0.0, 1.0, size=2)
+            yaw = float(rng.choice([math.pi - 0.04, -math.pi + 0.04, 0.3]))
+            turn = float(rng.normal(0.0, 0.05))
+            size = rng.uniform(0.5, 5.0, size=3)
+            for frame in range(start, start + length):
+                x, y = x + vx + rng.normal(0.0, 0.1), y + vy + rng.normal(0.0, 0.1)
+                z += rng.normal(0.0, 0.02)
+                yaw = wrap_angle(yaw + turn + rng.normal(0.0, 0.02))
+                if frame not in frames:
+                    continue
+                obs = Observation(float(x), float(y), float(z), yaw, *size.tolist())
+                gt_frames.setdefault(frame, []).append(
+                    Box(obs, label, frame, scene_id, instance_id=f"i{index}"))
+                if rng.random() < 0.15:
+                    continue
+                dx, dy, dz = rng.normal(0.0, 0.8, size=3)
+                det = Observation(float(x + dx), float(y + dy), float(z + dz),
+                                  wrap_angle(yaw + rng.normal(0.0, 0.1)),
+                                  *np.maximum(size + rng.normal(0.0, 0.1, size=3), 0.1).tolist())
+                det_frames.setdefault(frame, []).append(Box(det, label, frame, scene_id,
+                                                            score=0.5))
+        for frame in range(40):
+            for _ in range(int(rng.poisson(0.5))):
+                label = ("car", "pedestrian", "bus", "truck")[int(rng.integers(4))]
+                fp = Observation(*rng.uniform(-60.0, 60.0, size=3).tolist(),
+                                 float(rng.uniform(-math.pi, math.pi)), 1.0, 1.0, 1.0)
+                det_frames.setdefault(frame, []).append(Box(fp, label, frame, scene_id,
+                                                            score=0.2))
+    return ground_truth, detections
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+@pytest.mark.parametrize("pooled", [False, True])
+def test_calibration_is_bit_identical_to_per_pair_loops(seed, pooled):
+    ground_truth, detections = seeded_split(seed)
+    tracks = tracks_from_ground_truth(ground_truth)
+    assert {len(t.frames) for t in tracks} >= {1, 2}
+    for track in tracks:
+        diffs = _second_differences(track)
+        expected = reference_second_differences(track)
+        assert diffs.shape == expected.shape and np.array_equal(diffs, expected)
+    model = calibrate(ground_truth, detections, pooled=pooled)
+    expected = reference_noise(ground_truth, detections, pooled)
+    assert sorted(model.classes) == sorted(expected) == ["bus", "car", "pedestrian"]
+    for label, (q, r, sigma0) in expected.items():
+        noise = model.classes[label]
+        assert np.array_equal(noise.q, q)
+        assert np.array_equal(noise.r, r)
+        assert np.array_equal(noise.sigma0, sigma0)

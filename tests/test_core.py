@@ -69,6 +69,44 @@ def test_observation_validation():
         Observation(math.nan, 0, 0, 0, 1, 1, 1)
 
 
+@pytest.mark.parametrize("bad", ["1.5", True, False, None, [1.0], np.bool_(True)],
+                         ids=repr)
+@pytest.mark.parametrize("index", range(OBS_DIM))
+def test_observation_rejects_non_real_fields(index, bad):
+    # a string used to be kept as is and failed a frame later in numpy;
+    # a bool passed as 0 or 1
+    values = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    values[index] = bad
+    name = "xyzalwh"[index]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        Observation(*values)
+
+
+def test_observation_reports_the_first_faulty_field():
+    with pytest.raises(ValueError, match=r"^y must be finite, got nan$"):
+        Observation(0.0, math.nan, "z", 0.0, -1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^w must be positive, got -2.0$"):
+        Observation(0.0, 0.0, 0.0, 0.0, 1.0, -2.0, -1.0)
+    with pytest.raises(ValueError, match=r"^h must be positive, got 0$"):
+        Observation(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0)
+    with pytest.raises(ValueError, match=r"^a must be finite, got inf$"):
+        Observation(0.0, 0.0, 0.0, math.inf, 1.0, 1.0, 1.0)
+
+
+def test_observation_accepts_any_finite_real():
+    # ints, numpy scalars, and finite floats whose sum overflows
+    obs = Observation(1, np.float64(2.5), np.float32(0.5), 7, 1e308, 1e308, 1e308)
+    assert (obs.x, obs.y, obs.z, obs.l) == (1, 2.5, 0.5, 1e308)
+    assert type(obs.a) is float and obs.a == wrap_angle(7.0)
+    assert Observation.from_array(obs.to_array()).x == 1.0
+
+
+def test_observation_from_array_holds_python_floats():
+    obs = Observation.from_array(np.array([1.5, -2.0, 0.3, 4.0, 4.5, 1.9, 1.6]))
+    assert all(type(getattr(obs, name)) is float for name in "xyzalwh")
+    assert obs.a == wrap_angle(4.0)
+
+
 def test_observation_array_round_trip():
     obs = Observation(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6)
     again = Observation.from_array(obs.to_array())

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
-from mot3d.core import Box, Observation
+from mot3d.core import Box, Observation, wrap_angle
 from mot3d.dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
                               load_detections, load_ground_truth, load_tracks,
                               merge_config, write_detections, write_ground_truth,
@@ -305,3 +305,93 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
 
     assert {path: path.read_bytes() for path in before} == before
     assert sorted(os.listdir(tmp_path)) == ["det.json", "noise.json"]
+
+
+# One fault per entry, in the order the loader reports them: unexpected
+# keys, then center, yaw, size, the file's extra fields, and last the
+# value rules of Observation and Box.  Each fault touches its own spot
+# of the record, so any two can be combined.
+RECORD_FAULTS = [
+    ("extra key", lambda r: r.update(colour="red"), "unexpected fields ['colour']"),
+    ("NaN", lambda r: r["center"].__setitem__(0, math.nan),
+     "field 'center' must be a finite number"),
+    ("huge integer", lambda r: r.update(yaw=10 ** 400), "field 'yaw' must be a finite number"),
+    ("Infinity", lambda r: r["size"].__setitem__(0, math.inf),
+     "field 'size' must be a finite number"),
+    ("bool", lambda r: r["size"].__setitem__(1, True), "field 'size' must be a number, got True"),
+    ("string", lambda r: r.update(score="0.9"), "field 'score' must be a number, got '0.9'"),
+    ("negative size", lambda r: r["size"].__setitem__(2, -1.5), "h must be positive, got -1.5"),
+    ("unknown class", lambda r: r.update({"class": "unicorn"}),
+     "unknown class label 'unicorn'"),
+    ("score 1.5", lambda r: r.update(score=1.5), "score must lie in [0, 1], got 1.5"),
+]
+FAULT_PAIRS = [(first, second)
+               for i, first in enumerate(RECORD_FAULTS) for second in RECORD_FAULTS[i + 1:]
+               if {first[0], second[0]} != {"string", "score 1.5"}]  # both set the score
+
+
+def load_error(tmp_path, faults) -> str:
+    record = detection_payload()
+    for _, apply, _ in faults:
+        apply(record)
+    with pytest.raises(SchemaError) as excinfo:
+        load_detections(write_json(tmp_path / "faulty.json", {"s": {"0": [record]}}))
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("fault", RECORD_FAULTS, ids=[f[0] for f in RECORD_FAULTS])
+def test_each_record_fault_has_its_message(tmp_path, fault):
+    assert load_error(tmp_path, [fault]) == f"detections scene 's' frame 0 record 0: {fault[2]}"
+
+
+@pytest.mark.parametrize("first, second", FAULT_PAIRS,
+                         ids=[f"{a[0]}+{b[0]}" for a, b in FAULT_PAIRS])
+def test_record_with_two_faults_reports_the_earlier_one(tmp_path, first, second):
+    expected = f"detections scene 's' frame 0 record 0: {first[2]}"
+    assert load_error(tmp_path, [first, second]) == expected
+    assert load_error(tmp_path, [second, first]) == expected
+
+
+NUMBER_LITERALS = ('{"s": {"0": [{"center": [1, -0.0, 5e-324], "yaw": -3, '
+                   '"size": [1e308, 2, 10000000000000000000001], "class": "car", "score": 1}]}}')
+
+
+def test_number_literals_load_as_floats(tmp_path):
+    path = tmp_path / "literals.json"
+    path.write_text(NUMBER_LITERALS)
+    box = load_detections(str(path))["s"][0][0]
+    obs = box.observation
+    values = (obs.x, obs.y, obs.z, obs.l, obs.w, obs.h, box.score)
+    assert all(type(value) is float for value in values + (obs.a,))
+    assert values == (1.0, -0.0, 5e-324, 1e308, 2.0, float(10 ** 22 + 1), 1.0)
+    assert math.copysign(1.0, obs.y) == -1.0
+    assert obs.a == wrap_angle(-3.0)
+
+
+def test_number_literals_write_back_as_floats(tmp_path):
+    path = tmp_path / "literals.json"
+    path.write_text(NUMBER_LITERALS)
+    out = tmp_path / "again.json"
+    write_detections(load_detections(str(path)), str(out))
+    assert out.read_text() == """{
+  "s": {
+    "0": [
+      {
+        "center": [
+          1.0,
+          -0.0,
+          5e-324
+        ],
+        "class": "car",
+        "score": 1.0,
+        "size": [
+          1e+308,
+          2.0,
+          1e+22
+        ],
+        "yaw": -3.0
+      }
+    ]
+  }
+}
+"""
