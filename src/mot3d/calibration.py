@@ -141,31 +141,23 @@ def tracks_from_ground_truth(
         ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
 ) -> list:
     """Group ground-truth boxes into per-instance tracks."""
-    grouped: dict = {}
+    grouped: dict = {}  # (scene, instance) -> (label, frames, poses, sizes)
     for scene_id in sorted(ground_truth):
         for frame_index in sorted(ground_truth[scene_id]):
             for box in ground_truth[scene_id][frame_index]:
-                key = (scene_id, box.instance_id)
-                entry = grouped.setdefault(key, {"label": box.class_label, "rows": []})
-                if entry["label"] != box.class_label:
+                label, frames, poses, sizes = grouped.setdefault(
+                    (scene_id, box.instance_id), (box.class_label, [], [], []))
+                if label != box.class_label:
                     raise CalibrationError(
                         f"instance {box.instance_id!r} in scene {scene_id!r} "
-                        f"changes class from {entry['label']!r} to {box.class_label!r}")
+                        f"changes class from {label!r} to {box.class_label!r}")
                 obs = box.observation
-                entry["rows"].append(
-                    (frame_index, (obs.x, obs.y, obs.z, obs.a), (obs.l, obs.w, obs.h)))
-    tracks = []
-    for (scene_id, instance_id), entry in grouped.items():
-        rows = sorted(entry["rows"])
-        tracks.append(GroundTruthTrack(
-            class_label=entry["label"],
-            instance_id=instance_id,
-            scene_id=scene_id,
-            frames=tuple(row[0] for row in rows),
-            poses=np.array([row[1] for row in rows]),
-            sizes=np.array([row[2] for row in rows]),
-        ))
-    return tracks
+                frames.append(frame_index)
+                poses.append((obs.x, obs.y, obs.z, obs.a))
+                sizes.append((obs.l, obs.w, obs.h))
+    return [GroundTruthTrack(label, instance_id, scene_id, tuple(frames),
+                             np.array(poses), np.array(sizes))
+            for (scene_id, instance_id), (label, frames, poses, sizes) in grouped.items()]
 
 
 def _second_differences(track: GroundTruthTrack) -> np.ndarray:
@@ -191,6 +183,20 @@ def _q_from_pose_variance(pose_var: np.ndarray) -> np.ndarray:
     return q
 
 
+def _pool(samples: Mapping[str, list], labels: Sequence[str], pooled: bool) -> list:
+    """(labels, stacked rows) groups: one per label, or one shared by all when pooled.
+
+    samples maps a class to its blocks of rows.  Pooled rows follow the
+    order of samples, including classes that labels leaves out.
+    """
+    if pooled:
+        groups = [(tuple(labels), [block for blocks in samples.values() for block in blocks])]
+    else:
+        groups = [((label,), samples.get(label, [])) for label in labels]
+    return [(group, np.concatenate(blocks) if blocks else np.empty(0))
+            for group, blocks in groups]
+
+
 def estimate_process_noise(gt_tracks: Sequence[GroundTruthTrack],
                            pooled: bool = False) -> dict:
     """Per-class Q diagonals from annotated trajectories.
@@ -201,29 +207,17 @@ def estimate_process_noise(gt_tracks: Sequence[GroundTruthTrack],
     """
     samples: dict = {}
     for track in gt_tracks:
-        diffs = _second_differences(track)
-        if len(diffs):
-            samples.setdefault(track.class_label, []).append(diffs)
-        else:
-            samples.setdefault(track.class_label, [])
-    if pooled:
-        rows = [d for per_class in samples.values() for d in per_class]
-        stacked = np.concatenate(rows) if rows else np.empty((0, 4))
-        if len(stacked) < MIN_SECOND_DIFFERENCES:
+        samples.setdefault(track.class_label, []).append(_second_differences(track))
+    out = {}
+    for labels, rows in _pool(samples, sorted(samples), pooled):
+        if len(rows) < MIN_SECOND_DIFFERENCES:
             raise CalibrationError(
                 f"pooled process-noise estimation needs at least "
-                f"{MIN_SECOND_DIFFERENCES} second differences, got {len(stacked)}")
-        q = _q_from_pose_variance(np.var(stacked, axis=0))
-        return {label: q.copy() for label in sorted(samples)}
-    out = {}
-    for label in sorted(samples):
-        rows = samples[label]
-        stacked = np.concatenate(rows) if rows else np.empty((0, 4))
-        if len(stacked) < MIN_SECOND_DIFFERENCES:
-            raise CalibrationError(
-                f"class {label!r} has {len(stacked)} second differences; "
+                f"{MIN_SECOND_DIFFERENCES} second differences, got {len(rows)}" if pooled else
+                f"class {labels[0]!r} has {len(rows)} second differences; "
                 f"at least {MIN_SECOND_DIFFERENCES} are required")
-        out[label] = _q_from_pose_variance(np.var(stacked, axis=0))
+        q = _q_from_pose_variance(np.var(rows, axis=0))
+        out.update((label, q.copy()) for label in labels)
     return out
 
 
@@ -290,23 +284,14 @@ def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
                 residuals.setdefault(label, []).append(
                     observation_residual(det_rows[list(dj)], gt_block[list(gi)]))
     out = {}
-    if pooled:
-        rows = [block for per_class in residuals.values() for block in per_class]
-        if not rows:
-            raise CalibrationError("no detection matched any annotation within the gate")
-        r = np.var(np.concatenate(rows), axis=0)
-        for label in sorted(process_noise):
-            sigma0 = np.concatenate([r, process_noise[label][7:11]])
-            out[label] = (r.copy(), sigma0)
-        return out
-    for label in sorted(process_noise):
-        rows = residuals.get(label, [])
-        if not rows:
+    for labels, rows in _pool(residuals, sorted(process_noise), pooled):
+        if not len(rows):
             raise CalibrationError(
-                f"class {label!r} has zero matched detection/annotation pairs")
-        r = np.var(np.concatenate(rows), axis=0)
-        sigma0 = np.concatenate([r, process_noise[label][7:11]])
-        out[label] = (r, sigma0)
+                "no detection matched any annotation within the gate" if pooled else
+                f"class {labels[0]!r} has zero matched detection/annotation pairs")
+        r = np.var(rows, axis=0)
+        for label in labels:
+            out[label] = (r.copy(), np.concatenate([r, process_noise[label][7:11]]))
     return out
 
 
@@ -315,6 +300,8 @@ def calibrate(ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
               pooled: bool = False) -> NoiseModel:
     """Estimate a full NoiseModel from a ground-truth and detection split."""
     gt_tracks = tracks_from_ground_truth(ground_truth)
+    if not gt_tracks:
+        raise CalibrationError("ground truth holds no boxes to calibrate from")
     process = estimate_process_noise(gt_tracks, pooled=pooled)
     observation = estimate_observation_noise(
         gt_tracks, detections, process_noise=process, pooled=pooled)

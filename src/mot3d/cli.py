@@ -19,9 +19,10 @@ from dataclasses import replace
 
 from . import __version__
 from .calibration import NoiseModel, calibrate, load_noise_model, save_noise_model
-from .dataset_io import (RunConfig, load_config, load_detections,
-                         load_ground_truth, load_tracks, merge_config,
-                         write_detections, write_ground_truth, write_tracks)
+from .dataset_io import (AFFINITY_NAMES, MATCHER_NAMES, SCORE_MODES, RunConfig,
+                         load_config, load_detections, load_ground_truth,
+                         load_tracks, merge_config, write_detections,
+                         write_ground_truth, write_tracks)
 from .errors import ConfigError, Mot3dError, NumericalError, SchemaError
 from .metrics import (EVALUATION_GATE, amota, check_amota_args, write_amota_csv,
                       write_report)
@@ -276,7 +277,7 @@ def _cmd_ablate(args) -> int:
         affinity_name, affinity, iou_threshold = _parse_affinity_token(
             affinity_token, base.iou_threshold)
         for matcher in axes["matchers"]:
-            if matcher not in ("greedy", "hungarian"):
+            if matcher not in MATCHER_NAMES:
                 raise ConfigError(f"bad matcher token {matcher!r}")
             for noise_name, noise in noise_models.items():
                 for angular_suffix, angular in angular_axis:
@@ -342,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identity noise instead of a calibrated model")
     p.add_argument("--config", help="RunConfig JSON")
     p.add_argument("--out", required=True, help="track file to write")
-    p.add_argument("--matcher", choices=("greedy", "hungarian"))
-    p.add_argument("--affinity", choices=("mahalanobis", "iou"))
+    p.add_argument("--matcher", choices=MATCHER_NAMES)
+    p.add_argument("--affinity", choices=AFFINITY_NAMES)
     p.add_argument("--maha-threshold", type=float)
     p.add_argument("--iou-threshold", type=float)
     p.add_argument("--birth-hits", type=int)
     p.add_argument("--death-misses", type=int)
-    p.add_argument("--score-mode", choices=("last_detection", "running_mean"))
+    p.add_argument("--score-mode", choices=SCORE_MODES)
     p.add_argument("--no-angular-velocity", action="store_true",
                    help="pin the yaw-rate state at zero")
     p.add_argument("--jobs", type=int, default=0,

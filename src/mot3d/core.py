@@ -64,11 +64,15 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.T) / 2.0
 
 
-def _check_finite(label: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
-    return value
+def finite_real(name: str, value) -> float:
+    """value as a float; ValueError unless it is a finite real number, not a bool."""
+    # float and int first: an isinstance check against the Real ABC is slow
+    if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def _is_int(value) -> bool:
@@ -105,11 +109,7 @@ class Observation:
 
     def _check_each_field(self):
         for f in fields(self):
-            name, value = f.name, getattr(self, f.name)
-            # float and int first: an isinstance check against the Real ABC is slow
-            if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            _check_finite(name, value)
+            finite_real(f.name, getattr(self, f.name))
         for name in ("l", "w", "h"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -176,7 +176,7 @@ class Box:
         if not _is_int(self.frame_index) or self.frame_index < 0:
             raise ValueError(f"frame_index must be a non-negative int, got {self.frame_index!r}")
         if self.score is not None:
-            score = _check_finite("score", self.score)
+            score = finite_real("score", self.score)
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"score must lie in [0, 1], got {score}")
             object.__setattr__(self, "score", score)

@@ -32,11 +32,11 @@ import math
 import os
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Real
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .core import CLASS_LABELS, Box, Observation
 from .errors import ConfigError, SchemaError
@@ -45,8 +45,9 @@ if TYPE_CHECKING:
     from .tracker import FrameOutput
 
 # Gate on the Mahalanobis distance: sqrt of the 95th percentile of a
-# chi-squared with 7 degrees of freedom (one per observed component).
-DEFAULT_MAHA_GATE = float(math.sqrt(chi2.ppf(0.95, 7)))
+# chi-squared with 7 degrees of freedom (one per observed component),
+# which is twice the same quantile of a gamma with shape 7/2.
+DEFAULT_MAHA_GATE = math.sqrt(2.0 * gammaincinv(3.5, 0.95))
 
 MATCHER_NAMES = ("greedy", "hungarian")
 AFFINITY_NAMES = ("mahalanobis", "iou")
@@ -168,18 +169,7 @@ class RunConfig:
         return self.class_maha_thresholds.get(class_label, self.maha_threshold)
 
     def to_dict(self) -> dict:
-        return {
-            "matcher": self.matcher,
-            "affinity": self.affinity,
-            "maha_threshold": self.maha_threshold,
-            "class_maha_thresholds": dict(self.class_maha_thresholds),
-            "iou_threshold": self.iou_threshold,
-            "angular_velocity": self.angular_velocity,
-            "birth_hits": self.birth_hits,
-            "death_misses": self.death_misses,
-            "amota_samples": self.amota_samples,
-            "score_mode": self.score_mode,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .association import greedy_center_match
@@ -106,17 +106,7 @@ class RecallSample:
     reachable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "target_recall": self.target_recall,
-            "achieved_recall": self.achieved_recall,
-            "motar": self.motar,
-            "ids": self.ids,
-            "fp": self.fp,
-            "fn": self.fn,
-            "positives": self.positives,
-            "score_threshold": self.score_threshold,
-            "reachable": self.reachable,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,21 @@ positives with class-typical sizes.  All randomness flows through one
 seeded PCG64 generator in a fixed call order, so a spec reproduces
 byte-identical files; the writer records the generator and seed in the
 file's metadata header.
+
+Every numeric spec field passes one of three rules when the spec is
+built: a finite real number that is not a bool, an int count with a
+minimum, or n reals (one scalar stands for all n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CLASS_LABELS, Box, Observation, wrap_angle
+from .core import CLASS_LABELS, Box, Observation, finite_real, wrap_angle
 from .dataset_io import read_json
 from .errors import SchemaError
 
@@ -45,23 +49,26 @@ MIN_EXTENT = 0.05
 RNG_NAME = "numpy-pcg64"
 
 
-def _check_numbers(name: str, values, non_negative: bool = False) -> None:
-    """Raise ValueError unless every value is finite (and >= 0 if asked)."""
-    for value in np.atleast_1d(values):
-        if not math.isfinite(value) or (non_negative and value < 0.0):
-            rule = "finite and non-negative" if non_negative else "finite"
-            raise ValueError(f"{name} must be {rule}, got {value}")
+def _real(name: str, value, non_negative: bool = False) -> float:
+    """Rule one: a finite real number, not a bool (and >= 0 if asked)."""
+    number = finite_real(name, value)
+    if non_negative and number < 0.0:
+        raise ValueError(f"{name} must be finite and non-negative, got {number}")
+    return number
 
 
-def _as_tuple(value, length: int, name: str) -> tuple:
-    if isinstance(value, (int, float)):
-        out = (float(value),) * length
-    else:
-        out = tuple(float(v) for v in value)
-    if len(out) != length:
+def _count(name: str, value, minimum: int) -> None:
+    """Rule two: an int (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def _reals(name: str, value, length: int, non_negative: bool = False) -> tuple:
+    """Rule three: length reals, or one real repeated length times, as floats."""
+    values = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else (value,) * length
+    if len(values) != length:
         raise ValueError(f"{name} must be a scalar or {length} numbers, got {value!r}")
-    _check_numbers(name, out)
-    return out
+    return tuple(_real(name, v, non_negative) for v in values)
 
 
 @dataclass(frozen=True)
@@ -85,16 +92,15 @@ class ObjectSpec:
         if self.class_label not in CLASS_LABELS:
             raise ValueError(f"unknown class label {self.class_label!r}")
         for name in ("x", "y", "z", "yaw", "vx", "vy", "vz", "yaw_rate"):
-            _check_numbers(name, getattr(self, name))
+            _real(name, getattr(self, name))
         if self.size is not None:
-            size = _as_tuple(self.size, 3, "size")
+            size = _reals("size", self.size, 3)
             if any(v <= 0 for v in size):
                 raise ValueError("size extents must be positive")
             object.__setattr__(self, "size", size)
-        if self.first_frame < 0:
-            raise ValueError("first_frame must be non-negative")
-        if self.lifespan is not None and self.lifespan < 1:
-            raise ValueError("lifespan must be positive")
+        _count("first_frame", self.first_frame, 0)
+        if self.lifespan is not None:
+            _count("lifespan", self.lifespan, 1)
 
     def extents(self) -> tuple:
         return self.size if self.size is not None else CLASS_SIZES[self.class_label]
@@ -119,21 +125,18 @@ class NoiseSpec:
     fp_score_range: tuple = (0.1, 0.6)
 
     def __post_init__(self):
-        object.__setattr__(self, "position_sigma",
-                           _as_tuple(self.position_sigma, 3, "position_sigma"))
-        object.__setattr__(self, "accel_sigma",
-                           _as_tuple(self.accel_sigma, 4, "accel_sigma"))
-        object.__setattr__(self, "score_range", _as_tuple(self.score_range, 2, "score_range"))
-        object.__setattr__(self, "fp_score_range",
-                           _as_tuple(self.fp_score_range, 2, "fp_score_range"))
-        for name in ("position_sigma", "angle_sigma", "size_sigma", "accel_sigma", "fp_rate"):
-            _check_numbers(name, getattr(self, name), non_negative=True)
-        if not 0.0 <= self.p_miss < 1.0:
+        for name, length in (("position_sigma", 3), ("accel_sigma", 4)):
+            sigma = _reals(name, getattr(self, name), length, non_negative=True)
+            object.__setattr__(self, name, sigma)
+        for name in ("angle_sigma", "size_sigma", "fp_rate"):
+            _real(name, getattr(self, name), non_negative=True)
+        if not 0.0 <= _real("p_miss", self.p_miss) < 1.0:
             raise ValueError("p_miss must lie in [0, 1)")
         for name in ("score_range", "fp_score_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = _reals(name, getattr(self, name), 2)
             if not 0.0 <= lo <= hi <= 1.0:
                 raise ValueError(f"{name} must satisfy 0 <= low <= high <= 1")
+            object.__setattr__(self, name, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -149,18 +152,17 @@ class ScenarioSpec:
     fp_z_range: tuple = (-0.5, 2.0)
 
     def __post_init__(self):
-        if not self.scene_id or self.scene_id.startswith("_"):
-            raise ValueError("scene_id must be non-empty and must not start with '_'")
-        if self.frame_count < 1:
-            raise ValueError("frame_count must be positive")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.scene_id, str) or not self.scene_id or self.scene_id.startswith("_"):
+            raise ValueError("scene_id must be a non-empty string that does not start "
+                             f"with '_', got {self.scene_id!r}")
+        _count("frame_count", self.frame_count, 1)
+        _count("seed", self.seed, 0)
         object.__setattr__(self, "objects", tuple(self.objects))
-        bounds = _as_tuple(self.bounds, 4, "bounds")
+        bounds = _reals("bounds", self.bounds, 4)
         if bounds[0] >= bounds[1] or bounds[2] >= bounds[3]:
             raise ValueError("bounds must be (x_min, x_max, y_min, y_max) with min < max")
         object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "fp_z_range", _as_tuple(self.fp_z_range, 2, "fp_z_range"))
+        object.__setattr__(self, "fp_z_range", _reals("fp_z_range", self.fp_z_range, 2))
 
 
 def _trajectory(spec: ScenarioSpec, obj: ObjectSpec, rng) -> dict:
@@ -277,35 +279,7 @@ def scenario_meta(specs: Sequence[ScenarioSpec]) -> dict:
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "scene_id": spec.scene_id,
-        "frame_count": spec.frame_count,
-        "seed": spec.seed,
-        "bounds": list(spec.bounds),
-        "fp_z_range": list(spec.fp_z_range),
-        "noise": {
-            "position_sigma": list(spec.noise.position_sigma),
-            "angle_sigma": spec.noise.angle_sigma,
-            "size_sigma": spec.noise.size_sigma,
-            "accel_sigma": list(spec.noise.accel_sigma),
-            "p_miss": spec.noise.p_miss,
-            "fp_rate": spec.noise.fp_rate,
-            "score_range": list(spec.noise.score_range),
-            "fp_score_range": list(spec.noise.fp_score_range),
-        },
-        "objects": [
-            {
-                "class_label": obj.class_label,
-                "x": obj.x, "y": obj.y, "z": obj.z, "yaw": obj.yaw,
-                "vx": obj.vx, "vy": obj.vy, "vz": obj.vz,
-                "yaw_rate": obj.yaw_rate,
-                "size": None if obj.size is None else list(obj.size),
-                "first_frame": obj.first_frame,
-                "lifespan": obj.lifespan,
-            }
-            for obj in spec.objects
-        ],
-    }
+    return asdict(spec)
 
 
 def spec_from_dict(data: Mapping, location: str = "") -> ScenarioSpec:
@@ -381,14 +355,12 @@ def calibration_scenario(scene_id: str = "calibration", seed: int = 101,
             yaw=(index % 7) * 0.8 - 2.4,
         ))
     if isinstance(accel_sigma, (int, float)):
-        accel = (accel_sigma, accel_sigma, accel_sigma, angle_accel_sigma)
-    else:
-        accel = _as_tuple(accel_sigma, 4, "accel_sigma")
+        accel_sigma = (accel_sigma,) * 3 + (angle_accel_sigma,)
     noise = NoiseSpec(
         position_sigma=obs_sigma,
         angle_sigma=angle_obs_sigma,
         size_sigma=size_sigma,
-        accel_sigma=accel,
+        accel_sigma=accel_sigma,
         score_range=(0.5, 1.0),
     )
     return ScenarioSpec(scene_id=scene_id, frame_count=frame_count,

@@ -23,7 +23,7 @@ from .association import (
     mahalanobis_affinity,
     orientation_correct,
 )
-from .calibration import ClassNoise, NoiseModel
+from .calibration import NoiseModel
 from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, Observation
 from .dataset_io import RunConfig
 from .errors import ConfigError, NumericalError, SchemaError, SequencingError
@@ -85,34 +85,23 @@ class SceneStats:
     died: int = 0
 
 
-def _strip_angular_velocity(noise: NoiseModel) -> NoiseModel:
-    """Zero the yaw-rate noise so the da component stays pinned at zero."""
-    classes = {}
-    for label, entry in noise.classes.items():
-        q = entry.q.copy()
-        sigma0 = entry.sigma0.copy()
-        q[10] = 0.0
-        sigma0[10] = 0.0
-        classes[label] = ClassNoise(q, entry.r, sigma0)
-    return NoiseModel(classes)
-
-
 class MultiObjectTracker:
     """Tracker state over one scene; feed frames in ascending order."""
 
     def __init__(self, noise: NoiseModel, config: RunConfig | None = None):
         self.config = config if config is not None else RunConfig()
-        if not self.config.angular_velocity:
-            noise = _strip_angular_velocity(noise)
         self.noise = noise
         self.tracks: list = []
         self.stats = SceneStats()
         self._next_id = 1
         self._last_frame: int | None = None
-        self._matrices = {
-            label: (noise.q_matrix(label), noise.r_matrix(label), noise.sigma0_matrix(label))
-            for label in noise.classes
-        }
+        self._matrices = {}
+        for label in noise.classes:
+            q, sigma0 = noise.q_matrix(label), noise.sigma0_matrix(label)
+            if not self.config.angular_velocity:
+                # no yaw-rate noise or initial spread: da stays pinned at zero
+                q[10, 10] = sigma0[10, 10] = 0.0
+            self._matrices[label] = (q, noise.r_matrix(label), sigma0)
 
     def step(self, frame_index: int, detections: Sequence[Box]) -> FrameOutput:
         """Process one frame and return the confirmed tracks."""

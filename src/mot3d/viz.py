@@ -25,10 +25,6 @@ def track_color(track_id: int) -> str:
     return PALETTE[track_id % len(PALETTE)]
 
 
-def _corners(observation):
-    return box_corners_bev(observation)
-
-
 def _polygon(points, style: str) -> str:
     coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
     return f'<polygon points="{coords}" {style} />'
@@ -36,7 +32,7 @@ def _polygon(points, style: str) -> str:
 
 def _heading_tick(observation, color: str) -> str:
     # line from box center to the midpoint of the leading edge
-    corners = _corners(observation)
+    corners = box_corners_bev(observation)
     front_x = (corners[0][0] + corners[3][0]) / 2.0
     front_y = (corners[0][1] + corners[3][1]) / 2.0
     return (f'<line x1="{observation.x:.2f}" y1="{observation.y:.2f}" '
@@ -59,7 +55,7 @@ def render_scene_svg(track_frames: Mapping, gt_frames: Mapping | None = None,
     if gt_frames:
         for frame in sorted(gt_frames):
             for box in gt_frames[frame]:
-                corners = _corners(box.observation)
+                corners = box_corners_bev(box.observation)
                 xs.extend(c[0] for c in corners)
                 ys.extend(c[1] for c in corners)
                 gt_items.append(_polygon(corners, GT_STYLE))
@@ -67,7 +63,7 @@ def render_scene_svg(track_frames: Mapping, gt_frames: Mapping | None = None,
     track_ids = []
     for frame in sorted(track_frames):
         for box in track_frames[frame]:
-            corners = _corners(box.observation)
+            corners = box_corners_bev(box.observation)
             xs.extend(c[0] for c in corners)
             ys.extend(c[1] for c in corners)
             color = track_color(box.track_id)

@@ -438,3 +438,17 @@ def test_calibration_is_bit_identical_to_per_pair_loops(seed, pooled):
         assert np.array_equal(noise.q, q)
         assert np.array_equal(noise.r, r)
         assert np.array_equal(noise.sigma0, sigma0)
+
+
+def test_tracks_follow_frame_order_not_insertion_order():
+    a = make_track([0.0, 1.0, 2.5], frames=[0, 1, 2])
+    b = make_track([9.0, 8.0], instance="i1", frames=[1, 2])
+    scattered = gt_dict([a, b])
+    reversed_frames = {scene: dict(reversed(list(frames.items())))
+                       for scene, frames in scattered.items()}
+    for ground_truth in (scattered, reversed_frames):
+        tracks = tracks_from_ground_truth(ground_truth)
+        assert [t.instance_id for t in tracks] == ["i0", "i1"]
+        assert [t.frames for t in tracks] == [(0, 1, 2), (1, 2)]
+        np.testing.assert_array_equal(tracks[0].poses, a.poses)
+        np.testing.assert_array_equal(tracks[1].sizes, b.sizes)

@@ -430,3 +430,47 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
             # one error line, no numpy overflow warning before it
             assert err.count("\n") == 1, err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scene_id", 5), ("frame_count", 5.5), ("frame_count", True), ("first_frame", 1.5),
+    ("first_frame", True), ("lifespan", 2.5), ("lifespan", True), ("x", True),
+])
+def test_simulate_spec_field_errors_name_the_field(tmp_path, capsys, field, value):
+    # each of these used to end in a traceback or pass as a number
+    car = {"class_label": "car", "x": 0.0, "y": 0.0}
+    spec = {"scene_id": "s", "frame_count": 3, "objects": [car]}
+    (spec if field in ("scene_id", "frame_count") else car)[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(path), "--out-detections", str(tmp_path / "d.json"),
+                 "--out-ground-truth", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"mot3d: error: {path}: invalid scenario spec: {field} must be "), err
+    assert err.count("\n") == 1, err
+
+
+def test_calibration_from_ground_truth_without_boxes_exits_one(pipeline, tmp_path, capsys):
+    # used to end in "ValueError: noise model must cover at least one class"
+    empty = tmp_path / "empty_gt.json"
+    empty.write_text(json.dumps({"s": {"0": []}}))
+    for pooled in ([], ["--pooled"]):
+        assert main(["calibrate", "--ground-truth", str(empty), "--detections",
+                     pipeline["cal_det"], "--out", str(tmp_path / "noise.json")] + pooled) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mot3d: error:") and "no boxes" in err, err
+    assert main(["ablate", "--detections", pipeline["det"], "--ground-truth", pipeline["gt"],
+                 "--calibration-ground-truth", str(empty), "--noise", "calibrated",
+                 "--jobs", "1", "--out", str(tmp_path / "grid.csv")]) == 1
+    assert "no boxes" in capsys.readouterr().err
+
+
+def test_choices_come_from_the_config_names():
+    from mot3d.dataset_io import AFFINITY_NAMES, MATCHER_NAMES, SCORE_MODES
+    track = build_parser()._subparsers._group_actions[0].choices["track"]
+    choices = {action.dest: action.choices for action in track._actions if action.choices}
+    assert choices.keys() == {"matcher", "affinity", "score_mode"}
+    # the very tuples RunConfig checks against, not copies of their values
+    assert choices["matcher"] is MATCHER_NAMES
+    assert choices["affinity"] is AFFINITY_NAMES
+    assert choices["score_mode"] is SCORE_MODES

@@ -184,7 +184,9 @@ def test_detection_validation():
     assert "car" in CLASS_LABELS and len(CLASS_LABELS) == 7
     assert Box(obs, "car", 0, score=1, track_id=3).score == 1.0
     assert Box(obs, "car", 0, instance_id="a").instance_id == "a"
-    for fields in (dict(score=math.nan), dict(score="high"), dict(track_id=0),
+    # a string or bool score used to pass as its float value
+    for fields in (dict(score=math.nan), dict(score="high"), dict(score="0.5"),
+                   dict(score=True), dict(track_id=0),
                    dict(track_id=True), dict(track_id=1.0), dict(instance_id=""),
                    dict(instance_id=7), dict(instance_id=["a"])):
         with pytest.raises(ValueError):

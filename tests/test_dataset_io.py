@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import mot3d
 from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
 from mot3d.core import Box, Observation, wrap_angle
 from mot3d.dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
@@ -34,6 +37,18 @@ def write_json(path, payload):
 def test_default_gate_value():
     assert DEFAULT_MAHA_GATE == math.sqrt(chi2.ppf(0.95, 7))
     assert DEFAULT_MAHA_GATE == pytest.approx(3.7506186755440987)
+    assert type(DEFAULT_MAHA_GATE) is float
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import, and the gate needs only scipy.special
+    src = os.path.dirname(os.path.dirname(mot3d.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mot3d; print('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    modules = set(out.stdout.split())
+    assert "mot3d.tracker" in modules and "scipy.special" in modules
+    assert "scipy.stats" not in modules
 
 
 def test_detection_round_trip(tmp_path):

@@ -307,3 +307,71 @@ def test_scenario_spec_validation():
     for seed in (-1, 1.5, True):
         with pytest.raises(ValueError, match="seed"):
             simple_spec(seed=seed)
+
+
+def test_counts_and_seeds_must_be_ints():
+    for bad in (5.5, True, "3", None):
+        with pytest.raises(ValueError, match=r"^frame_count must be an int >= 1, got "):
+            simple_spec(frame_count=bad)
+    for name, bad in (("first_frame", 1.5), ("first_frame", True),
+                      ("lifespan", 2.5), ("lifespan", True), ("lifespan", 0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
+            ObjectSpec("car", x=0.0, y=0.0, **{name: bad})
+    for bad in (5, None, ["s"]):
+        with pytest.raises(ValueError, match="^scene_id must be a non-empty string"):
+            simple_spec(scene_id=bad)
+    assert ObjectSpec("car", x=0, y=0, first_frame=0, lifespan=1).lifespan == 1
+
+
+SPEC_CLASSES = (
+    (ObjectSpec, dict(class_label="car", x=0.0, y=0.0)),
+    (NoiseSpec, {}),
+    (ScenarioSpec, dict(scene_id="s", frame_count=3, objects=())),
+)
+
+
+@pytest.mark.parametrize("cls, required", SPEC_CLASSES, ids=lambda v: getattr(v, "__name__", ""))
+def test_every_spec_field_rejects_a_bool(cls, required):
+    # a bool used to pass as 0 or 1 wherever a number was expected
+    names = [f.name for f in dataclasses.fields(cls)
+             if f.name not in ("class_label", "objects", "noise")]
+    assert names
+    for name in names:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            cls(**dict(required, **{name: True}))
+
+
+def test_vector_fields_take_n_reals_or_one_scalar():
+    noise = NoiseSpec(position_sigma=0.5, accel_sigma=[1, 2, 3, 4])
+    assert noise.position_sigma == (0.5, 0.5, 0.5)
+    assert noise.accel_sigma == (1.0, 2.0, 3.0, 4.0)
+    assert all(type(v) is float for v in noise.accel_sigma)
+    for bad in (None, "ab", [0.1, "x", 0.1], [0.1, math.inf, 0.1]):
+        with pytest.raises(ValueError, match="^position_sigma must be "):
+            NoiseSpec(position_sigma=bad)
+    with pytest.raises(ValueError, match=r"^bounds must be a scalar or 4 numbers"):
+        simple_spec(bounds=(0.0, 1.0, 0.0))
+
+
+def test_spec_dict_keeps_its_json_layout():
+    spec = simple_spec(objects=(ObjectSpec("bus", x=1.0, y=2, size=(11.0, 3.0, 3.5),
+                                           first_frame=2, lifespan=20),
+                                ObjectSpec("car", x=0.5, y=-1.0)))
+    noise = spec.noise
+    expected = {
+        "scene_id": "unit", "frame_count": 60, "seed": 3,
+        "bounds": [-60.0, 60.0, -60.0, 60.0], "fp_z_range": [-0.5, 2.0],
+        "noise": {"position_sigma": [0.0] * 3, "angle_sigma": 0.0, "size_sigma": 0.0,
+                  "accel_sigma": [0.0] * 4, "p_miss": 0.0, "fp_rate": 0.0,
+                  "score_range": [1.0, 1.0], "fp_score_range": list(noise.fp_score_range)},
+        "objects": [
+            {"class_label": "bus", "x": 1.0, "y": 2, "z": 0.0, "yaw": 0.0, "vx": 0.0,
+             "vy": 0.0, "vz": 0.0, "yaw_rate": 0.0, "size": [11.0, 3.0, 3.5],
+             "first_frame": 2, "lifespan": 20},
+            {"class_label": "car", "x": 0.5, "y": -1.0, "z": 0.0, "yaw": 0.0, "vx": 0.0,
+             "vy": 0.0, "vz": 0.0, "yaw_rate": 0.0, "size": None,
+             "first_frame": 0, "lifespan": None},
+        ],
+    }
+    assert (json.dumps(spec_to_dict(spec), indent=2, sort_keys=True)
+            == json.dumps(expected, indent=2, sort_keys=True))

@@ -364,3 +364,17 @@ def test_numerical_error_names_frame_class_and_track():
     with pytest.raises(NumericalError) as info:
         tracker.step(1, [det(1), det(1, x=-1e308)])
     assert str(info.value).startswith("frame 1, class car, track 2: residual")
+
+
+def test_without_angular_velocity_only_the_yaw_rate_noise_is_zero():
+    noise = hand_noise()
+    with_rate = MultiObjectTracker(noise, RunConfig())._matrices["car"]
+    without = MultiObjectTracker(noise, RunConfig(angular_velocity=False))._matrices["car"]
+    for name, full, pinned in zip("q r sigma0".split(), with_rate, without):
+        expected = full.copy()
+        if name != "r":
+            assert full[10, 10] > 0.0
+            expected[10, 10] = 0.0
+        np.testing.assert_array_equal(pinned, expected)
+    # the caller's model is left as it was
+    assert noise.classes["car"].q[10] == 0.01 and noise.classes["car"].sigma0[10] == 1.0
