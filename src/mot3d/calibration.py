@@ -345,9 +345,9 @@ def load_noise_model(path: str) -> NoiseModel:
             raise SchemaError(f"unknown class {label!r}", location)
         if not isinstance(entry, dict):
             raise SchemaError("class entry must be an object", location)
-        arrays = [number_list(entry.get(name), name, size, location)
-                  for name, size in (("q", STATE_DIM), ("r", OBS_DIM), ("sigma0", STATE_DIM))]
         try:
+            arrays = [number_list(entry.get(name), name, size)
+                      for name, size in (("q", STATE_DIM), ("r", OBS_DIM), ("sigma0", STATE_DIM))]
             classes[label] = ClassNoise(*arrays)
         except ValueError as exc:
             raise SchemaError(str(exc), location) from None

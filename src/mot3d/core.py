@@ -69,7 +69,10 @@ def finite_real(name: str, value) -> float:
     # float and int first: an isinstance check against the Real ABC is slow
     if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf if value > 0 else -math.inf
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {number!r}")
     return number

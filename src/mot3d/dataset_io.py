@@ -10,14 +10,18 @@ the generator provenance header) and are skipped by the loaders.
 
 Each rule is checked once, in one place.  The loader checks the JSON
 shape: unexpected fields, array lengths, and that every number is a
-finite number that fits a float.  A field that is already a finite
-float passes in one check; any other value goes to _number, which
-writes the error.  The rules on values (positive extents, score range,
-known class, ids) live in core.Observation and core.Box, and surface
-here as SchemaError with the offending scene, frame and record.  A
-record with several faults reports the first in the order: unexpected
-fields, center, yaw, size, the file's extra fields, class, and only
-then the value rules.
+finite number that fits a float.  Arrays of three finite floats and
+finite float fields pass in one check, as parsed; any other value goes
+to _number, which writes the error.  The rules on values (positive
+extents, score range, known class, ids) live in core.Observation and
+core.Box.  A fault surfaces as SchemaError naming its scene, frame and
+record, a location built only then.  A record with several faults
+reports the first in the order: unexpected fields, center, yaw, size,
+the file's extra fields, class, and only then the value rules.
+
+The cyclic garbage collector is paused while a file is parsed and its
+boxes are built, then restored as it was: the records hold no reference
+cycles, so collections would free nothing yet walk the whole heap.
 
 Writers emit sorted keys with a fixed layout, so equal inputs always
 serialize to identical bytes, and floats keep full round-trip
@@ -27,6 +31,7 @@ the target directory replaces the target only once it is complete.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -38,7 +43,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from scipy.special import gammaincinv
 
-from .core import CLASS_LABELS, Box, Observation
+from .core import CLASS_LABELS, Box, Observation, finite_real
 from .errors import ConfigError, SchemaError
 
 if TYPE_CHECKING:
@@ -194,30 +199,29 @@ def merge_config(config: RunConfig, **overrides) -> RunConfig:
     return replace(config, **updates) if updates else config
 
 
-def _require(record: Mapping, key: str, location: str):
-    if key not in record:
-        raise SchemaError(f"missing field {key!r}", location)
-    return record[key]
-
-
-def _number(value, name: str, location: str) -> float:
+def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"field {name!r} must be a number, got {value!r}", location)
+        raise ValueError(f"field {name!r} must be a number, got {value!r}")
     try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise SchemaError(f"field {name!r} must be a finite number", location)
-    return number
+        return finite_real(name, value)
+    except ValueError:  # NaN, an infinity, or an integer beyond the float range
+        raise ValueError(f"field {name!r} must be a finite number") from None
 
 
-def number_list(value, name: str, length: int, location: str) -> list:
+def number_list(value, name: str, length: int) -> list:
     """Check a JSON array of `length` finite numbers; return them as floats."""
     if not isinstance(value, list) or len(value) != length:
-        raise SchemaError(f"field {name!r} must be an array of {length} numbers", location)
-    return [item if type(item) is float and math.isfinite(item)
-            else _number(item, name, location) for item in value]
+        raise ValueError(f"field {name!r} must be an array of {length} numbers")
+    return [_number(item, name) for item in value]
+
+
+def _triple(value, name: str) -> list:
+    """A JSON array of three finite numbers as floats: value itself when it holds floats."""
+    if (type(value) is list and len(value) == 3 and type(value[0]) is float
+            and type(value[1]) is float and type(value[2]) is float
+            and math.isfinite(value[0] + value[1] + value[2])):
+        return value
+    return number_list(value, name, 3)
 
 
 def _frame_index(key: str, location: str) -> int:
@@ -231,36 +235,43 @@ def _frame_index(key: str, location: str) -> int:
     return index
 
 
-def _box(record, kind: str, frame_index: int, scene_id: str, location: str) -> Box:
+def _box(record, kind: str, frame_index: int, scene_id: str) -> Box:
+    """One record's Box; the first fault raises ValueError with its message."""
     if not isinstance(record, dict):
-        raise SchemaError("box record must be a JSON object", location)
-    extras = BOX_SCHEMAS[kind]
-    unexpected = record.keys() - _RECORD_KEYS[kind]
-    if unexpected:
-        raise SchemaError(f"unexpected fields {sorted(unexpected)}", location)
-    center = number_list(_require(record, "center", location), "center", 3, location)
-    yaw = _require(record, "yaw", location)
-    if not (type(yaw) is float and math.isfinite(yaw)):
-        yaw = _number(yaw, "yaw", location)
-    size = number_list(_require(record, "size", location), "size", 3, location)
-    values = {name: _require(record, name, location) for name in extras}
-    if "score" in values and not (type(values["score"]) is float
-                                  and math.isfinite(values["score"])):
-        values["score"] = _number(values["score"], "score", location)
-    class_label = _require(record, "class", location)
-    try:
-        return Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
-    except ValueError as exc:
-        raise SchemaError(str(exc), location) from None
+        raise ValueError("box record must be a JSON object")
+    if not record.keys() <= _RECORD_KEYS[kind]:
+        raise ValueError(f"unexpected fields {sorted(record.keys() - _RECORD_KEYS[kind])}")
+    try:  # fields are read in the order their faults are reported
+        center = _triple(record["center"], "center")
+        yaw = record["yaw"]
+        if not (type(yaw) is float and math.isfinite(yaw)):
+            yaw = _number(yaw, "yaw")
+        size = _triple(record["size"], "size")
+        values = {name: record[name] for name in BOX_SCHEMAS[kind]}
+        if "score" in values and not (type(values["score"]) is float
+                                      and math.isfinite(values["score"])):
+            values["score"] = _number(values["score"], "score")
+        class_label = record["class"]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+    return Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
 
 
 def _load_boxes(path: str, kind: str) -> dict:
     """Parse a box file into scene -> frame -> [Box], scenes and frames sorted."""
-    data = read_json(path, kind)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _boxes_from_json(read_json(path, kind), kind, path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _boxes_from_json(data, kind: str, path: str) -> dict:
     if not isinstance(data, dict):
         raise SchemaError(f"{kind} file must hold a JSON object", path)
     out: dict = {}
-    instances: set = set()
     for scene_id in sorted(key for key in data if not key.startswith("_")):
         frames = data[scene_id]
         scene_location = f"{kind} scene {scene_id!r}"
@@ -271,16 +282,16 @@ def _load_boxes(path: str, kind: str) -> dict:
             frame_location = f"{scene_location} frame {frame_index}"
             if not isinstance(records, list):
                 raise SchemaError("frame must hold an array of box records", frame_location)
-            boxes = []
+            boxes, instance_ids = [], set()
             for record_index, record in enumerate(records):
-                location = f"{frame_location} record {record_index}"
-                box = _box(record, kind, frame_index, scene_id, location)
+                try:
+                    box = _box(record, kind, frame_index, scene_id)
+                    if box.instance_id in instance_ids:
+                        raise ValueError(f"duplicate instance_id {box.instance_id!r}")
+                except ValueError as exc:
+                    raise SchemaError(str(exc), f"{frame_location} record {record_index}") from None
                 if box.instance_id is not None:
-                    key = (scene_id, frame_index, box.instance_id)
-                    if key in instances:
-                        raise SchemaError(f"duplicate instance_id {box.instance_id!r}",
-                                          location)
-                    instances.add(key)
+                    instance_ids.add(box.instance_id)
                 boxes.append(box)
             if boxes:
                 out.setdefault(scene_id, {})[frame_index] = boxes

@@ -282,12 +282,22 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
     return asdict(spec)
 
 
+def _object(name: str, value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: Mapping, location: str = "") -> ScenarioSpec:
     if not isinstance(data, Mapping):
         raise SchemaError(f"invalid scenario spec: expected an object, got {data!r}", location)
     try:
-        noise = NoiseSpec(**data.get("noise", {}))
-        objects = tuple(ObjectSpec(**entry) for entry in data.get("objects", []))
+        noise = NoiseSpec(**_object("noise", data.get("noise", {})))
+        entries = data.get("objects", [])
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"objects must be an array, got {entries!r}")
+        objects = tuple(ObjectSpec(**_object(f"objects[{index}]", entry))
+                        for index, entry in enumerate(entries))
         extra = {key: data[key] for key in ("seed", "bounds", "fp_z_range") if key in data}
         return ScenarioSpec(
             scene_id=data["scene_id"],

@@ -435,12 +435,15 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("scene_id", 5), ("frame_count", 5.5), ("frame_count", True), ("first_frame", 1.5),
     ("first_frame", True), ("lifespan", 2.5), ("lifespan", True), ("x", True),
+    pytest.param("x", 10 ** 400, id="x-10**400"),
+    pytest.param("objects[0]", [1], id="objects[0]-[1]"), ("noise", 5), ("objects", 5),
 ])
 def test_simulate_spec_field_errors_name_the_field(tmp_path, capsys, field, value):
-    # each of these used to end in a traceback or pass as a number
+    # each of these used to end in a traceback, pass as a number, or print
+    # a message that named no field
     car = {"class_label": "car", "x": 0.0, "y": 0.0}
     spec = {"scene_id": "s", "frame_count": 3, "objects": [car]}
-    (spec if field in ("scene_id", "frame_count") else car)[field] = value
+    (car if field in ("x", "first_frame", "lifespan") else spec)[field.removesuffix("[0]")] = value
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["simulate", "--spec", str(path), "--out-detections", str(tmp_path / "d.json"),

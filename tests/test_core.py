@@ -69,17 +69,22 @@ def test_observation_validation():
         Observation(math.nan, 0, 0, 0, 1, 1, 1)
 
 
-@pytest.mark.parametrize("bad", ["1.5", True, False, None, [1.0], np.bool_(True)],
-                         ids=repr)
+@pytest.mark.parametrize("bad", ["1.5", True, False, None, [1.0], np.bool_(True),
+                                 pytest.param(10 ** 400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("index", range(OBS_DIM))
 def test_observation_rejects_non_real_fields(index, bad):
     # a string used to be kept as is and failed a frame later in numpy;
-    # a bool passed as 0 or 1
+    # a bool passed as 0 or 1; an int beyond the float range raised
+    # OverflowError, which named no field
     values = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     values[index] = bad
     name = "xyzalwh"[index]
-    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+    rule = "finite" if type(bad) is int else "a real number"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got "):
         Observation(*values)
+    if bad is not None:  # a None score means the box has none
+        with pytest.raises(ValueError, match=f"^score must be {rule}, got "):
+            Box(Observation(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0), "car", 0, score=bad)
 
 
 def test_observation_reports_the_first_faulty_field():

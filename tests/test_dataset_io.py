@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from mot3d.dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
                               merge_config, write_detections, write_ground_truth,
                               write_tracks)
 from mot3d.errors import ConfigError, SchemaError
+from mot3d.synthetic import calibration_scenario, generate
 from mot3d.tracker import run_scene
 from tests.test_tracker import hand_noise, moving_car_frames
 
@@ -176,6 +178,48 @@ def test_schema_errors_carry_location(tmp_path):
         message = str(excinfo.value)
         assert needle in message
         assert "scene 's' frame 0" in message
+    # the location is built only once a record faults, so pin one deep in a file
+    clean = {"0": [detection_payload()], "3": [detection_payload()] * 9}
+    faulty = {"0": [detection_payload()], "3": [detection_payload()] * 7 + [
+        detection_payload(score=1.5), detection_payload(yaw=None)]}
+    path = write_json(tmp_path / "case.json", {"a": clean, "b": faulty, "c": {"x": []}})
+    with pytest.raises(SchemaError) as excinfo:
+        load_detections(path)
+    assert (str(excinfo.value)
+            == "detections scene 'b' frame 3 record 7: score must lie in [0, 1], got 1.5")
+
+
+def test_box_loads_pause_the_cyclic_collector(tmp_path):
+    spec = calibration_scenario(objects=100, frame_count=102)
+    path = tmp_path / "gt.json"
+    write_ground_truth({spec.scene_id: generate(spec)[0]}, str(path))
+    payload = json.loads(path.read_text())
+    payload[spec.scene_id]["51"][40]["size"][2] = -1.0
+    faulty = write_json(tmp_path / "faulty.json", payload)
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    collecting = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            # count only inside the call: a container allocated outside it
+            # may start a collection once the collector is on
+            collections.clear()
+            boxes = load_ground_truth(str(path))
+            assert not collections
+            assert gc.isenabled() is enabled
+            assert sum(map(len, boxes[spec.scene_id].values())) == 10200
+            with pytest.raises(SchemaError, match="frame 51 record 40: h must be positive"):
+                load_ground_truth(faulty)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if collecting else gc.disable)()
 
 
 def test_frame_key_validation(tmp_path):
