@@ -144,14 +144,11 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     elapsed = time.perf_counter() - started
-    # a class sweeps one threshold per distinct track score
-    scores = {(box.class_label, box.score) for frames in tracks.values()
-              for boxes in frames.values() for box in boxes}
     for label in sorted(report.classes):
         entry = report.classes[label]
         best = max(entry.samples, key=lambda sample: sample.motar)
         print(f"{label:>12s}  amota {entry.amota:.4f}  positives {entry.positives}  "
-              f"thresholds {sum(1 for c, _ in scores if c == label)}  "
+              f"thresholds {entry.thresholds}  "
               f"best motar {best.motar:.4f} at recall {best.target_recall:.3f}: "
               f"ids {best.ids} fp {best.fp} fn {best.fn}")
     print(f"{'overall':>12s}  amota {report.overall_amota:.4f}")

@@ -88,18 +88,26 @@ def atomic_open(path: str, newline: str | None = None):
     The handle writes a temp file in path's directory (created when
     missing); os.replace swaps it in at the end.  On any exception the
     temp file is removed and an existing file at path is left as it was.
+    An OSError of this function's own file operations raises SchemaError;
+    the block's own exceptions pass through unchanged.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     temp = os.path.join(directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    in_block = False
     try:
+        os.makedirs(directory, exist_ok=True)
         with open(temp, "w", newline=newline) as handle:
+            in_block = True
             yield handle
+            in_block = False
         os.replace(temp, path)
-    except BaseException:
+    except OSError as exc:
+        if in_block:
+            raise
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
         if os.path.exists(temp):
             os.remove(temp)
-        raise
 
 
 def write_json(payload, path: str):

@@ -115,6 +115,7 @@ class ClassReport:
     amota: float
     positives: int
     samples: tuple
+    thresholds: int  # distinct track scores swept; not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -157,14 +158,14 @@ class EvalReport:
 _OperatingPoint = namedtuple("_OperatingPoint", "threshold recall tp fp fn ids")
 
 
-def _boxes_for_class(boxes_by_scene: Mapping, label: str) -> dict:
+def _by_class(boxes_by_scene: Mapping) -> dict:
+    """label -> scene -> frame -> boxes, scenes and frames ascending, box order kept."""
     out: dict = {}
-    for scene_id in sorted(boxes_by_scene):
-        for frame_index in sorted(boxes_by_scene[scene_id]):
-            selected = [b for b in boxes_by_scene[scene_id][frame_index]
-                        if b.class_label == label]
-            if selected:
-                out.setdefault(scene_id, {})[frame_index] = selected
+    for scene_id, frames in sorted(boxes_by_scene.items()):
+        for frame_index, boxes in sorted(frames.items()):
+            for box in boxes:
+                scenes = out.setdefault(box.class_label, {})
+                scenes.setdefault(scene_id, {}).setdefault(frame_index, []).append(box)
     return out
 
 
@@ -243,7 +244,7 @@ def _class_report(label: str, gt: Mapping, tracks: Mapping, n: int,
             reachable=chosen is not None,
         ))
     amota_value = sum(sample.motar for sample in samples) / len(samples)
-    return ClassReport(label, amota_value, positives, tuple(samples))
+    return ClassReport(label, amota_value, positives, tuple(samples), len(thresholds))
 
 
 def check_amota_args(n: int, gate: float):
@@ -264,22 +265,14 @@ def amota(tracks: Mapping[str, Mapping[int, Sequence[Box]]],
     sample record.
     """
     check_amota_args(n, gate)
-    labels = sorted({box.class_label
-                     for frames in ground_truth.values()
-                     for boxes in frames.values()
-                     for box in boxes})
-    if not labels:
+    gt_by_class = _by_class(ground_truth)
+    if not gt_by_class:
         raise ValueError("ground truth contains no boxes")
-    track_labels = {box.class_label
-                    for frames in tracks.values()
-                    for boxes in frames.values()
-                    for box in boxes}
-    skipped = tuple(sorted(track_labels - set(labels)))
-    reports = {}
-    for label in labels:
-        gt_c = _boxes_for_class(ground_truth, label)
-        tr_c = _boxes_for_class(tracks, label)
-        reports[label] = _class_report(label, gt_c, tr_c, n, gate)
+    tracks_by_class = _by_class(tracks)
+    skipped = tuple(sorted(set(tracks_by_class) - set(gt_by_class)))
+    reports = {label: _class_report(label, gt_by_class[label],
+                                    tracks_by_class.get(label, {}), n, gate)
+               for label in sorted(gt_by_class)}
     overall = sum(report.amota for report in reports.values()) / len(reports)
     return EvalReport(reports, overall, n, gate, skipped)
 

@@ -22,7 +22,7 @@ minimum, or n reals (one scalar stands for all n).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -276,10 +276,6 @@ def scenario_meta(specs: Sequence[ScenarioSpec]) -> dict:
         "rng": RNG_NAME,
         "seeds": {spec.scene_id: spec.seed for spec in specs},
     }
-
-
-def spec_to_dict(spec: ScenarioSpec) -> dict:
-    return asdict(spec)
 
 
 def _object(name: str, value) -> Mapping:

@@ -29,10 +29,6 @@ from .dataset_io import RunConfig
 from .errors import ConfigError, NumericalError, SchemaError, SequencingError
 from .kalman import predict, update
 
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
-
-
 @dataclass
 class Track:
     """Mutable per-object bookkeeping.
@@ -45,17 +41,12 @@ class Track:
     class_label: str
     mean: np.ndarray
     cov: np.ndarray
-    status: str = TENTATIVE
-    consecutive_hits: int = 1
+    confirmed: bool = False
+    consecutive_hits: int = 0
     consecutive_misses: int = 0
     last_score: float = 0.0
-    score_sum: float = 0.0
+    score_sum: float = -0.0  # the additive identity: a first score of -0.0 keeps its sign
     score_count: int = 0
-
-    def current_score(self, score_mode: str) -> float:
-        if score_mode == "running_mean" and self.score_count:
-            return self.score_sum / self.score_count
-        return self.last_score
 
 
 @dataclass(frozen=True)
@@ -123,32 +114,44 @@ class MultiObjectTracker:
                 raise SchemaError(f"detection in frame {frame_index} has no score")
         self._last_frame = frame_index
 
-        labels = sorted({t.class_label for t in self.tracks}
-                        | {d.class_label for d in detections})
-        survivors: list = []
-        spawned: list = []
-        for label in labels:
-            tracks = [t for t in self.tracks if t.class_label == label]
-            dets = [d for d in detections if d.class_label == label]
+        by_class: dict = {}  # label -> (tracks in id order, detections in input order)
+        for track in self.tracks:
+            by_class.setdefault(track.class_label, ([], []))[0].append(track)
+        for detection in detections:
+            by_class.setdefault(detection.class_label, ([], []))[1].append(detection)
+        live: list = []
+        for label in sorted(by_class):
+            tracks, dets = by_class[label]
             try:
-                survivors.extend(self._step_class(label, tracks, dets, spawned))
+                live += self._step_class(label, tracks, dets)
             except NumericalError as exc:
                 exc.location = (f"frame {frame_index}, class {label}, "
                                 f"track {tracks[exc.row].track_id}")
                 raise
-        self.tracks = sorted(survivors + spawned, key=lambda t: t.track_id)
+        self.tracks = sorted(live, key=lambda t: t.track_id)
         self.stats.frames += 1
 
+        running_mean = self.config.score_mode == "running_mean"
         records = tuple(
             Box(Observation.from_array(t.mean[:OBS_DIM]), t.class_label, frame_index,
-                score=t.current_score(self.config.score_mode), track_id=t.track_id)
-            for t in self.tracks
-            if t.status == CONFIRMED
-        )
+                score=t.score_sum / t.score_count if running_mean else t.last_score,
+                track_id=t.track_id)
+            for t in self.tracks if t.confirmed)
         return FrameOutput(frame_index, records)
 
-    def _step_class(self, label: str, tracks: list, detections: list,
-                    spawned: list) -> list:
+    def _hit(self, track: Track, score: float):
+        """Count one matched (or birth) detection; confirm the track once."""
+        track.consecutive_hits += 1
+        track.consecutive_misses = 0
+        track.last_score = score
+        track.score_sum += score
+        track.score_count += 1
+        if not track.confirmed and track.consecutive_hits >= self.config.birth_hits:
+            track.confirmed = True
+            self.stats.confirmed += 1
+
+    def _step_class(self, label: str, tracks: list, detections: list) -> list:
+        """Advance one class; return its live tracks in track_id order."""
         config = self.config
         q, r, sigma0 = self._matrices[label]
         predictions = [predict(t.mean, t.cov, q, r) for t in tracks]
@@ -162,57 +165,34 @@ class MultiObjectTracker:
                 affinity = mahalanobis_affinity(predictions, observations)
             result = MATCHERS[config.matcher](affinity, config.gate_for(label))
 
-        survivors = []
         yaws = orientation_correct([predictions[i].mean[ANGLE_INDEX] for i, _, _ in result.pairs],
                                    [detections[j].observation.a for _, j, _ in result.pairs])
         for (i, j, _), yaw in zip(result.pairs, yaws):
-            track = tracks[i]
-            detection = detections[j]
             try:
-                track.mean, track.cov = update(predictions[i],
-                                               detection.observation.to_array(), yaw)
+                tracks[i].mean, tracks[i].cov = update(
+                    predictions[i], detections[j].observation.to_array(), yaw)
             except NumericalError as exc:
                 exc.row = i
                 raise
-            track.consecutive_hits += 1
-            track.consecutive_misses = 0
-            track.last_score = detection.score
-            track.score_sum += detection.score
-            track.score_count += 1
-            if track.status == TENTATIVE and track.consecutive_hits >= config.birth_hits:
-                track.status = CONFIRMED
-                self.stats.confirmed += 1
-            survivors.append(track)
+            self._hit(tracks[i], detections[j].score)
 
         for i in result.unmatched_predictions:
             track = tracks[i]
             track.mean, track.cov = predictions[i].mean, predictions[i].cov
             track.consecutive_misses += 1
             track.consecutive_hits = 0
-            if track.consecutive_misses >= config.death_misses:
-                self.stats.died += 1
-                continue
-            survivors.append(track)
+        live = [t for t in tracks if t.consecutive_misses < config.death_misses]
+        self.stats.died += len(tracks) - len(live)
 
-        for j in result.unmatched_detections:
-            detection = detections[j]
-            track = Track(
-                track_id=self._next_id,
-                class_label=label,
-                mean=np.concatenate([detection.observation.to_array(),
-                                     np.zeros(STATE_DIM - OBS_DIM)]),
-                cov=sigma0,
-                last_score=detection.score,
-                score_sum=detection.score,
-                score_count=1,
-            )
+        for j in result.unmatched_detections:  # fresh ids exceed every live one
+            observation = detections[j].observation.to_array()
+            track = Track(self._next_id, label,
+                          np.concatenate([observation, np.zeros(STATE_DIM - OBS_DIM)]), sigma0)
             self._next_id += 1
             self.stats.born += 1
-            if track.consecutive_hits >= config.birth_hits:
-                track.status = CONFIRMED
-                self.stats.confirmed += 1
-            spawned.append(track)
-        return survivors
+            self._hit(track, detections[j].score)
+            live.append(track)
+        return live
 
 
 def run_scene(frames: Mapping[int, Sequence[Box]], noise: NoiseModel,

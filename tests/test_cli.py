@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 import warnings
 
@@ -355,6 +356,30 @@ def test_plot_directory_and_single_file(pipeline, tmp_path, capsys):
     assert main(["plot", "--tracks", pipeline["tracks"], "--scene", "ghost",
                  "--out", str(tmp_path / "g.svg")]) == 1
     assert "ghost" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_exit_one(pipeline, tmp_path, capsys):
+    # one error line each; an OSError escaping main() as a traceback fails here
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    somedir = tmp_path / "somedir"
+    somedir.mkdir()
+    under_a_file = str(afile / "out.json")
+    for argv in (["track", "--detections", pipeline["det"], "--noise-model", pipeline["noise"],
+                  "--out", under_a_file],
+                 ["calibrate", "--ground-truth", pipeline["cal_gt"],
+                  "--detections", pipeline["cal_det"], "--out", under_a_file],
+                 ["simulate", "--preset", "noiseless", "--out-ground-truth", under_a_file,
+                  "--out-detections", str(tmp_path / "det.json")],
+                 ["plot", "--tracks", pipeline["tracks"], "--out", str(afile)],
+                 ["evaluate", "--tracks", pipeline["tracks"], "--ground-truth", pipeline["gt"],
+                  "--out", str(somedir)]):
+        assert main(argv) == 1, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mot3d: error: cannot write "), argv
+    assert [name for _, _, names in os.walk(tmp_path)
+            for name in names if name.endswith(".tmp")] == []
+    assert afile.read_text() == "" and list(somedir.iterdir()) == []
 
 
 def test_parser_prog_name():

@@ -10,7 +10,7 @@ from mot3d.errors import SchemaError
 from mot3d.synthetic import (CLASS_SIZES, RNG_NAME, NoiseSpec, ObjectSpec,
                              ScenarioSpec, calibration_scenario, generate,
                              generate_suite, load_scenarios, noiseless_scene,
-                             scenario_meta, spec_from_dict, spec_to_dict,
+                             scenario_meta, spec_from_dict,
                              standard_suite, standard_suite_calibration,
                              turning_scenario)
 
@@ -159,18 +159,18 @@ def test_spec_dict_round_trip():
                                            vx=0.5, yaw_rate=0.01,
                                            size=(11.0, 3.0, 3.5),
                                            first_frame=2, lifespan=20),))
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert spec_from_dict(dataclasses.asdict(spec)) == spec
 
 
 def test_load_scenarios_forms(tmp_path):
     spec = simple_spec()
     single = tmp_path / "one.json"
-    single.write_text(json.dumps(spec_to_dict(spec)))
+    single.write_text(json.dumps(dataclasses.asdict(spec)))
     assert load_scenarios(str(single)) == [spec]
     other = dataclasses.replace(spec, scene_id="unit2", seed=9)
     many = tmp_path / "many.json"
     many.write_text(json.dumps(
-        {"scenarios": [spec_to_dict(spec), spec_to_dict(other)]}))
+        {"scenarios": [dataclasses.asdict(spec), dataclasses.asdict(other)]}))
     assert load_scenarios(str(many)) == [spec, other]
 
 
@@ -194,7 +194,7 @@ def test_load_scenarios_errors(tmp_path):
     with pytest.raises(SchemaError, match="invalid scenario spec"):
         load_scenarios(str(invalid))
     unknown_field = tmp_path / "unknown.json"
-    payload = spec_to_dict(simple_spec())
+    payload = dataclasses.asdict(simple_spec())
     payload["objects"][0]["wings"] = 2
     unknown_field.write_text(json.dumps(payload))
     with pytest.raises(SchemaError, match="invalid scenario spec"):
@@ -206,7 +206,7 @@ def test_load_scenarios_errors(tmp_path):
         load_scenarios(str(not_an_object))
     # errors name the file and, in a collection, the entry
     third_bad = tmp_path / "third_bad.json"
-    good = spec_to_dict(simple_spec())
+    good = dataclasses.asdict(simple_spec())
     third_bad.write_text(json.dumps({"scenarios": [good, good, dict(good, seed=-1)]}))
     with pytest.raises(SchemaError) as raised:
         load_scenarios(str(third_bad))
@@ -373,5 +373,5 @@ def test_spec_dict_keeps_its_json_layout():
              "first_frame": 0, "lifespan": None},
         ],
     }
-    assert (json.dumps(spec_to_dict(spec), indent=2, sort_keys=True)
+    assert (json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True)
             == json.dumps(expected, indent=2, sort_keys=True))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mot3d import association, kalman
+from mot3d import tracker as tracker_module
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
 from mot3d.core import ANGLE_INDEX, Box, Observation, wrap_angle
 from mot3d.dataset_io import RunConfig
@@ -266,16 +267,66 @@ def test_empty_frames_advance_miss_counters():
 
 def test_lifecycle_counters():
     frames = moving_car_frames(6)
-    # a two-frame clutter object that dies without confirmation
+    # a two-frame clutter object that dies without confirmation, unless
+    # every track is confirmed at birth
     frames[1].append(det(1, x=100.0))
     frames[2].append(det(2, x=100.0))
-    tracker = MultiObjectTracker(hand_noise())
-    for frame_index in sorted(frames):
-        tracker.step(frame_index, frames[frame_index])
-    assert tracker.stats.frames == 6
-    assert tracker.stats.born == 2
-    assert tracker.stats.confirmed == 1
-    assert tracker.stats.died == 1
+    for birth_hits, confirmed in ((3, 1), (1, 2)):
+        tracker = MultiObjectTracker(hand_noise(), RunConfig(birth_hits=birth_hits))
+        for frame_index in sorted(frames):
+            tracker.step(frame_index, frames[frame_index])
+        assert tracker.stats.frames == 6
+        assert tracker.stats.born == 2
+        # a track confirmed at birth is not counted again when matched
+        assert tracker.stats.confirmed == confirmed, birth_hits
+        assert tracker.stats.died == 1
+
+
+@pytest.mark.parametrize("affinity", ["mahalanobis", "iou"])
+@pytest.mark.parametrize("matcher", ["greedy", "hungarian"])
+def test_equidistant_tracks_give_the_detection_to_the_lower_id(affinity, matcher):
+    # tracks 1 (x = +d) and 2 (x = -d) score exactly alike against a
+    # detection at x = 0; association rows in id order decide the tie
+    d = 0.25
+    frames = {0: [det(0, x=d), det(0, x=-d)], 1: [det(1, x=0.0)]}
+    config = RunConfig(birth_hits=1, affinity=affinity, matcher=matcher)
+    first, second = run_scene(frames, hand_noise(), config)
+    assert [(rec.track_id, rec.observation.x) for rec in first.records] == [(1, d), (2, -d)]
+    matched, coasted = second.records
+    assert (matched.track_id, coasted.track_id) == (1, 2)
+    assert abs(matched.observation.x) < d
+    assert coasted.observation.x == -d
+
+
+def test_running_mean_of_a_negative_zero_score_keeps_its_sign():
+    config = RunConfig(birth_hits=1, score_mode="running_mean")
+    (output,) = run_scene({0: [det(0, score=-0.0)]}, hand_noise(), config)
+    assert math.copysign(1.0, output.records[0].score) == -1.0
+
+
+def test_tracker_calls_the_layer_functions_through_module_globals(monkeypatch):
+    # per-layer tracing rebinds these names in the tracker module; a
+    # refactor that routes around one of them would silently hide a layer
+    calls = {}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("predict", "update", "mahalanobis_affinity", "iou_affinity"):
+        monkeypatch.setattr(tracker_module, name, counting(name, getattr(tracker_module, name)))
+    monkeypatch.setattr(tracker_module, "MATCHERS", {
+        key: counting(f"MATCHERS[{key}]", matcher)
+        for key, matcher in tracker_module.MATCHERS.items()})
+    for affinity in ("mahalanobis", "iou"):
+        for matcher in tracker_module.MATCHERS:
+            run_scene(moving_car_frames(4), hand_noise(),
+                      RunConfig(affinity=affinity, matcher=matcher))
+    expected = {"predict", "update", "mahalanobis_affinity", "iou_affinity",
+                *(f"MATCHERS[{key}]" for key in tracker_module.MATCHERS)}
+    assert set(calls) == expected
 
 
 def test_score_modes():
