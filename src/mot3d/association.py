@@ -2,13 +2,11 @@
 
 Two affinities are supported: the Mahalanobis distance between a
 detection and the predicted observation distribution, and the 3D
-intersection-over-union of the two boxes.  Two bipartite matchers
-consume either affinity: a greedy nearest-first matcher and an optimal
-assignment (Hungarian) matcher with post-assignment thresholding.
-
-IOU matrices are reused by the matchers through the conversion
-distance = 1 - IOU with threshold 1 - T, so one matching code path
-serves both affinities.
+intersection-over-union of the two boxes.  as_distances turns either
+into a plain (N, M) distance array and limit (IOU becomes 1 - IOU under
+1 - T), and two bipartite matchers take that array and return index
+pairs: a greedy nearest-first matcher and an optimal assignment
+(Hungarian) matcher with post-assignment thresholding.
 """
 
 from __future__ import annotations
@@ -20,13 +18,13 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ANGLE_INDEX, OBS_DIM, Observation, observation_residual, wrap_angle_array
+from .core import (ANGLE_INDEX, OBS_DIM, Observation, observation_residual, observation_rows,
+                   wrap_angle_array)
 from .errors import NumericalError
 from .kalman import Prediction
 
 MAHALANOBIS_DISTANCE = "mahalanobis_distance"
 IOU_SCORE = "iou_score"
-AFFINITY_KINDS = (MAHALANOBIS_DISTANCE, IOU_SCORE)
 
 
 @dataclass(frozen=True)
@@ -41,30 +39,12 @@ class AffinityMatrix:
     values: np.ndarray
     kind: str
 
-    def __post_init__(self):
-        if self.kind not in AFFINITY_KINDS:
-            raise ValueError(f"unknown affinity kind {self.kind!r}")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"affinity matrix must be 2D, got shape {values.shape}")
-        if np.any(np.isnan(values)):
-            raise ValueError("affinity matrix must not contain NaN")
-        if self.kind == MAHALANOBIS_DISTANCE:
-            if np.any(values < 0.0):
-                raise ValueError("distances must be non-negative")
-        else:
-            if np.any((values < 0.0) | (values > 1.0)):
-                raise ValueError("IOU scores must lie in [0, 1]")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
 
 @dataclass(frozen=True)
 class MatchResult:
-    """One-to-one matching outcome over an affinity matrix.
+    """One-to-one matching outcome over a distance array.
 
-    pairs hold (prediction_index, detection_index, affinity) sorted
+    pairs hold (prediction_index, detection_index) tuples sorted
     best-first; the unmatched index tuples are sorted ascending.
     """
 
@@ -103,7 +83,7 @@ def mahalanobis(prediction: Prediction, observation: Observation) -> float:
 def mahalanobis_affinity(predictions: Sequence[Prediction],
                          observations: Sequence[Observation]) -> AffinityMatrix:
     """Pairwise Mahalanobis distances with per-pair orientation correction."""
-    detected = np.array([obs.to_array() for obs in observations]).reshape(-1, OBS_DIM)
+    detected = observation_rows(observations)
     predicted = np.array([p.mean[:OBS_DIM] for p in predictions]).reshape(-1, 1, OBS_DIM)
     predicted = predicted.repeat(len(detected), axis=1)
     predicted[..., ANGLE_INDEX] = orientation_correct(
@@ -122,11 +102,10 @@ def mahalanobis_affinity(predictions: Sequence[Prediction],
     return AffinityMatrix(values, MAHALANOBIS_DISTANCE)
 
 
-def _bounds(boxes: Sequence[Observation]):
-    """Centers (K, 2), footprint circle radii, and z bottoms and tops of boxes."""
-    arr = np.array([box.to_array() for box in boxes]).reshape(-1, OBS_DIM)
-    z, half_h = arr[:, 2], arr[:, 6] / 2.0
-    return arr[:, :2], 0.5 * np.hypot(arr[:, 4], arr[:, 5]), z - half_h, z + half_h
+def _bounds(rows: np.ndarray):
+    """Centers (K, 2), footprint circle radii, and z bottoms and tops of (K, 7) box rows."""
+    z, half_h = rows[:, 2], rows[:, 6] / 2.0
+    return rows[:, :2], 0.5 * np.hypot(rows[:, 4], rows[:, 5]), z - half_h, z + half_h
 
 
 def iou_affinity(predictions: Sequence[Prediction],
@@ -140,8 +119,8 @@ def iou_affinity(predictions: Sequence[Prediction],
     as overlapping, so rounding cannot drop a pair that iou_3d scores.
     """
     predicted = [Observation.from_array(p.mean[:OBS_DIM]) for p in predictions]
-    centers_a, radii_a, bottoms_a, tops_a = _bounds(predicted)
-    centers_b, radii_b, bottoms_b, tops_b = _bounds(observations)
+    centers_a, radii_a, bottoms_a, tops_a = _bounds(observation_rows(predicted))
+    centers_b, radii_b, bottoms_b, tops_b = _bounds(observation_rows(observations))
     offsets = centers_a[:, None, :] - centers_b[None, :, :]
     near = (np.hypot(offsets[..., 0], offsets[..., 1])
             <= (radii_a[:, None] + radii_b[None, :]) * (1.0 + 1e-9))
@@ -259,16 +238,23 @@ def iou_3d(box_a: Observation, box_b: Observation) -> float:
     return min(1.0, intersection / union)
 
 
-def _as_distances(affinity: AffinityMatrix, threshold: float):
-    """Distance-semantics view of an affinity matrix and threshold."""
+def as_distances(affinity: AffinityMatrix, threshold: float) -> tuple:
+    """The (distances, limit) the matchers take for an affinity and its gate.
+
+    Mahalanobis distances and their gate pass through.  IOU scores
+    become 1 - IOU under the limit 1 - T, so a pair matches only when
+    its IOU exceeds the minimum IOU T.
+    """
     if affinity.kind == MAHALANOBIS_DISTANCE:
         return affinity.values, threshold
-    return 1.0 - affinity.values, 1.0 - threshold
+    if affinity.kind == IOU_SCORE:
+        return 1.0 - affinity.values, 1.0 - threshold
+    raise ValueError(f"unknown affinity kind {affinity.kind!r}")
 
 
 def _match_result(pairs: list, n_pred: int, n_det: int) -> MatchResult:
-    matched_pred = {i for i, _, _ in pairs}
-    matched_det = {j for _, j, _ in pairs}
+    matched_pred = {i for i, _ in pairs}
+    matched_det = {j for _, j in pairs}
     return MatchResult(
         tuple(pairs),
         tuple(i for i in range(n_pred) if i not in matched_pred),
@@ -276,14 +262,14 @@ def _match_result(pairs: list, n_pred: int, n_det: int) -> MatchResult:
     )
 
 
-def _greedy_scan(distances: np.ndarray, limit: float, affinities: np.ndarray) -> MatchResult:
-    """Greedy one-to-one matching over an (N, M) distance array.
+def greedy_match(distances: np.ndarray, limit: float) -> MatchResult:
+    """Greedy nearest-first one-to-one matching over an (N, M) distance array.
 
-    Only pairs strictly below the limit are candidates.  They are
-    visited in ascending distance, ties broken by row and then column
-    (a stable sort of the row-major candidate indices), and a pair is
-    accepted when both its row and its column are still free.  Pairs
-    report affinities[i, j].
+    Only pairs strictly below the limit are candidates, so NaN and +inf
+    entries never match.  Candidates are visited in ascending distance,
+    ties broken by prediction index and then detection index (a stable
+    sort of the row-major candidate indices), and a pair is accepted
+    while both its prediction and its detection are still free.
     """
     n_pred, n_det = distances.shape
     flat = distances.ravel()
@@ -296,47 +282,31 @@ def _greedy_scan(distances: np.ndarray, limit: float, affinities: np.ndarray) ->
     for i, j in zip(rows.tolist(), cols.tolist()):
         if free_pred[i] and free_det[j]:
             free_pred[i] = free_det[j] = False
-            pairs.append((i, j, float(affinities[i, j])))
+            pairs.append((i, j))
     return _match_result(pairs, n_pred, n_det)
 
 
-def greedy_match(affinity: AffinityMatrix, threshold: float) -> MatchResult:
-    """Greedy nearest-first one-to-one matching.
-
-    Every pair whose distance is strictly below the threshold is a
-    candidate; candidates are visited in ascending distance order (ties
-    broken by prediction index, then detection index) and a pair is
-    accepted while both its prediction and its detection are still
-    free.  Pairs at or beyond the threshold are never visited.
-
-    For an iou_score matrix the distance is 1 - IOU, the threshold is a
-    minimum IOU, and reported affinities are IOUs.
-    """
-    distances, limit = _as_distances(affinity, threshold)
-    return _greedy_scan(distances, limit, affinity.values)
-
-
-# Finite stand-in for +inf so the assignment solver accepts the matrix;
-# such pairs are discarded by the threshold filter afterwards.
-_INFEASIBLE = 1e15
-
-
-def hungarian_match(affinity: AffinityMatrix, threshold: float) -> MatchResult:
+def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     """Optimal-assignment matching with post-assignment thresholding.
 
-    The assignment minimizes total distance; pairs at or beyond the
-    threshold are then removed, mirroring trackers that filter an
-    optimal assignment instead of gating inside it.
+    The assignment minimizes the total over an (N, M) distance array;
+    pairs at or beyond the limit are then removed, mirroring trackers
+    that filter an optimal assignment instead of gating inside it.
+    NaN and +inf pairs never match: the assignment keeps as many finite
+    pairs as any can, and among those minimizes their total.
     """
-    distances, limit = _as_distances(affinity, threshold)
     n_pred, n_det = distances.shape
     if n_pred == 0 or n_det == 0:
         return _match_result([], n_pred, n_det)
-    solver_costs = np.where(np.isfinite(distances), distances, _INFEASIBLE)
-    rows, cols = linear_sum_assignment(solver_costs)
-    pairs = [(int(i), int(j), float(affinity.values[i, j]))
-             for i, j in zip(rows, cols) if distances[i, j] < limit]
-    pairs.sort(key=lambda pair: (distances[pair[0], pair[1]], pair[0], pair[1]))
+    finite = np.isfinite(distances)
+    # The solver needs finite costs.  Any two assignments' finite totals
+    # differ by at most twice the sum of |finite entries|, so a stand-in
+    # above that makes one more non-finite pair always cost more, and
+    # stays small enough not to round the finite totals away.
+    infeasible = 1.0 + 2.0 * np.abs(distances[finite]).sum()
+    rows, cols = linear_sum_assignment(np.where(finite, distances, infeasible))
+    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if distances[i, j] < limit]
+    pairs.sort(key=lambda pair: (distances[pair], *pair))
     return _match_result(pairs, n_pred, n_det)
 
 
@@ -351,13 +321,13 @@ def greedy_center_match(boxes_a, boxes_b, gate: float) -> MatchResult:
 
     Each side is a sequence of Observations or an (n, >= 2) array whose
     first two columns are x and y.  Used by the evaluation protocol and
-    by observation-noise calibration; z is ignored, pairs at or beyond
-    the gate stay unmatched, and pairs report their center distance.
+    by observation-noise calibration; z is ignored, and pairs at or
+    beyond the gate stay unmatched.
     """
     a = _centers_2d(boxes_a)
     b = _centers_2d(boxes_b)
-    distances = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
-    return _greedy_scan(distances, gate, distances)
+    return greedy_match(
+        np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1]), gate)
 
 
 MATCHERS = {

@@ -39,6 +39,7 @@ from .core import (
     Box,
     Observation,
     observation_residual,
+    observation_rows,
     wrap_angle_array,
 )
 from .dataset_io import number_list, read_json, write_json
@@ -246,13 +247,6 @@ def _gt_rows_by_frame(gt_tracks: Sequence[GroundTruthTrack]) -> tuple:
     return rows, groups
 
 
-def _detection_rows(boxes: Sequence[Box], label: str) -> np.ndarray:
-    """The (k, 7) observations of one class among a frame's detections."""
-    return np.array([(o.x, o.y, o.z, o.a, o.l, o.w, o.h)
-                     for o in (box.observation for box in boxes if box.class_label == label)],
-                    dtype=float).reshape(-1, OBS_DIM)
-
-
 def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
                                detections: Mapping[str, Mapping[int, Sequence[Box]]],
                                process_noise: Mapping[str, np.ndarray] | None = None,
@@ -274,13 +268,14 @@ def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
     for (scene_id, frame_index), by_class in sorted(gt_by_frame.items()):
         frame_detections = detections.get(scene_id, {}).get(frame_index, [])
         for label in sorted(by_class):
-            det_rows = _detection_rows(frame_detections, label)
+            det_rows = observation_rows(box.observation for box in frame_detections
+                                        if box.class_label == label)
             if not len(det_rows):
                 continue
             gt_block = gt_rows[by_class[label]]
             result = greedy_center_match(gt_block, det_rows, gate)
             if result.pairs:
-                gi, dj, _ = zip(*result.pairs)
+                gi, dj = zip(*result.pairs)
                 residuals.setdefault(label, []).append(
                     observation_residual(det_rows[list(dj)], gt_block[list(gi)]))
     out = {}

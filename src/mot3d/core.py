@@ -149,6 +149,12 @@ TRANSITION_MATRIX = _build_transition()
 OBSERVATION_MATRIX = _build_observation()
 
 
+def observation_rows(observations) -> np.ndarray:
+    """The (k, 7) float array of an iterable of Observations, one row each."""
+    return np.array([(o.x, o.y, o.z, o.a, o.l, o.w, o.h) for o in observations],
+                    dtype=float).reshape(-1, OBS_DIM)
+
+
 def observation_residual(observation: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """observation - predicted over (..., 7) arrays with the yaw wrapped."""
     nu = np.asarray(observation, dtype=float) - predicted

@@ -88,23 +88,19 @@ def atomic_open(path: str, newline: str | None = None):
     The handle writes a temp file in path's directory (created when
     missing); os.replace swaps it in at the end.  On any exception the
     temp file is removed and an existing file at path is left as it was.
-    An OSError of this function's own file operations raises SchemaError;
-    the block's own exceptions pass through unchanged.
+    Any OSError while writing, from this function's own file operations
+    or from the block (a disk that fills mid-write), raises SchemaError;
+    the block's other exceptions pass through unchanged.
     """
     directory = os.path.dirname(os.path.abspath(path))
     temp = os.path.join(directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
-    in_block = False
     try:
         os.makedirs(directory, exist_ok=True)
         with open(temp, "w", newline=newline) as handle:
-            in_block = True
             yield handle
-            in_block = False
         os.replace(temp, path)
     except OSError as exc:
-        if in_block:
-            raise
-        raise SchemaError(f"cannot write {path}: {exc.strerror}") from None
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         if os.path.exists(temp):
             os.remove(temp)

@@ -65,7 +65,7 @@ def _match_pairs(gt_boxes: Sequence[Box], track_boxes: Sequence[Box], gate: floa
     result = greedy_center_match([g.observation for g in gt_boxes],
                                  [t.observation for t in track_boxes], gate)
     pairs = [(gt_boxes[gi].instance_id, track_boxes[tj].track_id)
-             for gi, tj, _ in result.pairs]
+             for gi, tj in result.pairs]
     return pairs, len(result.unmatched_detections)
 
 

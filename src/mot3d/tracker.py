@@ -19,6 +19,7 @@ import numpy as np
 from .association import (
     MATCHERS,
     MatchResult,
+    as_distances,
     iou_affinity,
     mahalanobis_affinity,
     orientation_correct,
@@ -163,11 +164,11 @@ class MultiObjectTracker:
                 affinity = iou_affinity(predictions, observations)
             else:
                 affinity = mahalanobis_affinity(predictions, observations)
-            result = MATCHERS[config.matcher](affinity, config.gate_for(label))
+            result = MATCHERS[config.matcher](*as_distances(affinity, config.gate_for(label)))
 
-        yaws = orientation_correct([predictions[i].mean[ANGLE_INDEX] for i, _, _ in result.pairs],
-                                   [detections[j].observation.a for _, j, _ in result.pairs])
-        for (i, j, _), yaw in zip(result.pairs, yaws):
+        yaws = orientation_correct([predictions[i].mean[ANGLE_INDEX] for i, _ in result.pairs],
+                                   [detections[j].observation.a for _, j in result.pairs])
+        for (i, j), yaw in zip(result.pairs, yaws):
             try:
                 tracks[i].mean, tracks[i].cov = update(
                     predictions[i], detections[j].observation.to_array(), yaw)

@@ -23,7 +23,6 @@ from mot3d.synthetic import (calibration_scenario, generate, generate_suite,
                              noiseless_scene, standard_suite,
                              standard_suite_calibration, turning_scenario)
 from mot3d.tracker import boxes_by_frame, run_scene
-from tests.test_association import distances
 from tests.test_iou3d import mc_iou
 from tests.test_kalman import (angle_aware_diff, build_transition,
                                oracle_predict, oracle_update_conditioning,
@@ -107,9 +106,9 @@ def test_optimal_matching_equals_brute_force_100x():
     rng = np.random.default_rng(7)
     for _ in range(100):
         values = rng.uniform(0.0, 10.0, size=(6, 6))
-        result = hungarian_match(distances(values), math.inf)
+        result = hungarian_match(values, math.inf)
         assert len(result.pairs) == 6
-        got_cost = sum(p[2] for p in sorted(result.pairs))
+        got_cost = sum(values[pair] for pair in sorted(result.pairs))
         best = math.inf
         for perm in itertools.permutations(range(6)):
             cost = sum(values[i][perm[i]] for i in range(6))

@@ -1,13 +1,14 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mot3d.association import (IOU_SCORE, MAHALANOBIS_DISTANCE, AffinityMatrix,
-                               greedy_center_match, greedy_match, hungarian_match,
-                               mahalanobis, mahalanobis_affinity,
+                               as_distances, greedy_center_match, greedy_match,
+                               hungarian_match, mahalanobis, mahalanobis_affinity,
                                orientation_correct)
 from mot3d.core import Observation, wrap_angle
 from mot3d.errors import NumericalError
@@ -19,10 +20,6 @@ def make_prediction(obs: Observation, innovation_cov=None) -> Prediction:
     if innovation_cov is None:
         innovation_cov = np.eye(7)
     return Prediction(mean, np.eye(11), innovation_cov)
-
-
-def distances(values) -> AffinityMatrix:
-    return AffinityMatrix(np.asarray(values, dtype=float), MAHALANOBIS_DISTANCE)
 
 
 def test_orientation_correct_flips_beyond_quarter_turn():
@@ -163,65 +160,62 @@ def test_mahalanobis_affinity_error_names_the_failing_row():
     assert info.value.row == 1
 
 
-def test_affinity_matrix_validation():
-    with pytest.raises(ValueError):
-        AffinityMatrix(np.array([1.0, 2.0]), MAHALANOBIS_DISTANCE)
-    with pytest.raises(ValueError):
-        AffinityMatrix(np.array([[math.nan]]), MAHALANOBIS_DISTANCE)
-    with pytest.raises(ValueError):
-        AffinityMatrix(np.array([[-0.1]]), MAHALANOBIS_DISTANCE)
-    with pytest.raises(ValueError):
-        AffinityMatrix(np.array([[1.2]]), IOU_SCORE)
-    with pytest.raises(ValueError):
-        AffinityMatrix(np.array([[0.5]]), "cosine")
-    # +inf is a legal distance sentinel
-    AffinityMatrix(np.array([[math.inf]]), MAHALANOBIS_DISTANCE)
+def test_as_distances():
+    values = np.array([[0.5, math.inf], [2.0, 0.0]])
+    got, limit = as_distances(AffinityMatrix(values, MAHALANOBIS_DISTANCE), 3.75)
+    assert got is values and limit == 3.75
+    scores = np.array([[0.9, 0.05], [0.0, 1.0]])
+    got, limit = as_distances(AffinityMatrix(scores, IOU_SCORE), 0.25)
+    np.testing.assert_array_equal(got, 1.0 - scores)
+    assert limit == 1.0 - 0.25
+    with pytest.raises(ValueError, match="unknown affinity kind 'cosine'"):
+        as_distances(AffinityMatrix(scores, "cosine"), 0.5)
 
 
 def test_greedy_match_known_matrix():
-    result = greedy_match(distances([[1.0, 4.0], [2.0, 0.5]]), 3.0)
-    assert result.pairs == ((1, 1, 0.5), (0, 0, 1.0))
+    result = greedy_match(np.array([[1.0, 4.0], [2.0, 0.5]]), 3.0)
+    assert result.pairs == ((1, 1), (0, 0))
     assert result.unmatched_predictions == ()
     assert result.unmatched_detections == ()
 
 
 def test_greedy_match_threshold_strict():
-    result = greedy_match(distances([[3.0]]), 3.0)
+    result = greedy_match(np.array([[3.0]]), 3.0)
     assert result.pairs == ()
     assert result.unmatched_predictions == (0,)
     assert result.unmatched_detections == (0,)
-    accepted = greedy_match(distances([[2.999999]]), 3.0)
+    accepted = greedy_match(np.array([[2.999999]]), 3.0)
     assert len(accepted.pairs) == 1
 
 
 def test_greedy_match_tie_break_deterministic():
     # equal distances resolve by (prediction_index, detection_index)
-    result = greedy_match(distances([[1.0, 1.0], [1.0, 1.0]]), 2.0)
-    assert result.pairs == ((0, 0, 1.0), (1, 1, 1.0))
+    result = greedy_match(np.array([[1.0, 1.0], [1.0, 1.0]]), 2.0)
+    assert result.pairs == ((0, 0), (1, 1))
 
 
 def test_greedy_is_locally_not_globally_optimal():
-    matrix = distances([[1.0, 2.0], [1.5, 100.0]])
+    matrix = np.array([[1.0, 2.0], [1.5, 100.0]])
     greedy = greedy_match(matrix, 1e6)
     optimal = hungarian_match(matrix, 1e6)
-    greedy_cost = sum(p[2] for p in greedy.pairs)
-    optimal_cost = sum(p[2] for p in optimal.pairs)
+    greedy_cost = sum(matrix[pair] for pair in greedy.pairs)
+    optimal_cost = sum(matrix[pair] for pair in optimal.pairs)
     assert greedy_cost == pytest.approx(101.0)
     assert optimal_cost == pytest.approx(3.5)
-    assert {(i, j) for i, j, _ in optimal.pairs} == {(0, 1), (1, 0)}
+    assert set(optimal.pairs) == {(0, 1), (1, 0)}
 
 
 def test_hungarian_filters_on_original_distances():
     # optimal assignment exists, but one leg exceeds the gate and is cut
-    matrix = distances([[1.0, 9.0], [9.0, 5.0]])
+    matrix = np.array([[1.0, 9.0], [9.0, 5.0]])
     result = hungarian_match(matrix, 4.0)
-    assert result.pairs == ((0, 0, 1.0),)
+    assert result.pairs == ((0, 0),)
     assert result.unmatched_predictions == (1,)
     assert result.unmatched_detections == (1,)
 
 
 def test_match_empty_inputs():
-    empty = distances(np.zeros((0, 3)))
+    empty = np.zeros((0, 3))
     for matcher in (greedy_match, hungarian_match):
         result = matcher(empty, 1.0)
         assert result.pairs == ()
@@ -231,19 +225,21 @@ def test_match_empty_inputs():
 
 def test_iou_kind_matching():
     scores = AffinityMatrix(np.array([[0.9, 0.05], [0.1, 0.8]]), IOU_SCORE)
-    result = greedy_match(scores, 0.25)
-    assert {(i, j) for i, j, _ in result.pairs} == {(0, 0), (1, 1)}
-    # affinity reported as the original IOU, not the distance proxy
-    assert result.pairs[0][2] == pytest.approx(0.9)
+    result = greedy_match(*as_distances(scores, 0.25))
+    # the highest IOU is the best pair
+    assert result.pairs == ((0, 0), (1, 1))
     # exactly-at-threshold IOU is rejected
-    boundary = greedy_match(AffinityMatrix(np.array([[0.25]]), IOU_SCORE), 0.25)
+    boundary = greedy_match(*as_distances(AffinityMatrix(np.array([[0.25]]), IOU_SCORE), 0.25))
     assert boundary.pairs == ()
 
 
+# Entries include NaN, +inf and negative distances: the matchers do not
+# validate their input, and a NaN or +inf pair must never match.
 matrix_strategy = st.integers(0, 5).flatmap(
     lambda rows: st.integers(0, 5).flatmap(
         lambda cols: st.lists(
-            st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=cols, max_size=cols),
+            st.lists(st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf]),
+                     min_size=cols, max_size=cols),
             min_size=rows, max_size=rows)))
 
 
@@ -251,9 +247,12 @@ matrix_strategy = st.integers(0, 5).flatmap(
 @given(matrix_strategy, st.floats(0.1, 12.0))
 def test_greedy_properties(rows, threshold):
     values = np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
-    matrix = distances(values)
-    result = greedy_match(matrix, threshold)
-    dists = [p[2] for p in result.pairs]
+    result = greedy_match(values, threshold)
+    pairs, free_a, free_b = reference_greedy(values.tolist(), values.shape[1], threshold)
+    assert list(result.pairs) == pairs
+    assert list(result.unmatched_predictions) == free_a
+    assert list(result.unmatched_detections) == free_b
+    dists = [values[pair] for pair in result.pairs]
     assert dists == sorted(dists)
     assert all(d < threshold for d in dists)
     matched_preds = [p[0] for p in result.pairs]
@@ -268,23 +267,24 @@ def test_greedy_properties(rows, threshold):
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy, st.floats(0.1, 12.0))
+# two finite pairs must be kept, and their best total (0.9375) is within
+# rounding of the next (1.0) only when non-finite cells cost about 1e15
+@example([[0.0, math.nan, math.nan, 1.0], [0.0, math.nan, math.nan, 1.0],
+          [0.0, math.nan, math.nan, 0.9375]], 1.0)
 def test_hungarian_properties(rows, threshold):
-    """Ungated, the optimal matcher fills min(n, m) pairs at no more
-    total cost than greedy.  Gated, it keeps only within-gate pairs; it
+    """Ungated, the optimal matcher keeps as many finite pairs as any
+    assignment can, at the least total, as enumeration finds; NaN and
+    +inf pairs never match.  Gated, it keeps only within-gate pairs; it
     may keep fewer than greedy because the gate filters an assignment
     optimized over the whole matrix.
     """
     values = np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
-    matrix = distances(values)
-    full = hungarian_match(matrix, math.inf)
-    full_greedy = greedy_match(matrix, math.inf)
-    assert len(full.pairs) == min(values.shape)
-    assert len(full_greedy.pairs) == min(values.shape)
-    hungarian_cost = sum(p[2] for p in full.pairs)
-    greedy_cost = sum(p[2] for p in full_greedy.pairs)
-    assert hungarian_cost <= greedy_cost + 1e-9 * max(1.0, abs(greedy_cost))
+    full = hungarian_match(values, math.inf)
+    size, cost = reference_assignment(values)
+    assert len(full.pairs) == size
+    assert sum(values[pair] for pair in full.pairs) == pytest.approx(cost, rel=1e-9, abs=1e-9)
 
-    optimal = hungarian_match(matrix, threshold)
+    optimal = hungarian_match(values, threshold)
     matched_preds = [p[0] for p in optimal.pairs]
     matched_dets = [p[1] for p in optimal.pairs]
     assert len(set(matched_preds)) == len(matched_preds)
@@ -293,7 +293,7 @@ def test_hungarian_properties(rows, threshold):
         range(values.shape[0]))
     assert sorted(matched_dets + list(optimal.unmatched_detections)) == list(
         range(values.shape[1]))
-    assert all(p[2] < threshold for p in optimal.pairs)
+    assert all(values[pair] < threshold for pair in optimal.pairs)
     gated_cells = {(i, j) for i in range(values.shape[0])
                    for j in range(values.shape[1]) if values[i, j] < threshold}
     assert {(p[0], p[1]) for p in optimal.pairs} <= gated_cells
@@ -308,27 +308,28 @@ def test_gated_hungarian_can_keep_fewer_pairs_than_greedy():
     values = np.array([[3.0, 0.0, 1.0],
                        [1.0, 0.0, 0.0],
                        [3.0, 0.0, 1.0]])
-    greedy = greedy_match(distances(values), 1.0)
-    optimal = hungarian_match(distances(values), 1.0)
+    greedy = greedy_match(values, 1.0)
+    optimal = hungarian_match(values, 1.0)
     assert len(greedy.pairs) == 2
     # both equal-cost optima keep exactly one zero-distance pair
     assert len(optimal.pairs) == 1
-    assert optimal.pairs[0][2] == 0.0
+    assert values[optimal.pairs[0]] == 0.0
 
 
 def test_center_distance_2d_ignores_z():
     # the center distance is planar: z, yaw and extents play no part
     a = Observation(0, 0, 0, 0, 1, 1, 1)
     b = Observation(3.0, 4.0, 50.0, 1.0, 2, 2, 2)
-    result = greedy_center_match([a], [b], gate=6.0)
-    assert result.pairs == ((0, 0, pytest.approx(5.0)),)
+    # the distance is exactly 5.0: a gate just above it matches, one at it does not
+    assert greedy_center_match([a], [b], gate=math.nextafter(5.0, 6.0)).pairs == ((0, 0),)
+    assert greedy_center_match([a], [b], gate=5.0).pairs == ()
 
 
 def test_greedy_center_match_gate():
     a = [Observation(0, 0, 0, 0, 1, 1, 1), Observation(10, 0, 0, 0, 1, 1, 1)]
     b = [Observation(0.5, 0, 0, 0, 1, 1, 1), Observation(14, 0, 0, 0, 1, 1, 1)]
     result = greedy_center_match(a, b, gate=2.0)
-    assert {(i, j) for i, j, _ in result.pairs} == {(0, 0)}
+    assert result.pairs == ((0, 0),)
     assert result.unmatched_predictions == (1,)
     assert result.unmatched_detections == (1,)
 
@@ -336,19 +337,37 @@ def test_greedy_center_match_gate():
 def reference_greedy(dist, n_cols, limit):
     """Per-pair greedy matching by the documented rule.
 
-    Pairs are visited by ascending (distance, row, column); a pair is
-    accepted while both sides are free and its distance is < limit.
+    Pairs whose distance is < limit are visited by ascending (distance,
+    row, column); a pair is accepted while both sides are free.
     """
     n_rows = len(dist)
-    order = sorted((dist[i][j], i, j) for i in range(n_rows) for j in range(n_cols))
+    order = sorted((dist[i][j], i, j) for i in range(n_rows) for j in range(n_cols)
+                   if dist[i][j] < limit)
     free_rows, free_cols = set(range(n_rows)), set(range(n_cols))
     pairs = []
-    for d, i, j in order:
-        if i in free_rows and j in free_cols and d < limit:
+    for _, i, j in order:
+        if i in free_rows and j in free_cols:
             free_rows.discard(i)
             free_cols.discard(j)
-            pairs.append((i, j, d))
+            pairs.append((i, j))
     return pairs, sorted(free_rows), sorted(free_cols)
+
+
+def reference_assignment(values: np.ndarray) -> tuple:
+    """(size, total) of the best assignment's finite pairs, by enumeration.
+
+    NaN and +inf cells cannot be kept: the best assignment keeps the
+    most finite cells any assignment can, and among those the least
+    total.
+    """
+    if values.shape[0] > values.shape[1]:
+        values = values.T
+    n_rows, n_cols = values.shape
+    best = (0, 0.0)
+    for columns in itertools.permutations(range(n_cols), n_rows):
+        kept = [values[i, j] for i, j in enumerate(columns) if math.isfinite(values[i, j])]
+        best = min(best, (-len(kept), sum(kept)))
+    return -best[0], best[1]
 
 
 def test_greedy_matchers_equal_per_pair_reference():
@@ -382,9 +401,7 @@ def test_greedy_matchers_equal_per_pair_reference():
         dist = [[math.hypot(a.x - b.x, a.y - b.y) for b in boxes_b] for a in boxes_a]
         pairs, free_a, free_b = reference_greedy(dist, len(boxes_b), gate)
         result = greedy_center_match(boxes_a, boxes_b, gate)
-        assert [(i, j) for i, j, _ in result.pairs] == [(i, j) for i, j, _ in pairs]
-        assert [d for _, _, d in result.pairs] == pytest.approx([d for _, _, d in pairs],
-                                                               rel=1e-15, abs=0.0)
+        assert list(result.pairs) == pairs
         assert list(result.unmatched_predictions) == free_a
         assert list(result.unmatched_detections) == free_b
         flat = [d for row in dist for d in row]
@@ -396,7 +413,7 @@ def test_greedy_matchers_equal_per_pair_reference():
         values[rng.random(values.shape) < 0.2] = math.inf
         for limit in (gate, math.inf):
             pairs, free_a, free_b = reference_greedy(values.tolist(), len(boxes_b), limit)
-            result = greedy_match(distances(values), limit)
+            result = greedy_match(values, limit)
             assert list(result.pairs) == pairs
             assert list(result.unmatched_predictions) == free_a
             assert list(result.unmatched_detections) == free_b

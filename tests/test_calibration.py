@@ -358,7 +358,7 @@ def reference_noise(ground_truth, detections, pooled: bool) -> dict:
             det_obs = [d.observation for d in frame_detections if d.class_label == label]
             if not det_obs:
                 continue
-            for gi, dj, _ in greedy_center_match(gt_obs, det_obs, CALIBRATION_GATE).pairs:
+            for gi, dj in greedy_center_match(gt_obs, det_obs, CALIBRATION_GATE).pairs:
                 residuals[label].append(
                     observation_residual(det_obs[dj].to_array(), gt_obs[gi].to_array()))
     out = {}

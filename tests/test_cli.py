@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -380,6 +381,22 @@ def test_unwritable_outputs_exit_one(pipeline, tmp_path, capsys):
     assert [name for _, _, names in os.walk(tmp_path)
             for name in names if name.endswith(".tmp")] == []
     assert afile.read_text() == "" and list(somedir.iterdir()) == []
+
+
+def test_disk_full_mid_write_exits_one(pipeline, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "tracks.json"
+    out.write_text("old")
+
+    def dump_half_then_fail(payload, handle, **kwargs):
+        handle.write('{"s": ')
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(json, "dump", dump_half_then_fail)
+    assert main(["track", "--detections", pipeline["det"], "--noise-model", pipeline["noise"],
+                 "--out", str(out), "--jobs", "1"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"mot3d: error: cannot write {out}: {os.strerror(errno.ENOSPC)}"]
+    assert os.listdir(tmp_path) == ["tracks.json"] and out.read_text() == "old"
 
 
 def test_parser_prog_name():

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
                         STATE_DIM, TRANSITION_MATRIX, Box, Observation,
-                        observation_residual, symmetrize, wrap_angle,
-                        wrap_angle_array)
+                        observation_residual, observation_rows, symmetrize,
+                        wrap_angle, wrap_angle_array)
 from mot3d.kalman import predict
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6,
@@ -116,6 +116,17 @@ def test_observation_array_round_trip():
     obs = Observation(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6)
     again = Observation.from_array(obs.to_array())
     assert again == obs
+
+
+def test_observation_rows_are_bit_equal_to_stacked_arrays():
+    observations = [Observation(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6),
+                    Observation(1, np.float64(2.5), np.float32(0.1), 7, 1e308, 1e308, 1e308),
+                    Observation(-1e-300, 0.0, -0.0, -math.pi, 5e-324, 1.0, 2.0)]
+    stacked = np.stack([obs.to_array() for obs in observations])
+    rows = observation_rows(observations)
+    assert rows.dtype == stacked.dtype and rows.tobytes() == stacked.tobytes()
+    assert observation_rows(iter(observations)).tobytes() == stacked.tobytes()
+    assert observation_rows([]).shape == (0, OBS_DIM)
 
 
 def test_transition_matrix_structure():

@@ -359,7 +359,8 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(json, "dump", dump_half_then_fail)
-    with pytest.raises(OSError):
+    # an OSError built from one argument has no strerror; its text is the reason
+    with pytest.raises(SchemaError, match="cannot write .*no space left on device"):
         save_noise_model(noise, str(noise_path))
 
     assert {path: path.read_bytes() for path in before} == before

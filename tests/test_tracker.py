@@ -307,18 +307,33 @@ def test_running_mean_of_a_negative_zero_score_keeps_its_sign():
 def test_tracker_calls_the_layer_functions_through_module_globals(monkeypatch):
     # per-layer tracing rebinds these names in the tracker module; a
     # refactor that routes around one of them would silently hide a layer
+    # and the tracer reads what passes through them: pairs from each
+    # affinity's (N, M) .values, matches from what a matcher returns
     calls = {}
 
-    def counting(name, function):
+    def counting(name, function, check=None):
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return function(*args, **kwargs)
+            result = function(*args, **kwargs)
+            if check is not None:
+                check(args, result)
+            return result
         return wrapper
 
-    for name in ("predict", "update", "mahalanobis_affinity", "iou_affinity"):
+    def affinity_shape(args, result):
+        assert result.values.shape == (len(args[0]), len(args[1]))
+
+    def matcher_arguments(args, result):
+        distances, limit = args
+        assert isinstance(distances, np.ndarray) and isinstance(limit, float)
+
+    for name in ("predict", "update"):
         monkeypatch.setattr(tracker_module, name, counting(name, getattr(tracker_module, name)))
+    for name in ("mahalanobis_affinity", "iou_affinity"):
+        monkeypatch.setattr(tracker_module, name,
+                            counting(name, getattr(tracker_module, name), affinity_shape))
     monkeypatch.setattr(tracker_module, "MATCHERS", {
-        key: counting(f"MATCHERS[{key}]", matcher)
+        key: counting(f"MATCHERS[{key}]", matcher, matcher_arguments)
         for key, matcher in tracker_module.MATCHERS.items()})
     for affinity in ("mahalanobis", "iou"):
         for matcher in tracker_module.MATCHERS:
