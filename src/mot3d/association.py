@@ -1,12 +1,13 @@
 """Data association between predicted tracks and detections.
 
-Two affinities are supported: the Mahalanobis distance between a
-detection and the predicted observation distribution, and the 3D
-intersection-over-union of the two boxes.  as_distances turns either
-into a plain (N, M) distance array and limit (IOU becomes 1 - IOU under
-1 - T), and two bipartite matchers take that array and return index
-pairs: a greedy nearest-first matcher and an optimal assignment
-(Hungarian) matcher with post-assignment thresholding.
+Two affinities score a stacked prediction of N tracks against M
+detections: the Mahalanobis distance between a detection and the
+predicted observation distribution, and the 3D intersection-over-union
+of the two boxes.  as_distances turns either into a plain (N, M)
+distance array and limit (IOU becomes 1 - IOU under 1 - T), and two
+bipartite matchers take that array and return index pairs, never a
+non-finite one: a greedy nearest-first matcher and an optimal
+assignment (Hungarian) matcher with post-assignment thresholding.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import (ANGLE_INDEX, OBS_DIM, Observation, observation_residual, observation_rows,
                    wrap_angle_array)
-from .errors import NumericalError
 from .kalman import Prediction
 
 MAHALANOBIS_DISTANCE = "mahalanobis_distance"
@@ -80,25 +80,22 @@ def mahalanobis(prediction: Prediction, observation: Observation) -> float:
     return math.sqrt(nu @ prediction.solve(nu))
 
 
-def mahalanobis_affinity(predictions: Sequence[Prediction],
+def mahalanobis_affinity(prediction: Prediction,
                          observations: Sequence[Observation]) -> AffinityMatrix:
-    """Pairwise Mahalanobis distances with per-pair orientation correction."""
+    """Pairwise Mahalanobis distances of a stacked prediction, flipped per pair.
+
+    One potrs per row, in row order, on the residual block formed in place.
+    """
     detected = observation_rows(observations)
-    predicted = np.array([p.mean[:OBS_DIM] for p in predictions]).reshape(-1, 1, OBS_DIM)
-    predicted = predicted.repeat(len(detected), axis=1)
-    predicted[..., ANGLE_INDEX] = orientation_correct(
-        predicted[..., ANGLE_INDEX], detected[:, ANGLE_INDEX])
+    nu = prediction.mean[:, None, :OBS_DIM].repeat(len(detected), axis=1)
+    nu[..., ANGLE_INDEX] = orientation_correct(nu[..., ANGLE_INDEX], detected[:, ANGLE_INDEX])
     with np.errstate(over="ignore"):  # inf residuals fail the solve; inf distances never match
-        nu = observation_residual(detected, predicted)
+        observation_residual(detected, nu, out=nu)
         values = np.zeros(nu.shape[:2])
-        for i, prediction in enumerate(predictions):
-            try:
-                solved = prediction.solve(nu[i].T)
-            except NumericalError as exc:
-                exc.row = i  # the tracker names the track from it
-                raise
+        for i, block in enumerate(nu):
+            solved = prediction.solve(block.T, i)
             # Row j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
-            values[i] = np.sqrt((nu[i][:, None, :] @ solved.T[:, :, None]).ravel())
+            values[i] = np.sqrt((block[:, None, :] @ solved.T[:, :, None]).ravel())
     return AffinityMatrix(values, MAHALANOBIS_DISTANCE)
 
 
@@ -108,9 +105,9 @@ def _bounds(rows: np.ndarray):
     return rows[:, :2], 0.5 * np.hypot(rows[:, 4], rows[:, 5]), z - half_h, z + half_h
 
 
-def iou_affinity(predictions: Sequence[Prediction],
+def iou_affinity(prediction: Prediction,
                  observations: Sequence[Observation]) -> AffinityMatrix:
-    """Pairwise 3D IOU between predicted boxes and detections.
+    """Pairwise 3D IOU between the boxes of a stacked (N, 11) prediction and detections.
 
     A pair whose footprint circles (centered on the box, radius half
     the footprint diagonal) or height intervals are disjoint scores 0
@@ -118,7 +115,7 @@ def iou_affinity(predictions: Sequence[Prediction],
     other pairs only.  Circles within a relative 1e-9 of touching count
     as overlapping, so rounding cannot drop a pair that iou_3d scores.
     """
-    predicted = [Observation.from_array(p.mean[:OBS_DIM]) for p in predictions]
+    predicted = [Observation(*row) for row in prediction.mean[:, :OBS_DIM].tolist()]
     centers_a, radii_a, bottoms_a, tops_a = _bounds(observation_rows(predicted))
     centers_b, radii_b, bottoms_b, tops_b = _bounds(observation_rows(observations))
     offsets = centers_a[:, None, :] - centers_b[None, :, :]
@@ -265,8 +262,8 @@ def _match_result(pairs: list, n_pred: int, n_det: int) -> MatchResult:
 def greedy_match(distances: np.ndarray, limit: float) -> MatchResult:
     """Greedy nearest-first one-to-one matching over an (N, M) distance array.
 
-    Only pairs strictly below the limit are candidates, so NaN and +inf
-    entries never match.  Candidates are visited in ascending distance,
+    Only finite pairs strictly below the limit are candidates, so NaN
+    and +-inf entries never match.  Candidates are visited in ascending distance,
     ties broken by prediction index and then detection index (a stable
     sort of the row-major candidate indices), and a pair is accepted
     while both its prediction and its detection are still free.
@@ -274,6 +271,7 @@ def greedy_match(distances: np.ndarray, limit: float) -> MatchResult:
     n_pred, n_det = distances.shape
     flat = distances.ravel()
     candidates = np.flatnonzero(flat < limit)
+    candidates = candidates[flat[candidates] > -math.inf]
     order = candidates[np.argsort(flat[candidates], kind="stable")]
     free_pred = [True] * n_pred
     free_det = [True] * n_det
@@ -292,7 +290,7 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     The assignment minimizes the total over an (N, M) distance array;
     pairs at or beyond the limit are then removed, mirroring trackers
     that filter an optimal assignment instead of gating inside it.
-    NaN and +inf pairs never match: the assignment keeps as many finite
+    NaN and +-inf pairs never match: the assignment keeps as many finite
     pairs as any can, and among those minimizes their total.
     """
     n_pred, n_det = distances.shape
@@ -305,7 +303,8 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     # stays small enough not to round the finite totals away.
     infeasible = 1.0 + 2.0 * np.abs(distances[finite]).sum()
     rows, cols = linear_sum_assignment(np.where(finite, distances, infeasible))
-    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if distances[i, j] < limit]
+    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
+             if finite[i, j] and distances[i, j] < limit]
     pairs.sort(key=lambda pair: (distances[pair], *pair))
     return _match_result(pairs, n_pred, n_det)
 

@@ -55,13 +55,13 @@ def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
-    """Return (M + M^T) / 2.
+    """Return (M + M^T) / 2, over the last two axes of a stack of matrices.
 
     Applied after every covariance product so accumulated float error
     cannot drift a covariance away from symmetry.
     """
     matrix = np.asarray(matrix, dtype=float)
-    return (matrix + matrix.T) / 2.0
+    return (matrix + np.swapaxes(matrix, -1, -2)) / 2.0
 
 
 def finite_real(name: str, value) -> float:
@@ -155,9 +155,10 @@ def observation_rows(observations) -> np.ndarray:
                     dtype=float).reshape(-1, OBS_DIM)
 
 
-def observation_residual(observation: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """observation - predicted over (..., 7) arrays with the yaw wrapped."""
-    nu = np.asarray(observation, dtype=float) - predicted
+def observation_residual(observation: np.ndarray, predicted: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """observation - predicted over (..., 7) arrays with the yaw wrapped, into out if given."""
+    nu = np.subtract(observation, predicted, out=out)
     nu[..., ANGLE_INDEX] = wrap_angle_array(nu[..., ANGLE_INDEX])
     return nu
 

@@ -38,11 +38,11 @@ class SequencingError(Mot3dError):
 class NumericalError(Mot3dError):
     """Linear algebra failed; carries the offending matrix condition estimate."""
 
-    row = None  # index of the failing prediction within a batch
     location = ""  # scene, frame, class and track, filled in by callers that know them
 
-    def __init__(self, message, condition=float("nan")):
+    def __init__(self, message, condition=float("nan"), row=None):
         self.condition = condition
+        self.row = row  # the failing row of a stacked prediction
         super().__init__(message)
 
     def __str__(self):

@@ -1,18 +1,19 @@
 """Kalman predict and update for the 11-dimensional box state.
 
-A belief is a mean array of shape (11,) and a covariance array of
-shape (11, 11).  The motion model is linear constant-velocity over
-discrete frames, so both steps are the textbook equations.  The only
-non-linearity is the yaw component, which gets re-wrapped after every
-additive operation.  Each prediction factors S by Cholesky once, on first
-use, for association and update to share; bad input or a failed
-factorization is surfaced as NumericalError, never silently regularized.
+A belief is a mean (11,) and a covariance (11, 11); predict and update
+also take a stack of beliefs along a leading axis.  The motion model is
+linear constant-velocity over discrete frames, so both steps are the
+textbook equations, with the yaw re-wrapped after every additive
+operation.  A stacked row gets exactly the bits of the single-belief
+call: A and H hold only 0/1 entries, numpy runs one BLAS kernel per
+slice, and each row's S is factored once, on first use, by LAPACK potrf.
+Bad input or a failed factorization is surfaced as NumericalError,
+never silently regularized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -25,7 +26,7 @@ from .core import (
     TRANSITION_MATRIX,
     observation_residual,
     symmetrize,
-    wrap_angle,
+    wrap_angle_array,
 )
 from .errors import NumericalError
 
@@ -35,71 +36,80 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((OBS_DIM, OBS_DI
 
 @dataclass(frozen=True)
 class Prediction:
-    """Belief forecast one frame ahead.
+    """Beliefs forecast one frame ahead, one or a stack of them.
 
-    mean[:7] is the predicted observation, and innovation_cov is the
+    mean[..., :7] is the predicted observation, and innovation_cov is the
     covariance of (observation - predicted observation), i.e. the
-    gating distribution for data association.
+    gating distribution for data association.  A row is an int into a
+    stack, or () for a single belief.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     innovation_cov: np.ndarray
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """Lower Cholesky factor of S; NumericalError if S is not finite and PD."""
-        if not np.isfinite(self.innovation_cov).all():
-            raise NumericalError("innovation covariance is not finite")
-        factor, info = _POTRF(self.innovation_cov, lower=True, clean=False)
-        if info:
-            raise NumericalError("innovation covariance is not positive definite",
-                                 condition=float(np.linalg.cond(self.innovation_cov)))
+    def factor(self, row=()) -> np.ndarray:
+        """Lower Cholesky factor of S at a row; NumericalError if S is not finite and PD."""
+        factor = self._factors.get(row)
+        if factor is None:
+            s = self.innovation_cov[row]
+            if not np.isfinite(s).all():
+                raise NumericalError("innovation covariance is not finite", row=row)
+            factor, info = _POTRF(s, lower=True, clean=False)
+            if info:
+                raise NumericalError("innovation covariance is not positive definite",
+                                     condition=float(np.linalg.cond(s)), row=row)
+            self._factors[row] = factor
         return factor
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """S^-1 rhs for rhs of shape (7,) or (7, K); NumericalError if rhs is not finite."""
+    def solve(self, rhs: np.ndarray, row=()) -> np.ndarray:
+        """S^-1 rhs at a row, rhs (7,) or (7, K); NumericalError if rhs is not finite."""
         if not np.isfinite(rhs).all():
-            raise NumericalError("residual or covariance is not finite")
-        return _POTRS(self.factor, rhs, lower=True)[0]
+            raise NumericalError("residual or covariance is not finite", row=row)
+        return _POTRS(self.factor(row), rhs, lower=True)[0]
 
 
 def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
             observation_noise: np.ndarray) -> Prediction:
-    """Forecast a belief one frame ahead.
+    """Forecast a belief, or a stack of beliefs, one frame ahead.
 
     Returns the predicted mean and covariance together with the
-    innovation covariance S = H (A Sigma A^T + Q) H^T + R.  Q and R are
-    used as given: they are validated once, where a noise model is
-    built (ClassNoise accepts only finite non-negative diagonals).
+    innovation covariance S = H (A Sigma A^T + Q) H^T + R, where H
+    selects the leading 7 x 7 block.  Q and R are used as given: they
+    are validated once, where a noise model is built (ClassNoise accepts
+    only finite non-negative diagonals).
     """
     a = TRANSITION_MATRIX
-    h = OBSERVATION_MATRIX
-    mean = a @ mean
-    mean[ANGLE_INDEX] = wrap_angle(mean[ANGLE_INDEX])
+    mean = mean @ a.T
+    mean[..., ANGLE_INDEX] = wrap_angle_array(mean[..., ANGLE_INDEX])
     cov = symmetrize(a @ cov @ a.T + process_noise)
-    return Prediction(mean, cov, symmetrize(h @ cov @ h.T + observation_noise))
+    return Prediction(mean, cov, symmetrize(cov[..., :OBS_DIM, :OBS_DIM] + observation_noise))
 
 
-def update(prediction: Prediction, observation: np.ndarray, yaw=None) -> tuple:
-    """Condition a prediction on a matched observation of shape (7,).
+def update(prediction: Prediction, observation: np.ndarray, yaw=None, rows=()) -> tuple:
+    """Condition a prediction on matched observations.
 
-    K = Sigma H^T S^-1, mean <- mean + K nu, Sigma <- (I - K H) Sigma,
-    with the yaw residual wrapped before it enters the correction.
-    yaw, if given, replaces the predicted yaw (an orientation flip).
-    Returns the posterior (mean, cov).
+    rows is () for a single belief, observed as (7,), or a list of K rows
+    of a stack, observed as (K, 7), in the order their factors are first
+    needed.  yaw, if given, replaces each row's predicted yaw (an
+    orientation flip).  K = Sigma H^T S^-1, mean <- mean + K nu,
+    Sigma <- (I - K H) Sigma, with the yaw residual wrapped before it
+    enters the correction.  Returns the posterior (mean, cov) of the rows.
     """
-    sigma = prediction.cov
-    h = OBSERVATION_MATRIX
-    predicted = prediction.mean.copy()
-    predicted[ANGLE_INDEX] = predicted[ANGLE_INDEX] if yaw is None else yaw
+    sigma = prediction.cov[rows]
+    predicted = prediction.mean[rows].copy()
+    if yaw is not None:
+        predicted[..., ANGLE_INDEX] = yaw
 
-    # K = Sigma H^T S^-1, computed as S^-1 (H Sigma) transposed.
-    gain = prediction.solve(h @ sigma).T
+    # K = Sigma H^T S^-1, computed per row as S^-1 (H Sigma) transposed.
+    blocks = zip(rows if isinstance(rows, list) else [rows], sigma.reshape(-1, STATE_DIM, STATE_DIM))
+    gain = np.array([prediction.solve(block[:OBS_DIM], row).T for row, block in blocks])
+    gain = gain.reshape(predicted.shape + (OBS_DIM,))
 
-    nu = observation_residual(observation, predicted[:OBS_DIM])
+    nu = observation_residual(observation, predicted[..., :OBS_DIM])
 
-    mean = predicted + gain @ nu
-    mean[ANGLE_INDEX] = wrap_angle(mean[ANGLE_INDEX])
-    cov = symmetrize((np.eye(STATE_DIM) - gain @ h) @ sigma)
+    mean = predicted + (gain @ nu[..., None])[..., 0]
+    mean[..., ANGLE_INDEX] = wrap_angle_array(mean[..., ANGLE_INDEX])
+    cov = symmetrize((np.eye(STATE_DIM) - gain @ OBSERVATION_MATRIX) @ sigma)
     return mean, cov

@@ -1,12 +1,15 @@
 """Frame-by-frame multi-object tracking.
 
-Each frame is processed per class: live tracks are forecast one frame
-ahead, matched against the frame's detections under the configured
-affinity and matcher, and then updated (matched), coasted (unmatched),
-or spawned (unmatched detections).  A track must be matched on
-birth_hits consecutive frames before it is reported, and it is dropped
-after death_misses consecutive unmatched frames.  Only confirmed,
-living tracks appear in the output.
+Each frame is processed per class.  A class bank holds its live tracks
+in track_id order with their stacked means (N, 11) and covariances
+(N, 11, 11).  A class step forecasts the bank with one predict call,
+matches it against the frame's detections with one affinity call under
+the configured affinity and matcher, and then updates the matched rows
+with one update call, coasts the unmatched ones, drops the dead ones
+and appends one row per unmatched detection.  A track must be matched
+on birth_hits consecutive frames before it is reported, and it is
+dropped after death_misses consecutive unmatched frames.  Only
+confirmed, living tracks appear in the output.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .association import (
     orientation_correct,
 )
 from .calibration import NoiseModel
-from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, Observation
+from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, Observation, observation_rows
 from .dataset_io import RunConfig
 from .errors import ConfigError, NumericalError, SchemaError, SequencingError
 from .kalman import predict, update
@@ -34,14 +37,15 @@ from .kalman import predict, update
 class Track:
     """Mutable per-object bookkeeping.
 
-    The belief is mean (11,) and cov (11, 11); both arrays are
-    replaced each frame, never edited in place.
+    mean (11,) and cov (11, 11) are views of the track's row in its
+    class bank, set after every frame; a bank's arrays are replaced
+    each frame, never edited once the tracks point at them.
     """
 
     track_id: int
     class_label: str
-    mean: np.ndarray
-    cov: np.ndarray
+    mean: np.ndarray | None = None
+    cov: np.ndarray | None = None
     confirmed: bool = False
     consecutive_hits: int = 0
     consecutive_misses: int = 0
@@ -88,12 +92,14 @@ class MultiObjectTracker:
         self._next_id = 1
         self._last_frame: int | None = None
         self._matrices = {}
+        self._banks = {}  # label -> (tracks in track_id order, their means and covariances)
         for label in noise.classes:
             q, sigma0 = noise.q_matrix(label), noise.sigma0_matrix(label)
             if not self.config.angular_velocity:
                 # no yaw-rate noise or initial spread: da stays pinned at zero
                 q[10, 10] = sigma0[10, 10] = 0.0
             self._matrices[label] = (q, noise.r_matrix(label), sigma0)
+            self._banks[label] = ([], np.empty((0, STATE_DIM)), np.empty((0, STATE_DIM, STATE_DIM)))
 
     def step(self, frame_index: int, detections: Sequence[Box]) -> FrameOutput:
         """Process one frame and return the confirmed tracks."""
@@ -115,21 +121,19 @@ class MultiObjectTracker:
                 raise SchemaError(f"detection in frame {frame_index} has no score")
         self._last_frame = frame_index
 
-        by_class: dict = {}  # label -> (tracks in id order, detections in input order)
-        for track in self.tracks:
-            by_class.setdefault(track.class_label, ([], []))[0].append(track)
+        # label -> detections in input order, for every class with tracks or detections
+        by_class = {label: [] for label, (tracks, _, _) in self._banks.items() if tracks}
         for detection in detections:
-            by_class.setdefault(detection.class_label, ([], []))[1].append(detection)
-        live: list = []
+            by_class.setdefault(detection.class_label, []).append(detection)
         for label in sorted(by_class):
-            tracks, dets = by_class[label]
             try:
-                live += self._step_class(label, tracks, dets)
+                self._step_class(label, by_class[label])
             except NumericalError as exc:
                 exc.location = (f"frame {frame_index}, class {label}, "
-                                f"track {tracks[exc.row].track_id}")
+                                f"track {self._banks[label][0][exc.row].track_id}")
                 raise
-        self.tracks = sorted(live, key=lambda t: t.track_id)
+        self.tracks = sorted((t for bank in self._banks.values() for t in bank[0]),
+                             key=lambda t: t.track_id)
         self.stats.frames += 1
 
         running_mean = self.config.score_mode == "running_mean"
@@ -151,49 +155,54 @@ class MultiObjectTracker:
             track.confirmed = True
             self.stats.confirmed += 1
 
-    def _step_class(self, label: str, tracks: list, detections: list) -> list:
-        """Advance one class; return its live tracks in track_id order."""
+    def _step_class(self, label: str, detections: list):
+        """Advance one class bank by a frame."""
         config = self.config
         q, r, sigma0 = self._matrices[label]
-        predictions = [predict(t.mean, t.cov, q, r) for t in tracks]
+        tracks, means, covs = self._banks[label]
+        observations = [d.observation for d in detections]
 
         result = MatchResult((), tuple(range(len(tracks))), tuple(range(len(detections))))
-        if predictions and detections:
-            observations = [d.observation for d in detections]
-            if config.affinity == "iou":
-                affinity = iou_affinity(predictions, observations)
-            else:
-                affinity = mahalanobis_affinity(predictions, observations)
-            result = MATCHERS[config.matcher](*as_distances(affinity, config.gate_for(label)))
+        if tracks:
+            prediction = predict(means, covs, q, r)
+            means, covs = prediction.mean, prediction.cov  # unmatched rows coast on these
+            if detections:
+                if config.affinity == "iou":
+                    affinity = iou_affinity(prediction, observations)
+                else:
+                    affinity = mahalanobis_affinity(prediction, observations)
+                result = MATCHERS[config.matcher](*as_distances(affinity, config.gate_for(label)))
+        detected = observation_rows(observations)
 
-        yaws = orientation_correct([predictions[i].mean[ANGLE_INDEX] for i, _ in result.pairs],
-                                   [detections[j].observation.a for _, j in result.pairs])
-        for (i, j), yaw in zip(result.pairs, yaws):
-            try:
-                tracks[i].mean, tracks[i].cov = update(
-                    predictions[i], detections[j].observation.to_array(), yaw)
-            except NumericalError as exc:
-                exc.row = i
-                raise
-            self._hit(tracks[i], detections[j].score)
+        if result.pairs:  # best-first, the order the update first needs each factor in
+            rows, cols = [i for i, _ in result.pairs], [j for _, j in result.pairs]
+            yaws = orientation_correct(means[rows, ANGLE_INDEX], detected[cols, ANGLE_INDEX])
+            means[rows], covs[rows] = update(prediction, detected[cols], yaws, rows)
+            for i, j in result.pairs:
+                self._hit(tracks[i], detections[j].score)
 
         for i in result.unmatched_predictions:
-            track = tracks[i]
-            track.mean, track.cov = predictions[i].mean, predictions[i].cov
-            track.consecutive_misses += 1
-            track.consecutive_hits = 0
-        live = [t for t in tracks if t.consecutive_misses < config.death_misses]
-        self.stats.died += len(tracks) - len(live)
+            tracks[i].consecutive_misses += 1
+            tracks[i].consecutive_hits = 0
+        keep = [i for i, t in enumerate(tracks) if t.consecutive_misses < config.death_misses]
+        if len(keep) < len(tracks):
+            self.stats.died += len(tracks) - len(keep)
+            tracks, means, covs = [tracks[i] for i in keep], means[keep], covs[keep]
 
-        for j in result.unmatched_detections:  # fresh ids exceed every live one
-            observation = detections[j].observation.to_array()
-            track = Track(self._next_id, label,
-                          np.concatenate([observation, np.zeros(STATE_DIM - OBS_DIM)]), sigma0)
-            self._next_id += 1
-            self.stats.born += 1
-            self._hit(track, detections[j].score)
-            live.append(track)
-        return live
+        born = list(result.unmatched_detections)  # fresh ids exceed every live one
+        if born:
+            fresh = np.hstack([detected[born], np.zeros((len(born), STATE_DIM - OBS_DIM))])
+            means = np.concatenate([means, fresh])
+            covs = np.concatenate([covs, sigma0[None].repeat(len(born), axis=0)])
+            tracks = tracks + [Track(self._next_id + k, label) for k in range(len(born))]
+            self._next_id += len(born)
+            self.stats.born += len(born)
+            for track, j in zip(tracks[-len(born):], born):
+                self._hit(track, detections[j].score)
+
+        for track, mean, cov in zip(tracks, means, covs):
+            track.mean, track.cov = mean, cov
+        self._banks[label] = (tracks, means, covs)
 
 
 def run_scene(frames: Mapping[int, Sequence[Box]], noise: NoiseModel,

@@ -22,6 +22,13 @@ def make_prediction(obs: Observation, innovation_cov=None) -> Prediction:
     return Prediction(mean, np.eye(11), innovation_cov)
 
 
+def stacked(predictions) -> Prediction:
+    """The single-belief predictions as one stacked prediction, rows in order."""
+    return Prediction(np.array([p.mean for p in predictions]).reshape(-1, 11),
+                      np.array([p.cov for p in predictions]).reshape(-1, 11, 11),
+                      np.array([p.innovation_cov for p in predictions]).reshape(-1, 7, 7))
+
+
 def test_orientation_correct_flips_beyond_quarter_turn():
     # detection nearly opposite: flip
     assert orientation_correct(0.0, 3.0) == pytest.approx(wrap_angle(math.pi))
@@ -76,7 +83,7 @@ def test_mahalanobis_affinity_applies_orientation_correction():
     pred = make_prediction(Observation(0, 0, 0, wrap_angle(math.pi), 1, 1, 1))
     obs = Observation(0, 0, 0, 0.01, 1, 1, 1)
     raw = mahalanobis(pred, obs)
-    corrected = mahalanobis_affinity([pred], [obs]).values[0, 0]
+    corrected = mahalanobis_affinity(stacked([pred]), [obs]).values[0, 0]
     assert raw > 2.0
     assert corrected == pytest.approx(0.01, abs=1e-9)
 
@@ -93,7 +100,7 @@ def test_mahalanobis_affinity_matches_per_pair_loop():
         predictions.append(make_prediction(obs, b @ b.T + 0.1 * np.eye(7)))
     detections = [Observation(*rng.normal(scale=5.0, size=3), rng.uniform(-4.0, 4.0),
                               *rng.uniform(1.0, 5.0, size=3)) for _ in range(9)]
-    values = mahalanobis_affinity(predictions, detections).values
+    values = mahalanobis_affinity(stacked(predictions), detections).values
     for i, prediction in enumerate(predictions):
         for j, obs in enumerate(detections):
             mean = prediction.mean.copy()
@@ -131,7 +138,7 @@ def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_d
                               wrap_angle(base + math.pi), wrap_angle(-base)])
             detections.append(Observation(*rng.normal(scale=5.0, size=3), yaw,
                                           *rng.uniform(1.0, 5.0, size=3)))
-        values = mahalanobis_affinity(predictions, detections).values
+        values = mahalanobis_affinity(stacked(predictions), detections).values
         assert values.shape == (n_pred, n_det)
         for i, prediction in enumerate(predictions):
             for j, obs in enumerate(detections):
@@ -141,9 +148,9 @@ def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_d
 def test_mahalanobis_affinity_keeps_empty_shapes():
     predictions = [make_prediction(Observation(i, 0, 0, 0, 1, 1, 1)) for i in range(3)]
     observations = [Observation(0, i, 0, 0, 1, 1, 1) for i in range(4)]
-    assert mahalanobis_affinity([], observations).values.shape == (0, 4)
-    assert mahalanobis_affinity(predictions, []).values.shape == (3, 0)
-    assert mahalanobis_affinity([], []).values.shape == (0, 0)
+    assert mahalanobis_affinity(stacked([]), observations).values.shape == (0, 4)
+    assert mahalanobis_affinity(stacked(predictions), []).values.shape == (3, 0)
+    assert mahalanobis_affinity(stacked([]), []).values.shape == (0, 0)
 
 
 def test_mahalanobis_affinity_error_names_the_failing_row():
@@ -151,12 +158,12 @@ def test_mahalanobis_affinity_error_names_the_failing_row():
     good = make_prediction(obs)
     singular = make_prediction(obs, np.zeros((7, 7)))
     with pytest.raises(NumericalError, match="not positive definite") as info:
-        mahalanobis_affinity([good, good, singular], [obs])
+        mahalanobis_affinity(stacked([good, good, singular]), [obs])
     assert info.value.row == 2
     # a residual that overflows, against an otherwise valid factor
     far = make_prediction(Observation(1e308, 0, 0, 0, 1, 1, 1))
     with pytest.raises(NumericalError, match="not finite") as info:
-        mahalanobis_affinity([good, far], [Observation(-1e308, 0, 0, 0, 1, 1, 1)])
+        mahalanobis_affinity(stacked([good, far]), [Observation(-1e308, 0, 0, 0, 1, 1, 1)])
     assert info.value.row == 1
 
 
@@ -233,18 +240,19 @@ def test_iou_kind_matching():
     assert boundary.pairs == ()
 
 
-# Entries include NaN, +inf and negative distances: the matchers do not
-# validate their input, and a NaN or +inf pair must never match.
+# Entries include NaN, +-inf and negative distances: the matchers do not
+# validate their input, and a NaN or infinite pair must never match.
 matrix_strategy = st.integers(0, 5).flatmap(
     lambda rows: st.integers(0, 5).flatmap(
         lambda cols: st.lists(
-            st.lists(st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf]),
+            st.lists(st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
                      min_size=cols, max_size=cols),
             min_size=rows, max_size=rows)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy, st.floats(0.1, 12.0))
+@example([[-math.inf, 1.0], [1.0, 5.0]], 3.0)  # -inf is no best pair
 def test_greedy_properties(rows, threshold):
     values = np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
     result = greedy_match(values, threshold)
@@ -254,7 +262,7 @@ def test_greedy_properties(rows, threshold):
     assert list(result.unmatched_detections) == free_b
     dists = [values[pair] for pair in result.pairs]
     assert dists == sorted(dists)
-    assert all(d < threshold for d in dists)
+    assert all(math.isfinite(d) and d < threshold for d in dists)
     matched_preds = [p[0] for p in result.pairs]
     matched_dets = [p[1] for p in result.pairs]
     assert len(set(matched_preds)) == len(matched_preds)
@@ -271,10 +279,11 @@ def test_greedy_properties(rows, threshold):
 # rounding of the next (1.0) only when non-finite cells cost about 1e15
 @example([[0.0, math.nan, math.nan, 1.0], [0.0, math.nan, math.nan, 1.0],
           [0.0, math.nan, math.nan, 0.9375]], 1.0)
+@example([[-math.inf, 1.0], [1.0, 5.0]], 3.0)  # -inf is kept by no assignment
 def test_hungarian_properties(rows, threshold):
     """Ungated, the optimal matcher keeps as many finite pairs as any
     assignment can, at the least total, as enumeration finds; NaN and
-    +inf pairs never match.  Gated, it keeps only within-gate pairs; it
+    +-inf pairs never match.  Gated, it keeps only within-gate pairs; it
     may keep fewer than greedy because the gate filters an assignment
     optimized over the whole matrix.
     """
@@ -282,6 +291,7 @@ def test_hungarian_properties(rows, threshold):
     full = hungarian_match(values, math.inf)
     size, cost = reference_assignment(values)
     assert len(full.pairs) == size
+    assert all(math.isfinite(values[pair]) for pair in full.pairs)
     assert sum(values[pair] for pair in full.pairs) == pytest.approx(cost, rel=1e-9, abs=1e-9)
 
     optimal = hungarian_match(values, threshold)
@@ -337,12 +347,12 @@ def test_greedy_center_match_gate():
 def reference_greedy(dist, n_cols, limit):
     """Per-pair greedy matching by the documented rule.
 
-    Pairs whose distance is < limit are visited by ascending (distance,
-    row, column); a pair is accepted while both sides are free.
+    Pairs whose distance is finite and < limit are visited by ascending
+    (distance, row, column); a pair is accepted while both sides are free.
     """
     n_rows = len(dist)
     order = sorted((dist[i][j], i, j) for i in range(n_rows) for j in range(n_cols)
-                   if dist[i][j] < limit)
+                   if math.isfinite(dist[i][j]) and dist[i][j] < limit)
     free_rows, free_cols = set(range(n_rows)), set(range(n_cols))
     pairs = []
     for _, i, j in order:
@@ -356,7 +366,7 @@ def reference_greedy(dist, n_cols, limit):
 def reference_assignment(values: np.ndarray) -> tuple:
     """(size, total) of the best assignment's finite pairs, by enumeration.
 
-    NaN and +inf cells cannot be kept: the best assignment keeps the
+    NaN and +-inf cells cannot be kept: the best assignment keeps the
     most finite cells any assignment can, and among those the least
     total.
     """

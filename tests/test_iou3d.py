@@ -19,9 +19,12 @@ def volume(o: Observation) -> float:
     return o.l * o.w * o.h
 
 
-def as_prediction(obs: Observation) -> Prediction:
-    mean = np.concatenate([obs.to_array(), np.zeros(4)])
-    return Prediction(mean, np.eye(11), np.eye(7))
+def as_prediction(observations) -> Prediction:
+    """A stacked prediction whose row k is box k at rest."""
+    mean = np.zeros((len(observations), 11))
+    mean[:, :7] = np.reshape([obs.to_array() for obs in observations], (-1, 7))
+    return Prediction(mean, np.broadcast_to(np.eye(11), (len(mean), 11, 11)),
+                      np.broadcast_to(np.eye(7), (len(mean), 7, 7)))
 
 
 def test_corners_axis_aligned():
@@ -171,7 +174,7 @@ def test_against_monte_carlo():
 
 
 def test_iou_affinity_matrix():
-    preds = [as_prediction(box()), as_prediction(box(x=10))]
+    preds = as_prediction([box(), box(x=10)])
     dets = [box(x=0.1), box(x=10.2), box(x=50)]
     matrix = iou_affinity(preds, dets)
     assert matrix.values.shape == (2, 3)
@@ -243,7 +246,7 @@ def test_iou_affinity_equals_per_pair_iou_on_edge_cases(name, monkeypatch):
     clipped = []
     monkeypatch.setattr(association, "iou_3d",
                         lambda a, b: clipped.append((a, b)) or iou_3d(a, b))
-    values = iou_affinity([as_prediction(b) for b in boxes], detections).values
+    values = iou_affinity(as_prediction(boxes), detections).values
     assert np.array_equal(values, per_pair_iou(boxes, detections))
     if name == "corners touching":
         # every center distance is the sum of the radii up to rounding,
@@ -259,15 +262,14 @@ def test_iou_affinity_equals_per_pair_iou_on_random_frames():
     for _ in range(300):
         boxes, detections = random_frame(rng)
         expected = per_pair_iou(boxes, detections)
-        values = iou_affinity([as_prediction(b) for b in boxes], detections).values
+        values = iou_affinity(as_prediction(boxes), detections).values
         assert np.array_equal(values, expected)
         scored += np.count_nonzero(expected)
     assert scored > 300
 
 
 def test_iou_affinity_rejects_an_invalid_prediction_that_overlaps_nothing():
-    mean = np.concatenate([box(x=100.0, y=100.0).to_array(), np.zeros(4)])
-    mean[4] = -1.0  # l <= 0
-    invalid = Prediction(mean, np.eye(11), np.eye(7))
+    prediction = as_prediction([box(), box(x=100.0, y=100.0)])
+    prediction.mean[1, 4] = -1.0  # l <= 0
     with pytest.raises(ValueError, match="l must be positive"):
-        iou_affinity([as_prediction(box()), invalid], [box(), box(x=1.0)])
+        iou_affinity(prediction, [box(), box(x=1.0)])

@@ -14,9 +14,10 @@ import pickle
 import numpy as np
 import pytest
 
-from mot3d.core import OBS_DIM, STATE_DIM, wrap_angle
+from mot3d.association import orientation_correct
+from mot3d.core import OBS_DIM, OBSERVATION_MATRIX, STATE_DIM, TRANSITION_MATRIX, wrap_angle
 from mot3d.errors import NumericalError
-from mot3d.kalman import Prediction, predict, update
+from mot3d.kalman import _POTRF, Prediction, predict, update
 
 ANGLE = 3
 
@@ -267,6 +268,49 @@ def test_update_with_yaw_equals_update_of_the_flipped_prediction():
         got = update(prediction, obs_arr, yaw)
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
+
+
+def test_stacked_calls_equal_the_single_belief_calls_bit_for_bit():
+    # the tracker's bank predicts and updates a whole class per call; each
+    # row must carry exactly the bits of the single-belief call, which in
+    # turn equals the dense H and A products, so stacking changes no output
+    rng = np.random.default_rng(49)
+    h, a = OBSERVATION_MATRIX, TRANSITION_MATRIX
+    for n in (1, 2, 5, 17, 40):
+        q = random_spd(rng, STATE_DIM, scale=0.5)
+        r = random_spd(rng, OBS_DIM, scale=0.5)
+        estimates = [random_estimate(rng) for _ in range(n)]
+        for mean, _ in estimates[::3]:  # yaws on either side of the +-pi seam
+            mean[ANGLE] = wrap_angle(rng.choice([math.pi, -math.pi]) + rng.normal(scale=1e-4))
+        stacked = predict(np.array([m for m, _ in estimates]), np.array([c for _, c in estimates]),
+                          q, r)
+        singles = [predict(m, c, q, r) for m, c in estimates]
+        for k, (single, (mean, cov)) in enumerate(zip(singles, estimates)):
+            assert np.array_equal(stacked.mean[k], single.mean)
+            assert np.array_equal(stacked.cov[k], single.cov)
+            assert np.array_equal(stacked.innovation_cov[k], single.innovation_cov)
+            expected_mean = a @ mean
+            expected_mean[ANGLE] = wrap_angle(expected_mean[ANGLE])
+            assert np.array_equal(single.mean, expected_mean)
+            s = h @ single.cov @ h.T + r
+            assert np.array_equal(single.innovation_cov, (s + s.T) / 2.0)
+            # one LAPACK potrf per row, never a batched Cholesky with other rounding
+            expected = np.tril(_POTRF(single.innovation_cov, lower=True, clean=False)[0])
+            assert np.array_equal(np.tril(stacked.factor(k)), expected)
+            assert np.array_equal(np.tril(single.factor()), expected)
+
+        # a subset of rows in shuffled order, against observations that
+        # straddle the seam or face away from the prediction
+        rows = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
+        observed = stacked.mean[rows, :OBS_DIM] + rng.normal(size=(len(rows), OBS_DIM))
+        observed[:, ANGLE] = [wrap_angle(stacked.mean[row, ANGLE] + rng.choice([0.0, math.pi])
+                                         + rng.normal(scale=0.1)) for row in rows]
+        yaws = orientation_correct(stacked.mean[rows, ANGLE], observed[:, ANGLE])
+        means, covs = update(stacked, observed, yaws, rows)
+        for k, row in enumerate(rows):
+            mean, cov = update(singles[row], observed[k], yaws[k])
+            assert np.array_equal(means[k], mean)
+            assert np.array_equal(covs[k], cov)
 
 
 def test_thousand_cycles_stay_symmetric_psd():

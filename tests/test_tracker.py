@@ -308,7 +308,8 @@ def test_tracker_calls_the_layer_functions_through_module_globals(monkeypatch):
     # per-layer tracing rebinds these names in the tracker module; a
     # refactor that routes around one of them would silently hide a layer
     # and the tracer reads what passes through them: pairs from each
-    # affinity's (N, M) .values, matches from what a matcher returns
+    # affinity's (N, M) .values for a stacked prediction of N rows,
+    # matches from what a matcher returns
     calls = {}
 
     def counting(name, function, check=None):
@@ -321,7 +322,8 @@ def test_tracker_calls_the_layer_functions_through_module_globals(monkeypatch):
         return wrapper
 
     def affinity_shape(args, result):
-        assert result.values.shape == (len(args[0]), len(args[1]))
+        prediction, observations = args
+        assert result.values.shape == (prediction.mean.shape[0], len(observations))
 
     def matcher_arguments(args, result):
         distances, limit = args
@@ -430,6 +432,47 @@ def test_numerical_error_names_frame_class_and_track():
     with pytest.raises(NumericalError) as info:
         tracker.step(1, [det(1), det(1, x=-1e308)])
     assert str(info.value).startswith("frame 1, class car, track 2: residual")
+
+
+def spoil_covariances(tracker, rows):
+    """Make the listed live tracks' covariances negative definite, in place."""
+    for row in rows:
+        tracker.tracks[row].cov[...] = -np.eye(11)
+
+
+@pytest.mark.parametrize("overflow_row, spoiled_row, named, message", [
+    (1, 3, 2, "residual or covariance is not finite"),
+    (3, 1, 2, "innovation covariance is not positive definite"),
+])
+def test_first_failing_row_of_a_class_step_is_named(overflow_row, spoiled_row, named, message):
+    # one class step fails on two rows; the affinity visits rows in
+    # track_id order, residual before factor, so the first failing row is
+    # named, with its own message
+    tracker = MultiObjectTracker(hand_noise())
+    xs = [0.0, 20.0, 40.0, 60.0]
+    xs[overflow_row] = 1e308
+    for frame in (0, 1):
+        tracker.step(frame, [det(frame, x=x) for x in xs])
+    spoil_covariances(tracker, [spoiled_row])
+    xs[overflow_row] = -1e308
+    with pytest.raises(NumericalError) as info:
+        tracker.step(2, [det(2, x=x) for x in xs])
+    assert str(info.value).startswith(f"frame 2, class car, track {named}: {message}")
+
+
+def test_first_failing_pair_of_an_iou_class_step_is_named():
+    # under IOU nothing is factored before the update, which takes the
+    # matched pairs best-first: the exact match of track 4 comes before
+    # the shifted match of track 2, so track 4 is named
+    tracker = MultiObjectTracker(hand_noise(), RunConfig(affinity="iou", matcher="hungarian"))
+    xs = [0.0, 20.0, 40.0, 60.0]
+    for frame in (0, 1):
+        tracker.step(frame, [det(frame, x=x) for x in xs])
+    spoil_covariances(tracker, [1, 3])
+    with pytest.raises(NumericalError) as info:
+        tracker.step(2, [det(2, x=x + (0.5 if x == 20.0 else 0.0)) for x in xs])
+    assert str(info.value).startswith(
+        "frame 2, class car, track 4: innovation covariance is not positive definite")
 
 
 def test_without_angular_velocity_only_the_yaw_rate_noise_is_zero():
