@@ -37,7 +37,7 @@ from .core import (
     OBS_DIM,
     STATE_DIM,
     Box,
-    Observation,
+    checked_rows,
     observation_residual,
     observation_rows,
     wrap_angle_array,
@@ -225,10 +225,8 @@ def estimate_process_noise(gt_tracks: Sequence[GroundTruthTrack],
 def _gt_rows_by_frame(gt_tracks: Sequence[GroundTruthTrack]) -> tuple:
     """Every annotation as one (x, y, z, yaw, l, w, h) row, in track order.
 
-    Returns the (n, 7) rows and (scene, frame) -> class -> row indices.
-    The rows pass the same rules as an Observation (finite, positive
-    extents, wrapped yaw); the first row that breaks one raises the
-    Observation's own ValueError.
+    Returns the (n, 7) rows, held to Observation's rules by
+    core.checked_rows, and (scene, frame) -> class -> row indices.
     """
     blocks = []
     groups: dict = {}
@@ -239,12 +237,7 @@ def _gt_rows_by_frame(gt_tracks: Sequence[GroundTruthTrack]) -> tuple:
             groups.setdefault((track.scene_id, frame_index), {}).setdefault(
                 track.class_label, []).append(row)
         start += len(track.frames)
-    rows = np.concatenate(blocks) if blocks else np.empty((0, OBS_DIM))
-    valid = np.isfinite(rows).all(axis=1) & (rows[:, 4:] > 0.0).all(axis=1)
-    if not valid.all():
-        Observation(*rows[np.argmin(valid)].tolist())
-    rows[:, ANGLE_INDEX] = wrap_angle_array(rows[:, ANGLE_INDEX])
-    return rows, groups
+    return checked_rows(np.concatenate(blocks) if blocks else np.empty((0, OBS_DIM))), groups
 
 
 def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],

@@ -88,6 +88,7 @@ class Observation:
 
     Every field must be a finite real number (not a bool) and the
     extents must be positive; the yaw is stored wrapped to [-pi, pi).
+    Values already checked in bulk skip these checks (see Box).
     """
 
     x: float
@@ -120,13 +121,6 @@ class Observation:
     def to_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.a, self.l, self.w, self.h])
 
-    @classmethod
-    def from_array(cls, arr) -> "Observation":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (OBS_DIM,):
-            raise ValueError(f"observation vector must have shape ({OBS_DIM},), got {arr.shape}")
-        return cls(*arr.tolist())
-
 
 def _build_transition() -> np.ndarray:
     a = np.eye(STATE_DIM)
@@ -155,6 +149,15 @@ def observation_rows(observations) -> np.ndarray:
                     dtype=float).reshape(-1, OBS_DIM)
 
 
+def checked_rows(rows: np.ndarray) -> np.ndarray:
+    """(k, 7) rows, yaws wrapped in place; the first that breaks a rule raises Observation's."""
+    valid = np.isfinite(rows).all(axis=1) & (rows[:, 4:] > 0.0).all(axis=1)
+    if not valid.all():
+        Observation(*rows[np.argmin(valid)].tolist())
+    rows[:, ANGLE_INDEX] = wrap_angle_array(rows[:, ANGLE_INDEX])
+    return rows
+
+
 def observation_residual(observation: np.ndarray, predicted: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
     """observation - predicted over (..., 7) arrays with the yaw wrapped, into out if given."""
@@ -168,8 +171,9 @@ class Box:
     """A 3D box of a known class in one frame of one scene.
 
     Each source fills in what it knows: detections a score, tracker
-    output a score and a track_id, ground truth an instance_id.  This
-    is the only place the rules on those fields are checked.
+    output a score and a track_id, ground truth an instance_id.  The
+    loader and the tracker check these rules in bulk and build through
+    trusted_box; only a failing value comes here for its message.
     """
 
     observation: Observation
@@ -195,3 +199,27 @@ class Box:
         if self.instance_id is not None and (
                 not isinstance(self.instance_id, str) or not self.instance_id):
             raise ValueError(f"instance_id must be a non-empty string, got {self.instance_id!r}")
+
+
+def trusted_box(x, y, z, a, l, w, h, class_label, frame_index, scene_id="", score=None,
+                track_id=None, instance_id=None) -> Box:
+    """Box(Observation(x, ..., h), ...) for fields that passed every rule of both, a wrapped.
+
+    __post_init__ does not run, so only a caller that has just checked the rules may use it.
+    """
+    observation, box, fill = object.__new__(Observation), object.__new__(Box), object.__setattr__
+    fill(observation, "x", x)
+    fill(observation, "y", y)
+    fill(observation, "z", z)
+    fill(observation, "a", a)
+    fill(observation, "l", l)
+    fill(observation, "w", w)
+    fill(observation, "h", h)
+    fill(box, "observation", observation)
+    fill(box, "class_label", class_label)
+    fill(box, "frame_index", frame_index)
+    fill(box, "scene_id", scene_id)
+    fill(box, "score", score)
+    fill(box, "track_id", track_id)
+    fill(box, "instance_id", instance_id)
+    return box

@@ -8,14 +8,14 @@ Frame keys are canonical decimals ("7", never "07").  Top-level keys
 beginning with an underscore are reserved for metadata (for example
 the generator provenance header) and are skipped by the loaders.
 
-Each rule is checked once, in one place.  The loader checks the JSON
+Each rule is checked once, at the boundary.  The loader checks the JSON
 shape: unexpected fields, array lengths, and that every number is a
-finite number that fits a float.  Arrays of three finite floats and
-finite float fields pass in one check, as parsed; any other value goes
-to _number, which writes the error.  The rules on values (positive
-extents, score range, known class, ids) live in core.Observation and
-core.Box.  A fault surfaces as SchemaError naming its scene, frame and
-record, a location built only then.  A record with several faults
+finite number that fits a float.  One condition then covers the value
+rules of core.Observation and core.Box (positive extents, score range,
+known class, ids); a record that passes is built by core.trusted_box,
+and only one that fails goes through Observation and Box, which write
+its message.  A fault surfaces as SchemaError naming its scene, frame
+and record, a location built only then.  A record with several faults
 reports the first in the order: unexpected fields, center, yaw, size,
 the file's extra fields, class, and only then the value rules.
 
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from scipy.special import gammaincinv
 
-from .core import CLASS_LABELS, Box, Observation, finite_real
+from .core import CLASS_LABELS, Box, Observation, finite_real, trusted_box, wrap_angle
 from .errors import ConfigError, SchemaError
 
 if TYPE_CHECKING:
@@ -258,6 +258,14 @@ def _box(record, kind: str, frame_index: int, scene_id: str) -> Box:
         class_label = record["class"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
+    get = values.get
+    score, track_id, instance_id = get("score"), get("track_id"), get("instance_id")
+    if (size[0] > 0.0 and size[1] > 0.0 and size[2] > 0.0 and class_label in CLASS_LABELS
+            and (score is None or 0.0 <= score <= 1.0)
+            and (track_id is None or type(track_id) is int and track_id > 0)
+            and (instance_id is None or type(instance_id) is str and instance_id)):
+        return trusted_box(*center, wrap_angle(yaw), *size, class_label, frame_index, scene_id,
+                           score, track_id, instance_id)
     return Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
 
 

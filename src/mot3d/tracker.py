@@ -28,7 +28,7 @@ from .association import (
     orientation_correct,
 )
 from .calibration import NoiseModel
-from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, Observation, observation_rows
+from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, checked_rows, observation_rows, trusted_box
 from .dataset_io import RunConfig
 from .errors import ConfigError, NumericalError, SchemaError, SequencingError
 from .kalman import predict, update
@@ -137,11 +137,13 @@ class MultiObjectTracker:
         self.stats.frames += 1
 
         running_mean = self.config.score_mode == "running_mean"
+        confirmed = [t for t in self.tracks if t.confirmed]
+        rows = checked_rows(np.array([t.mean[:OBS_DIM] for t in confirmed]).reshape(-1, OBS_DIM))
         records = tuple(
-            Box(Observation.from_array(t.mean[:OBS_DIM]), t.class_label, frame_index,
-                score=t.score_sum / t.score_count if running_mean else t.last_score,
-                track_id=t.track_id)
-            for t in self.tracks if t.confirmed)
+            trusted_box(*row, t.class_label, frame_index,
+                        score=t.score_sum / t.score_count if running_mean else t.last_score,
+                        track_id=t.track_id)
+            for t, row in zip(confirmed, rows.tolist()))
         return FrameOutput(frame_index, records)
 
     def _hit(self, track: Track, score: float):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
-                        STATE_DIM, TRANSITION_MATRIX, Box, Observation,
+                        STATE_DIM, TRANSITION_MATRIX, Box, Observation, checked_rows,
                         observation_residual, observation_rows, symmetrize,
                         wrap_angle, wrap_angle_array)
 from mot3d.kalman import predict
@@ -103,18 +103,18 @@ def test_observation_accepts_any_finite_real():
     obs = Observation(1, np.float64(2.5), np.float32(0.5), 7, 1e308, 1e308, 1e308)
     assert (obs.x, obs.y, obs.z, obs.l) == (1, 2.5, 0.5, 1e308)
     assert type(obs.a) is float and obs.a == wrap_angle(7.0)
-    assert Observation.from_array(obs.to_array()).x == 1.0
+    assert Observation(*obs.to_array().tolist()).x == 1.0
 
 
 def test_observation_from_array_holds_python_floats():
-    obs = Observation.from_array(np.array([1.5, -2.0, 0.3, 4.0, 4.5, 1.9, 1.6]))
+    obs = Observation(*np.array([1.5, -2.0, 0.3, 4.0, 4.5, 1.9, 1.6]).tolist())
     assert all(type(getattr(obs, name)) is float for name in "xyzalwh")
     assert obs.a == wrap_angle(4.0)
 
 
 def test_observation_array_round_trip():
     obs = Observation(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6)
-    again = Observation.from_array(obs.to_array())
+    again = Observation(*obs.to_array().tolist())
     assert again == obs
 
 
@@ -127,6 +127,30 @@ def test_observation_rows_are_bit_equal_to_stacked_arrays():
     assert rows.dtype == stacked.dtype and rows.tobytes() == stacked.tobytes()
     assert observation_rows(iter(observations)).tobytes() == stacked.tobytes()
     assert observation_rows([]).shape == (0, OBS_DIM)
+
+
+def test_checked_rows_wrap_yaws_as_observations_do():
+    rows = np.array([[1.0, 2.0, 0.5, 3 * math.pi, 4.0, 2.0, 1.5],
+                     [1, 2, 3, -3 * math.pi, 1e308, 5e-324, 2.0],
+                     [0.0, -0.0, 0.0, math.pi, 1.0, 1.0, 1.0]])
+    expected = [[getattr(Observation(*row), name) for name in "xyzalwh"] for row in rows.tolist()]
+    assert checked_rows(rows) is rows
+    assert rows.tolist() == expected
+    assert rows[:, ANGLE_INDEX].tolist() == [wrap_angle(3 * math.pi), wrap_angle(-3 * math.pi),
+                                             -math.pi]
+    assert checked_rows(np.empty((0, OBS_DIM))).shape == (0, OBS_DIM)
+
+
+@pytest.mark.parametrize("row, message", [
+    ((0.0, math.nan, 0.0, 0.0, 1.0, 1.0, 1.0), r"^y must be finite, got nan$"),
+    ((0.0, 0.0, 0.0, -math.inf, 1.0, 1.0, 1.0), r"^a must be finite, got -inf$"),
+    ((0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0), r"^w must be positive, got 0.0$"),
+])
+def test_checked_rows_raise_the_first_faulty_rows_error(row, message):
+    rows = np.array([(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0), row,
+                     (0.0, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match=message):
+        checked_rows(rows)
 
 
 def test_transition_matrix_structure():

@@ -10,7 +10,7 @@ from mot3d.core import ANGLE_INDEX, Box, Observation, wrap_angle
 from mot3d.dataset_io import RunConfig
 from mot3d.errors import ConfigError, NumericalError, SchemaError, SequencingError
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
-                             standard_suite_calibration)
+                             standard_suite_calibration, turning_scenario)
 from mot3d.tracker import MultiObjectTracker, run_scene
 
 CAR_SIZE = (4.0, 2.0, 1.5)
@@ -487,3 +487,64 @@ def test_without_angular_velocity_only_the_yaw_rate_noise_is_zero():
         np.testing.assert_array_equal(pinned, expected)
     # the caller's model is left as it was
     assert noise.classes["car"].q[10] == 0.01 and noise.classes["car"].sigma0[10] == 1.0
+
+
+def checked_records(tracker, frame_index) -> tuple:
+    """The confirmed tracks as Boxes built through every check of Observation and Box."""
+    running_mean = tracker.config.score_mode == "running_mean"
+    return tuple(
+        Box(Observation(*t.mean[:7].tolist()), t.class_label, frame_index,
+            score=t.score_sum / t.score_count if running_mean else t.last_score,
+            track_id=t.track_id)
+        for t in tracker.tracks if t.confirmed)
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(),
+    RunConfig(score_mode="running_mean"),
+    RunConfig(angular_velocity=False),
+    RunConfig(affinity="iou", matcher="hungarian", score_mode="running_mean"),
+], ids=["last_detection", "running_mean", "no_angular_velocity", "iou"])
+def test_emitted_records_equal_fully_checked_boxes_bit_for_bit(config):
+    # objects heading along +-pi and one turning in place take yaws across the seam
+    _, detections = generate_suite(standard_suite(seed=5, scenes=2, frame_count=30)
+                                   + [turning_scenario(frame_count=60)])
+    noise = hand_noise(("pedestrian", "car", "bus"))
+    yaws = []
+    for frames in detections.values():
+        tracker = MultiObjectTracker(noise, config)
+        for frame_index, frame_detections in frames.items():
+            records = tracker.step(frame_index, frame_detections).records
+            expected = checked_records(tracker, frame_index)
+            assert records == expected
+            # float reprs round-trip, so equal reprs mean equal bits (and -0.0 stays -0.0)
+            assert repr(records) == repr(expected)
+            assert all(type(getattr(record.observation, name)) is float
+                       for record in records for name in "xyzalwh")
+            yaws += [record.observation.a for record in records]
+    assert min(yaws) < -3.0 and max(yaws) > 3.0
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, math.nan, r"^x must be finite, got nan$"),
+    (3, math.inf, r"^a must be finite, got inf$"),
+    (4, -1.0, r"^l must be positive, got -1.0$"),
+    (6, 0.0, r"^h must be positive, got 0.0$"),
+])
+def test_a_faulty_confirmed_row_raises_the_observation_error(monkeypatch, column, value,
+                                                             message):
+    real_update = tracker_module.update
+
+    def spoiled_update(*args):
+        means, covs = real_update(*args)
+        means = means.copy()
+        means[:, column] = value
+        return means, covs
+
+    tracker = MultiObjectTracker(hand_noise())
+    frames = moving_car_frames(4)
+    for frame_index in range(3):
+        assert len(tracker.step(frame_index, frames[frame_index]).records) == (frame_index == 2)
+    monkeypatch.setattr(tracker_module, "update", spoiled_update)
+    with pytest.raises(ValueError, match=message):
+        tracker.step(3, frames[3])

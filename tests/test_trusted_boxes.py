@@ -1,0 +1,147 @@
+"""Boxes whose values pass every rule are checked once, at the boundary.
+
+The loader and the tracker check the rules of Observation and Box
+themselves and build the boxes that pass through core.trusted_box, which
+runs no __post_init__.  These tests hold the loader to a copy of its
+record check from before that shortcut (every record built through
+Observation and Box), and count the __post_init__ calls a valid load
+and a tracking run make.
+"""
+
+import json
+import math
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mot3d import dataset_io
+from mot3d.core import CLASS_LABELS, Box, Observation
+from mot3d.dataset_io import (BOX_SCHEMAS, _RECORD_KEYS, _number, _triple, load_detections,
+                              load_ground_truth, load_tracks, write_detections)
+from mot3d.errors import SchemaError
+from mot3d.synthetic import generate_suite, standard_suite
+from mot3d.tracker import run_scene
+from tests.test_io_fuzz import SKELETONS, json_values, mutate, nodes
+from tests.test_tracker import hand_noise
+
+BOX_LOADERS = (load_detections, load_ground_truth, load_tracks)
+
+
+def reference_box(record, kind: str, frame_index: int, scene_id: str) -> Box:
+    """The loader's record check with every record built through Observation and Box."""
+    if not isinstance(record, dict):
+        raise ValueError("box record must be a JSON object")
+    if not record.keys() <= _RECORD_KEYS[kind]:
+        raise ValueError(f"unexpected fields {sorted(record.keys() - _RECORD_KEYS[kind])}")
+    try:  # fields are read in the order their faults are reported
+        center = _triple(record["center"], "center")
+        yaw = record["yaw"]
+        if not (type(yaw) is float and math.isfinite(yaw)):
+            yaw = _number(yaw, "yaw")
+        size = _triple(record["size"], "size")
+        values = {name: record[name] for name in BOX_SCHEMAS[kind]}
+        if "score" in values and not (type(values["score"]) is float
+                                      and math.isfinite(values["score"])):
+            values["score"] = _number(values["score"], "score")
+        class_label = record["class"]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+    return Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
+
+
+def outcome(loader, path: str):
+    """("boxes", result) or ("error", message) of one load."""
+    try:
+        return "boxes", loader(path)
+    except SchemaError as exc:
+        return "error", str(exc)
+
+
+def assert_same_as_reference(loader, path: str):
+    with mock.patch.object(dataset_io, "_box", reference_box):
+        expected = outcome(loader, path)
+    actual = outcome(loader, path)
+    assert actual == expected
+    assert repr(actual) == repr(expected)  # tells -0.0 from 0.0 and int from float
+
+
+# Values at the edges of each value rule: integers, yaws on and beyond the
+# seam, zero and negative extents, scores at and past the ends of [0, 1],
+# ids of every JSON type, and class labels that are not strings.
+EDGE_VALUES = [0, 1, -1, 3, 2 ** 53 + 1, 0.0, -0.0, 1.0, 1.5, -0.5, 1e-300,
+               math.pi, -math.pi, 3 * math.pi, -3 * math.pi, math.nextafter(math.pi, 0.0),
+               "car", "bus", "", "a", True, False, None, ["car"], {"car": "car"}, [1.0, 2.0, 3.0]]
+
+
+@pytest.mark.parametrize("loader", BOX_LOADERS, ids=lambda f: f.__name__)
+def test_every_edge_value_at_every_node_loads_as_the_reference_does(loader, tmp_path):
+    skeleton = SKELETONS[loader]
+    path = tmp_path / "input.json"
+    for node in nodes(skeleton):
+        for value in EDGE_VALUES:
+            path.write_text(json.dumps(mutate(skeleton, node, "replace", "", value)))
+            assert_same_as_reference(loader, str(path))
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "input.json"
+
+
+@pytest.mark.parametrize("loader", BOX_LOADERS, ids=lambda f: f.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_files_load_as_the_reference_does(loader, data, input_path):
+    skeleton = SKELETONS[loader]
+    document = skeleton
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = data.draw(st.sampled_from(list(nodes(document))))
+        action = data.draw(st.sampled_from(["replace", "rename", "add"]))
+        key = data.draw(st.text(max_size=6) | st.sampled_from(sorted(_RECORD_KEYS["tracks"])))
+        value = data.draw(json_values | st.sampled_from(EDGE_VALUES))
+        document = mutate(document, node, action, key, value)
+    input_path.write_text(json.dumps(document))
+    assert_same_as_reference(loader, str(input_path))
+
+
+@pytest.fixture
+def post_init_calls(monkeypatch):
+    """Counts of Observation.__post_init__ and Box.__post_init__ calls."""
+    calls = {Observation: 0, Box: 0}
+    for cls in calls:
+        def counted(self, cls=cls, original=cls.__post_init__):
+            calls[cls] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+def test_valid_boxes_are_checked_once(tmp_path, post_init_calls):
+    _, detections = generate_suite(standard_suite(seed=3, scenes=1, frame_count=20))
+    path = str(tmp_path / "detections.json")
+    write_detections(detections, path)
+    post_init_calls.update({Observation: 0, Box: 0})
+
+    loaded = load_detections(path)
+    outputs = run_scene(loaded["suite0"], hand_noise(CLASS_LABELS))
+    assert sum(len(frame) for frame in loaded["suite0"].values()) > 100
+    assert sum(len(output.records) for output in outputs) > 50
+    assert post_init_calls == {Observation: 0, Box: 0}
+
+
+@pytest.mark.parametrize("fault, message, checked_by", [
+    ({"size": [4.0, -2.0, 1.5]}, "w must be positive, got -2.0", Observation),
+    ({"class": "plane"}, "unknown class label 'plane'", Box),
+    ({"score": 1.25}, "score must lie in [0, 1], got 1.25", Box),
+])
+def test_a_failing_record_gets_its_message_from_the_checks(tmp_path, post_init_calls, fault,
+                                                           message, checked_by):
+    good = {"center": [1.0, 2.0, 0.5], "yaw": 0.3, "size": [4.0, 2.0, 1.5], "class": "car",
+            "score": 0.9}
+    path = tmp_path / "detections.json"
+    path.write_text(json.dumps({"s": {"0": [good, dict(good, **fault)]}}))
+    with pytest.raises(SchemaError) as excinfo:
+        load_detections(str(path))
+    assert str(excinfo.value) == f"detections scene 's' frame 0 record 1: {message}"
+    assert post_init_calls[checked_by] == 1
