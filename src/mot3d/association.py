@@ -3,10 +3,10 @@
 Two affinities score a stacked prediction of N tracks against M
 detections: the Mahalanobis distance between a detection and the
 predicted observation distribution, and the 3D intersection-over-union
-of the two boxes.  as_distances turns either into a plain (N, M)
-distance array and limit (IOU becomes 1 - IOU under 1 - T), and two
-bipartite matchers take that array and return index pairs, never a
-non-finite one: a greedy nearest-first matcher and an optimal
+of the two boxes.  The tracker turns either into a plain (N, M)
+distance array and limit (1 - IOU under 1 - T for a minimum IOU T),
+and two bipartite matchers take that array and return index pairs,
+never a non-finite one: a greedy nearest-first matcher and an optimal
 assignment (Hungarian) matcher with post-assignment thresholding.
 """
 
@@ -23,21 +23,15 @@ from .core import (ANGLE_INDEX, OBS_DIM, Observation, observation_residual, obse
                    wrap_angle_array)
 from .kalman import Prediction
 
-MAHALANOBIS_DISTANCE = "mahalanobis_distance"
-IOU_SCORE = "iou_score"
-
 
 @dataclass(frozen=True)
 class AffinityMatrix:
     """Pairwise affinities, rows = predictions, columns = detections.
 
-    kind states the semantics: mahalanobis_distance entries are
-    non-negative (or +inf) and lower is better; iou_score entries lie
-    in [0, 1] and higher is better.
+    perfbench/layers.py reads values; ROADMAP item 3 returns the bare array.
     """
 
     values: np.ndarray
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ def mahalanobis_affinity(prediction: Prediction,
             solved = prediction.solve(block.T, i)
             # Row j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
             values[i] = np.sqrt((block[:, None, :] @ solved.T[:, :, None]).ravel())
-    return AffinityMatrix(values, MAHALANOBIS_DISTANCE)
+    return AffinityMatrix(values)
 
 
 def _bounds(rows: np.ndarray):
@@ -127,7 +121,7 @@ def iou_affinity(prediction: Prediction,
     values = np.zeros((len(predicted), len(observations)))
     for i, j in zip(*np.nonzero(near & z_overlap)):
         values[i, j] = iou_3d(predicted[i], observations[j])
-    return AffinityMatrix(values, IOU_SCORE)
+    return AffinityMatrix(values)
 
 
 def box_corners_bev(box: Observation) -> np.ndarray:
@@ -230,23 +224,9 @@ def iou_3d(box_a: Observation, box_b: Observation) -> float:
     volume_a = box_a.l * box_a.w * box_a.h
     volume_b = box_b.l * box_b.w * box_b.h
     union = volume_a + volume_b - intersection
-    # clipping noise on near-identical boxes can push the ratio a few
-    # ulps past one
-    return min(1.0, intersection / union)
-
-
-def as_distances(affinity: AffinityMatrix, threshold: float) -> tuple:
-    """The (distances, limit) the matchers take for an affinity and its gate.
-
-    Mahalanobis distances and their gate pass through.  IOU scores
-    become 1 - IOU under the limit 1 - T, so a pair matches only when
-    its IOU exceeds the minimum IOU T.
-    """
-    if affinity.kind == MAHALANOBIS_DISTANCE:
-        return affinity.values, threshold
-    if affinity.kind == IOU_SCORE:
-        return 1.0 - affinity.values, 1.0 - threshold
-    raise ValueError(f"unknown affinity kind {affinity.kind!r}")
+    # clipping noise on near-identical boxes can push the ratio a few ulps
+    # past one; a NaN ratio (footprint areas that overflow) never matches
+    return 1.0 if intersection > union else intersection / union
 
 
 def _match_result(pairs: list, n_pred: int, n_det: int) -> MatchResult:

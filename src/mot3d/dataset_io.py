@@ -14,10 +14,12 @@ finite number that fits a float.  One condition then covers the value
 rules of core.Observation and core.Box (positive extents, score range,
 known class, ids); a record that passes is built by core.trusted_box,
 and only one that fails goes through Observation and Box, which write
-its message.  A fault surfaces as SchemaError naming its scene, frame
-and record, a location built only then.  A record with several faults
-reports the first in the order: unexpected fields, center, yaw, size,
-the file's extra fields, class, and only then the value rules.
+its message.  Box allows a missing id, but an id the file carries may
+not be null: that is the last value rule.  A fault surfaces as
+SchemaError naming its scene, frame and record, a location built only
+then.  A record with several faults reports the first in the order:
+unexpected fields, center, yaw, size, the file's extra fields, class,
+and only then the value rules.
 
 The cyclic garbage collector is paused while a file is parsed and its
 boxes are built, then restored as it was: the records hold no reference
@@ -171,12 +173,6 @@ class RunConfig:
             raise ConfigError(f"amota_samples must be an int >= 2, got {self.amota_samples!r}")
         object.__setattr__(self, "class_maha_thresholds", dict(self.class_maha_thresholds))
 
-    def gate_for(self, class_label: str) -> float:
-        """Matching threshold for one class under the configured affinity."""
-        if self.affinity == "iou":
-            return self.iou_threshold
-        return self.class_maha_thresholds.get(class_label, self.maha_threshold)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -262,11 +258,15 @@ def _box(record, kind: str, frame_index: int, scene_id: str) -> Box:
     score, track_id, instance_id = get("score"), get("track_id"), get("instance_id")
     if (size[0] > 0.0 and size[1] > 0.0 and size[2] > 0.0 and class_label in CLASS_LABELS
             and (score is None or 0.0 <= score <= 1.0)
-            and (track_id is None or type(track_id) is int and track_id > 0)
-            and (instance_id is None or type(instance_id) is str and instance_id)):
+            and ("track_id" not in values or type(track_id) is int and track_id > 0)
+            and ("instance_id" not in values or type(instance_id) is str and instance_id)):
         return trusted_box(*center, wrap_angle(yaw), *size, class_label, frame_index, scene_id,
                            score, track_id, instance_id)
-    return Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
+    Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
+    # Box raises for every fault but a null id, which it allows
+    if "track_id" in values:
+        raise ValueError("track_id must be a positive int, got None")
+    raise ValueError("instance_id must be a non-empty string, got None")
 
 
 def _load_boxes(path: str, kind: str) -> dict:

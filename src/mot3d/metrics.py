@@ -249,6 +249,8 @@ def _class_report(label: str, gt: Mapping, tracks: Mapping, n: int,
 
 def check_amota_args(n: int, gate: float):
     """Raise ValueError unless n and gate can define an amota sweep."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if not positive_number(gate):

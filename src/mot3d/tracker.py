@@ -22,7 +22,6 @@ import numpy as np
 from .association import (
     MATCHERS,
     MatchResult,
-    as_distances,
     iou_affinity,
     mahalanobis_affinity,
     orientation_correct,
@@ -169,11 +168,13 @@ class MultiObjectTracker:
             prediction = predict(means, covs, q, r)
             means, covs = prediction.mean, prediction.cov  # unmatched rows coast on these
             if detections:
-                if config.affinity == "iou":
-                    affinity = iou_affinity(prediction, observations)
+                if config.affinity == "iou":  # a pair matches only when its IOU exceeds T
+                    distances = 1.0 - iou_affinity(prediction, observations).values
+                    limit = 1.0 - config.iou_threshold
                 else:
-                    affinity = mahalanobis_affinity(prediction, observations)
-                result = MATCHERS[config.matcher](*as_distances(affinity, config.gate_for(label)))
+                    distances = mahalanobis_affinity(prediction, observations).values
+                    limit = config.class_maha_thresholds.get(label, config.maha_threshold)
+                result = MATCHERS[config.matcher](distances, limit)
         detected = observation_rows(observations)
 
         if result.pairs:  # best-first, the order the update first needs each factor in

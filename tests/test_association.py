@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mot3d.association import (IOU_SCORE, MAHALANOBIS_DISTANCE, AffinityMatrix,
-                               as_distances, greedy_center_match, greedy_match,
-                               hungarian_match, mahalanobis, mahalanobis_affinity,
-                               orientation_correct)
+from mot3d.association import (greedy_center_match, greedy_match, hungarian_match,
+                               mahalanobis, mahalanobis_affinity, orientation_correct)
 from mot3d.core import Observation, wrap_angle
 from mot3d.errors import NumericalError
 from mot3d.kalman import Prediction
@@ -167,18 +165,6 @@ def test_mahalanobis_affinity_error_names_the_failing_row():
     assert info.value.row == 1
 
 
-def test_as_distances():
-    values = np.array([[0.5, math.inf], [2.0, 0.0]])
-    got, limit = as_distances(AffinityMatrix(values, MAHALANOBIS_DISTANCE), 3.75)
-    assert got is values and limit == 3.75
-    scores = np.array([[0.9, 0.05], [0.0, 1.0]])
-    got, limit = as_distances(AffinityMatrix(scores, IOU_SCORE), 0.25)
-    np.testing.assert_array_equal(got, 1.0 - scores)
-    assert limit == 1.0 - 0.25
-    with pytest.raises(ValueError, match="unknown affinity kind 'cosine'"):
-        as_distances(AffinityMatrix(scores, "cosine"), 0.5)
-
-
 def test_greedy_match_known_matrix():
     result = greedy_match(np.array([[1.0, 4.0], [2.0, 0.5]]), 3.0)
     assert result.pairs == ((1, 1), (0, 0))
@@ -230,14 +216,16 @@ def test_match_empty_inputs():
         assert result.unmatched_detections == (0, 1, 2)
 
 
-def test_iou_kind_matching():
-    scores = AffinityMatrix(np.array([[0.9, 0.05], [0.1, 0.8]]), IOU_SCORE)
-    result = greedy_match(*as_distances(scores, 0.25))
+@pytest.mark.parametrize("matcher", [greedy_match, hungarian_match])
+def test_iou_scores_match_as_one_minus_iou_under_one_minus_the_minimum(matcher):
+    # the tracker's IOU association: distances 1 - IOU under the limit 1 - T
+    scores = np.array([[0.9, 0.05], [0.1, 0.8]])
+    result = matcher(1.0 - scores, 1.0 - 0.25)
     # the highest IOU is the best pair
     assert result.pairs == ((0, 0), (1, 1))
-    # exactly-at-threshold IOU is rejected
-    boundary = greedy_match(*as_distances(AffinityMatrix(np.array([[0.25]]), IOU_SCORE), 0.25))
-    assert boundary.pairs == ()
+    # an IOU exactly at the minimum is rejected; one just above it matches
+    assert matcher(1.0 - np.array([[0.25]]), 1.0 - 0.25).pairs == ()
+    assert len(matcher(1.0 - np.array([[0.2500001]]), 1.0 - 0.25).pairs) == 1
 
 
 # Entries include NaN, +-inf and negative distances: the matchers do not

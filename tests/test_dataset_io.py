@@ -240,6 +240,12 @@ def test_duplicate_instance_rejected(tmp_path):
     payload = {"s": {"0": [record, dict(record, center=[9.0, 0.0, 0.0])]}}
     with pytest.raises(SchemaError, match="dup"):
         load_ground_truth(write_json(tmp_path / "gt.json", payload))
+    # a null id is no exemption: the first one is at fault, before any duplicate check
+    null = dict(record, instance_id=None)
+    with pytest.raises(SchemaError) as excinfo:
+        load_ground_truth(write_json(tmp_path / "null.json", {"s": {"0": [record, null, null]}}))
+    assert str(excinfo.value) == ("ground truth scene 's' frame 0 record 1: "
+                                  "instance_id must be a non-empty string, got None")
     # the same instance on different frames is the normal case
     fine = {"s": {"0": [record], "1": [record]}}
     loaded = load_ground_truth(write_json(tmp_path / "gt2.json", fine))
@@ -254,6 +260,13 @@ def test_track_id_validation(tmp_path):
     record["track_id"] = True
     with pytest.raises(SchemaError, match="track_id"):
         load_tracks(write_json(tmp_path / "t2.json", {"s": {"0": [record]}}))
+    record["track_id"] = None
+    with pytest.raises(SchemaError, match="record 0: track_id must be a positive int, got None"):
+        load_tracks(write_json(tmp_path / "t3.json", {"s": {"0": [record]}}))
+    # a null id is the last value rule: Box's own come first
+    record["score"] = 2.0
+    with pytest.raises(SchemaError, match=r"record 0: score must lie in \[0, 1\], got 2.0"):
+        load_tracks(write_json(tmp_path / "t4.json", {"s": {"0": [record]}}))
 
 
 def test_run_config_defaults_and_validation():
@@ -289,16 +302,6 @@ def test_run_config_defaults_and_validation():
     for overrides in cases:
         with pytest.raises(ConfigError):
             RunConfig(**overrides)
-
-
-def test_gate_for_respects_affinity_and_overrides():
-    config = RunConfig(maha_threshold=5.0, iou_threshold=0.2,
-                       class_maha_thresholds={"pedestrian": 2.0})
-    assert config.gate_for("car") == 5.0
-    assert config.gate_for("pedestrian") == 2.0
-    iou_config = RunConfig(affinity="iou", maha_threshold=5.0, iou_threshold=0.2,
-                           class_maha_thresholds={"pedestrian": 2.0})
-    assert iou_config.gate_for("pedestrian") == 0.2
 
 
 def test_config_dict_round_trip():

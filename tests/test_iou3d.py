@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mot3d import association
-from mot3d.association import (IOU_SCORE, box_corners_bev, clip_polygon,
-                               iou_3d, iou_affinity, polygon_area)
+from mot3d.association import (box_corners_bev, clip_polygon, iou_3d, iou_affinity,
+                               polygon_area)
 from mot3d.core import Observation, wrap_angle
 from mot3d.kalman import Prediction
 
@@ -181,7 +181,6 @@ def test_iou_affinity_matrix():
     assert matrix.values[0, 0] > 0.8
     assert matrix.values[1, 1] > 0.7
     assert matrix.values[0, 2] == 0.0
-    assert matrix.kind == IOU_SCORE
 
 
 def per_pair_iou(boxes, detections) -> np.ndarray:

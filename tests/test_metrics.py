@@ -207,8 +207,11 @@ def test_tracker_only_classes_are_skipped_not_scored():
 
 def test_amota_input_validation():
     gt = by_frame([gt_box(0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be at least 2, got 1"):
         amota({}, gt, n=1)
+    for n in (3.0, None, True, "40"):
+        with pytest.raises(ValueError, match=f"n must be an int, got {n!r}"):
+            amota({}, gt, n=n)
     with pytest.raises(ValueError):
         amota({}, {"s": {0: []}}, n=3)
     for gate in (math.nan, 0.0, -1.0, "2"):

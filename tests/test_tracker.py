@@ -6,7 +6,7 @@ import pytest
 from mot3d import association, kalman
 from mot3d import tracker as tracker_module
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
-from mot3d.core import ANGLE_INDEX, Box, Observation, wrap_angle
+from mot3d.core import ANGLE_INDEX, CLASS_LABELS, Box, Observation, wrap_angle
 from mot3d.dataset_io import RunConfig
 from mot3d.errors import ConfigError, NumericalError, SchemaError, SequencingError
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
@@ -389,6 +389,40 @@ def test_per_class_gate_override():
     tracker_ids = {rec.track_id for out in loose for rec in out.records}
     assert tracker_ids == {1}
     assert loose[-1].records[0].observation.x > 1.0
+
+
+def test_class_maha_thresholds_gate_only_their_class_and_only_mahalanobis():
+    _, detections = generate_suite(standard_suite(seed=4, scenes=1, frame_count=30))
+    frames, noise = detections["suite0"], hand_noise(("bus", "car", "pedestrian"))
+
+    def boxes(config, label):
+        return [[(rec.observation, rec.score) for rec in output.records
+                 if rec.class_label == label] for output in run_scene(frames, noise, config)]
+
+    tight = {"pedestrian": 1e-3}
+    for label in ("bus", "car"):
+        assert boxes(RunConfig(class_maha_thresholds=tight), label) == boxes(RunConfig(), label)
+    assert (boxes(RunConfig(class_maha_thresholds=tight), "pedestrian")
+            != boxes(RunConfig(), "pedestrian"))
+    # under IOU the minimum IOU gates every class and the Mahalanobis gates are unread
+    iou = RunConfig(affinity="iou", maha_threshold=1e-3)
+    overridden = RunConfig(affinity="iou", class_maha_thresholds=dict.fromkeys(CLASS_LABELS, 1e-3))
+    assert run_scene(frames, noise, overridden) == run_scene(frames, noise, iou)
+    assert run_scene(frames, noise, iou) == run_scene(frames, noise, RunConfig(affinity="iou"))
+
+
+def test_iou_tracking_never_matches_a_pair_whose_iou_is_nan():
+    # footprint areas of 1e400 overflow: the IOU is NaN, not the 1.0 that
+    # min(1.0, nan) would give, though the true IOU is about 0.005
+    huge = (1e200, 1e200, 1.0)
+    frames = {0: [det(0, size=huge)], 1: [det(1, x=0.99e200, size=huge)]}
+    with np.errstate(all="ignore"):
+        assert math.isnan(association.iou_3d(frames[0][0].observation, frames[1][0].observation))
+        for matcher in ("greedy", "hungarian"):
+            config = RunConfig(affinity="iou", matcher=matcher, birth_hits=1)
+            first, second = run_scene(frames, hand_noise(), config)
+            assert [rec.track_id for rec in second.records] == [1, 2]
+            assert second.records[0].observation == first.records[0].observation
 
 
 def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):

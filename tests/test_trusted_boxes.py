@@ -29,7 +29,11 @@ BOX_LOADERS = (load_detections, load_ground_truth, load_tracks)
 
 
 def reference_box(record, kind: str, frame_index: int, scene_id: str) -> Box:
-    """The loader's record check with every record built through Observation and Box."""
+    """The loader's record check with every record built through Observation and Box.
+
+    Box allows a missing id, but an id the file's records carry may not
+    be null; that is checked after Box's own rules.
+    """
     if not isinstance(record, dict):
         raise ValueError("box record must be a JSON object")
     if not record.keys() <= _RECORD_KEYS[kind]:
@@ -47,7 +51,11 @@ def reference_box(record, kind: str, frame_index: int, scene_id: str) -> Box:
         class_label = record["class"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
-    return Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
+    box = Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
+    for name, rule in (("track_id", "a positive int"), ("instance_id", "a non-empty string")):
+        if name in values and values[name] is None:
+            raise ValueError(f"{name} must be {rule}, got None")
+    return box
 
 
 def outcome(loader, path: str):
@@ -68,7 +76,7 @@ def assert_same_as_reference(loader, path: str):
 
 # Values at the edges of each value rule: integers, yaws on and beyond the
 # seam, zero and negative extents, scores at and past the ends of [0, 1],
-# ids of every JSON type, and class labels that are not strings.
+# ids of every JSON type (null too), and class labels that are not strings.
 EDGE_VALUES = [0, 1, -1, 3, 2 ** 53 + 1, 0.0, -0.0, 1.0, 1.5, -0.5, 1e-300,
                math.pi, -math.pi, 3 * math.pi, -3 * math.pi, math.nextafter(math.pi, 0.0),
                "car", "bus", "", "a", True, False, None, ["car"], {"car": "car"}, [1.0, 2.0, 3.0]]
