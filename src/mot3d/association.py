@@ -119,8 +119,9 @@ def iou_affinity(prediction: Prediction,
     z_overlap = (np.minimum(tops_a[:, None], tops_b[None, :])
                  > np.maximum(bottoms_a[:, None], bottoms_b[None, :]))
     values = np.zeros((len(predicted), len(observations)))
-    for i, j in zip(*np.nonzero(near & z_overlap)):
-        values[i, j] = iou_3d(predicted[i], observations[j])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in iou_3d, once per call
+        for i, j in zip(*np.nonzero(near & z_overlap)):
+            values[i, j] = _iou_3d(predicted[i], observations[j])
     return AffinityMatrix(values)
 
 
@@ -209,7 +210,15 @@ def iou_3d(box_a: Observation, box_b: Observation) -> float:
     The intersection volume factors into the overlap area of the yawed
     footprints (convex polygon clipping) times the vertical extent
     overlap, because both boxes rotate only around the vertical axis.
+    Footprints whose coordinate products overflow (extents near 1e200)
+    give NaN silently, and a NaN never matches.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _iou_3d(box_a, box_b)
+
+
+def _iou_3d(box_a: Observation, box_b: Observation) -> float:
+    """iou_3d without its np.errstate, which the caller sets."""
     corners_a = box_corners_bev(box_a)
     corners_b = box_corners_bev(box_b)
     overlap = polygon_area(clip_polygon(corners_a, corners_b))
@@ -239,28 +248,47 @@ def _match_result(pairs: list, n_pred: int, n_det: int) -> MatchResult:
     )
 
 
-def greedy_match(distances: np.ndarray, limit: float) -> MatchResult:
-    """Greedy nearest-first one-to-one matching over an (N, M) distance array.
+def candidate_order(distances: np.ndarray, limit: float) -> tuple:
+    """Row and column index lists of an (N, M) array's candidate pairs, best first.
 
     Only finite pairs strictly below the limit are candidates, so NaN
-    and +-inf entries never match.  Candidates are visited in ascending distance,
-    ties broken by prediction index and then detection index (a stable
-    sort of the row-major candidate indices), and a pair is accepted
-    while both its prediction and its detection are still free.
+    and +-inf entries never match.  Candidates are listed in ascending
+    distance, ties broken by row index and then column index (a stable
+    sort of the row-major candidate indices).  Keeping any subset of
+    the columns keeps the order of the candidates left.
     """
-    n_pred, n_det = distances.shape
     flat = distances.ravel()
     candidates = np.flatnonzero(flat < limit)
     candidates = candidates[flat[candidates] > -math.inf]
     order = candidates[np.argsort(flat[candidates], kind="stable")]
-    free_pred = [True] * n_pred
-    free_det = [True] * n_det
+    rows, cols = divmod(order, distances.shape[1])
+    return rows.tolist(), cols.tolist()
+
+
+def greedy_scan(rows: Sequence[int], cols: Sequence[int], free_rows: list,
+                free_cols: list) -> list:
+    """Accept the ordered candidates whose row and column are both still free.
+
+    Marks the accepted rows and columns taken in the two flag lists and
+    returns the accepted (row, column) pairs in candidate order.
+    """
     pairs = []
-    rows, cols = divmod(order, n_det)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if free_pred[i] and free_det[j]:
-            free_pred[i] = free_det[j] = False
+    for i, j in zip(rows, cols):
+        if free_rows[i] and free_cols[j]:
+            free_rows[i] = free_cols[j] = False
             pairs.append((i, j))
+    return pairs
+
+
+def greedy_match(distances: np.ndarray, limit: float) -> MatchResult:
+    """Greedy nearest-first one-to-one matching over an (N, M) distance array.
+
+    A candidate pair (candidate_order) is accepted while both its
+    prediction and its detection are still free.
+    """
+    n_pred, n_det = distances.shape
+    rows, cols = candidate_order(distances, limit)
+    pairs = greedy_scan(rows, cols, [True] * n_pred, [True] * n_det)
     return _match_result(pairs, n_pred, n_det)
 
 
@@ -289,10 +317,12 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     return _match_result(pairs, n_pred, n_det)
 
 
-def _centers_2d(boxes) -> np.ndarray:
-    if isinstance(boxes, np.ndarray):
-        return boxes[:, :2]
-    return np.array([(box.x, box.y) for box in boxes], dtype=float).reshape(-1, 2)
+def center_distances(boxes_a, boxes_b) -> np.ndarray:
+    """2D distances between the centers of two sides, as greedy_center_match takes them."""
+    a, b = (boxes[:, :2] if isinstance(boxes, np.ndarray)
+            else np.array([(box.x, box.y) for box in boxes], dtype=float).reshape(-1, 2)
+            for boxes in (boxes_a, boxes_b))
+    return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 
 def greedy_center_match(boxes_a, boxes_b, gate: float) -> MatchResult:
@@ -303,10 +333,7 @@ def greedy_center_match(boxes_a, boxes_b, gate: float) -> MatchResult:
     by observation-noise calibration; z is ignored, and pairs at or
     beyond the gate stay unmatched.
     """
-    a = _centers_2d(boxes_a)
-    b = _centers_2d(boxes_b)
-    return greedy_match(
-        np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1]), gate)
+    return greedy_match(center_distances(boxes_a, boxes_b), gate)
 
 
 MATCHERS = {

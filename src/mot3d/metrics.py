@@ -11,11 +11,17 @@ and the average of MOTAR over an evenly spaced recall grid
 {1/(n-1), ..., 1} is the class AMOTA.  The overall score is the
 unweighted mean over classes present in the ground truth.
 
-The thresholds are a class's distinct track scores.  A frame's kept
-boxes change only at its own scores, so each frame is matched once per
-distinct score it holds; a threshold then recounts only the scenes
-holding a box with that score, replaying their kept matchings (identity
-switches depend on frame order).  Cost grows linearly with the scenes.
+The thresholds are a class's distinct track scores, swept downwards.
+Each frame holding track boxes orders its gated (ground truth, track)
+center pairs once.  A frame's kept boxes change only at its own scores,
+so a threshold reruns only the greedy scan of the frames holding that
+score, skipping the tracks scored below it; dropping tracks keeps the
+order of the pairs left, so this equals rematching the kept boxes.  TP
+and FP are running totals.  An instance's identity switches depend only
+on the ordered sequence of track ids it is matched to (CLEAR MOT), so
+each instance keeps its matched frames in order and a changed entry is
+recounted against its two neighbours.  A threshold costs what its
+frames' pairs cost, not the length of their scenes.
 
 Matching uses greedy 2D center distance under a 2 meter gate.  The
 formulas are implemented exactly as stated; counts, thresholds, and
@@ -28,11 +34,12 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
-from .association import greedy_center_match
+from .association import candidate_order, center_distances, greedy_center_match, greedy_scan
 from .core import CLASS_LABELS, Box
 from .dataset_io import atomic_open, positive_number, write_json
 
@@ -55,18 +62,13 @@ def match_frame(gt_boxes: Sequence[Box], track_boxes: Sequence[Box],
     changed counts one identity switch.  Returns (assignment, tp, fp,
     fn, ids) where assignment covers only this frame's matches.
     """
-    pairs, fp = _match_pairs(gt_boxes, track_boxes, gate)
-    assignment, ids = _switches(pairs, prev_assignment)
-    return assignment, len(pairs), fp, len(gt_boxes) - len(pairs), ids
-
-
-def _match_pairs(gt_boxes: Sequence[Box], track_boxes: Sequence[Box], gate: float) -> tuple:
-    """Greedy center matching as ([(instance_id, track_id), ...], fp)."""
     result = greedy_center_match([g.observation for g in gt_boxes],
                                  [t.observation for t in track_boxes], gate)
     pairs = [(gt_boxes[gi].instance_id, track_boxes[tj].track_id)
              for gi, tj in result.pairs]
-    return pairs, len(result.unmatched_detections)
+    assignment, ids = _switches(pairs, prev_assignment)
+    fp = len(result.unmatched_detections)
+    return assignment, len(pairs), fp, len(gt_boxes) - len(pairs), ids
 
 
 def _switches(pairs, prev_assignment: Mapping[str, int]) -> tuple:
@@ -158,61 +160,110 @@ class EvalReport:
 _OperatingPoint = namedtuple("_OperatingPoint", "threshold recall tp fp fn ids")
 
 
-def _by_class(boxes_by_scene: Mapping) -> dict:
-    """label -> scene -> frame -> boxes, scenes and frames ascending, box order kept."""
+def _by_class(boxes_by_scene: Mapping, ground_truth: bool) -> dict:
+    """label -> scene -> frame -> boxes, scenes and frames ascending, box order kept.
+
+    Raises ValueError, naming the scene, frame and class, at a track box
+    without a score or track_id, or at a ground-truth box without an
+    instance_id or repeating one in its frame.
+    """
     out: dict = {}
     for scene_id, frames in sorted(boxes_by_scene.items()):
         for frame_index, boxes in sorted(frames.items()):
+            instances = set()
             for box in boxes:
+                if ground_truth:
+                    fault = ("ground-truth box has no instance_id" if box.instance_id is None
+                             else f"duplicate instance_id {box.instance_id!r}"
+                             if box.instance_id in instances else None)
+                    instances.add(box.instance_id)
+                else:
+                    fault = ("track box has no score" if box.score is None
+                             else "track box has no track_id" if box.track_id is None else None)
+                if fault:
+                    raise ValueError(f"scene {scene_id!r} frame {frame_index} "
+                                     f"class {box.class_label!r}: {fault}")
                 scenes = out.setdefault(box.class_label, {})
                 scenes.setdefault(scene_id, {}).setdefault(frame_index, []).append(box)
     return out
 
 
+class _Frame:
+    """One frame's gated center pairs, ordered once, and its counts at the current threshold."""
+
+    __slots__ = ("index", "links", "track_ids", "scores", "rows", "cols", "tp", "fp")
+
+    def __init__(self, index: int, gt_boxes: Sequence[Box], track_boxes: Sequence[Box],
+                 gate: float, scene_links: dict):
+        self.index = index
+        # per ground-truth box, its instance's (matched frames ascending, frame -> track_id)
+        self.links = [scene_links.setdefault(g.instance_id, ([], {})) for g in gt_boxes]
+        self.track_ids = [t.track_id for t in track_boxes]
+        self.scores = [t.score for t in track_boxes]
+        self.rows, self.cols = candidate_order(center_distances(
+            [g.observation for g in gt_boxes], [t.observation for t in track_boxes]), gate)
+        self.tp = self.fp = 0
+
+    def rematch(self, threshold: float) -> tuple:
+        """Rescan keeping the tracks scoring at least threshold; the (tp, fp, ids) changes.
+
+        Thresholds descend, so each rescan only adds tracks, and adding
+        a track to a greedy matching never unmatches a ground-truth box:
+        an instance's entry here is only added or changed.
+        """
+        kept = [score >= threshold for score in self.scores]
+        pairs = greedy_scan(self.rows, self.cols, [True] * len(self.links), kept)
+        ids = sum(_relink(self.links[i], self.index, self.track_ids[j]) for i, j in pairs)
+        tp, fp = len(pairs), sum(kept)  # the scan left only unmatched kept tracks flagged
+        changes = tp - self.tp, fp - self.fp, ids
+        self.tp, self.fp = tp, fp
+        return changes
+
+
+def _relink(link: tuple, frame_index: int, track_id: int) -> int:
+    """Match an instance to track_id in one frame; return its change in switches."""
+    frames, track_of = link
+    old = track_of.get(frame_index)
+    if old == track_id:
+        return 0
+    at = bisect_left(frames, frame_index)
+    if old is None:
+        frames.insert(at, frame_index)
+    track_of[frame_index] = track_id
+    before = track_of[frames[at - 1]] if at else None
+    after = track_of[frames[at + 1]] if at + 1 < len(frames) else None
+    return _switches_between(before, track_id, after) - _switches_between(before, old, after)
+
+
+def _switches_between(before, current, after) -> int:
+    """Switches that an entry adds between its neighbours' track_ids; None is absent."""
+    if current is None:
+        return 0
+    return ((before is not None and before != current)
+            + (after is not None and current != after)
+            - (before is not None and after is not None and before != after))
+
+
 def _sweep(gt: Mapping, tracks: Mapping, thresholds: Sequence[float],
            positives: int, gate: float) -> list:
     """Full-split counts at each descending threshold (see the module notes)."""
-    matchings = []  # per scene, per frame: (pairs, fp) at the current threshold
     changes: dict = {}  # score -> frames holding a track box with that score
-    for scene_id in sorted(set(gt) | set(tracks)):
+    for scene_id, track_frames in tracks.items():
         gt_frames = gt.get(scene_id, {})
-        track_frames = tracks.get(scene_id, {})
-        frame_indices = sorted(set(gt_frames) | set(track_frames))
-        for position, frame_index in enumerate(frame_indices):
-            boxes = track_frames.get(frame_index, [])
-            for score in {t.score for t in boxes}:
-                changes.setdefault(score, []).append(
-                    (len(matchings), position, gt_frames.get(frame_index, []), boxes))
-        matchings.append([((), 0)] * len(frame_indices))
+        scene_links: dict = {}
+        for frame_index, boxes in track_frames.items():
+            frame = _Frame(frame_index, gt_frames.get(frame_index, ()), boxes, gate, scene_links)
+            for score in set(frame.scores):
+                changes.setdefault(score, []).append(frame)
 
-    scene_counts = [(0, 0, 0)] * len(matchings)  # per scene: tp, fp, ids
-    totals = (0, 0, 0)
+    tp = fp = ids = 0
     points = []
     for threshold in thresholds:
-        touched = set()
-        for scene, position, gt_boxes, boxes in changes[threshold]:
-            kept = [t for t in boxes if t.score >= threshold]
-            matchings[scene][position] = _match_pairs(gt_boxes, kept, gate)
-            touched.add(scene)
-        for scene in touched:
-            old, scene_counts[scene] = scene_counts[scene], _replay(matchings[scene])
-            totals = tuple(t + a - b for t, a, b in zip(totals, scene_counts[scene], old))
-        tp, fp, ids = totals
+        for frame in changes[threshold]:
+            d_tp, d_fp, d_ids = frame.rematch(threshold)
+            tp, fp, ids = tp + d_tp, fp + d_fp, ids + d_ids
         points.append(_OperatingPoint(threshold, tp / positives, tp, fp, positives - tp, ids))
     return points
-
-
-def _replay(frames) -> tuple:
-    """(tp, fp, ids) of one scene from its frames' (pairs, fp) in order."""
-    prev_assignment: dict = {}
-    tp = fp = ids = 0
-    for pairs, frame_fp in frames:
-        assignment, frame_ids = _switches(pairs, prev_assignment)
-        prev_assignment.update(assignment)
-        tp += len(pairs)
-        fp += frame_fp
-        ids += frame_ids
-    return tp, fp, ids
 
 
 def _class_report(label: str, gt: Mapping, tracks: Mapping, n: int,
@@ -267,10 +318,10 @@ def amota(tracks: Mapping[str, Mapping[int, Sequence[Box]]],
     sample record.
     """
     check_amota_args(n, gate)
-    gt_by_class = _by_class(ground_truth)
+    gt_by_class = _by_class(ground_truth, ground_truth=True)
     if not gt_by_class:
         raise ValueError("ground truth contains no boxes")
-    tracks_by_class = _by_class(tracks)
+    tracks_by_class = _by_class(tracks, ground_truth=False)
     skipped = tuple(sorted(set(tracks_by_class) - set(gt_by_class)))
     reports = {label: _class_report(label, gt_by_class[label],
                                     tracks_by_class.get(label, {}), n, gate)

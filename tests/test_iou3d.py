@@ -242,11 +242,13 @@ def random_frame(rng) -> tuple:
 @pytest.mark.parametrize("name", sorted(EDGE_FRAMES))
 def test_iou_affinity_equals_per_pair_iou_on_edge_cases(name, monkeypatch):
     boxes, detections = EDGE_FRAMES[name]
+    expected = per_pair_iou(boxes, detections)
     clipped = []
-    monkeypatch.setattr(association, "iou_3d",
-                        lambda a, b: clipped.append((a, b)) or iou_3d(a, b))
+    clip = association._iou_3d
+    monkeypatch.setattr(association, "_iou_3d",
+                        lambda a, b: clipped.append((a, b)) or clip(a, b))
     values = iou_affinity(as_prediction(boxes), detections).values
-    assert np.array_equal(values, per_pair_iou(boxes, detections))
+    assert np.array_equal(values, expected)
     if name == "corners touching":
         # every center distance is the sum of the radii up to rounding,
         # so every pair must be clipped rather than pruned

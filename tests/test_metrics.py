@@ -329,6 +329,67 @@ def random_case(rng):
     return gt, tracks
 
 
+def long_scene_case(rng):
+    """One scene of 30 to 45 frames out of 60, so with gaps, and 1 to 3 instances.
+
+    Each instance, 10 m from the next, is followed by a main track that
+    hands it to a second id now and then and takes it back, so it is
+    re-identified by an earlier track.  In some frames a lower-scored
+    rival stands closer to the instance than the main track, so the
+    instance switches track between two thresholds while its
+    neighbouring frames stay matched.
+    """
+    gt: dict = {}
+    tracks: dict = {}
+    frames = sorted(rng.sample(range(60), rng.randint(30, 45)))
+    for k in range(rng.randint(1, 3)):
+        label = rng.choice(["car", "pedestrian"])
+        main, second, rival = 10 * k + 1, 10 * k + 2, 10 * k + 3
+        for frame in frames:
+            if rng.random() < 0.9:
+                gt.setdefault("s", {}).setdefault(frame, []).append(
+                    gt_box(frame, x=10.0 * k, instance=f"{label}{k}", label=label))
+            boxes = tracks.setdefault("s", {}).setdefault(frame, [])
+            if rng.random() < 0.9:
+                boxes.append(track_box(
+                    frame, x=10.0 * k + 0.5, track_id=second if rng.random() < 0.2 else main,
+                    score=rng.choice([0.5, 0.7, 0.9]), label=label))
+            if rng.random() < 0.2:
+                boxes.append(track_box(frame, x=10.0 * k + 0.1, track_id=rival,
+                                       score=rng.choice([0.2, 0.4, 0.6]), label=label))
+    return gt, tracks
+
+
+def matches_at(gt, tracks, threshold):
+    """(scene, instance) -> {frame: track_id} of the per-frame matching at a threshold."""
+    out = collections.defaultdict(dict)
+    for scene, frames in gt.items():
+        for frame, gt_boxes in frames.items():
+            for label in {box.class_label for box in gt_boxes}:
+                kept = [t for t in tracks.get(scene, {}).get(frame, [])
+                        if t.class_label == label and t.score >= threshold]
+                assignment = match_frame([g for g in gt_boxes if g.class_label == label],
+                                         kept, {})[0]
+                for instance, track_id in assignment.items():
+                    out[scene, instance][frame] = track_id
+    return out
+
+
+@pytest.mark.parametrize("side, box, message", [
+    ("tracks", track_box(3, score=None), "track box has no score"),
+    ("tracks", track_box(3, track_id=None), "track box has no track_id"),
+    ("gt", gt_box(3, instance=None), "ground-truth box has no instance_id"),
+    ("gt", gt_box(3, x=9.0, instance="A"), "duplicate instance_id 'A'"),
+])
+def test_amota_rejects_boxes_it_cannot_count(side, box, message):
+    gt = by_frame([gt_box(f, instance="A") for f in range(4)])
+    tracks = by_frame([track_box(f) for f in range(4)])
+    {"gt": gt, "tracks": tracks}[side]["s"][3].append(box)
+    with pytest.raises(ValueError) as raised:
+        amota(tracks, gt, n=3)
+    assert str(raised.value) == f"scene 's' frame 3 class 'car': {message}"
+
+
 def test_incremental_sweep_equals_brute_force(monkeypatch):
     rng = random.Random(5)
     seen: collections.Counter = collections.Counter()
@@ -361,7 +422,29 @@ def test_incremental_sweep_equals_brute_force(monkeypatch):
         seen["unreachable target"] += any(not sample.reachable for sample in samples)
         seen["identity switch"] += any(sample.ids for sample in samples)
         seen["no thresholds"] += any(math.isnan(sample.score_threshold) for sample in samples)
-    assert len(seen) == 9 and all(seen.values()), seen
+
+    for _ in range(30):
+        gt, tracks = long_scene_case(rng)
+        n = rng.choice([3, 11, 40])
+        report = amota(tracks, gt, n=n)
+        assert json.dumps(report.to_dict()) == reference_report_json(tracks, gt, n, monkeypatch)
+
+        frames = sorted(tracks["s"])
+        seen["30+ frames with gaps"] += len(frames) >= 30 and frames[-1] - frames[0] >= len(frames)
+        thresholds = sorted({t.score for boxes in tracks["s"].values() for t in boxes},
+                            reverse=True)
+        matched = [matches_at(gt, tracks, threshold) for threshold in thresholds]
+        for entries in matched[-1].values():
+            sequence = [entries[frame] for frame in sorted(entries)]
+            seen["re-identification"] += any(
+                sequence[j] != sequence[j - 1] and sequence[j] in sequence[:j - 1]
+                for j in range(1, len(sequence)))
+        for high, low in zip(matched, matched[1:]):
+            for key, entries in low.items():
+                both = sorted(set(entries) & set(high.get(key, {})))
+                seen["middle frame switches between thresholds"] += any(
+                    entries[frame] != high[key][frame] for frame in both[1:-1])
+    assert len(seen) == 12 and all(seen.values()), seen
 
 
 def test_switch_back_to_an_earlier_track_counts_twice(monkeypatch):
@@ -384,17 +467,24 @@ def test_amota_matches_each_frame_once_per_score_it_holds(monkeypatch):
     config = RunConfig(matcher="greedy", affinity="mahalanobis")
     tracks = {scene: boxes_by_frame(run_scene(frames, noise, config))
               for scene, frames in detections.items()}
-    # the sweep is per class, so a frame holds one score set per class
-    bound = sum(len({(box.class_label, box.score) for box in boxes})
-                for frames in tracks.values() for boxes in frames.values())
-    calls = []
-    match = metrics.greedy_center_match
+    # the sweep is per class: a frame orders its pairs once per class it
+    # holds, and rescans them once per (class, score) it holds
+    held = [(scene, frame, box.class_label, box.score)
+            for scene, frames in tracks.items()
+            for frame, boxes in frames.items() for box in boxes]
+    calls = collections.Counter()
 
-    def counted(*args):
-        calls.append(args)
-        return match(*args)
+    def counted(name):
+        function = getattr(metrics, name)
 
-    monkeypatch.setattr(metrics, "greedy_center_match", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in ("candidate_order", "greedy_scan"):
+        monkeypatch.setattr(metrics, name, counted(name))
     report = amota(tracks, ground_truth)
     assert report.overall_amota == 0.7648924008865539
-    assert 0 < len(calls) <= bound
+    assert calls["candidate_order"] == len({key[:3] for key in held})
+    assert calls["greedy_scan"] == len(set(held))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -413,10 +414,12 @@ def test_class_maha_thresholds_gate_only_their_class_and_only_mahalanobis():
 
 def test_iou_tracking_never_matches_a_pair_whose_iou_is_nan():
     # footprint areas of 1e400 overflow: the IOU is NaN, not the 1.0 that
-    # min(1.0, nan) would give, though the true IOU is about 0.005
+    # min(1.0, nan) would give, though the true IOU is about 0.005; the
+    # overflow is expected, so no numpy RuntimeWarning reaches the caller
     huge = (1e200, 1e200, 1.0)
     frames = {0: [det(0, size=huge)], 1: [det(1, x=0.99e200, size=huge)]}
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert math.isnan(association.iou_3d(frames[0][0].observation, frames[1][0].observation))
         for matcher in ("greedy", "hungarian"):
             config = RunConfig(affinity="iou", matcher=matcher, birth_hits=1)
@@ -429,8 +432,8 @@ def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):
     # 100 objects 15 m apart: each track can overlap about one detection
     _, frames = generate(calibration_scenario(objects=100, frame_count=10, spacing=15.0))
     clipped = []
-    real_iou_3d = association.iou_3d
-    monkeypatch.setattr(association, "iou_3d",
+    real_iou_3d = association._iou_3d
+    monkeypatch.setattr(association, "_iou_3d",
                         lambda a, b: clipped.append(1) or real_iou_3d(a, b))
     tracker = MultiObjectTracker(NoiseModel.default_covariance(),
                                  RunConfig(affinity="iou", matcher="hungarian"))
