@@ -3,7 +3,10 @@
 Two affinities score a stacked prediction of N tracks against M
 detections: the Mahalanobis distance between a detection and the
 predicted observation distribution, and the 3D intersection-over-union
-of the two boxes.  The tracker turns either into a plain (N, M)
+of the two boxes.  IOU has one implementation, iou_pairs: it clips the
+footprints of all the candidate pairs of a call together, one array pass
+per clip edge, and gives each pair the floats that clipping it alone with
+Python floats would give.  The tracker turns either into a plain (N, M)
 distance array and limit (1 - IOU under 1 - T for a minimum IOU T),
 and two bipartite matchers take that array and return index pairs,
 never a non-finite one: a greedy nearest-first matcher and an optimal
@@ -19,8 +22,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import (ANGLE_INDEX, OBS_DIM, Observation, observation_residual, observation_rows,
-                   wrap_angle_array)
+from .core import (ANGLE_INDEX, OBS_DIM, Observation, checked_rows, observation_residual,
+                   observation_rows, wrap_angle_array)
 from .kalman import Prediction
 
 
@@ -93,10 +96,10 @@ def mahalanobis_affinity(prediction: Prediction,
     return AffinityMatrix(values)
 
 
-def _bounds(rows: np.ndarray):
-    """Centers (K, 2), footprint circle radii, and z bottoms and tops of (K, 7) box rows."""
+def _z_extents(rows: np.ndarray) -> tuple:
+    """Bottoms and tops of (K, 7) box rows."""
     z, half_h = rows[:, 2], rows[:, 6] / 2.0
-    return rows[:, :2], 0.5 * np.hypot(rows[:, 4], rows[:, 5]), z - half_h, z + half_h
+    return z - half_h, z + half_h
 
 
 def iou_affinity(prediction: Prediction,
@@ -105,137 +108,149 @@ def iou_affinity(prediction: Prediction,
 
     A pair whose footprint circles (centered on the box, radius half
     the footprint diagonal) or height intervals are disjoint scores 0
-    without clipping, the value iou_3d gives it; iou_3d runs on the
-    other pairs only.  Circles within a relative 1e-9 of touching count
-    as overlapping, so rounding cannot drop a pair that iou_3d scores.
+    without clipping, the value iou_3d gives it; the other pairs go to
+    iou_pairs in one call.  Circles within a relative 1e-9 of touching
+    count as overlapping, so rounding cannot drop a pair that iou_3d
+    scores.
     """
-    predicted = [Observation(*row) for row in prediction.mean[:, :OBS_DIM].tolist()]
-    centers_a, radii_a, bottoms_a, tops_a = _bounds(observation_rows(predicted))
-    centers_b, radii_b, bottoms_b, tops_b = _bounds(observation_rows(observations))
-    offsets = centers_a[:, None, :] - centers_b[None, :, :]
-    near = (np.hypot(offsets[..., 0], offsets[..., 1])
+    predicted = checked_rows(prediction.mean[:, :OBS_DIM].copy())
+    detected = observation_rows(observations)
+    bottoms_a, tops_a = _z_extents(predicted)
+    bottoms_b, tops_b = _z_extents(detected)
+    radii_a, radii_b = (0.5 * np.hypot(rows[:, 4], rows[:, 5]) for rows in (predicted, detected))
+    near = (center_distances(predicted, detected)
             <= (radii_a[:, None] + radii_b[None, :]) * (1.0 + 1e-9))
-    # The same sums iou_3d forms: its height overlap is positive exactly here.
+    # The same sums iou_pairs forms: its height overlap is positive exactly here.
     z_overlap = (np.minimum(tops_a[:, None], tops_b[None, :])
                  > np.maximum(bottoms_a[:, None], bottoms_b[None, :]))
-    values = np.zeros((len(predicted), len(observations)))
-    with np.errstate(over="ignore", invalid="ignore"):  # as in iou_3d, once per call
-        for i, j in zip(*np.nonzero(near & z_overlap)):
-            values[i, j] = _iou_3d(predicted[i], observations[j])
+    rows, cols = np.nonzero(near & z_overlap)
+    values = np.zeros((len(predicted), len(detected)))
+    values[rows, cols] = iou_pairs(predicted[rows], detected[cols])
     return AffinityMatrix(values)
 
 
+# Footprint corner offsets in units of (l/2, w/2), counter-clockwise.
+_CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+def _corners(rows: np.ndarray) -> np.ndarray:
+    """(K, 4, 2) footprint corners in the x-y plane of (K, 7) box rows, counter-clockwise.
+
+    The l extent runs along the yaw direction, w across it.  cos and sin
+    come from math one box at a time (np.cos can differ in the last bit),
+    and the rotation is one stacked matmul, which gives each box the
+    floats of its own (4, 2) @ (2, 2) matmul; an elementwise product
+    would not, where BLAS fuses a multiply and an add.
+    """
+    yaws = rows[:, ANGLE_INDEX].tolist()
+    cos_a = np.fromiter(map(math.cos, yaws), float, len(yaws))
+    sin_a = np.fromiter(map(math.sin, yaws), float, len(yaws))
+    rotation = np.stack([cos_a, -sin_a, sin_a, cos_a], axis=1).reshape(-1, 2, 2)
+    return (_CORNER_SIGNS * (rows[:, None, 4:6] / 2.0)) @ rotation.transpose(0, 2, 1) \
+        + rows[:, None, :2]
+
+
 def box_corners_bev(box: Observation) -> np.ndarray:
-    """Corners of the box footprint in the x-y plane, counter-clockwise.
+    """(4, 2) corners of one box footprint in the x-y plane, counter-clockwise."""
+    return _corners(observation_rows([box]))[0]
 
-    The l extent runs along the yaw direction, w across it.
+
+def _clip_edge(points: np.ndarray, counts: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """One Sutherland-Hodgman pass: K convex polygons clipped against one edge each.
+
+    Polygon k holds its counts[k] vertices in the first slots of row k
+    of the (K, n, 2) points; its edge runs from start[k] to end[k].
+    Points on the edge count as inside.  Each vertex emits, in order,
+    the crossing of the edge with the segment from its predecessor
+    (where the two lie on different sides) and itself (where it is
+    inside).  Rounding can emit more than the 8 vertices two convex
+    quadrilaterals allow, so the result takes as many slots as its
+    longest polygon needs; the slots past a polygon's count hold junk.
     """
-    cos_a = math.cos(box.a)
-    sin_a = math.sin(box.a)
-    half_l = box.l / 2.0
-    half_w = box.w / 2.0
-    local = np.array([
-        [half_l, half_w],
-        [-half_l, half_w],
-        [-half_l, -half_w],
-        [half_l, -half_w],
-    ])
-    rotation = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
-    return local @ rotation.T + np.array([box.x, box.y])
+    owner, slots = np.arange(len(counts))[:, None], np.arange(points.shape[1])
+    sx, sy, ex, ey = start[:, :1], start[:, 1:], end[:, :1], end[:, 1:]
+    xs, ys = points[..., 0], points[..., 1]
+    valid = slots < counts[:, None]
+    inside = valid & ((ex - sx) * (ys - sy) - (ey - sy) * (xs - sx) >= 0.0)
+    previous = np.where(slots == 0, counts[:, None] - 1, slots - 1)
+    crossing = valid & (inside != inside[owner, previous])
+
+    # Line (start, end) crossed with segment (p, q), for each crossing.
+    k, j = np.nonzero(crossing)
+    p, q = points[k, previous[k, j]], points[k, j]
+    dc, dp = (start - end)[k], p - q
+    denom = dc[:, 0] * dp[:, 1] - dc[:, 1] * dp[:, 0]
+    # math.hypot, not np.hypot, whose last bit can differ.
+    near_parallel = np.abs(denom) <= [
+        1e-12 * math.hypot(a, b) * math.hypot(c, d)
+        for a, b, c, d in zip(*dc.T.tolist(), *dp.T.tolist())]
+    n1 = (start[:, 0] * end[:, 1] - start[:, 1] * end[:, 0])[k]
+    n2 = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    # Nearly parallel segments only straddle the edge through rounding, so
+    # q sits on it to working precision; dividing by the tiny cross term
+    # would blow up.
+    crossed = np.where(near_parallel[:, None], q,
+                       (n1[:, None] * dp - n2[:, None] * dc) / denom[:, None])
+
+    # Slot 2i holds vertex i's crossing, slot 2i + 1 the vertex itself; a
+    # stable sort moves the emitted slots to the front, in order.
+    emitted = np.empty((len(counts), 2 * points.shape[1]), dtype=bool)
+    emitted[:, 0::2], emitted[:, 1::2] = crossing, inside
+    candidates = np.repeat(points, 2, axis=1)
+    candidates[k, 2 * j] = crossed
+    counts = np.count_nonzero(emitted, axis=1)
+    order = np.argsort(~emitted, axis=1, kind="stable")[:, :counts.max(initial=0)]
+    return candidates[owner, order], counts
 
 
-def clip_polygon(subject: Sequence, clip: Sequence) -> list:
-    """Clip a convex polygon against another convex polygon.
+def _shoelace(points: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sign-free shoelace areas of the polygons _clip_edge leaves, 0 below 3 vertices."""
+    slots = np.arange(points.shape[1])
+    following = points[np.arange(len(counts))[:, None],
+                       np.where(slots + 1 < counts[:, None], slots + 1, 0)]
+    terms = np.where(slots < counts[:, None],
+                     points[..., 0] * following[..., 1] - following[..., 0] * points[..., 1], 0.0)
+    area = np.zeros(len(counts))
+    for column in terms.T:  # in vertex order: np.sum would add pairwise
+        area = area + column
+    return np.where(counts < 3, 0.0, np.abs(area) / 2.0)
 
-    Sutherland-Hodgman: the subject is clipped against each edge of the
-    counter-clockwise clip polygon in turn.  Points on an edge count as
-    inside, so clipping a polygon against itself returns it unchanged.
+
+def iou_pairs(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """3D intersection-over-union of row k of rows_a with row k of rows_b.
+
+    Both are (K, 7) rows of upright yawed boxes.  The intersection
+    volume factors into the overlap area of the yawed footprints times
+    the vertical extent overlap, because both boxes rotate only around
+    the vertical axis.  The footprint of a is clipped against the four
+    edges of the footprint of b (Sutherland-Hodgman, all K pairs per
+    edge at once), then measured by the shoelace formula.  Footprints
+    whose coordinate products overflow (extents near 1e200) give NaN
+    silently, and a NaN never matches.
     """
-    output = [tuple(p) for p in subject]
-    clip = [tuple(p) for p in clip]
-    for k in range(len(clip)):
-        if not output:
-            break
-        edge_start = clip[k]
-        edge_end = clip[(k + 1) % len(clip)]
-
-        def inside(p):
-            return ((edge_end[0] - edge_start[0]) * (p[1] - edge_start[1])
-                    - (edge_end[1] - edge_start[1]) * (p[0] - edge_start[0])) >= 0.0
-
-        def intersect(p, q):
-            # Line (edge_start, edge_end) crossed with segment (p, q).
-            dc = (edge_start[0] - edge_end[0], edge_start[1] - edge_end[1])
-            dp = (p[0] - q[0], p[1] - q[1])
-            denom = dc[0] * dp[1] - dc[1] * dp[0]
-            if abs(denom) <= 1e-12 * math.hypot(*dc) * math.hypot(*dp):
-                # Nearly parallel segments only straddle the edge through
-                # rounding, so either endpoint sits on it to working
-                # precision; dividing by the tiny cross term would blow up.
-                return q
-            n1 = edge_start[0] * edge_end[1] - edge_start[1] * edge_end[0]
-            n2 = p[0] * q[1] - p[1] * q[0]
-            return ((n1 * dp[0] - n2 * dc[0]) / denom,
-                    (n1 * dp[1] - n2 * dc[1]) / denom)
-
-        polygon = output
-        output = []
-        for idx in range(len(polygon)):
-            current = polygon[idx]
-            previous = polygon[idx - 1]
-            if inside(current):
-                if not inside(previous):
-                    output.append(intersect(previous, current))
-                output.append(current)
-            elif inside(previous):
-                output.append(intersect(previous, current))
-    return output
-
-
-def polygon_area(points: Sequence) -> float:
-    """Shoelace area of a simple polygon, sign-free."""
-    if len(points) < 3:
-        return 0.0
-    area = 0.0
-    for idx in range(len(points)):
-        x1, y1 = points[idx]
-        x2, y2 = points[(idx + 1) % len(points)]
-        area += x1 * y2 - x2 * y1
-    return abs(area) / 2.0
+    with np.errstate(all="ignore"):
+        clip = _corners(rows_b)
+        points, counts = _corners(rows_a), np.full(len(rows_a), 4)
+        for k in range(4):
+            points, counts = _clip_edge(points, counts, clip[:, k], clip[:, (k + 1) % 4])
+        overlap = _shoelace(points, counts)
+        bottoms_a, tops_a = _z_extents(rows_a)
+        bottoms_b, tops_b = _z_extents(rows_b)
+        # min and max as Python's builtins take them, NaN included
+        height = (np.where(tops_b < tops_a, tops_b, tops_a)
+                  - np.where(bottoms_b > bottoms_a, bottoms_b, bottoms_a))
+        intersection = overlap * np.where(height > 0.0, height, 0.0)
+        union = (rows_a[:, 4] * rows_a[:, 5] * rows_a[:, 6]
+                 + rows_b[:, 4] * rows_b[:, 5] * rows_b[:, 6] - intersection)
+        # clipping noise on near-identical boxes can push the ratio a few ulps
+        # past one; a NaN ratio (footprint areas that overflow) never matches
+        return np.where(intersection <= 0.0, 0.0,
+                        np.where(intersection > union, 1.0, intersection / union))
 
 
 def iou_3d(box_a: Observation, box_b: Observation) -> float:
-    """3D intersection-over-union of two upright yawed boxes.
-
-    The intersection volume factors into the overlap area of the yawed
-    footprints (convex polygon clipping) times the vertical extent
-    overlap, because both boxes rotate only around the vertical axis.
-    Footprints whose coordinate products overflow (extents near 1e200)
-    give NaN silently, and a NaN never matches.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _iou_3d(box_a, box_b)
-
-
-def _iou_3d(box_a: Observation, box_b: Observation) -> float:
-    """iou_3d without its np.errstate, which the caller sets."""
-    corners_a = box_corners_bev(box_a)
-    corners_b = box_corners_bev(box_b)
-    overlap = polygon_area(clip_polygon(corners_a, corners_b))
-    z_overlap = max(
-        0.0,
-        min(box_a.z + box_a.h / 2.0, box_b.z + box_b.h / 2.0)
-        - max(box_a.z - box_a.h / 2.0, box_b.z - box_b.h / 2.0),
-    )
-    intersection = overlap * z_overlap
-    if intersection <= 0.0:
-        return 0.0
-    volume_a = box_a.l * box_a.w * box_a.h
-    volume_b = box_b.l * box_b.w * box_b.h
-    union = volume_a + volume_b - intersection
-    # clipping noise on near-identical boxes can push the ratio a few ulps
-    # past one; a NaN ratio (footprint areas that overflow) never matches
-    return 1.0 if intersection > union else intersection / union
+    """3D intersection-over-union of two upright yawed boxes: iou_pairs on one pair."""
+    return float(iou_pairs(observation_rows([box_a]), observation_rows([box_b]))[0])
 
 
 def _match_result(pairs: list, n_pred: int, n_det: int) -> MatchResult:
@@ -292,6 +307,11 @@ def greedy_match(distances: np.ndarray, limit: float) -> MatchResult:
     return _match_result(pairs, n_pred, n_det)
 
 
+# hungarian_match scales costs whose stand-in would exceed this, far
+# beyond any ordinary total, so the solver's own sums cannot overflow.
+_LARGEST_STAND_IN = 2.0 ** 960
+
+
 def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     """Optimal-assignment matching with post-assignment thresholding.
 
@@ -309,8 +329,16 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     # differ by at most twice the sum of |finite entries|, so a stand-in
     # above that makes one more non-finite pair always cost more, and
     # stays small enough not to round the finite totals away.
-    infeasible = 1.0 + 2.0 * np.abs(distances[finite]).sum()
-    rows, cols = linear_sum_assignment(np.where(finite, distances, infeasible))
+    magnitudes = np.abs(distances[finite])
+    with np.errstate(over="ignore"):
+        infeasible = 1.0 + 2.0 * magnitudes.sum()
+    costs = distances
+    if not infeasible <= _LARGEST_STAND_IN:
+        # Costs near the float range: scaling them all by one power of two
+        # is exact (bar subnormals), so it keeps every comparison of totals.
+        scale = 2.0 ** -math.frexp(magnitudes.max())[1]
+        costs, infeasible = distances * scale, 1.0 + 2.0 * (magnitudes * scale).sum()
+    rows, cols = linear_sum_assignment(np.where(finite, costs, infeasible))
     pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
              if finite[i, j] and distances[i, j] < limit]
     pairs.sort(key=lambda pair: (distances[pair], *pair))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,27 @@ def test_hungarian_properties(rows, threshold):
     gated_cells = {(i, j) for i in range(values.shape[0])
                    for j in range(values.shape[1]) if values[i, j] < threshold}
     assert {(p[0], p[1]) for p in optimal.pairs} <= gated_cells
+
+
+def test_hungarian_matches_costs_near_the_float_range():
+    # the stand-in for non-finite pairs, 1 + 2 * (sum of |finite costs|),
+    # must stay finite: had it overflowed, the solver would call these
+    # matrices infeasible, after an overflow warning
+    inf = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hungarian_match(np.array([[1e308, inf], [1e308, inf]]), 3.0) == \
+            hungarian_match(np.array([[5.0, inf], [5.0, inf]]), 3.0)
+        assert hungarian_match(np.array([[1e308, inf], [1.5e308, inf]]), inf).pairs == ((0, 0),)
+        assert hungarian_match(np.array([[1e308, 1e308], [1e308, 1.7e308]]), inf).pairs == \
+            ((0, 1), (1, 0))
+        # scaling every cost by a power of two keeps the matching
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            values = rng.uniform(0.0, 10.0, (4, 5))
+            values[rng.random(values.shape) < 0.3] = inf
+            scale = 2.0 ** 1020
+            assert hungarian_match(values * scale, 6.0 * scale) == hungarian_match(values, 6.0)
 
 
 def test_gated_hungarian_can_keep_fewer_pairs_than_greedy():

@@ -13,6 +13,7 @@ from mot3d.errors import ConfigError, NumericalError, SchemaError, SequencingErr
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
                              standard_suite_calibration, turning_scenario)
 from mot3d.tracker import MultiObjectTracker, run_scene
+from tests.test_iou3d import reference_iou_3d
 
 CAR_SIZE = (4.0, 2.0, 1.5)
 
@@ -432,17 +433,41 @@ def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):
     # 100 objects 15 m apart: each track can overlap about one detection
     _, frames = generate(calibration_scenario(objects=100, frame_count=10, spacing=15.0))
     clipped = []
-    real_iou_3d = association._iou_3d
-    monkeypatch.setattr(association, "_iou_3d",
-                        lambda a, b: clipped.append(1) or real_iou_3d(a, b))
+    real_iou_pairs = association.iou_pairs
+    monkeypatch.setattr(association, "iou_pairs",
+                        lambda a, b: clipped.append(len(a)) or real_iou_pairs(a, b))
     tracker = MultiObjectTracker(NoiseModel.default_covariance(),
                                  RunConfig(affinity="iou", matcher="hungarian"))
     for frame_index, detections in frames.items():
         clipped.clear()
         tracks = len(tracker.tracks)
         tracker.step(frame_index, detections)
-        assert len(clipped) <= 2 * max(tracks, len(detections))
+        assert sum(clipped) <= 2 * max(tracks, len(detections))
     assert tracker.stats.confirmed > 0
+
+
+def reference_affinity(prediction, observations) -> association.AffinityMatrix:
+    """iou_affinity from the scalar reference, one pair at a time."""
+    predicted = [Observation(*row) for row in prediction.mean[:, :7].tolist()]
+    values = np.zeros((len(predicted), len(observations)))
+    for i, a in enumerate(predicted):
+        for j, b in enumerate(observations):
+            # footprints whose centers lie farther apart than the sum of
+            # their four extents cannot meet: the reference scores them 0
+            if math.hypot(a.x - b.x, a.y - b.y) <= a.l + a.w + b.l + b.w:
+                values[i, j] = reference_iou_3d(a, b)
+    return association.AffinityMatrix(values)
+
+
+def test_iou_tracking_equals_tracking_on_the_per_pair_reference(monkeypatch):
+    # 100 objects 15 m apart: the array kernel gives each pair the floats
+    # of the scalar clipper, so the outputs are equal field for field
+    _, frames = generate(calibration_scenario(objects=100, frame_count=10, spacing=15.0))
+    noise, config = NoiseModel.default_covariance(), RunConfig(affinity="iou", matcher="hungarian")
+    outputs = run_scene(frames, noise, config)
+    monkeypatch.setattr(tracker_module, "iou_affinity", reference_affinity)
+    assert run_scene(frames, noise, config) == outputs
+    assert sum(len(output.records) for output in outputs) > 500
 
 
 def test_mahalanobis_tracking_factors_each_innovation_once_per_frame(monkeypatch):
