@@ -24,7 +24,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import (ANGLE_INDEX, OBS_DIM, Observation, checked_rows, observation_residual,
                    observation_rows, wrap_angle_array)
-from .kalman import Prediction
+from .kalman import Prediction, finite_blocks
 
 
 @dataclass(frozen=True)
@@ -74,26 +74,33 @@ def mahalanobis(prediction: Prediction, observation: Observation) -> float:
     (see orientation_correct); the yaw residual is wrapped here.
     """
     nu = observation_residual(observation.to_array(), prediction.mean[:OBS_DIM])
-    return math.sqrt(nu @ prediction.solve(nu))
+    return math.sqrt(nu @ prediction.solve(nu, (), bool(np.isfinite(nu).all())))
 
 
-def mahalanobis_affinity(prediction: Prediction,
-                         observations: Sequence[Observation]) -> AffinityMatrix:
-    """Pairwise Mahalanobis distances of a stacked prediction, flipped per pair.
+def mahalanobis_affinity(prediction: Prediction, detected: np.ndarray) -> AffinityMatrix:
+    """Pairwise Mahalanobis distances of a stacked prediction and (M, 7) detection rows.
 
-    One potrs per row, in row order, on the residual block formed in place.
+    Each pair's predicted yaw is flipped as orientation_correct flips it,
+    with the same floats, but a track's yaw and its flip are wrapped once
+    per row; only their differences to the detections take the (N, M)
+    shape.  The residuals are checked for finiteness in one pass; then
+    each row in turn takes one potrs and one quadratic form, so the first
+    failing row is named, its residual checked before its factor.
     """
-    detected = observation_rows(observations)
-    nu = prediction.mean[:, None, :OBS_DIM].repeat(len(detected), axis=1)
-    nu[..., ANGLE_INDEX] = orientation_correct(nu[..., ANGLE_INDEX], detected[:, ANGLE_INDEX])
+    predicted = prediction.mean[:, :OBS_DIM]
+    yaws = wrap_angle_array(predicted[:, ANGLE_INDEX])[:, None]
+    detected_yaws = detected[:, ANGLE_INDEX]
+    delta = wrap_angle_array(detected_yaws - yaws)
+    flipped_delta = wrap_angle_array(detected_yaws - wrap_angle_array(yaws + math.pi))
+    values = np.empty((len(predicted), len(detected)))
     with np.errstate(over="ignore"):  # inf residuals fail the solve; inf distances never match
-        observation_residual(detected, nu, out=nu)
-        values = np.zeros(nu.shape[:2])
-        for i, block in enumerate(nu):
-            solved = prediction.solve(block.T, i)
+        nu = np.subtract(detected, predicted[:, None, :])
+        nu[..., ANGLE_INDEX] = np.where(np.abs(delta) > math.pi / 2.0, flipped_delta, delta)
+        for i, (block, finite) in enumerate(zip(nu, finite_blocks(nu))):
+            solved = prediction.solve(block.T, i, finite)
             # Row j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
-            values[i] = np.sqrt((block[:, None, :] @ solved.T[:, :, None]).ravel())
-    return AffinityMatrix(values)
+            values[i] = (block[:, None, :] @ solved.T[:, :, None]).ravel()
+    return AffinityMatrix(np.sqrt(values, out=values))
 
 
 def _z_extents(rows: np.ndarray) -> tuple:
@@ -102,9 +109,8 @@ def _z_extents(rows: np.ndarray) -> tuple:
     return z - half_h, z + half_h
 
 
-def iou_affinity(prediction: Prediction,
-                 observations: Sequence[Observation]) -> AffinityMatrix:
-    """Pairwise 3D IOU between the boxes of a stacked (N, 11) prediction and detections.
+def iou_affinity(prediction: Prediction, detected: np.ndarray) -> AffinityMatrix:
+    """Pairwise 3D IOU between the boxes of a stacked (N, 11) prediction and (M, 7) detection rows.
 
     A pair whose footprint circles (centered on the box, radius half
     the footprint diagonal) or height intervals are disjoint scores 0
@@ -114,7 +120,6 @@ def iou_affinity(prediction: Prediction,
     scores.
     """
     predicted = checked_rows(prediction.mean[:, :OBS_DIM].copy())
-    detected = observation_rows(observations)
     bottoms_a, tops_a = _z_extents(predicted)
     bottoms_b, tops_b = _z_extents(detected)
     radii_a, radii_b = (0.5 * np.hypot(rows[:, 4], rows[:, 5]) for rows in (predicted, detected))
@@ -155,6 +160,30 @@ def box_corners_bev(box: Observation) -> np.ndarray:
     return _corners(observation_rows([box]))[0]
 
 
+def _near_parallel(denom: np.ndarray, dc: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """|denom| <= 1e-12 * math.hypot(*dc[k]) * math.hypot(*dp[k]) for each k.
+
+    A vector's norm lies between its largest component magnitude and the
+    sum of its component magnitudes, and math.hypot rounds it by under an
+    ulp.  Where |denom| clears the bounds this gives by a relative 1e-9,
+    far beyond the few ulps of rounding in the products, the bounds settle
+    the test, provided both bounds of both vectors lie within 1e-140..1e140
+    so that every product is a normal float.  Only the other rows
+    (crossings near the threshold, and values out of that range or NaN)
+    call math.hypot; np.hypot can differ in the last bit.
+    """
+    size = np.abs(denom)
+    magnitudes = np.abs(np.stack([dc, dp], axis=1))  # (K, 2 vectors, 2 components)
+    largest, total = magnitudes.max(axis=2), magnitudes.sum(axis=2)
+    near = size <= 1e-12 * largest[:, 0] * largest[:, 1] * (1.0 - 1e-9)
+    settled = ((largest.min(axis=1) >= 1e-140) & (total.max(axis=1) <= 1e140)
+               & (near | (size > 1e-12 * total[:, 0] * total[:, 1] * (1.0 + 1e-9))))
+    for k in np.flatnonzero(~settled).tolist():
+        (a, b), (c, d) = dc[k].tolist(), dp[k].tolist()
+        near[k] = size[k] <= 1e-12 * math.hypot(a, b) * math.hypot(c, d)
+    return near
+
+
 def _clip_edge(points: np.ndarray, counts: np.ndarray, start: np.ndarray, end: np.ndarray):
     """One Sutherland-Hodgman pass: K convex polygons clipped against one edge each.
 
@@ -180,10 +209,7 @@ def _clip_edge(points: np.ndarray, counts: np.ndarray, start: np.ndarray, end: n
     p, q = points[k, previous[k, j]], points[k, j]
     dc, dp = (start - end)[k], p - q
     denom = dc[:, 0] * dp[:, 1] - dc[:, 1] * dp[:, 0]
-    # math.hypot, not np.hypot, whose last bit can differ.
-    near_parallel = np.abs(denom) <= [
-        1e-12 * math.hypot(a, b) * math.hypot(c, d)
-        for a, b, c, d in zip(*dc.T.tolist(), *dp.T.tolist())]
+    near_parallel = _near_parallel(denom, dc, dp)
     n1 = (start[:, 0] * end[:, 1] - start[:, 1] * end[:, 0])[k]
     n2 = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
     # Nearly parallel segments only straddle the edge through rounding, so

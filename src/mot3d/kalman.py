@@ -7,13 +7,17 @@ textbook equations, with the yaw re-wrapped after every additive
 operation.  A stacked row gets exactly the bits of the single-belief
 call: A and H hold only 0/1 entries, numpy runs one BLAS kernel per
 slice, and each row's S is factored once, on first use, by LAPACK potrf.
-Bad input or a failed factorization is surfaced as NumericalError,
+Finiteness is checked once per stack, not per row: the S of every row on
+the first factor, and the right-hand sides of a stack of solves by their
+caller (finite_blocks), whose Python bools the solves then test row by
+row.  Bad input or a failed factorization is surfaced as NumericalError,
 never silently regularized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -41,7 +45,9 @@ class Prediction:
     mean[..., :7] is the predicted observation, and innovation_cov is the
     covariance of (observation - predicted observation), i.e. the
     gating distribution for data association.  A row is an int into a
-    stack, or () for a single belief.
+    stack, or () for a single belief.  The first factor checks every
+    row's S for finiteness in one pass; each row is then factored once,
+    on first use.
     """
 
     mean: np.ndarray
@@ -49,13 +55,18 @@ class Prediction:
     innovation_cov: np.ndarray
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @cached_property
+    def _finite(self) -> np.ndarray:
+        """Whether each row's S is finite, for the whole stack at once."""
+        return np.isfinite(self.innovation_cov).all(axis=(-2, -1))
+
     def factor(self, row=()) -> np.ndarray:
         """Lower Cholesky factor of S at a row; NumericalError if S is not finite and PD."""
         factor = self._factors.get(row)
         if factor is None:
-            s = self.innovation_cov[row]
-            if not np.isfinite(s).all():
+            if not self._finite[row]:
                 raise NumericalError("innovation covariance is not finite", row=row)
+            s = self.innovation_cov[row]
             factor, info = _POTRF(s, lower=True, clean=False)
             if info:
                 raise NumericalError("innovation covariance is not positive definite",
@@ -63,11 +74,20 @@ class Prediction:
             self._factors[row] = factor
         return factor
 
-    def solve(self, rhs: np.ndarray, row=()) -> np.ndarray:
-        """S^-1 rhs at a row, rhs (7,) or (7, K); NumericalError if rhs is not finite."""
-        if not np.isfinite(rhs).all():
+    def solve(self, rhs: np.ndarray, row, finite: bool) -> np.ndarray:
+        """S^-1 rhs at a row, rhs (7,) or (7, K).
+
+        finite is the caller's check of rhs, one of the bools finite_blocks
+        gives for its stack; NumericalError if it failed, before S is checked.
+        """
+        if not finite:
             raise NumericalError("residual or covariance is not finite", row=row)
         return _POTRS(self.factor(row), rhs, lower=True)[0]
+
+
+def finite_blocks(stack: np.ndarray) -> list:
+    """Whether each block along the leading axis of a stack is finite: one pass, Python bools."""
+    return np.isfinite(stack).all(axis=tuple(range(1, stack.ndim))).tolist()
 
 
 def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
@@ -103,8 +123,9 @@ def update(prediction: Prediction, observation: np.ndarray, yaw=None, rows=()) -
         predicted[..., ANGLE_INDEX] = yaw
 
     # K = Sigma H^T S^-1, computed per row as S^-1 (H Sigma) transposed.
-    blocks = zip(rows if isinstance(rows, list) else [rows], sigma.reshape(-1, STATE_DIM, STATE_DIM))
-    gain = np.array([prediction.solve(block[:OBS_DIM], row).T for row, block in blocks])
+    blocks = sigma.reshape(-1, STATE_DIM, STATE_DIM)[:, :OBS_DIM]
+    checked = zip(rows if isinstance(rows, list) else [rows], blocks, finite_blocks(blocks))
+    gain = np.array([prediction.solve(block, row, finite).T for row, block, finite in checked])
     gain = gain.reshape(predicted.shape + (OBS_DIM,))
 
     nu = observation_residual(observation, predicted[..., :OBS_DIM])

@@ -161,7 +161,7 @@ class MultiObjectTracker:
         config = self.config
         q, r, sigma0 = self._matrices[label]
         tracks, means, covs = self._banks[label]
-        observations = [d.observation for d in detections]
+        detected = observation_rows(d.observation for d in detections)
 
         result = MatchResult((), tuple(range(len(tracks))), tuple(range(len(detections))))
         if tracks:
@@ -169,13 +169,12 @@ class MultiObjectTracker:
             means, covs = prediction.mean, prediction.cov  # unmatched rows coast on these
             if detections:
                 if config.affinity == "iou":  # a pair matches only when its IOU exceeds T
-                    distances = 1.0 - iou_affinity(prediction, observations).values
+                    distances = 1.0 - iou_affinity(prediction, detected).values
                     limit = 1.0 - config.iou_threshold
                 else:
-                    distances = mahalanobis_affinity(prediction, observations).values
+                    distances = mahalanobis_affinity(prediction, detected).values
                     limit = config.class_maha_thresholds.get(label, config.maha_threshold)
                 result = MATCHERS[config.matcher](distances, limit)
-        detected = observation_rows(observations)
 
         if result.pairs:  # best-first, the order the update first needs each factor in
             rows, cols = [i for i, _ in result.pairs], [j for _, j in result.pairs]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mot3d.association import (greedy_center_match, greedy_match, hungarian_match,
                                mahalanobis, mahalanobis_affinity, orientation_correct)
-from mot3d.core import Observation, wrap_angle
+from mot3d.core import Observation, observation_rows, wrap_angle
 from mot3d.errors import NumericalError
 from mot3d.kalman import Prediction
 
@@ -82,7 +83,7 @@ def test_mahalanobis_affinity_applies_orientation_correction():
     pred = make_prediction(Observation(0, 0, 0, wrap_angle(math.pi), 1, 1, 1))
     obs = Observation(0, 0, 0, 0.01, 1, 1, 1)
     raw = mahalanobis(pred, obs)
-    corrected = mahalanobis_affinity(stacked([pred]), [obs]).values[0, 0]
+    corrected = mahalanobis_affinity(stacked([pred]), observation_rows([obs])).values[0, 0]
     assert raw > 2.0
     assert corrected == pytest.approx(0.01, abs=1e-9)
 
@@ -99,7 +100,7 @@ def test_mahalanobis_affinity_matches_per_pair_loop():
         predictions.append(make_prediction(obs, b @ b.T + 0.1 * np.eye(7)))
     detections = [Observation(*rng.normal(scale=5.0, size=3), rng.uniform(-4.0, 4.0),
                               *rng.uniform(1.0, 5.0, size=3)) for _ in range(9)]
-    values = mahalanobis_affinity(stacked(predictions), detections).values
+    values = mahalanobis_affinity(stacked(predictions), observation_rows(detections)).values
     for i, prediction in enumerate(predictions):
         for j, obs in enumerate(detections):
             mean = prediction.mean.copy()
@@ -137,7 +138,7 @@ def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_d
                               wrap_angle(base + math.pi), wrap_angle(-base)])
             detections.append(Observation(*rng.normal(scale=5.0, size=3), yaw,
                                           *rng.uniform(1.0, 5.0, size=3)))
-        values = mahalanobis_affinity(stacked(predictions), detections).values
+        values = mahalanobis_affinity(stacked(predictions), observation_rows(detections)).values
         assert values.shape == (n_pred, n_det)
         for i, prediction in enumerate(predictions):
             for j, obs in enumerate(detections):
@@ -147,9 +148,9 @@ def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_d
 def test_mahalanobis_affinity_keeps_empty_shapes():
     predictions = [make_prediction(Observation(i, 0, 0, 0, 1, 1, 1)) for i in range(3)]
     observations = [Observation(0, i, 0, 0, 1, 1, 1) for i in range(4)]
-    assert mahalanobis_affinity(stacked([]), observations).values.shape == (0, 4)
-    assert mahalanobis_affinity(stacked(predictions), []).values.shape == (3, 0)
-    assert mahalanobis_affinity(stacked([]), []).values.shape == (0, 0)
+    assert mahalanobis_affinity(stacked([]), observation_rows(observations)).values.shape == (0, 4)
+    assert mahalanobis_affinity(stacked(predictions), observation_rows([])).values.shape == (3, 0)
+    assert mahalanobis_affinity(stacked([]), observation_rows([])).values.shape == (0, 0)
 
 
 def test_mahalanobis_affinity_error_names_the_failing_row():
@@ -157,13 +158,53 @@ def test_mahalanobis_affinity_error_names_the_failing_row():
     good = make_prediction(obs)
     singular = make_prediction(obs, np.zeros((7, 7)))
     with pytest.raises(NumericalError, match="not positive definite") as info:
-        mahalanobis_affinity(stacked([good, good, singular]), [obs])
+        mahalanobis_affinity(stacked([good, good, singular]), observation_rows([obs]))
     assert info.value.row == 2
     # a residual that overflows, against an otherwise valid factor
     far = make_prediction(Observation(1e308, 0, 0, 0, 1, 1, 1))
     with pytest.raises(NumericalError, match="not finite") as info:
-        mahalanobis_affinity(stacked([good, far]), [Observation(-1e308, 0, 0, 0, 1, 1, 1)])
+        mahalanobis_affinity(stacked([good, far]),
+                             observation_rows([Observation(-1e308, 0, 0, 0, 1, 1, 1)]))
     assert info.value.row == 1
+
+
+def test_mahalanobis_affinity_names_a_bad_covariance_before_a_later_bad_residual():
+    # residuals are checked for the whole stack at once, yet rows fail in
+    # row order: row 1's S is NaN, row 2's residual overflows
+    obs = Observation(0, 0, 0, 0, 1, 1, 1)
+    nan_s = np.eye(7)
+    nan_s[2, 4] = math.nan
+    predictions = [make_prediction(obs), make_prediction(obs, nan_s),
+                   make_prediction(Observation(1e308, 0, 0, 0, 1, 1, 1))]
+    detected = observation_rows([obs, Observation(-1e308, 0, 0, 0, 1, 1, 1)])
+    with pytest.raises(NumericalError, match="^innovation covariance is not finite") as info:
+        mahalanobis_affinity(stacked(predictions), detected)
+    assert info.value.row == 1
+
+
+def test_mahalanobis_affinity_allocates_under_two_residual_blocks():
+    # 100 x 100 pairs take one (N, M, 7) residual block; solving every row
+    # into a second block before reducing it would push the peak past two
+    rng = np.random.default_rng(12)
+    n = m = 100
+    mean = np.zeros((n, 11))
+    mean[:, :3] = rng.normal(scale=50.0, size=(n, 3))
+    mean[:, 3] = rng.uniform(-math.pi, math.pi, n)
+    mean[:, 4:7] = rng.uniform(1.0, 5.0, (n, 3))
+    b = rng.normal(size=(n, 7, 7))
+    prediction = Prediction(mean, np.broadcast_to(np.eye(11), (n, 11, 11)),
+                            b @ b.transpose(0, 2, 1) + 0.1 * np.eye(7))
+    detected = mean[rng.permutation(n)[:m], :7].copy()
+    detected[:, :3] += rng.normal(size=(m, 3))
+    detected[:, 3] = rng.uniform(-math.pi, math.pi, m)
+    tracemalloc.start()
+    try:
+        values = mahalanobis_affinity(prediction, detected).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).all()
+    assert peak < 2 * n * m * 7 * np.dtype(float).itemsize
 
 
 def test_greedy_match_known_matrix():

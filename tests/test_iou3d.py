@@ -277,7 +277,7 @@ def test_against_monte_carlo():
 def test_iou_affinity_matrix():
     preds = as_prediction([box(), box(x=10)])
     dets = [box(x=0.1), box(x=10.2), box(x=50)]
-    matrix = iou_affinity(preds, dets)
+    matrix = iou_affinity(preds, observation_rows(dets))
     assert matrix.values.shape == (2, 3)
     assert matrix.values[0, 0] > 0.8
     assert matrix.values[1, 1] > 0.7
@@ -348,7 +348,7 @@ def test_iou_affinity_equals_per_pair_iou_on_edge_cases(name, monkeypatch):
     clip = association.iou_pairs
     monkeypatch.setattr(association, "iou_pairs",
                         lambda a, b: clipped.append(len(a)) or clip(a, b))
-    values = iou_affinity(as_prediction(boxes), detections).values
+    values = iou_affinity(as_prediction(boxes), observation_rows(detections)).values
     assert np.array_equal(values, expected)
     if name == "corners touching":
         # every center distance is the sum of the radii up to rounding,
@@ -364,7 +364,7 @@ def test_iou_affinity_equals_per_pair_iou_on_random_frames():
     for _ in range(300):
         boxes, detections = random_frame(rng)
         expected = per_pair_iou(boxes, detections)
-        values = iou_affinity(as_prediction(boxes), detections).values
+        values = iou_affinity(as_prediction(boxes), observation_rows(detections)).values
         assert np.array_equal(values, expected)
         scored += np.count_nonzero(expected)
     assert scored > 300
@@ -436,8 +436,35 @@ def test_iou_pairs_equals_the_scalar_reference_bit_for_bit():
     assert seen.keys() == {"near-parallel shortcut", "more than 8 vertices", "NaN", "positive"}
 
 
+def test_near_parallel_bounds_give_the_hypot_test_exactly():
+    # denominators at the threshold, one ulp either side of it and a
+    # relative 1e-15 or 1e-9 off it, for segments from 1e-160 to 1e160
+    # long (a quarter of them short enough for a subnormal threshold),
+    # with zero, subnormal, infinite and NaN components mixed in
+    rng = np.random.default_rng(23)
+    count = 20_000
+    exponents = np.where(rng.random((count, 1, 1)) < 0.25, rng.uniform(-160, -145, (count, 2, 1)),
+                         rng.uniform(-160, 160, (count, 2, 1)))
+    vectors = rng.normal(size=(count, 2, 2)) * 10.0 ** exponents
+    special = rng.random(vectors.shape) < 0.02
+    vectors[special] = rng.choice([0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, math.nan],
+                                  np.count_nonzero(special))
+    dc, dp = vectors[:, 0], vectors[:, 1]
+    with np.errstate(all="ignore"):
+        thresholds = np.array([1e-12 * math.hypot(*c) * math.hypot(*p)
+                               for c, p in zip(dc.tolist(), dp.tolist())])
+        offsets = rng.choice([0.0, 0.5, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 2.0], count)
+        denom = np.select([rng.random(count) < 0.2, rng.random(count) < 0.25],
+                          [np.nextafter(thresholds, math.inf), np.nextafter(thresholds, 0.0)],
+                          thresholds * offsets)
+        denom *= rng.choice([1.0, -1.0], count)
+        near = association._near_parallel(denom, dc, dp)
+    assert np.array_equal(near, np.abs(denom) <= thresholds)
+    assert 0 < np.count_nonzero(near) < count
+
+
 def test_iou_affinity_rejects_an_invalid_prediction_that_overlaps_nothing():
     prediction = as_prediction([box(), box(x=100.0, y=100.0)])
     prediction.mean[1, 4] = -1.0  # l <= 0
     with pytest.raises(ValueError, match="l must be positive"):
-        iou_affinity(prediction, [box(), box(x=1.0)])
+        iou_affinity(prediction, observation_rows([box(), box(x=1.0)]))

@@ -238,6 +238,27 @@ def test_non_finite_innovation_raises_numerical_error(bad):
                np.array([0, 0, 0, 0, 1, 1, 1]))
 
 
+@pytest.mark.parametrize("bad_sigma_row, bad_s_row, named, message", [
+    (0, 2, 0, "residual or covariance is not finite"),
+    (2, 0, 0, "innovation covariance is not positive definite"),
+])
+def test_stacked_update_names_the_first_failing_row_in_update_order(bad_sigma_row, bad_s_row,
+                                                                    named, message):
+    # Sigma blocks are checked for the whole stack at once, yet rows fail
+    # in the order the update visits them, each Sigma block before its S
+    rng = np.random.default_rng(50)
+    estimates = [random_estimate(rng) for _ in range(4)]
+    prediction = predict(np.array([m for m, _ in estimates]), np.array([c for _, c in estimates]),
+                         random_spd(rng, STATE_DIM, scale=0.5),
+                         random_spd(rng, OBS_DIM, scale=0.5))
+    prediction.cov[bad_sigma_row, 1, 5] = math.nan
+    prediction.innovation_cov[bad_s_row] = -np.eye(OBS_DIM)
+    rows = [3, 0, 2]
+    with pytest.raises(NumericalError, match=f"^{message}") as info:
+        update(prediction, prediction.mean[rows, :OBS_DIM], rows=rows)
+    assert info.value.row == named
+
+
 def test_numerical_error_survives_pickling():
     # worker processes hand errors back pickled: message, condition and
     # location must come through unchanged

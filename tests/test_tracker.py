@@ -7,7 +7,7 @@ import pytest
 from mot3d import association, kalman
 from mot3d import tracker as tracker_module
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
-from mot3d.core import ANGLE_INDEX, CLASS_LABELS, Box, Observation, wrap_angle
+from mot3d.core import ANGLE_INDEX, CLASS_LABELS, Box, Observation, trusted_box, wrap_angle
 from mot3d.dataset_io import RunConfig
 from mot3d.errors import ConfigError, NumericalError, SchemaError, SequencingError
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
@@ -446,9 +446,11 @@ def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):
     assert tracker.stats.confirmed > 0
 
 
-def reference_affinity(prediction, observations) -> association.AffinityMatrix:
+def reference_affinity(prediction, detected) -> association.AffinityMatrix:
     """iou_affinity from the scalar reference, one pair at a time."""
     predicted = [Observation(*row) for row in prediction.mean[:, :7].tolist()]
+    # the detection rows' own floats: Observation() would wrap the yaws again
+    observations = [trusted_box(*row, "car", 0).observation for row in detected.tolist()]
     values = np.zeros((len(predicted), len(observations)))
     for i, a in enumerate(predicted):
         for j, b in enumerate(observations):
