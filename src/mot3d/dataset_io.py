@@ -8,27 +8,29 @@ Frame keys are canonical decimals ("7", never "07").  Top-level keys
 beginning with an underscore are reserved for metadata (for example
 the generator provenance header) and are skipped by the loaders.
 
-Each rule is checked once, at the boundary.  The loader checks the JSON
-shape: unexpected fields, array lengths, and that every number is a
-finite number that fits a float.  One condition then covers the value
-rules of core.Observation and core.Box (positive extents, score range,
-known class, ids); a record that passes is built by core.trusted_box,
-and only one that fails goes through Observation and Box, which write
-its message.  Box allows a missing id, but an id the file carries may
-not be null: that is the last value rule.  A fault surfaces as
-SchemaError naming its scene, frame and record, a location built only
-then.  A record with several faults reports the first in the order:
-unexpected fields, center, yaw, size, the file's extra fields, class,
-and only then the value rules.
+Each rule is checked once, at the boundary.  In the frame loop, one
+condition per record covers the JSON shape (exactly the file's fields,
+arrays of three floats), finiteness, and the value rules of
+core.Observation and core.Box (positive extents, score range, known
+class, ids, no instance twice in a frame); core.trusted_box builds a
+record that passes, and Observation and Box any other, their checks
+writing its message.  Box allows a missing id, but an id the file
+carries may not be null: that is the last value rule.  A fault surfaces
+as SchemaError naming its scene, frame and record, a location built
+only then.  A record with several faults reports the first in the
+order: unexpected fields, center, yaw, size, the file's extra fields,
+class, and only then the value rules.
 
 The cyclic garbage collector is paused while a file is parsed and its
 boxes are built, then restored as it was: the records hold no reference
 cycles, so collections would free nothing yet walk the whole heap.
 
-Writers emit sorted keys with a fixed layout, so equal inputs always
-serialize to identical bytes, and floats keep full round-trip
-precision.  Every output file is written atomically: a temp file in
-the target directory replaces the target only once it is complete.
+Writers emit the bytes of json.dump(..., indent=2, sort_keys=True):
+sorted keys, a fixed layout, floats at full round-trip precision.  Box
+files are streamed a frame at a time from a fixed text per record, and
+scene ids starting with an underscore are rejected.  Every output file
+is written atomically: a temp file in the target directory replaces
+the target only once it is complete.
 """
 
 from __future__ import annotations
@@ -40,12 +42,15 @@ import os
 import uuid
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import product
+from json.encoder import encode_basestring_ascii
 from numbers import Real
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from scipy.special import gammaincinv
 
-from .core import CLASS_LABELS, Box, Observation, finite_real, trusted_box, wrap_angle
+from .core import CLASS_LABELS, Box, Observation, finite_real, trusted_box
 from .errors import ConfigError, SchemaError
 
 if TYPE_CHECKING:
@@ -68,6 +73,7 @@ BOX_SCHEMAS = {
 }
 _BOX_FIELDS = ("center", "yaw", "size", "class")
 _RECORD_KEYS = {kind: frozenset(_BOX_FIELDS + extras) for kind, extras in BOX_SCHEMAS.items()}
+_CLASSES = frozenset(CLASS_LABELS)
 
 
 def read_json(path: str, label: str, error_cls=SchemaError):
@@ -216,11 +222,6 @@ def number_list(value, name: str, length: int) -> list:
 
 
 def _triple(value, name: str) -> list:
-    """A JSON array of three finite numbers as floats: value itself when it holds floats."""
-    if (type(value) is list and len(value) == 3 and type(value[0]) is float
-            and type(value[1]) is float and type(value[2]) is float
-            and math.isfinite(value[0] + value[1] + value[2])):
-        return value
     return number_list(value, name, 3)
 
 
@@ -236,37 +237,27 @@ def _frame_index(key: str, location: str) -> int:
 
 
 def _box(record, kind: str, frame_index: int, scene_id: str) -> Box:
-    """One record's Box; the first fault raises ValueError with its message."""
+    """One record's Box built through Observation and Box; the first fault raises ValueError."""
     if not isinstance(record, dict):
         raise ValueError("box record must be a JSON object")
     if not record.keys() <= _RECORD_KEYS[kind]:
         raise ValueError(f"unexpected fields {sorted(record.keys() - _RECORD_KEYS[kind])}")
     try:  # fields are read in the order their faults are reported
         center = _triple(record["center"], "center")
-        yaw = record["yaw"]
-        if not (type(yaw) is float and math.isfinite(yaw)):
-            yaw = _number(yaw, "yaw")
+        yaw = _number(record["yaw"], "yaw")
         size = _triple(record["size"], "size")
         values = {name: record[name] for name in BOX_SCHEMAS[kind]}
-        if "score" in values and not (type(values["score"]) is float
-                                      and math.isfinite(values["score"])):
+        if "score" in values:
             values["score"] = _number(values["score"], "score")
         class_label = record["class"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
-    get = values.get
-    score, track_id, instance_id = get("score"), get("track_id"), get("instance_id")
-    if (size[0] > 0.0 and size[1] > 0.0 and size[2] > 0.0 and class_label in CLASS_LABELS
-            and (score is None or 0.0 <= score <= 1.0)
-            and ("track_id" not in values or type(track_id) is int and track_id > 0)
-            and ("instance_id" not in values or type(instance_id) is str and instance_id)):
-        return trusted_box(*center, wrap_angle(yaw), *size, class_label, frame_index, scene_id,
-                           score, track_id, instance_id)
-    Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
+    box = Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
     # Box raises for every fault but a null id, which it allows
-    if "track_id" in values:
-        raise ValueError("track_id must be a positive int, got None")
-    raise ValueError("instance_id must be a non-empty string, got None")
+    for name, rule in (("track_id", "a positive int"), ("instance_id", "a non-empty string")):
+        if name in values and values[name] is None:
+            raise ValueError(f"{name} must be {rule}, got None")
+    return box
 
 
 def _load_boxes(path: str, kind: str) -> dict:
@@ -283,6 +274,11 @@ def _load_boxes(path: str, kind: str) -> dict:
 def _boxes_from_json(data, kind: str, path: str) -> dict:
     if not isinstance(data, dict):
         raise SchemaError(f"{kind} file must hold a JSON object", path)
+    keys, isfinite, pi, two_pi = _RECORD_KEYS[kind], math.isfinite, math.pi, 2.0 * math.pi
+    # The type each extra field must have; NoneType where the kind has no such field
+    score_type, track_type, id_type = (
+        expected if name in keys else type(None)
+        for name, expected in (("score", float), ("track_id", int), ("instance_id", str)))
     out: dict = {}
     for scene_id in sorted(key for key in data if not key.startswith("_")):
         frames = data[scene_id]
@@ -296,12 +292,34 @@ def _boxes_from_json(data, kind: str, path: str) -> dict:
                 raise SchemaError("frame must hold an array of box records", frame_location)
             boxes, instance_ids = [], set()
             for record_index, record in enumerate(records):
-                try:
-                    box = _box(record, kind, frame_index, scene_id)
-                    if box.instance_id in instance_ids:
-                        raise ValueError(f"duplicate instance_id {box.instance_id!r}")
-                except ValueError as exc:
-                    raise SchemaError(str(exc), f"{frame_location} record {record_index}") from None
+                # Every rule of the JSON shape, Observation and Box in one condition: seven
+                # floats sum to a finite number only when each is finite.
+                if (type(record) is dict and record.keys() == keys
+                        and type(center := record["center"]) is list and len(center) == 3
+                        and type(size := record["size"]) is list and len(size) == 3
+                        and type(center[0]) is type(center[1]) is type(center[2]) is float
+                        and type(yaw := record["yaw"]) is float
+                        and type(size[0]) is type(size[1]) is type(size[2]) is float
+                        and isfinite(center[0] + center[1] + center[2] + yaw
+                                     + size[0] + size[1] + size[2])
+                        and size[0] > 0.0 and size[1] > 0.0 and size[2] > 0.0
+                        and type(label := record["class"]) is str and label in _CLASSES
+                        and type(score := record.get("score")) is score_type
+                        and (score is None or 0.0 <= score <= 1.0)
+                        and type(track_id := record.get("track_id")) is track_type
+                        and (track_id is None or track_id > 0)
+                        and type(instance_id := record.get("instance_id")) is id_type
+                        and instance_id != "" and instance_id not in instance_ids):
+                    box = trusted_box(*center, (yaw + pi) % two_pi - pi, *size, label,
+                                      frame_index, scene_id, score, track_id, instance_id)
+                else:
+                    try:
+                        box = _box(record, kind, frame_index, scene_id)
+                        if box.instance_id in instance_ids:
+                            raise ValueError(f"duplicate instance_id {box.instance_id!r}")
+                    except ValueError as exc:
+                        raise SchemaError(str(exc),
+                                          f"{frame_location} record {record_index}") from None
                 if box.instance_id is not None:
                     instance_ids.add(box.instance_id)
                 boxes.append(box)
@@ -325,25 +343,67 @@ def load_tracks(path: str) -> dict:
     return _load_boxes(path, "tracks")
 
 
+def _json_value(value) -> str:
+    """A Box field's value as json.dump writes it; other types raise json's TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A top-level key as json.dump writes it: int, float, bool and None keys become strings.
+    json.dumps({key: 0}) is that key between "{" and ": 0}", or raises json's TypeError."""
+    return json.dumps({key: 0})[1:-4]
+
+
+def _record_layout(kind: str):
+    """One record's text in a box file, a %s per value, and the getter of those values."""
+    triple = "[\n          %s,\n          %s,\n          %s\n        ]"
+    fields = {"center": (triple, "observation.x", "observation.y", "observation.z"),
+              "yaw": ("%s", "observation.a"), "class": ("%s", "class_label"),
+              "size": (triple, "observation.l", "observation.w", "observation.h"),
+              **{name: ("%s", name) for name in BOX_SCHEMAS[kind]}}
+    lines = [f'        "{key}": {fields[key][0]}' for key in sorted(fields)]
+    return ("{\n" + ",\n".join(lines) + "\n      }",
+            attrgetter(*(name for key in sorted(fields) for name in fields[key][1:])))
+
+
 def _write_boxes(boxes: Mapping[str, Mapping[int, Sequence[Box]]], kind: str, path: str,
                  meta: Mapping | None):
-    extras = BOX_SCHEMAS[kind]
-    payload: dict = {} if meta is None else {"_meta": dict(meta)}
-    for scene_id, frames in boxes.items():
-        payload[scene_id] = {str(frame_index): [_record(box, extras) for box in frame_boxes]
-                             for frame_index, frame_boxes in frames.items()}
-    write_json(payload, path)
-
-
-def _record(box: Box, extras: tuple) -> dict:
-    obs = box.observation
-    record = {"center": [obs.x, obs.y, obs.z], "yaw": obs.a,
-              "size": [obs.l, obs.w, obs.h], "class": box.class_label}
-    for name in extras:
-        record[name] = getattr(box, name)
-        if record[name] is None:
-            raise ValueError(f"box {box!r} has no {name}, which its file requires")
-    return record
+    """The text json.dump(payload, indent=2, sort_keys=True) gives, streamed frame by frame."""
+    for scene_id in boxes:
+        if isinstance(scene_id, str) and scene_id.startswith("_"):
+            raise ValueError(f"scene id {scene_id!r} starts with '_', which marks metadata")
+    keys = sorted([*boxes, "_meta"] if meta is not None else boxes)
+    meta_text = "" if meta is None else json.dumps(dict(meta), indent=2, sort_keys=True)
+    template, values_of = _record_layout(kind)
+    with atomic_open(path) as handle:
+        for position, key in enumerate(keys):
+            handle.write(",\n  " if position else "{\n  ")
+            if meta is not None and key == "_meta":
+                handle.write('"_meta": ' + meta_text.replace("\n", "\n  "))
+                continue
+            frames = {str(index): frame_boxes for index, frame_boxes in boxes[key].items()}
+            handle.write(_json_key(key) + ": {")
+            for number, frame_key in enumerate(sorted(frames)):
+                try:
+                    records = [template % tuple(map(_json_value, values_of(box)))
+                               for box in frames[frame_key]]
+                except TypeError:  # json.dump's error, unless a box lacks a field of its file
+                    for box, name in product(frames[frame_key], BOX_SCHEMAS[kind]):
+                        if getattr(box, name) is None:
+                            raise ValueError(
+                                f"box {box!r} has no {name}, which its file requires") from None
+                    raise
+                body = "[\n      " + ",\n      ".join(records) + "\n    ]" if records else "[]"
+                handle.write((",\n    " if number else "\n    ")
+                             + encode_basestring_ascii(frame_key) + ": " + body)
+            handle.write("\n  }" if frames else "}")
+        handle.write("\n}\n" if keys else "{}\n")
 
 
 def write_detections(detections: Mapping[str, Mapping[int, Sequence[Box]]],

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
-from mot3d import cli
+from mot3d import cli, dataset_io
 from mot3d.cli import build_parser, main
 from mot3d.core import Box, Observation
 from mot3d.dataset_io import load_tracks, write_detections
@@ -387,11 +387,22 @@ def test_disk_full_mid_write_exits_one(pipeline, tmp_path, capsys, monkeypatch):
     out = tmp_path / "tracks.json"
     out.write_text("old")
 
-    def dump_half_then_fail(payload, handle, **kwargs):
-        handle.write('{"s": ')
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    def open_on_a_disk_that_fills(file, mode="r", *args, **kwargs):
+        """open(), but a write-mode handle takes one chunk and then runs out of space."""
+        handle = open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            chunks = []
 
-    monkeypatch.setattr(json, "dump", dump_half_then_fail)
+            def write(text):
+                if chunks:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                chunks.append(text)
+                return type(handle).write(handle, text)
+
+            handle.write = write
+        return handle
+
+    monkeypatch.setattr(dataset_io, "open", open_on_a_disk_that_fills, raising=False)
     assert main(["track", "--detections", pipeline["det"], "--noise-model", pipeline["noise"],
                  "--out", str(out), "--jobs", "1"]) == 1
     lines = capsys.readouterr().err.splitlines()
