@@ -1,16 +1,17 @@
 """Data association between predicted tracks and detections.
 
-Two affinities score a stacked prediction of N tracks against M
-detections: the Mahalanobis distance between a detection and the
-predicted observation distribution, and the 3D intersection-over-union
-of the two boxes.  IOU has one implementation, iou_pairs: it clips the
-footprints of all the candidate pairs of a call together, one array pass
-per clip edge, and gives each pair the floats that clipping it alone with
-Python floats would give.  The tracker turns either into a plain (N, M)
-distance array and limit (1 - IOU under 1 - T for a minimum IOU T),
-and two bipartite matchers take that array and return index pairs,
-never a non-finite one: a greedy nearest-first matcher and an optimal
-assignment (Hungarian) matcher with post-assignment thresholding.
+Two affinities score the pairs within blocks (the tracker's classes) of a
+stacked prediction of N tracks and M detections: the Mahalanobis distance
+between a detection and the predicted observation distribution, and the
+3D intersection-over-union of the two boxes.  IOU has one implementation,
+iou_pairs: it clips the footprints of all the candidate pairs of a call
+together, one array pass per clip edge, and gives each pair the floats
+that clipping it alone with Python floats would give.  The tracker turns
+either into a plain (N, M) distance array and a limit per class (1 - IOU
+under 1 - T for a minimum IOU T), and two bipartite matchers take a
+class's block of it and return index pairs, never a non-finite one: a
+greedy nearest-first matcher and an optimal assignment (Hungarian)
+matcher with post-assignment thresholding.
 """
 
 from __future__ import annotations
@@ -77,29 +78,47 @@ def mahalanobis(prediction: Prediction, observation: Observation) -> float:
     return math.sqrt(nu @ prediction.solve(nu, (), bool(np.isfinite(nu).all())))
 
 
-def mahalanobis_affinity(prediction: Prediction, detected: np.ndarray) -> AffinityMatrix:
+def _block_differences(minuends: np.ndarray, subtrahends: np.ndarray, blocks) -> np.ndarray:
+    """minuends[cols] - subtrahends[rows, None] of each block, pairs row-major, blocks joined."""
+    parts = [np.subtract(minuends[cols], subtrahends[rows, None]).reshape(-1, *minuends.shape[1:])
+             for rows, cols in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def mahalanobis_affinity(prediction: Prediction, detected: np.ndarray,
+                         blocks=None) -> AffinityMatrix:
     """Pairwise Mahalanobis distances of a stacked prediction and (M, 7) detection rows.
 
-    Each pair's predicted yaw is flipped as orientation_correct flips it,
-    with the same floats, but a track's yaw and its flip are wrapped once
-    per row; only their differences to the detections take the (N, M)
-    shape.  The residuals are checked for finiteness in one pass; then
-    each row in turn takes one potrs and one quadratic form, so the first
-    failing row is named, its residual checked before its factor.
+    Only the pairs of blocks, (rows, columns) slices in ascending rows (by
+    default all pairs), are computed; the others score inf.  Each pair's
+    yaw is flipped as orientation_correct flips it, with the same floats,
+    but a track's yaw and its flip are wrapped once per row.  A block's
+    residuals are checked for finiteness in one pass; then each row takes
+    one potrs and one quadratic form, so the first failing row is named,
+    its residual checked before its factor.
     """
-    predicted = prediction.mean[:, :OBS_DIM]
-    yaws = wrap_angle_array(predicted[:, ANGLE_INDEX])[:, None]
-    detected_yaws = detected[:, ANGLE_INDEX]
-    delta = wrap_angle_array(detected_yaws - yaws)
-    flipped_delta = wrap_angle_array(detected_yaws - wrap_angle_array(yaws + math.pi))
+    predicted = prediction.mean[:, :OBS_DIM].copy()
+    blocks = blocks or [(slice(0, len(predicted)), slice(0, len(detected)))]
+    predicted[:, ANGLE_INDEX] = wrap_angle_array(predicted[:, ANGLE_INDEX])
+    flipped_delta = wrap_angle_array(_block_differences(
+        detected[:, ANGLE_INDEX], wrap_angle_array(predicted[:, ANGLE_INDEX] + math.pi), blocks))
     values = np.empty((len(predicted), len(detected)))
     with np.errstate(over="ignore"):  # inf residuals fail the solve; inf distances never match
-        nu = np.subtract(detected, predicted[:, None, :])
-        nu[..., ANGLE_INDEX] = np.where(np.abs(delta) > math.pi / 2.0, flipped_delta, delta)
-        for i, (block, finite) in enumerate(zip(nu, finite_blocks(nu))):
-            solved = prediction.solve(block.T, i, finite)
-            # Row j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
-            values[i] = (block[:, None, :] @ solved.T[:, :, None]).ravel()
+        nu = _block_differences(detected, predicted, blocks)  # yaws less the wrapped yaws
+        if len(nu) < values.size:  # some pairs lie outside the blocks
+            values.fill(math.inf)
+        delta = wrap_angle_array(nu[:, ANGLE_INDEX])
+        nu[:, ANGLE_INDEX] = np.where(np.abs(delta) > math.pi / 2.0, flipped_delta, delta)
+        start = 0
+        for rows, cols in blocks:
+            scored = values[rows, cols]
+            pairs = nu[start:start + scored.size].reshape(*scored.shape, OBS_DIM)
+            start += scored.size
+            for i, (block, finite, row) in enumerate(zip(pairs, finite_blocks(pairs), scored),
+                                                     rows.start):
+                solved = prediction.solve(block.T, i, finite)
+                # Column j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
+                row[:] = (block[:, None, :] @ solved.T[:, :, None]).ravel()
     return AffinityMatrix(np.sqrt(values, out=values))
 
 
@@ -109,28 +128,33 @@ def _z_extents(rows: np.ndarray) -> tuple:
     return z - half_h, z + half_h
 
 
-def iou_affinity(prediction: Prediction, detected: np.ndarray) -> AffinityMatrix:
+def iou_affinity(prediction: Prediction, detected: np.ndarray, blocks=None) -> AffinityMatrix:
     """Pairwise 3D IOU between the boxes of a stacked (N, 11) prediction and (M, 7) detection rows.
 
-    A pair whose footprint circles (centered on the box, radius half
-    the footprint diagonal) or height intervals are disjoint scores 0
-    without clipping, the value iou_3d gives it; the other pairs go to
-    iou_pairs in one call.  Circles within a relative 1e-9 of touching
-    count as overlapping, so rounding cannot drop a pair that iou_3d
-    scores.
+    Only the pairs of blocks, (rows, columns) slices (by default all
+    pairs), are computed; the others score 0.  A pair whose footprint
+    circles (centered on the box, radius half the footprint diagonal) or
+    height intervals are disjoint scores 0 without clipping, the value
+    iou_3d gives it; the other pairs go to iou_pairs in one call.  Circles
+    within a relative 1e-9 of touching count as overlapping, so rounding
+    cannot drop a pair that iou_3d scores.
     """
-    predicted = checked_rows(prediction.mean[:, :OBS_DIM].copy())
-    bottoms_a, tops_a = _z_extents(predicted)
-    bottoms_b, tops_b = _z_extents(detected)
-    radii_a, radii_b = (0.5 * np.hypot(rows[:, 4], rows[:, 5]) for rows in (predicted, detected))
-    near = (center_distances(predicted, detected)
-            <= (radii_a[:, None] + radii_b[None, :]) * (1.0 + 1e-9))
-    # The same sums iou_pairs forms: its height overlap is positive exactly here.
-    z_overlap = (np.minimum(tops_a[:, None], tops_b[None, :])
-                 > np.maximum(bottoms_a[:, None], bottoms_b[None, :]))
-    rows, cols = np.nonzero(near & z_overlap)
-    values = np.zeros((len(predicted), len(detected)))
-    values[rows, cols] = iou_pairs(predicted[rows], detected[cols])
+    candidates = []  # per block: the predicted rows of its candidate pairs, and their cells
+    for rows, cols in blocks or [(slice(0, len(prediction.mean)), slice(0, len(detected)))]:
+        predicted, boxes = checked_rows(prediction.mean[rows, :OBS_DIM].copy()), detected[cols]
+        bottoms_a, tops_a = _z_extents(predicted)
+        bottoms_b, tops_b = _z_extents(boxes)
+        radii_a, radii_b = (0.5 * np.hypot(side[:, 4], side[:, 5]) for side in (predicted, boxes))
+        near = (center_distances(predicted, boxes)
+                <= (radii_a[:, None] + radii_b[None, :]) * (1.0 + 1e-9))
+        # The same sums iou_pairs forms: its height overlap is positive exactly here.
+        z_overlap = (np.minimum(tops_a[:, None], tops_b[None, :])
+                     > np.maximum(bottoms_a[:, None], bottoms_b[None, :]))
+        i, j = np.nonzero(near & z_overlap)
+        candidates.append((predicted[i], i + rows.start, j + cols.start))
+    picked, rows, cols = (np.concatenate(side) for side in zip(*candidates))
+    values = np.zeros((len(prediction.mean), len(detected)))
+    values[rows, cols] = iou_pairs(picked, detected[cols])
     return AffinityMatrix(values)
 
 

@@ -96,9 +96,9 @@ def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
 
     Returns the predicted mean and covariance together with the
     innovation covariance S = H (A Sigma A^T + Q) H^T + R, where H
-    selects the leading 7 x 7 block.  Q and R are used as given: they
-    are validated once, where a noise model is built (ClassNoise accepts
-    only finite non-negative diagonals).
+    selects the leading 7 x 7 block.  Q and R, one matrix each or one per
+    row, are used as given: they are validated once, where a noise model
+    is built (ClassNoise accepts only finite non-negative diagonals).
     """
     a = TRANSITION_MATRIX
     mean = mean @ a.T

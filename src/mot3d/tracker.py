@@ -1,31 +1,28 @@
 """Frame-by-frame multi-object tracking.
 
-Each frame is processed per class.  A class bank holds its live tracks
-in track_id order with their stacked means (N, 11) and covariances
-(N, 11, 11).  A class step forecasts the bank with one predict call,
-matches it against the frame's detections with one affinity call under
-the configured affinity and matcher, and then updates the matched rows
-with one update call, coasts the unmatched ones, drops the dead ones
-and appends one row per unmatched detection.  A track must be matched
-on birth_hits consecutive frames before it is reported, and it is
-dropped after death_misses consecutive unmatched frames.  Only
-confirmed, living tracks appear in the output.
+One bank per scene holds the live tracks of every class, by class label
+and then track_id, with their stacked means, covariances, Q and R.  A
+frame sorts its detections by class, so each class is one block of bank
+rows and one of detection columns.  One predict call forecasts the bank,
+one affinity call scores the pairs within each class, the matcher runs on
+each class's block, and one update call conditions the matched rows;
+unmatched detections are born at the end of their class's block, fresh
+ids going by class label and then input order.  A track is reported once
+matched on birth_hits consecutive frames, and dropped after death_misses
+unmatched ones.  A NumericalError names the first failing row: the
+affinity's, by class and track_id, before the update's, by class and
+best-first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .association import (
-    MATCHERS,
-    MatchResult,
-    iou_affinity,
-    mahalanobis_affinity,
-    orientation_correct,
-)
+from .association import MATCHERS, iou_affinity, mahalanobis_affinity, orientation_correct
 from .calibration import NoiseModel
 from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, checked_rows, observation_rows, trusted_box
 from .dataset_io import RunConfig
@@ -36,8 +33,8 @@ from .kalman import predict, update
 class Track:
     """Mutable per-object bookkeeping.
 
-    mean (11,) and cov (11, 11) are views of the track's row in its
-    class bank, set after every frame; a bank's arrays are replaced
+    mean (11,) and cov (11, 11) are views of the track's row in the
+    scene's bank, set after every frame; the bank's arrays are replaced
     each frame, never edited once the tracks point at them.
     """
 
@@ -80,6 +77,12 @@ class SceneStats:
     died: int = 0
 
 
+def _spans(labels: list) -> dict:
+    """label -> slice of its run, for labels sorted so that each one forms a single run."""
+    return {label: slice(labels.index(label), labels.index(label) + labels.count(label))
+            for label in dict.fromkeys(labels)}
+
+
 class MultiObjectTracker:
     """Tracker state over one scene; feed frames in ascending order."""
 
@@ -90,15 +93,20 @@ class MultiObjectTracker:
         self.stats = SceneStats()
         self._next_id = 1
         self._last_frame: int | None = None
-        self._matrices = {}
-        self._banks = {}  # label -> (tracks in track_id order, their means and covariances)
-        for label in noise.classes:
+        matrices = []
+        for label in sorted(noise.classes):
             q, sigma0 = noise.q_matrix(label), noise.sigma0_matrix(label)
             if not self.config.angular_velocity:
                 # no yaw-rate noise or initial spread: da stays pinned at zero
                 q[10, 10] = sigma0[10, 10] = 0.0
-            self._matrices[label] = (q, noise.r_matrix(label), sigma0)
-            self._banks[label] = ([], np.empty((0, STATE_DIM)), np.empty((0, STATE_DIM, STATE_DIM)))
+            matrices.append((sigma0, q, noise.r_matrix(label)))
+        # the covariance, Q and R of each class, stacked in label order
+        self._classes = {label: k for k, label in enumerate(sorted(noise.classes))}
+        self._newborn = [np.array(stack) for stack in zip(*matrices)]
+        # the bank, empty: its tracks, each class's slice of them, and their stacked rows
+        self._bank, self._rows, self._by_id = [], {}, []  # and its rows in track_id order
+        self._means = np.empty((0, STATE_DIM))
+        self._covs, self._q, self._r = (stack[:0] for stack in self._newborn)
 
     def step(self, frame_index: int, detections: Sequence[Box]) -> FrameOutput:
         """Process one frame and return the confirmed tracks."""
@@ -120,30 +128,88 @@ class MultiObjectTracker:
                 raise SchemaError(f"detection in frame {frame_index} has no score")
         self._last_frame = frame_index
 
-        # label -> detections in input order, for every class with tracks or detections
-        by_class = {label: [] for label, (tracks, _, _) in self._banks.items() if tracks}
-        for detection in detections:
-            by_class.setdefault(detection.class_label, []).append(detection)
-        for label in sorted(by_class):
-            try:
-                self._step_class(label, by_class[label])
-            except NumericalError as exc:
-                exc.location = (f"frame {frame_index}, class {label}, "
-                                f"track {self._banks[label][0][exc.row].track_id}")
-                raise
-        self.tracks = sorted((t for bank in self._banks.values() for t in bank[0]),
-                             key=lambda t: t.track_id)
+        ordered = sorted(detections, key=attrgetter("class_label"))  # stable: input order kept
+        detected = observation_rows(d.observation for d in ordered)
+        try:
+            filtered = self._filter(detected, _spans([d.class_label for d in ordered]))
+        except NumericalError as exc:
+            track = self._bank[exc.row]
+            exc.location = f"frame {frame_index}, class {track.class_label}, track {track.track_id}"
+            raise
         self.stats.frames += 1
+        self._advance(ordered, detected, *filtered)
 
         running_mean = self.config.score_mode == "running_mean"
-        confirmed = [t for t in self.tracks if t.confirmed]
-        rows = checked_rows(np.array([t.mean[:OBS_DIM] for t in confirmed]).reshape(-1, OBS_DIM))
+        confirmed = [k for k in self._by_id if self._bank[k].confirmed]  # bank rows
+        rows = checked_rows(self._means[confirmed, :OBS_DIM])
         records = tuple(
             trusted_box(*row, t.class_label, frame_index,
                         score=t.score_sum / t.score_count if running_mean else t.last_score,
                         track_id=t.track_id)
-            for t, row in zip(confirmed, rows.tolist()))
+            for t, row in zip([self._bank[k] for k in confirmed], rows.tolist()))
         return FrameOutput(frame_index, records)
+
+    def _filter(self, detected: np.ndarray, columns: dict) -> tuple:
+        """Posterior means and covariances of the bank, and its matched rows and columns."""
+        config, means, covs, rows, cols = self.config, self._means, self._covs, [], []
+        blocks = {label: (r, columns[label]) for label, r in self._rows.items() if label in columns}
+        if self._bank:
+            prediction = predict(means, covs, self._q, self._r)
+            means, covs = prediction.mean, prediction.cov  # unmatched rows coast on these
+        if blocks:
+            scored = blocks.values()
+            if config.affinity == "iou":  # a pair matches only when its IOU exceeds T
+                distances = 1.0 - iou_affinity(prediction, detected, blocks=scored).values
+                limits, limit = {}, 1.0 - config.iou_threshold
+            else:
+                distances = mahalanobis_affinity(prediction, detected, blocks=scored).values
+                limits, limit = config.class_maha_thresholds, config.maha_threshold
+            for label, (r, c) in blocks.items():
+                pairs = MATCHERS[config.matcher](distances[r, c], limits.get(label, limit)).pairs
+                rows += [r.start + i for i, _ in pairs]
+                cols += [c.start + j for _, j in pairs]
+        if rows:  # the order the update first needs each factor in
+            yaws = orientation_correct(means[rows, ANGLE_INDEX], detected[cols, ANGLE_INDEX])
+            means[rows], covs[rows] = update(prediction, detected[cols], yaws, rows)
+        return means, covs, rows, cols
+
+    def _advance(self, ordered: list, detected: np.ndarray, means: np.ndarray,
+                 covs: np.ndarray, rows: list, cols: list):
+        """Count hits and misses, drop the dead rows, add one per unmatched detection."""
+        tracks = self._bank
+        for i, j in zip(rows, cols):
+            self._hit(tracks[i], ordered[j].score)
+        for i in set(range(len(tracks))).difference(rows):
+            tracks[i].consecutive_misses += 1
+            tracks[i].consecutive_hits = 0
+        keep = [i for i, t in enumerate(tracks) if t.consecutive_misses < self.config.death_misses]
+        born = sorted(set(range(len(ordered))).difference(cols))  # by class, then input order
+        if born or len(keep) < len(tracks):
+            self.stats.died += len(tracks) - len(keep)
+            self.stats.born += len(born)
+            newborn = [Track(self._next_id + k, ordered[j].class_label) for k, j in enumerate(born)]
+            self._next_id += len(born)  # fresh ids exceed every live one
+            for track, j in zip(newborn, born):
+                self._hit(track, ordered[j].score)
+            everyone = tracks + newborn
+            labels = [t.class_label for t in everyone]
+            # each class's kept rows, then its newborn rows: a stable sort by class
+            index = sorted(keep + list(range(len(tracks), len(everyone))), key=labels.__getitem__)
+            tracks, labels = [everyone[k] for k in index], [labels[k] for k in index]
+            if index == list(range(len(everyone))):
+                index = slice(None)  # no deaths, and each newborn row already ends its class
+            fresh = np.concatenate([detected[born], np.zeros((len(born), STATE_DIM - OBS_DIM))], 1)
+            means = np.concatenate([means, fresh])[index]
+            sigma0 = self._newborn[0][[self._classes[t.class_label] for t in newborn]]
+            covs = np.concatenate([covs, sigma0])[index]
+            sizes = [labels.count(label) for label in self._classes]  # rows per class, by label
+            self._q, self._r = (np.repeat(matrix, sizes, axis=0) for matrix in self._newborn[1:])
+            self._rows = _spans(labels)
+            self._by_id = sorted(range(len(tracks)), key=lambda k: tracks[k].track_id)
+            self.tracks = [tracks[k] for k in self._by_id]
+        for track, mean, cov in zip(tracks, means, covs):
+            track.mean, track.cov = mean, cov
+        self._bank, self._means, self._covs = tracks, means, covs
 
     def _hit(self, track: Track, score: float):
         """Count one matched (or birth) detection; confirm the track once."""
@@ -155,56 +221,6 @@ class MultiObjectTracker:
         if not track.confirmed and track.consecutive_hits >= self.config.birth_hits:
             track.confirmed = True
             self.stats.confirmed += 1
-
-    def _step_class(self, label: str, detections: list):
-        """Advance one class bank by a frame."""
-        config = self.config
-        q, r, sigma0 = self._matrices[label]
-        tracks, means, covs = self._banks[label]
-        detected = observation_rows(d.observation for d in detections)
-
-        result = MatchResult((), tuple(range(len(tracks))), tuple(range(len(detections))))
-        if tracks:
-            prediction = predict(means, covs, q, r)
-            means, covs = prediction.mean, prediction.cov  # unmatched rows coast on these
-            if detections:
-                if config.affinity == "iou":  # a pair matches only when its IOU exceeds T
-                    distances = 1.0 - iou_affinity(prediction, detected).values
-                    limit = 1.0 - config.iou_threshold
-                else:
-                    distances = mahalanobis_affinity(prediction, detected).values
-                    limit = config.class_maha_thresholds.get(label, config.maha_threshold)
-                result = MATCHERS[config.matcher](distances, limit)
-
-        if result.pairs:  # best-first, the order the update first needs each factor in
-            rows, cols = [i for i, _ in result.pairs], [j for _, j in result.pairs]
-            yaws = orientation_correct(means[rows, ANGLE_INDEX], detected[cols, ANGLE_INDEX])
-            means[rows], covs[rows] = update(prediction, detected[cols], yaws, rows)
-            for i, j in result.pairs:
-                self._hit(tracks[i], detections[j].score)
-
-        for i in result.unmatched_predictions:
-            tracks[i].consecutive_misses += 1
-            tracks[i].consecutive_hits = 0
-        keep = [i for i, t in enumerate(tracks) if t.consecutive_misses < config.death_misses]
-        if len(keep) < len(tracks):
-            self.stats.died += len(tracks) - len(keep)
-            tracks, means, covs = [tracks[i] for i in keep], means[keep], covs[keep]
-
-        born = list(result.unmatched_detections)  # fresh ids exceed every live one
-        if born:
-            fresh = np.hstack([detected[born], np.zeros((len(born), STATE_DIM - OBS_DIM))])
-            means = np.concatenate([means, fresh])
-            covs = np.concatenate([covs, sigma0[None].repeat(len(born), axis=0)])
-            tracks = tracks + [Track(self._next_id + k, label) for k in range(len(born))]
-            self._next_id += len(born)
-            self.stats.born += len(born)
-            for track, j in zip(tracks[-len(born):], born):
-                self._hit(track, detections[j].score)
-
-        for track, mean, cov in zip(tracks, means, covs):
-            track.mean, track.cov = mean, cov
-        self._banks[label] = (tracks, means, covs)
 
 
 def run_scene(frames: Mapping[int, Sequence[Box]], noise: NoiseModel,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -446,14 +447,17 @@ def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):
     assert tracker.stats.confirmed > 0
 
 
-def reference_affinity(prediction, detected) -> association.AffinityMatrix:
-    """iou_affinity from the scalar reference, one pair at a time."""
+def reference_affinity(prediction, detected, blocks=None) -> association.AffinityMatrix:
+    """iou_affinity from the scalar reference, one pair at a time, on the pairs of the blocks."""
     predicted = [Observation(*row) for row in prediction.mean[:, :7].tolist()]
     # the detection rows' own floats: Observation() would wrap the yaws again
     observations = [trusted_box(*row, "car", 0).observation for row in detected.tolist()]
     values = np.zeros((len(predicted), len(observations)))
-    for i, a in enumerate(predicted):
-        for j, b in enumerate(observations):
+    if blocks is None:
+        blocks = [(slice(0, len(predicted)), slice(0, len(observations)))]
+    for rows, cols in blocks:
+        for i, j in itertools.product(range(rows.start, rows.stop), range(cols.start, cols.stop)):
+            a, b = predicted[i], observations[j]
             # footprints whose centers lie farther apart than the sum of
             # their four extents cannot meet: the reference scores them 0
             if math.hypot(a.x - b.x, a.y - b.y) <= a.l + a.w + b.l + b.w:
@@ -539,10 +543,17 @@ def test_first_failing_pair_of_an_iou_class_step_is_named():
         "frame 2, class car, track 4: innovation covariance is not positive definite")
 
 
+def newborn_row(noise, config) -> tuple:
+    """The Q and R a newborn car's bank row carries, and its covariance (Sigma0)."""
+    tracker = MultiObjectTracker(noise, config)
+    tracker.step(0, [det(0)])
+    return tracker._q[0], tracker._r[0], tracker.tracks[0].cov
+
+
 def test_without_angular_velocity_only_the_yaw_rate_noise_is_zero():
     noise = hand_noise()
-    with_rate = MultiObjectTracker(noise, RunConfig())._matrices["car"]
-    without = MultiObjectTracker(noise, RunConfig(angular_velocity=False))._matrices["car"]
+    with_rate = newborn_row(noise, RunConfig())
+    without = newborn_row(noise, RunConfig(angular_velocity=False))
     for name, full, pinned in zip("q r sigma0".split(), with_rate, without):
         expected = full.copy()
         if name != "r":
