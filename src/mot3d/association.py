@@ -11,7 +11,10 @@ either into a plain (N, M) distance array and a limit per class (1 - IOU
 under 1 - T for a minimum IOU T), and two bipartite matchers take a
 class's block of it and return index pairs, never a non-finite one: a
 greedy nearest-first matcher and an optimal assignment (Hungarian)
-matcher with post-assignment thresholding.
+matcher with post-assignment thresholding.  Greedy reads only pairs below
+the limit, so for it the Mahalanobis affinity takes the limits and, on
+large blocks, solves only the pairs whose (x, y) marginal distance, a
+lower bound of the full one, falls within the gate.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import (ANGLE_INDEX, OBS_DIM, Observation, checked_rows, observation_residual,
-                   observation_rows, wrap_angle_array)
-from .kalman import Prediction, finite_blocks
+from .core import (ANGLE_INDEX, OBS_DIM, Observation, checked_rows, observation_rows,
+                   wrap_angle_array)
+from .kalman import Prediction
 
 
 @dataclass(frozen=True)
@@ -68,57 +71,162 @@ def orientation_correct(predicted_angle, detected_angle):
     return flipped if flipped.ndim else float(flipped)
 
 
-def mahalanobis(prediction: Prediction, observation: Observation) -> float:
-    """Mahalanobis distance sqrt(nu^T S^-1 nu) of an observation.
+def _block_differences(minuends: np.ndarray, subtrahends: np.ndarray, blocks, kept) -> np.ndarray:
+    """minuends[cols] - subtrahends[rows, None] over each block's kept pairs, blocks joined.
 
-    The caller is expected to have orientation-corrected the prediction
-    (see orientation_correct); the yaw residual is wrapped here.
+    kept holds each block's (row, column) index arrays, or None for every
+    pair; pairs are row-major.
     """
-    nu = observation_residual(observation.to_array(), prediction.mean[:OBS_DIM])
-    return math.sqrt(nu @ prediction.solve(nu, (), bool(np.isfinite(nu).all())))
-
-
-def _block_differences(minuends: np.ndarray, subtrahends: np.ndarray, blocks) -> np.ndarray:
-    """minuends[cols] - subtrahends[rows, None] of each block, pairs row-major, blocks joined."""
     parts = [np.subtract(minuends[cols], subtrahends[rows, None]).reshape(-1, *minuends.shape[1:])
-             for rows, cols in blocks]
+             if pairs is None
+             else np.subtract(minuends[cols][pairs[1]], subtrahends[rows][pairs[0]])
+             for (rows, cols), pairs in zip(blocks, kept)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+# The (x, y) gate's relative margin, and the limits and magnitudes (S's
+# diagonal, every coordinate) within which it prunes.
+_GATE_MARGIN, _GATE_LIMITS, _GATE_SCALES = 1e-9, (1e-10, 1e10), (1e-50, 1e50)
+# Smaller blocks are scored in full: the bound costs more than it saves.
+_GATE_MIN_PAIRS = 512
+# Quadratic forms are stacked this many pairs at a time, capping their memory.
+_STACK_PAIRS = 1024
+# A flattened 7 x 7 matrix times this sums the entries below its diagonal.
+_BELOW_DIAGONAL = np.tril(np.ones((OBS_DIM, OBS_DIM)), -1).ravel()
+
+
+def _marginal_coefficients(s: np.ndarray, predicted: np.ndarray, limit: float) -> tuple:
+    """Per row, (A, B, C): A dx^2 + B dx dy + C dy^2 > 1 puts (dx, dy) beyond the cut.
+
+    The form is the squared distance under the leading 2 x 2 block of S
+    (as potrf reads it: the lower triangle) over (limit * (1 + margin))^2.
+    A row gets NaN, which never prunes, unless its diagonal and predicted
+    row lie within _GATE_SCALES and its correlations below the diagonal
+    sum to at most a half in magnitude: then the matrix potrf factors has
+    a correlation matrix diagonally dominant by a half (condition <= 3).
+    """
+    diagonal = np.diagonal(s, axis1=1, axis2=2)
+    inside = ((diagonal >= _GATE_SCALES[0]) & (diagonal <= _GATE_SCALES[1])
+              & (np.abs(predicted) <= _GATE_SCALES[1]))
+    scale = np.where(inside, 1.0 / np.sqrt(diagonal), math.nan)
+    correlations = np.abs(s) * (scale[:, :, None] * scale[:, None, :])
+    usable = correlations.reshape(-1, OBS_DIM * OBS_DIM) @ _BELOW_DIAGONAL <= 0.5
+    a, b, c = s[:, 0, 0], s[:, 1, 0], s[:, 1, 1]
+    k = np.where(usable, 1.0 / ((a * c - b * b) * (limit * (1.0 + _GATE_MARGIN)) ** 2), math.nan)
+    return c * k, -2.0 * b * k, a * k
+
+
+def _kept_pairs(prediction: Prediction, predicted: np.ndarray, detected: np.ndarray,
+                blocks, limits) -> list:
+    """Per block, the (row, column) index arrays of the pairs the gate keeps, or None for all."""
+    kept, xs = [], None
+    with np.errstate(all="ignore"):  # rows and detections out of range give NaN: kept
+        for (rows, cols), limit in zip(blocks, limits or [None] * len(blocks)):
+            if (limit is None or len(predicted[rows]) * len(detected[cols]) < _GATE_MIN_PAIRS
+                    or not _GATE_LIMITS[0] <= limit <= _GATE_LIMITS[1]):
+                kept.append(None)
+                continue
+            if xs is None:  # a NaN x keeps the detection's pairs, as NaN coefficients keep a row's
+                xs = np.where(np.abs(detected).max(axis=1) <= _GATE_SCALES[1],
+                              detected[:, 0], math.nan)
+            a, b, c = _marginal_coefficients(prediction.innovation_cov[rows], predicted[rows],
+                                             limit)
+            dx = xs[cols] - predicted[rows, 0, None]
+            dy = detected[cols, 1] - predicted[rows, 1, None]
+            bound = a[:, None] * dx
+            bound += b[:, None] * dy
+            bound *= dx
+            bound += c[:, None] * dy * dy
+            pairs = np.flatnonzero(~(bound > 1.0))
+            kept.append(np.divmod(pairs, dx.shape[1]) if len(pairs) < bound.size else None)
+    return kept
+
+
+def _residuals(detected: np.ndarray, predicted: np.ndarray, blocks, kept) -> np.ndarray:
+    """Detection less prediction over each block's kept pairs, row-major, blocks joined.
+
+    The predicted yaws come wrapped.  Each pair's yaw is flipped as
+    orientation_correct flips it, with the same floats, but each row's
+    flipped yaw is wrapped once.
+    """
+    flips = wrap_angle_array(predicted[:, ANGLE_INDEX] + math.pi)
+    flipped_delta = wrap_angle_array(_block_differences(detected[:, ANGLE_INDEX], flips, blocks,
+                                                        kept))
+    with np.errstate(over="ignore"):  # inf residuals fail the solve
+        nu = _block_differences(detected, predicted, blocks, kept)  # yaws less the wrapped yaws
+    delta = wrap_angle_array(nu[:, ANGLE_INDEX])
+    nu[:, ANGLE_INDEX] = np.where(np.abs(delta) > math.pi / 2.0, flipped_delta, delta)
+    return nu
+
+
+def _quadratic_forms(prediction: Prediction, nu: np.ndarray, rows: list,
+                     counts: list) -> np.ndarray:
+    """nu_k . S^-1 nu_k of each residual, where rows[i] owns the next counts[i] residuals.
+
+    Each row in turn has its residuals checked, its S factored and one
+    potrs over its residuals; the products are stacks of 1x7 by 7x1 matmuls.
+    """
+    failing = (set() if np.isfinite(nu).all()
+               else set(np.repeat(rows, counts)[~np.isfinite(nu).all(axis=1)].tolist()))
+    scores, solved, start, done = np.empty(len(nu)), [], 0, 0
+    for row, count in zip(rows, counts):
+        solved.append(prediction.solve(nu[start:start + count].T, row, row not in failing).T)
+        start += count
+        if start - done >= _STACK_PAIRS or start == len(nu):
+            stack = solved[0] if len(solved) == 1 else np.concatenate(solved)
+            np.matmul(nu[done:start, None, :], stack[:, :, None],
+                      out=scores[done:start, None, None])
+            solved, done = [], start
+    return scores
+
+
 def mahalanobis_affinity(prediction: Prediction, detected: np.ndarray,
-                         blocks=None) -> AffinityMatrix:
+                         blocks=None, limits=None) -> AffinityMatrix:
     """Pairwise Mahalanobis distances of a stacked prediction and (M, 7) detection rows.
 
     Only the pairs of blocks, (rows, columns) slices in ascending rows (by
-    default all pairs), are computed; the others score inf.  Each pair's
-    yaw is flipped as orientation_correct flips it, with the same floats,
-    but a track's yaw and its flip are wrapped once per row.  A block's
-    residuals are checked for finiteness in one pass; then each row takes
-    one potrs and one quadratic form, so the first failing row is named,
-    its residual checked before its factor.
+    default all pairs), are scored; the others score inf.  Every row of a
+    block is checked, factored and solved in order (_quadratic_forms), so
+    the first failing row is named, its residuals checked before its
+    factor, and every scored pair gets the floats it gets alone.
+
+    limits, one per block, gate each block of at least _GATE_MIN_PAIRS
+    pairs for the greedy matcher, which reads only pairs below their
+    limit.  A pair whose distance under the leading 2 x 2 block of S (its
+    (x, y) marginal) exceeds the limit by a relative 1e-9 scores inf with
+    no residual and no potrs column.  By the Schur complement that
+    marginal distance never exceeds the full one, and rounding cannot
+    reverse it: pairs are pruned only in rows whose correlation matrix is
+    diagonally dominant by a half, and only where the row's scales and
+    coordinates and the detection's coordinates lie within _GATE_SCALES.
+    There the bound errs by a few dozen ulps, and potrs with its quadratic
+    form by a few hundred (its backward error is under 22u |L||L^T|;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    Thm 10.4), far inside the margin.  Every other pair is scored, so a
+    NaN, inf or huge entry raises the error it raises without limits.
     """
     predicted = prediction.mean[:, :OBS_DIM].copy()
     blocks = blocks or [(slice(0, len(predicted)), slice(0, len(detected)))]
     predicted[:, ANGLE_INDEX] = wrap_angle_array(predicted[:, ANGLE_INDEX])
-    flipped_delta = wrap_angle_array(_block_differences(
-        detected[:, ANGLE_INDEX], wrap_angle_array(predicted[:, ANGLE_INDEX] + math.pi), blocks))
-    values = np.empty((len(predicted), len(detected)))
-    with np.errstate(over="ignore"):  # inf residuals fail the solve; inf distances never match
-        nu = _block_differences(detected, predicted, blocks)  # yaws less the wrapped yaws
-        if len(nu) < values.size:  # some pairs lie outside the blocks
-            values.fill(math.inf)
-        delta = wrap_angle_array(nu[:, ANGLE_INDEX])
-        nu[:, ANGLE_INDEX] = np.where(np.abs(delta) > math.pi / 2.0, flipped_delta, delta)
-        start = 0
-        for rows, cols in blocks:
-            scored = values[rows, cols]
-            pairs = nu[start:start + scored.size].reshape(*scored.shape, OBS_DIM)
-            start += scored.size
-            for i, (block, finite, row) in enumerate(zip(pairs, finite_blocks(pairs), scored),
-                                                     rows.start):
-                solved = prediction.solve(block.T, i, finite)
-                # Column j is nu_j . solved_j, as a stack of 1x7 by 7x1 products.
-                row[:] = (block[:, None, :] @ solved.T[:, :, None]).ravel()
+    kept = _kept_pairs(prediction, predicted, detected, blocks, limits)
+    nu = _residuals(detected, predicted, blocks, kept)
+    rows, counts = [], []
+    for (block_rows, cols), pairs in zip(blocks, kept):
+        block_rows = range(len(predicted))[block_rows]
+        rows += block_rows
+        counts += ([len(detected[cols])] * len(block_rows) if pairs is None
+                   else np.bincount(pairs[0], minlength=len(block_rows)).tolist())
+    with np.errstate(over="ignore"):  # inf distances never match
+        scores = _quadratic_forms(prediction, nu, rows, counts)
+    values, start = np.full((len(predicted), len(detected)), math.inf), 0
+    for (block_rows, cols), pairs in zip(blocks, kept):
+        cells = values[block_rows, cols]
+        if pairs is None:
+            cells[:] = scores[start:start + cells.size].reshape(cells.shape)
+            start += cells.size
+        else:
+            cells[pairs] = scores[start:start + len(pairs[0])]
+            start += len(pairs[0])
     return AffinityMatrix(np.sqrt(values, out=values))
 
 

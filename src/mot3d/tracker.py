@@ -162,8 +162,13 @@ class MultiObjectTracker:
                 distances = 1.0 - iou_affinity(prediction, detected, blocks=scored).values
                 limits, limit = {}, 1.0 - config.iou_threshold
             else:
-                distances = mahalanobis_affinity(prediction, detected, blocks=scored).values
                 limits, limit = config.class_maha_thresholds, config.maha_threshold
+                # greedy reads only the pairs below their class's gate; the
+                # pairs beyond it steer a Hungarian assignment
+                gates = ([limits.get(label, limit) for label in blocks]
+                         if config.matcher == "greedy" else None)
+                distances = mahalanobis_affinity(prediction, detected, blocks=scored,
+                                                 limits=gates).values
             for label, (r, c) in blocks.items():
                 pairs = MATCHERS[config.matcher](distances[r, c], limits.get(label, limit)).pairs
                 rows += [r.start + i for i, _ in pairs]

@@ -2,15 +2,18 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mot3d import association
 from mot3d.association import (greedy_center_match, greedy_match, hungarian_match,
-                               mahalanobis, mahalanobis_affinity, orientation_correct)
-from mot3d.core import Observation, observation_rows, wrap_angle
+                               mahalanobis_affinity, orientation_correct)
+from mot3d.core import OBS_DIM, Observation, observation_residual, observation_rows, wrap_angle
+from mot3d.dataset_io import DEFAULT_MAHA_GATE
 from mot3d.errors import NumericalError
 from mot3d.kalman import Prediction
 
@@ -20,6 +23,16 @@ def make_prediction(obs: Observation, innovation_cov=None) -> Prediction:
     if innovation_cov is None:
         innovation_cov = np.eye(7)
     return Prediction(mean, np.eye(11), innovation_cov)
+
+
+def reference_mahalanobis(prediction: Prediction, observation: Observation) -> float:
+    """sqrt(nu^T S^-1 nu) of one observation against one belief: the scalar oracle.
+
+    The caller orientation-corrects the prediction (orientation_correct);
+    the yaw residual is wrapped here.
+    """
+    nu = observation_residual(observation.to_array(), prediction.mean[:OBS_DIM])
+    return math.sqrt(nu @ prediction.solve(nu, (), bool(np.isfinite(nu).all())))
 
 
 def stacked(predictions) -> Prediction:
@@ -64,17 +77,17 @@ def test_orientation_correct_array_matches_scalar():
 
 def test_mahalanobis_identity_innovation():
     pred = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1))
-    assert mahalanobis(pred, Observation(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(1.0)
+    assert reference_mahalanobis(pred, Observation(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(1.0)
     # scaled innovation covariance halves the normalized distance
     pred4 = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1), 4.0 * np.eye(7))
-    assert mahalanobis(pred4, Observation(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(0.5)
+    assert reference_mahalanobis(pred4, Observation(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(0.5)
 
 
 def test_mahalanobis_sign_symmetric():
     pred = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1),
                            np.diag([1, 2, 3, 0.5, 1, 1, 1.0]))
-    plus = mahalanobis(pred, Observation(0.7, -0.3, 0.2, 0.1, 1.2, 0.9, 1.1))
-    minus = mahalanobis(pred, Observation(-0.7, 0.3, -0.2, -0.1, 0.8, 1.1, 0.9))
+    plus = reference_mahalanobis(pred, Observation(0.7, -0.3, 0.2, 0.1, 1.2, 0.9, 1.1))
+    minus = reference_mahalanobis(pred, Observation(-0.7, 0.3, -0.2, -0.1, 0.8, 1.1, 0.9))
     assert plus == pytest.approx(minus, abs=1e-12)
 
 
@@ -82,7 +95,7 @@ def test_mahalanobis_affinity_applies_orientation_correction():
     # prediction faces backwards; raw distance is huge, corrected is small
     pred = make_prediction(Observation(0, 0, 0, wrap_angle(math.pi), 1, 1, 1))
     obs = Observation(0, 0, 0, 0.01, 1, 1, 1)
-    raw = mahalanobis(pred, obs)
+    raw = reference_mahalanobis(pred, obs)
     corrected = mahalanobis_affinity(stacked([pred]), observation_rows([obs])).values[0, 0]
     assert raw > 2.0
     assert corrected == pytest.approx(0.01, abs=1e-9)
@@ -106,14 +119,14 @@ def test_mahalanobis_affinity_matches_per_pair_loop():
             mean = prediction.mean.copy()
             mean[3] = orientation_correct(mean[3], obs.a)
             flipped = dataclasses.replace(prediction, mean=mean)
-            assert values[i, j] == mahalanobis(flipped, obs)
+            assert values[i, j] == reference_mahalanobis(flipped, obs)
 
 
 def per_pair_mahalanobis(prediction, obs):
     """The flip and distance of one pair, as the per-pair reference computes them."""
     mean = prediction.mean.copy()
     mean[3] = orientation_correct(mean[3], obs.a)
-    return mahalanobis(dataclasses.replace(prediction, mean=mean), obs)
+    return reference_mahalanobis(dataclasses.replace(prediction, mean=mean), obs)
 
 
 @pytest.mark.parametrize("n_pred, n_det", [(1, 1), (2, 9), (7, 3), (16, 16), (30, 45)])
@@ -206,6 +219,144 @@ def test_mahalanobis_affinity_allocates_under_two_residual_blocks():
     assert np.isfinite(values).all()
     assert peak < 2 * n * m * 7 * np.dtype(float).itemsize
 
+
+def test_gated_mahalanobis_affinity_allocates_under_one_residual_block():
+    # with limits, a pair beyond its (x, y) gate never gets a residual, so
+    # 100 x 100 well-separated pairs never take a full (N, M, 7) block
+    rng = np.random.default_rng(12)
+    n = m = 100
+    mean = np.zeros((n, 11))
+    mean[:, :2] = 15.0 * np.stack(np.divmod(np.arange(n), 10), axis=1)  # a 15 m grid
+    mean[:, 2] = rng.normal(size=n)
+    mean[:, 3] = rng.uniform(-math.pi, math.pi, n)
+    mean[:, 4:7] = rng.uniform(1.0, 5.0, (n, 3))
+    # S within the gate's rule: correlations below its diagonal sum to under a half
+    correlation = np.eye(7) + np.tril(rng.uniform(-0.02, 0.02, (n, 7, 7)), -1)
+    correlation = np.tril(correlation) + np.tril(correlation, -1).transpose(0, 2, 1)
+    scale = np.sqrt(rng.uniform(0.5, 4.0, (n, 7)))
+    prediction = Prediction(mean, np.broadcast_to(np.eye(11), (n, 11, 11)),
+                            scale[:, :, None] * correlation * scale[:, None, :])
+    detected = mean[rng.permutation(n)[:m], :7].copy()
+    detected[:, :3] += rng.normal(size=(m, 3))
+    detected[:, 3] = rng.uniform(-math.pi, math.pi, m)
+    tracemalloc.start()
+    try:
+        values = mahalanobis_affinity(prediction, detected, limits=[DEFAULT_MAHA_GATE]).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ungated = mahalanobis_affinity(dataclasses.replace(prediction), detected).values
+    below = ungated < DEFAULT_MAHA_GATE
+    assert below.any(axis=1).all()
+    assert np.array_equal(values[below], ungated[below])
+    assert peak < n * m * 7 * np.dtype(float).itemsize
+
+
+# Specials that reach the gate: NaN and +-inf fail a row, 1e308 overflows a
+# residual or leaves every range the gate's rounding argument covers.
+SPECIALS = (math.nan, math.inf, -math.inf, 1e308, -1e308)
+INNOVATION_FAMILIES = ("scaled", "unit", "weakly correlated", "x-y near +-1", "ill-conditioned")
+FAILURES = ("x-y not positive definite", "special innovation", "special prediction",
+            "special detection")
+
+
+def random_innovation(rng, family: str) -> np.ndarray:
+    """One S of a family: its scales, spanning up to 1e12, and its correlations."""
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, 7) if family == "scaled" else rng.uniform(0.2, 5.0, 7)
+    correlation = np.eye(7)
+    if family == "weakly correlated":  # the lower sums fall on either side of one half
+        correlation += np.tril(rng.uniform(-0.05, 0.05, (7, 7)), -1)
+        correlation = np.tril(correlation) + np.tril(correlation, -1).T
+    elif family in ("x-y near +-1", "x-y not positive definite"):
+        gap = 10.0 ** rng.uniform(-12.0, -1.0)
+        rho = (1.0 - gap if family == "x-y near +-1" else 1.0 + gap) * rng.choice([-1.0, 1.0])
+        correlation[0, 1] = correlation[1, 0] = rho
+    elif family == "ill-conditioned":  # condition numbers up to 1e12
+        q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        correlation = (q * np.logspace(0.0, -rng.uniform(0.0, 12.0), 7)) @ q.T
+    return scale[:, None] * correlation * scale[None, :]
+
+
+def outcome(call):
+    """The call's values, or its exception as (type, message, row)."""
+    try:
+        return call().values
+    except (NumericalError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7),
+                          st.sampled_from([DEFAULT_MAHA_GATE, DEFAULT_MAHA_GATE, 1.0, 11.0,
+                                           1e-12, 1e12])),
+                min_size=1, max_size=3),
+       st.lists(st.sampled_from(INNOVATION_FAMILIES), min_size=15, max_size=15),
+       st.sampled_from([(), (), (), (), *((failure,) for failure in FAILURES),
+                        ("special prediction", "special detection")]))
+def test_gated_affinity_prunes_only_pairs_the_greedy_matcher_cannot_take(
+        seed, shape, families, failures):
+    # every pair below its limit keeps its floats, inf appears only where
+    # the full distance reaches the limit (including pairs placed within
+    # 1e-9 of it on the (x, y) marginal), greedy takes the same pairs, and
+    # a failing call fails with the same error and row
+    rng = np.random.default_rng(seed)
+    n, m = sum(rows for rows, _, _ in shape), sum(cols for _, cols, _ in shape)
+    blocks, limits, r0, c0 = [], [], 0, 0
+    for rows, cols, limit in shape:
+        blocks.append((slice(r0, r0 + rows), slice(c0, c0 + cols)))
+        limits.append(limit)
+        r0, c0 = r0 + rows, c0 + cols
+    mean = np.zeros((n, 11))
+    mean[:, :3] = rng.normal(scale=4.0, size=(n, 3))
+    mean[:, 3] = rng.uniform(-math.pi, math.pi, n)
+    mean[:, 4:7] = rng.uniform(1.0, 5.0, (n, 3))
+    innovation = np.array([random_innovation(rng, family) for family in families[:n]])
+    innovation = innovation.reshape(n, 7, 7)
+    detected = np.empty((m, 7))
+    for (rows, cols), limit in zip(blocks, limits):
+        for j in range(cols.start, cols.stop):
+            i = int(rng.integers(rows.start, rows.stop)) if rows.stop > rows.start else 0
+            detected[j] = mean[i, :7] if n else [0, 0, 0, 0, 1, 1, 1]
+            if rows.stop > rows.start and rng.random() < 0.5:
+                # x alone, within 1e-9 of the limit on the (x, y) marginal
+                s = innovation[i]
+                marginal = s[1, 1] / (s[0, 0] * s[1, 1] - s[1, 0] ** 2)
+                detected[j, 0] += (limit * (1.0 + rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0]) * 1e-9)
+                                   / math.sqrt(marginal))
+            else:
+                detected[j, :3] += rng.normal(scale=rng.choice([0.3, 3.0]), size=3)
+                detected[j, 3] = rng.uniform(-math.pi, math.pi)
+    for failure, side in zip(failures, (innovation, mean, detected)):
+        if failure == "x-y not positive definite" and n:
+            innovation[rng.integers(n)] = random_innovation(rng, failure)
+        elif failure == "special innovation" and n:
+            innovation[rng.integers(n), rng.integers(7), rng.integers(7)] = rng.choice(SPECIALS)
+        elif failure == "special prediction" and n:
+            mean[rng.integers(n), rng.integers(7)] = rng.choice(SPECIALS)
+        elif failure == "special detection" and m:
+            detected[rng.integers(m), rng.integers(7)] = rng.choice(SPECIALS)
+
+    def call(gates):
+        prediction = Prediction(mean, np.broadcast_to(np.eye(11), (n, 11, 11)), innovation)
+        return lambda: mahalanobis_affinity(prediction, detected, blocks=blocks, limits=gates)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # as the ungated call always may
+        ungated = outcome(call(None))
+        with unittest.mock.patch.object(association, "_GATE_MIN_PAIRS", 1):  # gate every block
+            gated = outcome(call(limits))
+    if isinstance(ungated, tuple):
+        assert gated == ungated
+        return
+    assert isinstance(gated, np.ndarray)
+    for (rows, cols), limit in zip(blocks, limits):
+        u, g = ungated[rows, cols], gated[rows, cols]
+        below = u < limit
+        assert np.array_equal(g[below], u[below])
+        changed = ~((g == u) | (np.isnan(g) & np.isnan(u)))
+        assert np.isinf(g[changed]).all() and (u[changed] >= limit).all()
+        assert greedy_match(g, limit).pairs == greedy_match(u, limit).pairs
 
 def test_greedy_match_known_matrix():
     result = greedy_match(np.array([[1.0, 4.0], [2.0, 0.5]]), 3.0)

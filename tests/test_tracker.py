@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from mot3d import association, kalman
 from mot3d import tracker as tracker_module
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
 from mot3d.core import ANGLE_INDEX, CLASS_LABELS, Box, Observation, trusted_box, wrap_angle
-from mot3d.dataset_io import RunConfig
+from mot3d.dataset_io import DEFAULT_MAHA_GATE, RunConfig
 from mot3d.errors import ConfigError, NumericalError, SchemaError, SequencingError
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
                              standard_suite_calibration, turning_scenario)
@@ -17,6 +19,8 @@ from mot3d.tracker import MultiObjectTracker, run_scene
 from tests.test_iou3d import reference_iou_3d
 
 CAR_SIZE = (4.0, 2.0, 1.5)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Index of the yaw rate in the 11-D state.
 DA = 10
@@ -347,6 +351,66 @@ def test_tracker_calls_the_layer_functions_through_module_globals(monkeypatch):
     expected = {"predict", "update", "mahalanobis_affinity", "iou_affinity",
                 *(f"MATCHERS[{key}]" for key in tracker_module.MATCHERS)}
     assert set(calls) == expected
+
+
+def test_only_the_greedy_matcher_gates_the_mahalanobis_affinity(monkeypatch):
+    # greedy reads only pairs below their class's gate, so it passes each
+    # block's limit; a Hungarian assignment is steered by the pairs beyond
+    # the gate too, so under it every same-class pair is scored
+    seen = []
+    original = tracker_module.mahalanobis_affinity
+
+    def spy(prediction, detected, blocks=None, limits=None):
+        result = original(prediction, detected, blocks=blocks, limits=limits)
+        seen.append((limits, [result.values[rows, cols] for rows, cols in blocks]))
+        return result
+
+    monkeypatch.setattr(tracker_module, "mahalanobis_affinity", spy)
+    monkeypatch.setattr(association, "_GATE_MIN_PAIRS", 1)  # gate even the smallest class
+    _, detections = generate_suite(standard_suite(seed=4, scenes=1, frame_count=20))
+    noise = hand_noise(("bus", "car", "pedestrian"))
+    for matcher in ("greedy", "hungarian"):
+        seen.clear()
+        run_scene(detections["suite0"], noise,
+                  RunConfig(matcher=matcher, class_maha_thresholds={"pedestrian": 2.0}))
+        cells = [block for _, blocks in seen for block in blocks]
+        if matcher == "hungarian":
+            assert all(limits is None for limits, _ in seen)
+            assert all(np.isfinite(block).all() for block in cells)
+        else:
+            assert all(len(limits) == len(blocks) for limits, blocks in seen)
+            assert {limit for limits, _ in seen for limit in limits} == {2.0, DEFAULT_MAHA_GATE}
+            assert any(np.isinf(block).any() for block in cells)
+
+
+def test_gating_leaves_the_traced_counts_of_a_dense_scene_unchanged(monkeypatch):
+    # perfbench's tracer counts the pairs under the global gate, the
+    # matches, and the filter calls; a run whose limits are stripped, so
+    # that it scores every pair, reads the same counts and the same tracks
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    _, detections = generate_suite([calibration_scenario(
+        scene_id="dense", seed=5, objects=36, frame_count=6, spacing=15.0)])
+    frames, noise, config = detections["dense"], NoiseModel.default_covariance(), RunConfig()
+    original, pruned = tracker_module.mahalanobis_affinity, []
+
+    def traced(gate: bool):
+        def affinity(prediction, detected, blocks=None, limits=None):
+            result = original(prediction, detected, blocks=blocks, limits=limits if gate else None)
+            pruned.append(any(np.isinf(result.values[rows, cols]).any() for rows, cols in blocks))
+            return result
+
+        monkeypatch.setattr(tracker_module, "mahalanobis_affinity", affinity)
+        with layers.Tracer(maha_gate=config.maha_threshold) as tracer:
+            outputs = run_scene(frames, noise, config)
+        return (outputs, {name: tracer.counts[name] for name in ("pairs_gated", "matches")},
+                {name: tracer.spans[name].calls for name in ("predict", "update")})
+
+    gated = traced(True)
+    assert any(pruned)
+    pruned.clear()
+    assert traced(False) == gated
+    assert not any(pruned)
 
 
 def test_score_modes():
