@@ -4,14 +4,15 @@ Two affinities score the pairs within blocks (the tracker's classes) of a
 stacked prediction of N tracks and M detections: the Mahalanobis distance
 between a detection and the predicted observation distribution, and the
 3D intersection-over-union of the two boxes.  IOU has one implementation,
-iou_pairs: it clips the footprints of all the candidate pairs of a call
-together, one array pass per clip edge, and gives each pair the floats
-that clipping it alone with Python floats would give.  The tracker turns
-either into a plain (N, M) distance array and a limit per class (1 - IOU
-under 1 - T for a minimum IOU T), and two bipartite matchers take a
-class's block of it and return index pairs, never a non-finite one: a
-greedy nearest-first matcher and an optimal assignment (Hungarian)
-matcher with post-assignment thresholding.  Greedy reads only pairs below
+iou_pairs: it clips the footprints (footprint_corners, which viz draws
+too) of all the candidate pairs of a call together, one array pass per
+clip edge, and gives each pair the floats that clipping it alone with
+Python floats would give.  The tracker turns either into a plain (N, M)
+distance array and a limit per class (1 - IOU under 1 - T for a minimum
+IOU T), and two bipartite matchers take a class's block of it and return
+only its matched index pairs, never a non-finite one: a greedy
+nearest-first matcher and an optimal assignment (Hungarian) matcher with
+post-assignment thresholding.  Greedy reads only pairs below
 the limit, so for it the Mahalanobis affinity takes the limits and, on
 large blocks, solves only the pairs whose (x, y) marginal distance, a
 lower bound of the full one, falls within the gate.
@@ -26,8 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import (ANGLE_INDEX, OBS_DIM, Observation, checked_rows, observation_rows,
-                   wrap_angle_array)
+from .core import ANGLE_INDEX, OBS_DIM, checked_rows, wrap_angle_array
 from .kalman import Prediction
 
 
@@ -46,12 +46,11 @@ class MatchResult:
     """One-to-one matching outcome over a distance array.
 
     pairs hold (prediction_index, detection_index) tuples sorted
-    best-first; the unmatched index tuples are sorted ascending.
+    best-first; every index not in a pair is unmatched.
+    perfbench/layers.py reads pairs; ROADMAP item 3 returns them bare.
     """
 
     pairs: tuple
-    unmatched_predictions: tuple
-    unmatched_detections: tuple
 
 
 def orientation_correct(predicted_angle, detected_angle):
@@ -59,16 +58,16 @@ def orientation_correct(predicted_angle, detected_angle):
 
     Detectors cannot tell a box from its 180-degree flip, so where the
     wrapped difference lies beyond pi/2 in magnitude the prediction is
-    rotated by pi before residuals are formed.  The angles are scalars or
-    arrays that broadcast; returns the corrected predicted yaw, wrapped,
-    in their shape.  Covariances are left alone: the flip relabels
-    an orientation the box cannot distinguish, it adds no information.
+    rotated by pi before residuals are formed.  The angles are arrays that
+    broadcast; returns the corrected predicted yaws, wrapped, as an array
+    of their broadcast shape.  Covariances are left alone: the flip
+    relabels an orientation the box cannot distinguish, it adds no
+    information.
     """
     predicted_angle = wrap_angle_array(predicted_angle)
     delta = wrap_angle_array(np.subtract(detected_angle, predicted_angle))
-    flipped = np.where(np.abs(delta) > math.pi / 2.0,
-                       wrap_angle_array(predicted_angle + math.pi), predicted_angle)
-    return flipped if flipped.ndim else float(flipped)
+    return np.where(np.abs(delta) > math.pi / 2.0,
+                    wrap_angle_array(predicted_angle + math.pi), predicted_angle)
 
 
 def _block_differences(minuends: np.ndarray, subtrahends: np.ndarray, blocks, kept) -> np.ndarray:
@@ -242,10 +241,10 @@ def iou_affinity(prediction: Prediction, detected: np.ndarray, blocks=None) -> A
     Only the pairs of blocks, (rows, columns) slices (by default all
     pairs), are computed; the others score 0.  A pair whose footprint
     circles (centered on the box, radius half the footprint diagonal) or
-    height intervals are disjoint scores 0 without clipping, the value
-    iou_3d gives it; the other pairs go to iou_pairs in one call.  Circles
+    height intervals are disjoint scores 0 without clipping, as clipping
+    would score it; the other pairs go to iou_pairs in one call.  Circles
     within a relative 1e-9 of touching count as overlapping, so rounding
-    cannot drop a pair that iou_3d scores.
+    cannot drop a pair that iou_pairs scores above 0.
     """
     candidates = []  # per block: the predicted rows of its candidate pairs, and their cells
     for rows, cols in blocks or [(slice(0, len(prediction.mean)), slice(0, len(detected)))]:
@@ -270,7 +269,7 @@ def iou_affinity(prediction: Prediction, detected: np.ndarray, blocks=None) -> A
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
-def _corners(rows: np.ndarray) -> np.ndarray:
+def footprint_corners(rows: np.ndarray) -> np.ndarray:
     """(K, 4, 2) footprint corners in the x-y plane of (K, 7) box rows, counter-clockwise.
 
     The l extent runs along the yaw direction, w across it.  cos and sin
@@ -285,11 +284,6 @@ def _corners(rows: np.ndarray) -> np.ndarray:
     rotation = np.stack([cos_a, -sin_a, sin_a, cos_a], axis=1).reshape(-1, 2, 2)
     return (_CORNER_SIGNS * (rows[:, None, 4:6] / 2.0)) @ rotation.transpose(0, 2, 1) \
         + rows[:, None, :2]
-
-
-def box_corners_bev(box: Observation) -> np.ndarray:
-    """(4, 2) corners of one box footprint in the x-y plane, counter-clockwise."""
-    return _corners(observation_rows([box]))[0]
 
 
 def _near_parallel(denom: np.ndarray, dc: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -387,8 +381,8 @@ def iou_pairs(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     silently, and a NaN never matches.
     """
     with np.errstate(all="ignore"):
-        clip = _corners(rows_b)
-        points, counts = _corners(rows_a), np.full(len(rows_a), 4)
+        clip = footprint_corners(rows_b)
+        points, counts = footprint_corners(rows_a), np.full(len(rows_a), 4)
         for k in range(4):
             points, counts = _clip_edge(points, counts, clip[:, k], clip[:, (k + 1) % 4])
         overlap = _shoelace(points, counts)
@@ -404,21 +398,6 @@ def iou_pairs(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         # past one; a NaN ratio (footprint areas that overflow) never matches
         return np.where(intersection <= 0.0, 0.0,
                         np.where(intersection > union, 1.0, intersection / union))
-
-
-def iou_3d(box_a: Observation, box_b: Observation) -> float:
-    """3D intersection-over-union of two upright yawed boxes: iou_pairs on one pair."""
-    return float(iou_pairs(observation_rows([box_a]), observation_rows([box_b]))[0])
-
-
-def _match_result(pairs: list, n_pred: int, n_det: int) -> MatchResult:
-    matched_pred = {i for i, _ in pairs}
-    matched_det = {j for _, j in pairs}
-    return MatchResult(
-        tuple(pairs),
-        tuple(i for i in range(n_pred) if i not in matched_pred),
-        tuple(j for j in range(n_det) if j not in matched_det),
-    )
 
 
 def candidate_order(distances: np.ndarray, limit: float) -> tuple:
@@ -461,8 +440,7 @@ def greedy_match(distances: np.ndarray, limit: float) -> MatchResult:
     """
     n_pred, n_det = distances.shape
     rows, cols = candidate_order(distances, limit)
-    pairs = greedy_scan(rows, cols, [True] * n_pred, [True] * n_det)
-    return _match_result(pairs, n_pred, n_det)
+    return MatchResult(tuple(greedy_scan(rows, cols, [True] * n_pred, [True] * n_det)))
 
 
 # hungarian_match scales costs whose stand-in would exceed this, far
@@ -479,9 +457,8 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     NaN and +-inf pairs never match: the assignment keeps as many finite
     pairs as any can, and among those minimizes their total.
     """
-    n_pred, n_det = distances.shape
-    if n_pred == 0 or n_det == 0:
-        return _match_result([], n_pred, n_det)
+    if distances.size == 0:
+        return MatchResult(())
     finite = np.isfinite(distances)
     # The solver needs finite costs.  Any two assignments' finite totals
     # differ by at most twice the sum of |finite entries|, so a stand-in
@@ -500,7 +477,7 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
              if finite[i, j] and distances[i, j] < limit]
     pairs.sort(key=lambda pair: (distances[pair], *pair))
-    return _match_result(pairs, n_pred, n_det)
+    return MatchResult(tuple(pairs))
 
 
 def center_distances(boxes_a, boxes_b) -> np.ndarray:
@@ -512,12 +489,12 @@ def center_distances(boxes_a, boxes_b) -> np.ndarray:
 
 
 def greedy_center_match(boxes_a, boxes_b, gate: float) -> MatchResult:
-    """Greedy one-to-one matching by ascending 2D center distance.
+    """Greedy one-to-one matching (greedy_match) by ascending 2D center distance.
 
     Each side is a sequence of Observations or an (n, >= 2) array whose
     first two columns are x and y.  Used by the evaluation protocol and
-    by observation-noise calibration; z is ignored, and pairs at or
-    beyond the gate stay unmatched.
+    by observation-noise calibration; z is ignored, and a pair at or
+    beyond the gate never matches.
     """
     return greedy_match(center_distances(boxes_a, boxes_b), gate)
 

@@ -90,15 +90,6 @@ class NoiseModel:
     def __contains__(self, label: str) -> bool:
         return label in self.classes
 
-    def q_matrix(self, label: str) -> np.ndarray:
-        return np.diag(self.classes[label].q)
-
-    def r_matrix(self, label: str) -> np.ndarray:
-        return np.diag(self.classes[label].r)
-
-    def sigma0_matrix(self, label: str) -> np.ndarray:
-        return np.diag(self.classes[label].sigma0)
-
     @classmethod
     def default_covariance(cls, labels: Sequence[str] = CLASS_LABELS) -> "NoiseModel":
         """Heuristic fallback: every diagonal entry is one."""

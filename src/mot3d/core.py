@@ -118,9 +118,6 @@ class Observation:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.a, self.l, self.w, self.h])
-
 
 def _build_transition() -> np.ndarray:
     a = np.eye(STATE_DIM)

@@ -1,17 +1,17 @@
 """Kalman predict and update for the 11-dimensional box state.
 
-A belief is a mean (11,) and a covariance (11, 11); predict and update
-also take a stack of beliefs along a leading axis.  The motion model is
-linear constant-velocity over discrete frames, so both steps are the
-textbook equations, with the yaw re-wrapped after every additive
-operation.  A stacked row gets exactly the bits of the single-belief
-call: A and H hold only 0/1 entries, numpy runs one BLAS kernel per
-slice, and each row's S is factored once, on first use, by LAPACK potrf.
-Finiteness is checked once per stack, not per row: the S of every row on
-the first factor, and the right-hand sides of a stack of solves by their
-caller (finite_blocks), whose Python bools the solves then test row by
-row.  Bad input or a failed factorization is surfaced as NumericalError,
-never silently regularized.
+A belief is a mean (11,) and a covariance (11, 11); the tracker holds its
+beliefs as a stack along a leading axis, and update conditions a list of
+rows of such a stack.  The motion model is linear constant-velocity over
+discrete frames, so both steps are the textbook equations, with the yaw
+re-wrapped after every additive operation.  A row gets exactly the bits
+it gets in a one-row stack: A and H hold only 0/1 entries, numpy runs
+one BLAS kernel per slice, and each row's S is factored once, on first
+use, by LAPACK potrf.  Finiteness is checked once per stack, not per
+row: the S of every row on the first factor, and the right-hand sides of
+a stack of solves by their caller, whose Python bools the solves then
+test row by row.  Bad input or a failed factorization is surfaced as
+NumericalError, never silently regularized.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((OBS_DIM, OBS_DI
 
 @dataclass(frozen=True)
 class Prediction:
-    """Beliefs forecast one frame ahead, one or a stack of them.
+    """Beliefs forecast one frame ahead, stacked along a leading axis.
 
-    mean[..., :7] is the predicted observation, and innovation_cov is the
-    covariance of (observation - predicted observation), i.e. the
-    gating distribution for data association.  A row is an int into a
-    stack, or () for a single belief.  The first factor checks every
-    row's S for finiteness in one pass; each row is then factored once,
-    on first use.
+    mean[k, :7] is row k's predicted observation, and innovation_cov[k]
+    is the covariance of (observation - predicted observation), i.e. the
+    gating distribution for data association.  factor, solve and update
+    take int rows of the stack.  The first factor checks every row's S
+    for finiteness in one pass; each row is then factored once, on first
+    use.
     """
 
     mean: np.ndarray
@@ -60,7 +60,7 @@ class Prediction:
         """Whether each row's S is finite, for the whole stack at once."""
         return np.isfinite(self.innovation_cov).all(axis=(-2, -1))
 
-    def factor(self, row=()) -> np.ndarray:
+    def factor(self, row: int) -> np.ndarray:
         """Lower Cholesky factor of S at a row; NumericalError if S is not finite and PD."""
         factor = self._factors.get(row)
         if factor is None:
@@ -74,20 +74,15 @@ class Prediction:
             self._factors[row] = factor
         return factor
 
-    def solve(self, rhs: np.ndarray, row, finite: bool) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, row: int, finite: bool) -> np.ndarray:
         """S^-1 rhs at a row, rhs (7,) or (7, K).
 
-        finite is the caller's check of rhs, one of the bools finite_blocks
-        gives for its stack; NumericalError if it failed, before S is checked.
+        finite is the caller's check of rhs, one of the bools it took for
+        its whole stack; NumericalError if it failed, before S is checked.
         """
         if not finite:
             raise NumericalError("residual or covariance is not finite", row=row)
         return _POTRS(self.factor(row), rhs, lower=True)[0]
-
-
-def finite_blocks(stack: np.ndarray) -> list:
-    """Whether each block along the leading axis of a stack is finite: one pass, Python bools."""
-    return np.isfinite(stack).all(axis=tuple(range(1, stack.ndim))).tolist()
 
 
 def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
@@ -107,30 +102,29 @@ def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
     return Prediction(mean, cov, symmetrize(cov[..., :OBS_DIM, :OBS_DIM] + observation_noise))
 
 
-def update(prediction: Prediction, observation: np.ndarray, yaw=None, rows=()) -> tuple:
-    """Condition a prediction on matched observations.
+def update(prediction: Prediction, observation: np.ndarray, yaw: np.ndarray,
+           rows: list) -> tuple:
+    """Condition K rows of a stacked prediction on their matched (K, 7) observations.
 
-    rows is () for a single belief, observed as (7,), or a list of K rows
-    of a stack, observed as (K, 7), in the order their factors are first
-    needed.  yaw, if given, replaces each row's predicted yaw (an
-    orientation flip).  K = Sigma H^T S^-1, mean <- mean + K nu,
-    Sigma <- (I - K H) Sigma, with the yaw residual wrapped before it
-    enters the correction.  Returns the posterior (mean, cov) of the rows.
+    rows are listed in the order their factors are first needed, and yaw
+    (K,) replaces each row's predicted yaw (the orientation-corrected
+    one).  K = Sigma H^T S^-1, mean <- mean + K nu, Sigma <- (I - K H)
+    Sigma, with the yaw residual wrapped before it enters the correction.
+    Returns the posterior (mean, cov) of the rows.
     """
     sigma = prediction.cov[rows]
-    predicted = prediction.mean[rows].copy()
-    if yaw is not None:
-        predicted[..., ANGLE_INDEX] = yaw
+    predicted = prediction.mean[rows]
+    predicted[:, ANGLE_INDEX] = yaw
 
     # K = Sigma H^T S^-1, computed per row as S^-1 (H Sigma) transposed.
-    blocks = sigma.reshape(-1, STATE_DIM, STATE_DIM)[:, :OBS_DIM]
-    checked = zip(rows if isinstance(rows, list) else [rows], blocks, finite_blocks(blocks))
+    blocks = sigma[:, :OBS_DIM]
+    checked = zip(rows, blocks, np.isfinite(blocks).all(axis=(1, 2)).tolist())
     gain = np.array([prediction.solve(block, row, finite).T for row, block, finite in checked])
-    gain = gain.reshape(predicted.shape + (OBS_DIM,))
+    gain = gain.reshape(len(rows), STATE_DIM, OBS_DIM)  # also when rows is empty
 
-    nu = observation_residual(observation, predicted[..., :OBS_DIM])
+    nu = observation_residual(observation, predicted[:, :OBS_DIM])
 
-    mean = predicted + (gain @ nu[..., None])[..., 0]
-    mean[..., ANGLE_INDEX] = wrap_angle_array(mean[..., ANGLE_INDEX])
+    mean = predicted + (gain @ nu[:, :, None])[:, :, 0]
+    mean[:, ANGLE_INDEX] = wrap_angle_array(mean[:, ANGLE_INDEX])
     cov = symmetrize((np.eye(STATE_DIM) - gain @ OBSERVATION_MATRIX) @ sigma)
     return mean, cov

@@ -67,7 +67,7 @@ def match_frame(gt_boxes: Sequence[Box], track_boxes: Sequence[Box],
     pairs = [(gt_boxes[gi].instance_id, track_boxes[tj].track_id)
              for gi, tj in result.pairs]
     assignment, ids = _switches(pairs, prev_assignment)
-    fp = len(result.unmatched_detections)
+    fp = len(track_boxes) - len(pairs)  # the unmatched track boxes
     return assignment, len(pairs), fp, len(gt_boxes) - len(pairs), ids
 
 

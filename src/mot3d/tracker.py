@@ -94,12 +94,12 @@ class MultiObjectTracker:
         self._next_id = 1
         self._last_frame: int | None = None
         matrices = []
-        for label in sorted(noise.classes):
-            q, sigma0 = noise.q_matrix(label), noise.sigma0_matrix(label)
+        for _, entry in sorted(noise.classes.items()):
+            q, sigma0 = np.diag(entry.q), np.diag(entry.sigma0)
             if not self.config.angular_velocity:
                 # no yaw-rate noise or initial spread: da stays pinned at zero
                 q[10, 10] = sigma0[10, 10] = 0.0
-            matrices.append((sigma0, q, noise.r_matrix(label)))
+            matrices.append((sigma0, q, np.diag(entry.r)))
         # the covariance, Q and R of each class, stacked in label order
         self._classes = {label: k for k, label in enumerate(sorted(noise.classes))}
         self._newborn = [np.array(stack) for stack in zip(*matrices)]

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .association import box_corners_bev
+from .association import footprint_corners
+from .core import observation_rows
 from .dataset_io import atomic_open
 
 PALETTE = (
@@ -30,9 +31,8 @@ def _polygon(points, style: str) -> str:
     return f'<polygon points="{coords}" {style} />'
 
 
-def _heading_tick(observation, color: str) -> str:
+def _heading_tick(observation, corners, color: str) -> str:
     # line from box center to the midpoint of the leading edge
-    corners = box_corners_bev(observation)
     front_x = (corners[0][0] + corners[3][0]) / 2.0
     front_y = (corners[0][1] + corners[3][1]) / 2.0
     return (f'<line x1="{observation.x:.2f}" y1="{observation.y:.2f}" '
@@ -54,22 +54,23 @@ def render_scene_svg(track_frames: Mapping, gt_frames: Mapping | None = None,
 
     if gt_frames:
         for frame in sorted(gt_frames):
-            for box in gt_frames[frame]:
-                corners = box_corners_bev(box.observation)
+            rows = observation_rows(box.observation for box in gt_frames[frame])
+            for corners in footprint_corners(rows):
                 xs.extend(c[0] for c in corners)
                 ys.extend(c[1] for c in corners)
                 gt_items.append(_polygon(corners, GT_STYLE))
 
     track_ids = []
     for frame in sorted(track_frames):
-        for box in track_frames[frame]:
-            corners = box_corners_bev(box.observation)
+        boxes = track_frames[frame]
+        rows = observation_rows(box.observation for box in boxes)
+        for box, corners in zip(boxes, footprint_corners(rows)):
             xs.extend(c[0] for c in corners)
             ys.extend(c[1] for c in corners)
             color = track_color(box.track_id)
             style = f'fill="none" stroke="{color}" stroke-width="0.12"'
             track_items.append(_polygon(corners, style))
-            track_items.append(_heading_tick(box.observation, color))
+            track_items.append(_heading_tick(box.observation, corners, color))
             if box.track_id not in track_ids:
                 track_ids.append(box.track_id)
 

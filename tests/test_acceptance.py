@@ -13,11 +13,11 @@ import time
 
 import numpy as np
 
-from mot3d.association import hungarian_match, iou_3d
+from mot3d.association import hungarian_match, iou_pairs
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
-from mot3d.core import OBS_DIM, STATE_DIM, Box, Observation, wrap_angle
+from mot3d.core import OBS_DIM, STATE_DIM, Box, Observation, observation_rows, wrap_angle
 from mot3d.dataset_io import RunConfig
-from mot3d.kalman import predict, update
+from mot3d.kalman import predict
 from mot3d.metrics import amota, motar
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite,
                              noiseless_scene, standard_suite,
@@ -27,7 +27,7 @@ from tests.test_iou3d import mc_iou
 from tests.test_kalman import (angle_aware_diff, build_transition,
                                oracle_predict, oracle_update_conditioning,
                                oracle_update_inverse, random_estimate,
-                               random_spd)
+                               random_spd, update_one_row)
 
 ANGLE = 3
 
@@ -80,7 +80,7 @@ def test_filter_algebra_matches_independent_oracles_1000x():
         obs_arr = prediction.mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
         obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
         obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.2
-        got, posterior_cov = update(prediction, obs_arr)
+        got, posterior_cov = update_one_row(prediction, obs_arr)
         mu_a, cov_a = oracle_update_inverse(prediction, obs_arr)
         mu_b, cov_b = oracle_update_conditioning(prediction, obs_arr)
         assert np.all(angle_aware_diff(got, mu_a) < 1e-8)
@@ -122,19 +122,20 @@ def test_optimal_matching_equals_brute_force_100x():
 
 
 def test_box_overlap_matches_million_point_monte_carlo():
-    """iou_3d vs a 1e6-point Monte-Carlo estimate on 200 box pairs.
+    """iou_pairs vs a 1e6-point Monte-Carlo estimate on 200 box pairs.
 
     Tolerance 2e-3 (several MC standard deviations); analytic spots
     exact to 1e-12.
     """
     same = Observation(1.0, -2.0, 0.5, 0.7, 4.2, 1.9, 1.6)
-    assert abs(iou_3d(same, same) - 1.0) < 1e-12
     cube = Observation(0, 0, 0, 0, 1, 1, 1)
     shifted = Observation(0.5, 0, 0, 0, 1, 1, 1)
-    assert abs(iou_3d(cube, shifted) - 1.0 / 3.0) < 1e-12
+    spots = iou_pairs(observation_rows([same, cube]), observation_rows([same, shifted]))
+    assert abs(spots[0] - 1.0) < 1e-12
+    assert abs(spots[1] - 1.0 / 3.0) < 1e-12
 
     rng = np.random.default_rng(31)
-    worst = 0.0
+    pairs, estimates = [], []
     for _ in range(200):
         a = Observation(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-1, 1),
                         rng.uniform(-math.pi, math.pi),
@@ -143,10 +144,12 @@ def test_box_overlap_matches_million_point_monte_carlo():
                         a.z + rng.uniform(-0.5, 0.5),
                         rng.uniform(-math.pi, math.pi),
                         rng.uniform(1, 5), rng.uniform(1, 4), rng.uniform(1, 3))
-        exact = iou_3d(a, b)
-        estimate = mc_iou(a, b, rng, samples=1_000_000)
-        worst = max(worst, abs(exact - estimate))
-        assert abs(exact - estimate) < 2e-3
+        pairs.append((a, b))
+        estimates.append(mc_iou(a, b, rng, samples=1_000_000))
+    exact = iou_pairs(observation_rows(a for a, _ in pairs), observation_rows(b for _, b in pairs))
+    errors = np.abs(exact - np.array(estimates))
+    worst = float(errors.max())
+    assert (errors < 2e-3).all()
     print(f"box overlap: 200 pairs vs 1e6-point MC, worst |err| {worst:.2e}")
 
 

@@ -19,7 +19,7 @@ from mot3d.kalman import Prediction
 
 
 def make_prediction(obs: Observation, innovation_cov=None) -> Prediction:
-    mean = np.concatenate([obs.to_array(), np.zeros(4)])
+    mean = np.concatenate([observation_rows([obs])[0], np.zeros(4)])
     if innovation_cov is None:
         innovation_cov = np.eye(7)
     return Prediction(mean, np.eye(11), innovation_cov)
@@ -31,8 +31,9 @@ def reference_mahalanobis(prediction: Prediction, observation: Observation) -> f
     The caller orientation-corrects the prediction (orientation_correct);
     the yaw residual is wrapped here.
     """
-    nu = observation_residual(observation.to_array(), prediction.mean[:OBS_DIM])
-    return math.sqrt(nu @ prediction.solve(nu, (), bool(np.isfinite(nu).all())))
+    nu = observation_residual(observation_rows([observation])[0], prediction.mean[:OBS_DIM])
+    one_row = stacked([prediction])
+    return math.sqrt(nu @ one_row.solve(nu, 0, bool(np.isfinite(nu).all())))
 
 
 def stacked(predictions) -> Prediction:
@@ -358,18 +359,23 @@ def test_gated_affinity_prunes_only_pairs_the_greedy_matcher_cannot_take(
         assert np.isinf(g[changed]).all() and (u[changed] >= limit).all()
         assert greedy_match(g, limit).pairs == greedy_match(u, limit).pairs
 
+def unmatched(result, shape) -> tuple:
+    """The indices in no pair of a match over an array of shape: (rows, columns), ascending."""
+    rows, cols = {i for i, _ in result.pairs}, {j for _, j in result.pairs}
+    return ([i for i in range(shape[0]) if i not in rows],
+            [j for j in range(shape[1]) if j not in cols])
+
+
 def test_greedy_match_known_matrix():
     result = greedy_match(np.array([[1.0, 4.0], [2.0, 0.5]]), 3.0)
     assert result.pairs == ((1, 1), (0, 0))
-    assert result.unmatched_predictions == ()
-    assert result.unmatched_detections == ()
+    assert unmatched(result, (2, 2)) == ([], [])
 
 
 def test_greedy_match_threshold_strict():
     result = greedy_match(np.array([[3.0]]), 3.0)
     assert result.pairs == ()
-    assert result.unmatched_predictions == (0,)
-    assert result.unmatched_detections == (0,)
+    assert unmatched(result, (1, 1)) == ([0], [0])
     accepted = greedy_match(np.array([[2.999999]]), 3.0)
     assert len(accepted.pairs) == 1
 
@@ -396,8 +402,7 @@ def test_hungarian_filters_on_original_distances():
     matrix = np.array([[1.0, 9.0], [9.0, 5.0]])
     result = hungarian_match(matrix, 4.0)
     assert result.pairs == ((0, 0),)
-    assert result.unmatched_predictions == (1,)
-    assert result.unmatched_detections == (1,)
+    assert unmatched(result, (2, 2)) == ([1], [1])
 
 
 def test_match_empty_inputs():
@@ -405,8 +410,7 @@ def test_match_empty_inputs():
     for matcher in (greedy_match, hungarian_match):
         result = matcher(empty, 1.0)
         assert result.pairs == ()
-        assert result.unmatched_predictions == ()
-        assert result.unmatched_detections == (0, 1, 2)
+        assert unmatched(result, empty.shape) == ([], [0, 1, 2])
 
 
 @pytest.mark.parametrize("matcher", [greedy_match, hungarian_match])
@@ -439,8 +443,7 @@ def test_greedy_properties(rows, threshold):
     result = greedy_match(values, threshold)
     pairs, free_a, free_b = reference_greedy(values.tolist(), values.shape[1], threshold)
     assert list(result.pairs) == pairs
-    assert list(result.unmatched_predictions) == free_a
-    assert list(result.unmatched_detections) == free_b
+    assert unmatched(result, values.shape) == (free_a, free_b)
     dists = [values[pair] for pair in result.pairs]
     assert dists == sorted(dists)
     assert all(math.isfinite(d) and d < threshold for d in dists)
@@ -448,10 +451,9 @@ def test_greedy_properties(rows, threshold):
     matched_dets = [p[1] for p in result.pairs]
     assert len(set(matched_preds)) == len(matched_preds)
     assert len(set(matched_dets)) == len(matched_dets)
-    assert sorted(matched_preds + list(result.unmatched_predictions)) == list(
-        range(values.shape[0]))
-    assert sorted(matched_dets + list(result.unmatched_detections)) == list(
-        range(values.shape[1]))
+    free_preds, free_dets = unmatched(result, values.shape)
+    assert sorted(matched_preds + free_preds) == list(range(values.shape[0]))
+    assert sorted(matched_dets + free_dets) == list(range(values.shape[1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -480,10 +482,9 @@ def test_hungarian_properties(rows, threshold):
     matched_dets = [p[1] for p in optimal.pairs]
     assert len(set(matched_preds)) == len(matched_preds)
     assert len(set(matched_dets)) == len(matched_dets)
-    assert sorted(matched_preds + list(optimal.unmatched_predictions)) == list(
-        range(values.shape[0]))
-    assert sorted(matched_dets + list(optimal.unmatched_detections)) == list(
-        range(values.shape[1]))
+    free_preds, free_dets = unmatched(optimal, values.shape)
+    assert sorted(matched_preds + free_preds) == list(range(values.shape[0]))
+    assert sorted(matched_dets + free_dets) == list(range(values.shape[1]))
     assert all(values[pair] < threshold for pair in optimal.pairs)
     gated_cells = {(i, j) for i in range(values.shape[0])
                    for j in range(values.shape[1]) if values[i, j] < threshold}
@@ -542,8 +543,7 @@ def test_greedy_center_match_gate():
     b = [Observation(0.5, 0, 0, 0, 1, 1, 1), Observation(14, 0, 0, 0, 1, 1, 1)]
     result = greedy_center_match(a, b, gate=2.0)
     assert result.pairs == ((0, 0),)
-    assert result.unmatched_predictions == (1,)
-    assert result.unmatched_detections == (1,)
+    assert unmatched(result, (2, 2)) == ([1], [1])
 
 
 def reference_greedy(dist, n_cols, limit):
@@ -614,8 +614,7 @@ def test_greedy_matchers_equal_per_pair_reference():
         pairs, free_a, free_b = reference_greedy(dist, len(boxes_b), gate)
         result = greedy_center_match(boxes_a, boxes_b, gate)
         assert list(result.pairs) == pairs
-        assert list(result.unmatched_predictions) == free_a
-        assert list(result.unmatched_detections) == free_b
+        assert unmatched(result, (len(boxes_a), len(boxes_b))) == (free_a, free_b)
         flat = [d for row in dist for d in row]
         gated_at_boundary += flat.count(gate)
         tied += len(flat) - len(set(flat))
@@ -627,6 +626,5 @@ def test_greedy_matchers_equal_per_pair_reference():
             pairs, free_a, free_b = reference_greedy(values.tolist(), len(boxes_b), limit)
             result = greedy_match(values, limit)
             assert list(result.pairs) == pairs
-            assert list(result.unmatched_predictions) == free_a
-            assert list(result.unmatched_detections) == free_b
+            assert unmatched(result, values.shape) == (free_a, free_b)
     assert gated_at_boundary > 0 and tied > 0

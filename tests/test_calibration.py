@@ -9,7 +9,7 @@ from mot3d.calibration import (CALIBRATION_GATE, ClassNoise, GroundTruthTrack,
                                NoiseModel, _second_differences, calibrate,
                                estimate_observation_noise, estimate_process_noise,
                                load_noise_model, save_noise_model, tracks_from_ground_truth)
-from mot3d.core import (Box, Observation, observation_residual, wrap_angle,
+from mot3d.core import (Box, Observation, observation_residual, observation_rows, wrap_angle,
                         wrap_angle_array)
 from mot3d.errors import CalibrationError, SchemaError
 
@@ -253,8 +253,8 @@ def test_noise_model_validation():
         NoiseModel({"dragon": ClassNoise(np.ones(11), np.ones(7), np.ones(11))})
     model = NoiseModel.default_covariance()
     assert "car" in model
-    np.testing.assert_array_equal(model.q_matrix("car"), np.eye(11))
-    np.testing.assert_array_equal(model.r_matrix("bus"), np.eye(7))
+    np.testing.assert_array_equal(np.diag(model.classes["car"].q), np.eye(11))
+    np.testing.assert_array_equal(np.diag(model.classes["bus"].r), np.eye(7))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -360,7 +360,7 @@ def reference_noise(ground_truth, detections, pooled: bool) -> dict:
                 continue
             for gi, dj in greedy_center_match(gt_obs, det_obs, CALIBRATION_GATE).pairs:
                 residuals[label].append(
-                    observation_residual(det_obs[dj].to_array(), gt_obs[gi].to_array()))
+                    observation_residual(*observation_rows([det_obs[dj], gt_obs[gi]])))
     out = {}
     for label in q:
         rows = ([nu for per_class in residuals.values() for nu in per_class] if pooled

@@ -103,7 +103,7 @@ def test_observation_accepts_any_finite_real():
     obs = Observation(1, np.float64(2.5), np.float32(0.5), 7, 1e308, 1e308, 1e308)
     assert (obs.x, obs.y, obs.z, obs.l) == (1, 2.5, 0.5, 1e308)
     assert type(obs.a) is float and obs.a == wrap_angle(7.0)
-    assert Observation(*obs.to_array().tolist()).x == 1.0
+    assert Observation(*observation_rows([obs])[0].tolist()).x == 1.0
 
 
 def test_observation_from_array_holds_python_floats():
@@ -114,7 +114,7 @@ def test_observation_from_array_holds_python_floats():
 
 def test_observation_array_round_trip():
     obs = Observation(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6)
-    again = Observation(*obs.to_array().tolist())
+    again = Observation(*observation_rows([obs])[0].tolist())
     assert again == obs
 
 
@@ -122,7 +122,7 @@ def test_observation_rows_are_bit_equal_to_stacked_arrays():
     observations = [Observation(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6),
                     Observation(1, np.float64(2.5), np.float32(0.1), 7, 1e308, 1e308, 1e308),
                     Observation(-1e-300, 0.0, -0.0, -math.pi, 5e-324, 1.0, 2.0)]
-    stacked = np.stack([obs.to_array() for obs in observations])
+    stacked = np.stack([np.array([o.x, o.y, o.z, o.a, o.l, o.w, o.h]) for o in observations])
     rows = observation_rows(observations)
     assert rows.dtype == stacked.dtype and rows.tobytes() == stacked.tobytes()
     assert observation_rows(iter(observations)).tobytes() == stacked.tobytes()
@@ -201,12 +201,12 @@ def test_observation_residual_wraps_yaw():
     # detection at -179 degrees against +179 degrees: 2 degrees, not 358
     predicted = Observation(0, 0, 0, math.radians(179.0), 1, 1, 1)
     detected = Observation(0, 0, 0, math.radians(-179.0), 1, 1, 1)
-    residual = observation_residual(detected.to_array(), predicted.to_array())
+    detected_row, predicted_row = observation_rows([detected, predicted])
+    residual = observation_residual(detected_row, predicted_row)
     assert residual[ANGLE_INDEX] == pytest.approx(math.radians(2.0), abs=1e-12)
     assert np.all(residual[:3] == 0.0)
     # a block of residuals is formed row by row
-    block = observation_residual(np.array([detected.to_array(), predicted.to_array()]),
-                                 predicted.to_array())
+    block = observation_residual(np.array([detected_row, predicted_row]), predicted_row)
     np.testing.assert_array_equal(block[0], residual)
     np.testing.assert_array_equal(block[1], np.zeros(OBS_DIM))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mot3d import association
-from mot3d.association import box_corners_bev, iou_3d, iou_affinity, iou_pairs
+from mot3d.association import footprint_corners, iou_affinity, iou_pairs
 from mot3d.core import Observation, observation_rows, wrap_angle
 from mot3d.kalman import Prediction
 
@@ -116,6 +116,16 @@ def box(x=0.0, y=0.0, z=0.0, a=0.0, l=2.0, w=2.0, h=2.0) -> Observation:
     return Observation(x, y, z, a, l, w, h)
 
 
+def one_pair_iou(box_a: Observation, box_b: Observation) -> float:
+    """iou_pairs on the single pair (box_a, box_b)."""
+    return float(iou_pairs(observation_rows([box_a]), observation_rows([box_b]))[0])
+
+
+def one_box_corners(box: Observation) -> np.ndarray:
+    """footprint_corners of a single box: its (4, 2) corners."""
+    return footprint_corners(observation_rows([box]))[0]
+
+
 def volume(o: Observation) -> float:
     return o.l * o.w * o.h
 
@@ -123,20 +133,20 @@ def volume(o: Observation) -> float:
 def as_prediction(observations) -> Prediction:
     """A stacked prediction whose row k is box k at rest."""
     mean = np.zeros((len(observations), 11))
-    mean[:, :7] = np.reshape([obs.to_array() for obs in observations], (-1, 7))
+    mean[:, :7] = observation_rows(observations)
     return Prediction(mean, np.broadcast_to(np.eye(11), (len(mean), 11, 11)),
                       np.broadcast_to(np.eye(7), (len(mean), 7, 7)))
 
 
 def test_corners_axis_aligned():
-    corners = box_corners_bev(box(x=1, y=2, a=0.0, l=4, w=2))
+    corners = one_box_corners(box(x=1, y=2, a=0.0, l=4, w=2))
     expected = {(3.0, 3.0), (3.0, 1.0), (-1.0, 1.0), (-1.0, 3.0)}
     assert {(round(cx, 9), round(cy, 9)) for cx, cy in corners} == expected
 
 
 def test_corners_rotation_quarter_turn():
     # quarter turn swaps the roles of length and width
-    corners = box_corners_bev(box(a=math.pi / 2, l=4, w=2))
+    corners = one_box_corners(box(a=math.pi / 2, l=4, w=2))
     xs = sorted(round(cx, 9) for cx, _ in corners)
     ys = sorted(round(cy, 9) for _, cy in corners)
     assert xs == [-1.0, -1.0, 1.0, 1.0]
@@ -158,41 +168,41 @@ def test_clip_polygon_self_is_identity():
 
 def test_identical_boxes():
     b = box(x=3, y=-2, z=1, a=0.7, l=4.5, w=1.9, h=1.6)
-    assert iou_3d(b, b) == pytest.approx(1.0, abs=1e-12)
+    assert one_pair_iou(b, b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_half_offset_unit_cubes():
     a = box(l=1, w=1, h=1)
     b = box(x=0.5, l=1, w=1, h=1)
     # overlap 0.5, union 1.5
-    assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert one_pair_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_cross_at_right_angle():
     # 2x1 rectangles crossed: intersection 1, union 3, full z overlap
     a = box(l=2, w=1, h=1)
     b = box(a=math.pi / 2, l=2, w=1, h=1)
-    assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert one_pair_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_vertical_offset():
     a = box(l=1, w=1, h=1)
     b = box(z=0.5, l=1, w=1, h=1)
-    assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert one_pair_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_disjoint_in_plane_and_height():
     a = box(l=1, w=1, h=1)
-    assert iou_3d(a, box(x=5.0, l=1, w=1, h=1)) == 0.0
-    assert iou_3d(a, box(z=5.0, l=1, w=1, h=1)) == 0.0
+    assert one_pair_iou(a, box(x=5.0, l=1, w=1, h=1)) == 0.0
+    assert one_pair_iou(a, box(z=5.0, l=1, w=1, h=1)) == 0.0
     # touching faces share zero volume
-    assert iou_3d(a, box(x=1.0, l=1, w=1, h=1)) == 0.0
+    assert one_pair_iou(a, box(x=1.0, l=1, w=1, h=1)) == 0.0
 
 
 def test_containment():
     outer = box(l=4, w=4, h=4)
     inner = box(l=2, w=2, h=2)
-    assert iou_3d(outer, inner) == pytest.approx(8.0 / 64.0, abs=1e-12)
+    assert one_pair_iou(outer, inner) == pytest.approx(8.0 / 64.0, abs=1e-12)
 
 
 def test_rotated_square_overlap_is_octagon():
@@ -200,16 +210,16 @@ def test_rotated_square_overlap_is_octagon():
     # the footprint overlap is a regular octagon of area 8*(sqrt(2)-1)
     a = box(l=2, w=2, h=1)
     b = box(a=math.pi / 4, l=2, w=2, h=1)
-    overlap = polygon_area(clip_polygon(box_corners_bev(a), box_corners_bev(b)))
+    overlap = polygon_area(clip_polygon(one_box_corners(a), one_box_corners(b)))
     expected = 8.0 * (math.sqrt(2.0) - 1.0)
     assert overlap == pytest.approx(expected, abs=1e-9)
-    assert iou_3d(a, b) == pytest.approx(expected / (8.0 - expected), abs=1e-9)
+    assert one_pair_iou(a, b) == pytest.approx(expected / (8.0 - expected), abs=1e-9)
 
 
 def test_yaw_flip_invariance():
     a = box(a=0.4, l=3, w=1.5, h=1.2)
     flipped = box(a=wrap_angle(0.4 + math.pi), l=3, w=1.5, h=1.2)
-    assert iou_3d(a, flipped) == pytest.approx(1.0, abs=1e-12)
+    assert one_pair_iou(a, flipped) == pytest.approx(1.0, abs=1e-12)
 
 
 box_strategy = st.builds(
@@ -222,8 +232,8 @@ box_strategy = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(box_strategy, box_strategy)
 def test_symmetry_and_range(a, b):
-    ab = iou_3d(a, b)
-    ba = iou_3d(b, a)
+    ab = one_pair_iou(a, b)
+    ba = one_pair_iou(b, a)
     assert ab == pytest.approx(ba, abs=1e-12)
     assert 0.0 <= ab <= 1.0 + 1e-12
 
@@ -237,7 +247,7 @@ def test_rigid_motion_invariance(a, b, tx, ty, rot):
         return Observation(c * o.x - s * o.y + tx, s * o.x + c * o.y + ty, o.z,
                            wrap_angle(o.a + rot), o.l, o.w, o.h)
 
-    assert iou_3d(moved(a), moved(b)) == pytest.approx(iou_3d(a, b), abs=1e-9)
+    assert one_pair_iou(moved(a), moved(b)) == pytest.approx(one_pair_iou(a, b), abs=1e-9)
 
 
 def mc_iou(a: Observation, b: Observation, rng, samples=200_000) -> float:
@@ -269,7 +279,7 @@ def test_against_monte_carlo():
                 z=a.z + rng.uniform(-0.5, 0.5),
                 a=rng.uniform(-math.pi, math.pi),
                 l=rng.uniform(1, 5), w=rng.uniform(1, 4), h=rng.uniform(1, 3))
-        exact = iou_3d(a, b)
+        exact = one_pair_iou(a, b)
         estimate = mc_iou(a, b, rng)
         assert exact == pytest.approx(estimate, abs=6e-3)
 

@@ -117,6 +117,21 @@ def oracle_update_conditioning(prediction, obs_arr):
     return mu, 0.5 * (cov + cov.T)
 
 
+def one_row(prediction: Prediction) -> Prediction:
+    """A single belief's prediction as a one-row stack."""
+    return Prediction(prediction.mean[None], prediction.cov[None], prediction.innovation_cov[None])
+
+
+def update_one_row(prediction: Prediction, obs_arr: np.ndarray) -> tuple:
+    """update of a single belief's prediction as a one-row stack, at its predicted yaw.
+
+    Returns the posterior (11,) mean and (11, 11) covariance.
+    """
+    stack = one_row(prediction)
+    means, covs = update(stack, obs_arr[None], stack.mean[:, ANGLE], [0])
+    return means[0], covs[0]
+
+
 def angle_aware_diff(got, expected):
     diff = np.abs(got - expected)
     diff[ANGLE] = abs(wrap_angle(got[ANGLE] - expected[ANGLE]))
@@ -148,7 +163,7 @@ def test_update_matches_both_oracles():
         obs_arr = prediction.mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
         obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
         obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.2
-        posterior_mean, posterior_cov = update(prediction, obs_arr)
+        posterior_mean, posterior_cov = update_one_row(prediction, obs_arr)
 
         mu_a, cov_a = oracle_update_inverse(prediction, obs_arr)
         mu_b, cov_b = oracle_update_conditioning(prediction, obs_arr)
@@ -169,7 +184,7 @@ def test_posterior_trace_never_exceeds_predicted():
         obs_arr = prediction.mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
         obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
         obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.2
-        posterior_mean, posterior_cov = update(prediction, obs_arr)
+        posterior_mean, posterior_cov = update_one_row(prediction, obs_arr)
         predicted_trace = float(np.trace(prediction.cov))
         assert float(np.trace(posterior_cov)) <= predicted_trace + 1e-9
 
@@ -185,7 +200,7 @@ def test_huge_observation_noise_leaves_mean():
     obs_arr = predicted_mean[:OBS_DIM] + rng.normal(size=OBS_DIM)
     obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
     obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.2
-    posterior_mean, posterior_cov = update(prediction, obs_arr)
+    posterior_mean, posterior_cov = update_one_row(prediction, obs_arr)
     assert np.all(angle_aware_diff(posterior_mean, predicted_mean) < 1e-4)
 
 
@@ -196,7 +211,7 @@ def test_tiny_predicted_covariance_ignores_measurement():
     predicted_mean = prediction.mean
     shifted = predicted_mean[:OBS_DIM] + 0.5
     shifted[ANGLE] = wrap_angle(shifted[ANGLE])
-    posterior_mean, _ = update(prediction, shifted)
+    posterior_mean, _ = update_one_row(prediction, shifted)
     assert np.all(angle_aware_diff(posterior_mean, predicted_mean) < 1e-6)
 
 
@@ -214,7 +229,7 @@ def test_update_wraps_residual_across_seam():
     # the seam instead of swinging through zero
     prediction = predict(state(0, 0, 0, 3.1, 1, 1, 1), np.eye(STATE_DIM),
                          np.zeros((STATE_DIM, STATE_DIM)), np.eye(OBS_DIM))
-    posterior_mean, _ = update(prediction, np.array([0, 0, 0, -3.1, 1, 1, 1]))
+    posterior_mean, _ = update_one_row(prediction, np.array([0, 0, 0, -3.1, 1, 1, 1]))
     assert abs(posterior_mean[ANGLE]) > 3.05
 
 
@@ -223,7 +238,7 @@ def test_singular_innovation_raises_numerical_error():
                          np.zeros((STATE_DIM, STATE_DIM)),
                          np.zeros((OBS_DIM, OBS_DIM)))
     with pytest.raises(NumericalError) as exc_info:
-        update(prediction, np.array([0, 0, 0, 0, 1, 1, 1]))
+        update_one_row(prediction, np.array([0, 0, 0, 0, 1, 1, 1]))
     assert "condition" in str(exc_info.value)
 
 
@@ -234,8 +249,8 @@ def test_non_finite_innovation_raises_numerical_error(bad):
     s = prediction.innovation_cov.copy()
     s[2, 2] = bad
     with pytest.raises(NumericalError, match="not finite"):
-        update(Prediction(prediction.mean, prediction.cov, s),
-               np.array([0, 0, 0, 0, 1, 1, 1]))
+        update_one_row(Prediction(prediction.mean, prediction.cov, s),
+                       np.array([0, 0, 0, 0, 1, 1, 1]))
 
 
 @pytest.mark.parametrize("bad_sigma_row, bad_s_row, named, message", [
@@ -255,8 +270,15 @@ def test_stacked_update_names_the_first_failing_row_in_update_order(bad_sigma_ro
     prediction.innovation_cov[bad_s_row] = -np.eye(OBS_DIM)
     rows = [3, 0, 2]
     with pytest.raises(NumericalError, match=f"^{message}") as info:
-        update(prediction, prediction.mean[rows, :OBS_DIM], rows=rows)
+        update(prediction, prediction.mean[rows, :OBS_DIM], prediction.mean[rows, ANGLE], rows)
     assert info.value.row == named
+
+
+def test_update_of_no_rows_is_empty():
+    prediction = predict(np.zeros((2, STATE_DIM)), np.stack([np.eye(STATE_DIM)] * 2),
+                         np.eye(STATE_DIM), np.eye(OBS_DIM))
+    mean, cov = update(prediction, np.zeros((0, OBS_DIM)), np.zeros(0), [])
+    assert mean.shape == (0, STATE_DIM) and cov.shape == (0, STATE_DIM, STATE_DIM)
 
 
 def test_numerical_error_survives_pickling():
@@ -274,7 +296,7 @@ def test_numerical_error_survives_pickling():
 
 def test_update_with_yaw_equals_update_of_the_flipped_prediction():
     # passing the flipped yaw is the same arithmetic as updating a
-    # prediction whose mean carries it, bit for bit
+    # prediction whose mean carries it (at its own yaw), bit for bit
     rng = np.random.default_rng(48)
     for _ in range(100):
         estimate = random_estimate(rng)
@@ -285,16 +307,16 @@ def test_update_with_yaw_equals_update_of_the_flipped_prediction():
         yaw = wrap_angle(prediction.mean[ANGLE] + math.pi)
         flipped_mean = prediction.mean.copy()
         flipped_mean[ANGLE] = yaw
-        expected = update(dataclasses.replace(prediction, mean=flipped_mean), obs_arr)
-        got = update(prediction, obs_arr, yaw)
-        for a, b in zip(got, expected):
+        expected = update_one_row(dataclasses.replace(prediction, mean=flipped_mean), obs_arr)
+        got = update(one_row(prediction), obs_arr[None], [yaw], [0])
+        for a, b in zip((got[0][0], got[1][0]), expected):
             np.testing.assert_array_equal(a, b)
 
 
-def test_stacked_calls_equal_the_single_belief_calls_bit_for_bit():
-    # the tracker's bank predicts and updates a whole class per call; each
-    # row must carry exactly the bits of the single-belief call, which in
-    # turn equals the dense H and A products, so stacking changes no output
+def test_stacked_calls_equal_one_row_stacks_bit_for_bit():
+    # the tracker's bank predicts and updates every track per call; each
+    # row must carry exactly the bits of a one-row stack, which in turn
+    # equals the dense H and A products, so stacking changes no output
     rng = np.random.default_rng(49)
     h, a = OBSERVATION_MATRIX, TRANSITION_MATRIX
     for n in (1, 2, 5, 17, 40):
@@ -305,20 +327,20 @@ def test_stacked_calls_equal_the_single_belief_calls_bit_for_bit():
             mean[ANGLE] = wrap_angle(rng.choice([math.pi, -math.pi]) + rng.normal(scale=1e-4))
         stacked = predict(np.array([m for m, _ in estimates]), np.array([c for _, c in estimates]),
                           q, r)
-        singles = [predict(m, c, q, r) for m, c in estimates]
-        for k, (single, (mean, cov)) in enumerate(zip(singles, estimates)):
-            assert np.array_equal(stacked.mean[k], single.mean)
-            assert np.array_equal(stacked.cov[k], single.cov)
-            assert np.array_equal(stacked.innovation_cov[k], single.innovation_cov)
+        ones = [predict(m[None], c[None], q, r) for m, c in estimates]
+        for k, (one, (mean, cov)) in enumerate(zip(ones, estimates)):
+            assert np.array_equal(stacked.mean[k], one.mean[0])
+            assert np.array_equal(stacked.cov[k], one.cov[0])
+            assert np.array_equal(stacked.innovation_cov[k], one.innovation_cov[0])
             expected_mean = a @ mean
             expected_mean[ANGLE] = wrap_angle(expected_mean[ANGLE])
-            assert np.array_equal(single.mean, expected_mean)
-            s = h @ single.cov @ h.T + r
-            assert np.array_equal(single.innovation_cov, (s + s.T) / 2.0)
+            assert np.array_equal(one.mean[0], expected_mean)
+            s = h @ one.cov[0] @ h.T + r
+            assert np.array_equal(one.innovation_cov[0], (s + s.T) / 2.0)
             # one LAPACK potrf per row, never a batched Cholesky with other rounding
-            expected = np.tril(_POTRF(single.innovation_cov, lower=True, clean=False)[0])
+            expected = np.tril(_POTRF(one.innovation_cov[0], lower=True, clean=False)[0])
             assert np.array_equal(np.tril(stacked.factor(k)), expected)
-            assert np.array_equal(np.tril(single.factor()), expected)
+            assert np.array_equal(np.tril(one.factor(0)), expected)
 
         # a subset of rows in shuffled order, against observations that
         # straddle the seam or face away from the prediction
@@ -329,9 +351,9 @@ def test_stacked_calls_equal_the_single_belief_calls_bit_for_bit():
         yaws = orientation_correct(stacked.mean[rows, ANGLE], observed[:, ANGLE])
         means, covs = update(stacked, observed, yaws, rows)
         for k, row in enumerate(rows):
-            mean, cov = update(singles[row], observed[k], yaws[k])
-            assert np.array_equal(means[k], mean)
-            assert np.array_equal(covs[k], cov)
+            mean, cov = update(ones[row], observed[k:k + 1], yaws[k:k + 1], [0])
+            assert np.array_equal(means[k], mean[0])
+            assert np.array_equal(covs[k], cov[0])
 
 
 def test_thousand_cycles_stay_symmetric_psd():
@@ -348,7 +370,7 @@ def test_thousand_cycles_stay_symmetric_psd():
         obs_arr[:4] += rng.normal(scale=0.3, size=4) * [1, 1, 1, 0.05]
         obs_arr[ANGLE] = wrap_angle(obs_arr[ANGLE])
         obs_arr[4:7] = np.maximum(obs_arr[4:7] + rng.normal(scale=0.02, size=3), 0.05)
-        mean, cov = update(prediction, obs_arr)
+        mean, cov = update_one_row(prediction, obs_arr)
         np.testing.assert_array_equal(cov, cov.T)
         if step % 100 == 0:
             assert np.linalg.eigvalsh(cov).min() >= -1e-9

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from mot3d import association
-from mot3d.association import (MATCHERS, MatchResult, iou_affinity, mahalanobis_affinity,
-                               orientation_correct)
+from mot3d.association import MATCHERS, iou_affinity, mahalanobis_affinity, orientation_correct
 from mot3d.calibration import calibrate
 from mot3d.core import ANGLE_INDEX, OBS_DIM, STATE_DIM, checked_rows, observation_rows, trusted_box
 from mot3d.dataset_io import RunConfig
@@ -40,11 +39,11 @@ class ReferenceTracker:
         self._next_id = 1
         self._matrices = {}
         self._banks = {}  # label -> (tracks in track_id order, their means and covariances)
-        for label in noise.classes:
-            q, sigma0 = noise.q_matrix(label), noise.sigma0_matrix(label)
+        for label, entry in noise.classes.items():
+            q, sigma0 = np.diag(entry.q), np.diag(entry.sigma0)
             if not config.angular_velocity:
                 q[10, 10] = sigma0[10, 10] = 0.0
-            self._matrices[label] = (q, noise.r_matrix(label), sigma0)
+            self._matrices[label] = (q, np.diag(entry.r), sigma0)
             self._banks[label] = ([], np.empty((0, STATE_DIM)), np.empty((0, STATE_DIM, STATE_DIM)))
 
     def step(self, frame_index, detections) -> FrameOutput:
@@ -87,7 +86,7 @@ class ReferenceTracker:
         tracks, means, covs = self._banks[label]
         detected = observation_rows(d.observation for d in detections)
 
-        result = MatchResult((), tuple(range(len(tracks))), tuple(range(len(detections))))
+        pairs = ()
         if tracks:
             prediction = predict(means, covs, q, r)
             means, covs = prediction.mean, prediction.cov
@@ -98,16 +97,16 @@ class ReferenceTracker:
                 else:
                     distances = mahalanobis_affinity(prediction, detected).values
                     limit = config.class_maha_thresholds.get(label, config.maha_threshold)
-                result = MATCHERS[config.matcher](distances, limit)
+                pairs = MATCHERS[config.matcher](distances, limit).pairs
 
-        if result.pairs:
-            rows, cols = [i for i, _ in result.pairs], [j for _, j in result.pairs]
+        rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+        if pairs:
             yaws = orientation_correct(means[rows, ANGLE_INDEX], detected[cols, ANGLE_INDEX])
             means[rows], covs[rows] = update(prediction, detected[cols], yaws, rows)
-            for i, j in result.pairs:
+            for i, j in pairs:
                 self._hit(tracks[i], detections[j].score)
 
-        for i in result.unmatched_predictions:
+        for i in sorted(set(range(len(tracks))).difference(rows)):
             tracks[i].consecutive_misses += 1
             tracks[i].consecutive_hits = 0
         keep = [i for i, t in enumerate(tracks) if t.consecutive_misses < config.death_misses]
@@ -115,7 +114,7 @@ class ReferenceTracker:
             self.stats.died += len(tracks) - len(keep)
             tracks, means, covs = [tracks[i] for i in keep], means[keep], covs[keep]
 
-        born = list(result.unmatched_detections)
+        born = sorted(set(range(len(detections))).difference(cols))
         if born:
             fresh = np.hstack([detected[born], np.zeros((len(born), STATE_DIM - OBS_DIM))])
             means = np.concatenate([means, fresh])

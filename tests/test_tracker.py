@@ -10,7 +10,8 @@ import pytest
 from mot3d import association, kalman
 from mot3d import tracker as tracker_module
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
-from mot3d.core import ANGLE_INDEX, CLASS_LABELS, Box, Observation, trusted_box, wrap_angle
+from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, Box, Observation, observation_rows, trusted_box,
+                        wrap_angle)
 from mot3d.dataset_io import DEFAULT_MAHA_GATE, RunConfig
 from mot3d.errors import ConfigError, NumericalError, SchemaError, SequencingError
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
@@ -159,9 +160,9 @@ def test_newborn_track_is_detection_with_zero_velocity():
     detection = det(0, x=1.0, y=2.0, z=3.0, a=0.5)
     tracker.step(0, [detection])
     (track,) = tracker.tracks
-    np.testing.assert_array_equal(track.mean[:7], detection.observation.to_array())
+    np.testing.assert_array_equal(track.mean[:7], observation_rows([detection.observation])[0])
     np.testing.assert_array_equal(track.mean[7:], np.zeros(4))
-    np.testing.assert_array_equal(track.cov, noise.sigma0_matrix("car"))
+    np.testing.assert_array_equal(track.cov, np.diag(noise.classes["car"].sigma0))
 
 
 def test_matched_update_flips_predicted_yaw_not_covariance():
@@ -486,7 +487,8 @@ def test_iou_tracking_never_matches_a_pair_whose_iou_is_nan():
     frames = {0: [det(0, size=huge)], 1: [det(1, x=0.99e200, size=huge)]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert math.isnan(association.iou_3d(frames[0][0].observation, frames[1][0].observation))
+        rows = observation_rows(frames[k][0].observation for k in (0, 1))
+        assert math.isnan(association.iou_pairs(rows[:1], rows[1:])[0])
         for matcher in ("greedy", "hungarian"):
             config = RunConfig(affinity="iou", matcher=matcher, birth_hits=1)
             first, second = run_scene(frames, hand_noise(), config)

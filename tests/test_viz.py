@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from mot3d.core import Box, Observation
 from mot3d.viz import PALETTE, render_scene_svg, track_color, write_scene_svg
 
 CAR_SIZE = (4.0, 2.0, 1.5)
+GOLDEN_SHA256 = "51021ef26c5d789dd3eb50e5c424f7938ad210b6266caf53eecf01b7f46a55a0"
 
 
 def track_frames(n=5, track_id=1):
@@ -78,3 +81,22 @@ def test_y_axis_points_up():
                       score=0.9, track_id=1)]}
     svg = render_scene_svg(frames)
     assert 'scale(1,-1)' in svg.replace(" ", "")
+
+
+def test_scene_bytes_are_pinned():
+    # two classes, yawed track boxes (one facing away from +x), dashed
+    # ground truth and a title; the digest pins every byte, so a change
+    # to how the renderer computes corners cannot move a coordinate unseen
+    tracks = {frame: (Box(Observation(2.0 * frame, 0.5 * frame, 0, 0.3 + 0.1 * frame, *CAR_SIZE),
+                          "car", frame, "s", score=0.9, track_id=3),
+                      Box(Observation(-1.0, 3.0 + 0.7 * frame, 0, -2.5, 0.8, 0.6, 1.7),
+                          "pedestrian", frame, "s", score=0.6, track_id=14))
+              for frame in range(4)}
+    gt = {frame: [Box(Observation(2.0 * frame + 0.2, 0.5 * frame, 0, 0.35 + 0.1 * frame,
+                                  *CAR_SIZE), "car", frame, "s", instance_id="c0"),
+                  Box(Observation(-1.1, 3.0 + 0.7 * frame, 0, 0.6, 0.8, 0.6, 1.7),
+                      "pedestrian", frame, "s", instance_id="p0")]
+          for frame in range(5)}
+    svg = render_scene_svg(tracks, gt, title="golden <scene>")
+    assert svg.count("<polygon") == 18 and svg.count("<line") == 8
+    assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_SHA256
