@@ -7,15 +7,18 @@ between a detection and the predicted observation distribution, and the
 iou_pairs: it clips the footprints (footprint_corners, which viz draws
 too) of all the candidate pairs of a call together, one array pass per
 clip edge, and gives each pair the floats that clipping it alone with
-Python floats would give.  The tracker turns either into a plain (N, M)
+Python floats would give.  The Mahalanobis affinity also returns each
+scored pair's orientation-corrected predicted yaw, which the tracker's
+update takes.  The tracker turns either affinity into a plain (N, M)
 distance array and a limit per class (1 - IOU under 1 - T for a minimum
-IOU T), and two bipartite matchers take a class's block of it and return
-only its matched index pairs, never a non-finite one: a greedy
-nearest-first matcher and an optimal assignment (Hungarian) matcher with
-post-assignment thresholding.  Greedy reads only pairs below
-the limit, so for it the Mahalanobis affinity takes the limits and, on
-large blocks, solves only the pairs whose (x, y) marginal distance, a
-lower bound of the full one, falls within the gate.
+IOU T), and two bipartite matchers return only matched index pairs, never
+a non-finite one: a greedy nearest-first matcher, which takes a frame's
+whole array at once, and an optimal assignment (Hungarian) matcher with
+post-assignment thresholding, which takes one class's block.  Greedy
+reads only pairs below the limit, so for it the Mahalanobis affinity
+takes the limits and, on large blocks, solves only the pairs whose
+(x, y) marginal distance, a lower bound of the full one, falls within
+the gate.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ANGLE_INDEX, OBS_DIM, checked_rows, wrap_angle_array
+from .core import ANGLE_INDEX, OBS_DIM, checked_rows, wrap_angle_array, wrap_finite_array
 from .kalman import Prediction
 
 
@@ -35,10 +38,14 @@ from .kalman import Prediction
 class AffinityMatrix:
     """Pairwise affinities, rows = predictions, columns = detections.
 
-    perfbench/layers.py reads values; ROADMAP item 3 returns the bare array.
+    mahalanobis_affinity adds yaws, the (N, M) orientation-corrected
+    predicted yaw of each scored pair, which the tracker's update takes.
+    perfbench/layers.py reads values; ROADMAP item 3 returns the bare
+    array, with yaws kept as a second output beside it.
     """
 
     values: np.ndarray
+    yaws: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -68,19 +75,6 @@ def orientation_correct(predicted_angle, detected_angle):
     delta = wrap_angle_array(np.subtract(detected_angle, predicted_angle))
     return np.where(np.abs(delta) > math.pi / 2.0,
                     wrap_angle_array(predicted_angle + math.pi), predicted_angle)
-
-
-def _block_differences(minuends: np.ndarray, subtrahends: np.ndarray, blocks, kept) -> np.ndarray:
-    """minuends[cols] - subtrahends[rows, None] over each block's kept pairs, blocks joined.
-
-    kept holds each block's (row, column) index arrays, or None for every
-    pair; pairs are row-major.
-    """
-    parts = [np.subtract(minuends[cols], subtrahends[rows, None]).reshape(-1, *minuends.shape[1:])
-             if pairs is None
-             else np.subtract(minuends[cols][pairs[1]], subtrahends[rows][pairs[0]])
-             for (rows, cols), pairs in zip(blocks, kept)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # The (x, y) gate's relative margin, and the limits and magnitudes (S's
@@ -116,15 +110,16 @@ def _marginal_coefficients(s: np.ndarray, predicted: np.ndarray, limit: float) -
 
 
 def _kept_pairs(prediction: Prediction, predicted: np.ndarray, detected: np.ndarray,
-                blocks, limits) -> list:
-    """Per block, the (row, column) index arrays of the pairs the gate keeps, or None for all."""
-    kept, xs = [], None
-    with np.errstate(all="ignore"):  # rows and detections out of range give NaN: kept
-        for (rows, cols), limit in zip(blocks, limits or [None] * len(blocks)):
-            if (limit is None or len(predicted[rows]) * len(detected[cols]) < _GATE_MIN_PAIRS
-                    or not _GATE_LIMITS[0] <= limit <= _GATE_LIMITS[1]):
-                kept.append(None)
-                continue
+                blocks, limits) -> np.ndarray:
+    """The (N, M) mask of the pairs to score: every cell of each block the gate keeps."""
+    kept, xs = np.zeros((len(predicted), len(detected)), dtype=bool), None
+    for (rows, cols), limit in zip(blocks, limits or [None] * len(blocks)):
+        cells = kept[rows, cols]
+        if (limit is None or cells.size < _GATE_MIN_PAIRS
+                or not _GATE_LIMITS[0] <= limit <= _GATE_LIMITS[1]):
+            cells[...] = True
+            continue
+        with np.errstate(all="ignore"):  # rows and detections out of range give NaN: kept
             if xs is None:  # a NaN x keeps the detection's pairs, as NaN coefficients keep a row's
                 xs = np.where(np.abs(detected).max(axis=1) <= _GATE_SCALES[1],
                               detected[:, 0], math.nan)
@@ -136,26 +131,35 @@ def _kept_pairs(prediction: Prediction, predicted: np.ndarray, detected: np.ndar
             bound += b[:, None] * dy
             bound *= dx
             bound += c[:, None] * dy * dy
-            pairs = np.flatnonzero(~(bound > 1.0))
-            kept.append(np.divmod(pairs, dx.shape[1]) if len(pairs) < bound.size else None)
+            np.logical_not(bound > 1.0, out=cells)
     return kept
 
 
-def _residuals(detected: np.ndarray, predicted: np.ndarray, blocks, kept) -> np.ndarray:
-    """Detection less prediction over each block's kept pairs, row-major, blocks joined.
+def _residuals(detected: np.ndarray, predicted: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> tuple:
+    """Detection less prediction over the pairs (rows[k], cols[k]), and their predicted yaws.
 
-    The predicted yaws come wrapped.  Each pair's yaw is flipped as
-    orientation_correct flips it, with the same floats, but each row's
-    flipped yaw is wrapped once.
+    One pass covers every pair of the call, in stacks of _STACK_PAIRS so
+    that its temporaries stay small.  The predicted yaws come wrapped,
+    hence finite.  Each pair's yaw residual is taken against the row's
+    yaw and against that yaw flipped by pi, both wrapped in one call, and
+    the flip is kept where the first lies beyond pi/2 in magnitude: the
+    floats orientation_correct gives, with each row's flipped yaw wrapped
+    once.  The second array holds each pair's predicted yaw so corrected.
     """
-    flips = wrap_angle_array(predicted[:, ANGLE_INDEX] + math.pi)
-    flipped_delta = wrap_angle_array(_block_differences(detected[:, ANGLE_INDEX], flips, blocks,
-                                                        kept))
-    with np.errstate(over="ignore"):  # inf residuals fail the solve
-        nu = _block_differences(detected, predicted, blocks, kept)  # yaws less the wrapped yaws
-    delta = wrap_angle_array(nu[:, ANGLE_INDEX])
-    nu[:, ANGLE_INDEX] = np.where(np.abs(delta) > math.pi / 2.0, flipped_delta, delta)
-    return nu
+    nu, corrected = detected.take(cols, axis=0), np.empty(len(cols))
+    yaws = np.empty((len(predicted), 2))  # each row's yaw, and its flip
+    yaws[:, 0] = predicted[:, ANGLE_INDEX]
+    yaws[:, 1] = wrap_finite_array(predicted[:, ANGLE_INDEX] + math.pi)
+    for start in range(0, len(nu), _STACK_PAIRS):
+        stack = slice(start, start + _STACK_PAIRS)
+        pair_yaws = yaws.take(rows[stack], axis=0)
+        deltas = wrap_angle_array(nu[stack, ANGLE_INDEX, None] - pair_yaws)
+        nu[stack] -= predicted.take(rows[stack], axis=0)  # yaws less the wrapped yaws
+        flip = np.abs(deltas[:, 0]) > math.pi / 2.0
+        nu[stack, ANGLE_INDEX] = np.where(flip, deltas[:, 1], deltas[:, 0])
+        corrected[stack] = np.where(flip, pair_yaws[:, 1], pair_yaws[:, 0])
+    return nu, corrected
 
 
 def _quadratic_forms(prediction: Prediction, nu: np.ndarray, rows: list,
@@ -183,11 +187,14 @@ def mahalanobis_affinity(prediction: Prediction, detected: np.ndarray,
                          blocks=None, limits=None) -> AffinityMatrix:
     """Pairwise Mahalanobis distances of a stacked prediction and (M, 7) detection rows.
 
-    Only the pairs of blocks, (rows, columns) slices in ascending rows (by
-    default all pairs), are scored; the others score inf.  Every row of a
-    block is checked, factored and solved in order (_quadratic_forms), so
-    the first failing row is named, its residuals checked before its
-    factor, and every scored pair gets the floats it gets alone.
+    Only the pairs of blocks, (rows, columns) slices in ascending rows, no
+    two sharing a row (by default all pairs), are scored; the others score
+    inf.  Every row of a block is checked, factored and solved in order
+    (_quadratic_forms), so the first failing row is named, its residuals
+    checked before its factor, and every scored pair gets the floats it
+    gets alone.  The result's yaws hold each scored pair's predicted yaw
+    as orientation_correct corrects it, bit for bit; the other cells are
+    NaN.
 
     limits, one per block, gate each block of at least _GATE_MIN_PAIRS
     pairs for the greedy matcher, which reads only pairs below their
@@ -208,25 +215,16 @@ def mahalanobis_affinity(prediction: Prediction, detected: np.ndarray,
     blocks = blocks or [(slice(0, len(predicted)), slice(0, len(detected)))]
     predicted[:, ANGLE_INDEX] = wrap_angle_array(predicted[:, ANGLE_INDEX])
     kept = _kept_pairs(prediction, predicted, detected, blocks, limits)
-    nu = _residuals(detected, predicted, blocks, kept)
-    rows, counts = [], []
-    for (block_rows, cols), pairs in zip(blocks, kept):
-        block_rows = range(len(predicted))[block_rows]
-        rows += block_rows
-        counts += ([len(detected[cols])] * len(block_rows) if pairs is None
-                   else np.bincount(pairs[0], minlength=len(block_rows)).tolist())
-    with np.errstate(over="ignore"):  # inf distances never match
-        scores = _quadratic_forms(prediction, nu, rows, counts)
-    values, start = np.full((len(predicted), len(detected)), math.inf), 0
-    for (block_rows, cols), pairs in zip(blocks, kept):
-        cells = values[block_rows, cols]
-        if pairs is None:
-            cells[:] = scores[start:start + cells.size].reshape(cells.shape)
-            start += cells.size
-        else:
-            cells[pairs] = scores[start:start + len(pairs[0])]
-            start += len(pairs[0])
-    return AffinityMatrix(np.sqrt(values, out=values))
+    pair_rows, pair_cols = np.divmod(np.flatnonzero(kept), len(detected))  # block by block
+    counts = np.bincount(pair_rows, minlength=len(predicted)).tolist()
+    rows = [row for block_rows, _ in blocks for row in range(len(predicted))[block_rows]]
+    with np.errstate(over="ignore"):  # inf residuals fail the solve, inf distances never match
+        nu, pair_yaws = _residuals(detected, predicted, pair_rows, pair_cols)
+        del pair_rows, pair_cols  # kept through the solves, they would pass two blocks
+        scores = _quadratic_forms(prediction, nu, rows, [counts[row] for row in rows])
+    values, yaws = np.full(kept.shape, math.inf), np.full(kept.shape, math.nan)
+    values[kept], yaws[kept] = scores, pair_yaws
+    return AffinityMatrix(np.sqrt(values, out=values), yaws)
 
 
 def _z_extents(rows: np.ndarray) -> tuple:

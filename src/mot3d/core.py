@@ -51,6 +51,11 @@ def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError("angles must be finite")
+    return wrap_finite_array(theta)
+
+
+def wrap_finite_array(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle_array's floats, unchecked: for a float array its caller knows is finite."""
     return (theta + math.pi) % _TWO_PI - math.pi
 
 
@@ -151,7 +156,7 @@ def checked_rows(rows: np.ndarray) -> np.ndarray:
     valid = np.isfinite(rows).all(axis=1) & (rows[:, 4:] > 0.0).all(axis=1)
     if not valid.all():
         Observation(*rows[np.argmin(valid)].tolist())
-    rows[:, ANGLE_INDEX] = wrap_angle_array(rows[:, ANGLE_INDEX])
+    rows[:, ANGLE_INDEX] = wrap_finite_array(rows[:, ANGLE_INDEX])
     return rows
 
 

@@ -4,10 +4,15 @@ One bank per scene holds the live tracks of every class, by class label
 and then track_id, with their stacked means, covariances, Q and R.  A
 frame sorts its detections by class, so each class is one block of bank
 rows and one of detection columns.  One predict call forecasts the bank,
-one affinity call scores the pairs within each class, the matcher runs on
-each class's block, and one update call conditions the matched rows;
-unmatched detections are born at the end of their class's block, fresh
-ids going by class label and then input order.  A track is reported once
+one affinity call scores the pairs within each class, and one update call
+conditions the matched rows.  Greedy matching runs once per frame, over
+the whole distance array (no pair between two classes is a candidate);
+Hungarian matching runs on each class's block.  Under Mahalanobis the
+update takes each matched pair's orientation-corrected yaw from the
+affinity, which formed it; under IOU orientation_correct forms it.
+Unmatched detections are born at the end of their class's block, fresh
+ids going by class label and then input order; a frame with deaths only
+keeps the live rows of each stack.  A track is reported once
 matched on birth_hits consecutive frames, and dropped after death_misses
 unmatched ones.  A NumericalError names the first failing row: the
 affinity's, by class and track_id, before the update's, by class and
@@ -16,6 +21,8 @@ best-first.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping, Sequence
@@ -75,6 +82,26 @@ class SceneStats:
     born: int = 0
     confirmed: int = 0
     died: int = 0
+
+
+def _greedy_pairs(distances: np.ndarray, blocks: list, limits: list) -> tuple:
+    """Rows and columns of one greedy pass per block under its own limit, block by block.
+
+    No cell between blocks is a candidate (the affinity leaves it inf, or 1
+    against an IOU limit below 1), so once each block's cells at or beyond
+    its own limit read inf, in distances itself, one pass under the largest
+    limit takes the same pairs; a stable sort by block restores their order.
+    """
+    limit = max(limits)
+    for (r, c), own in zip(blocks, limits):
+        if own < limit:
+            cells = distances[r, c]
+            cells[cells >= own] = math.inf
+    pairs = MATCHERS["greedy"](distances, float(limit)).pairs
+    if len(blocks) > 1:
+        starts = [r.start for r, _ in blocks]
+        pairs = sorted(pairs, key=lambda pair: bisect_right(starts, pair[0]))
+    return [i for i, _ in pairs], [j for _, j in pairs]
 
 
 def _spans(labels: list) -> dict:
@@ -157,24 +184,28 @@ class MultiObjectTracker:
             prediction = predict(means, covs, self._q, self._r)
             means, covs = prediction.mean, prediction.cov  # unmatched rows coast on these
         if blocks:
-            scored = blocks.values()
+            scored, greedy, yaws = list(blocks.values()), config.matcher == "greedy", None
             if config.affinity == "iou":  # a pair matches only when its IOU exceeds T
                 distances = 1.0 - iou_affinity(prediction, detected, blocks=scored).values
-                limits, limit = {}, 1.0 - config.iou_threshold
+                limits = [1.0 - config.iou_threshold] * len(scored)
             else:
-                limits, limit = config.class_maha_thresholds, config.maha_threshold
+                limits = [config.class_maha_thresholds.get(label, config.maha_threshold)
+                          for label in blocks]
                 # greedy reads only the pairs below their class's gate; the
                 # pairs beyond it steer a Hungarian assignment
-                gates = ([limits.get(label, limit) for label in blocks]
-                         if config.matcher == "greedy" else None)
-                distances = mahalanobis_affinity(prediction, detected, blocks=scored,
-                                                 limits=gates).values
-            for label, (r, c) in blocks.items():
-                pairs = MATCHERS[config.matcher](distances[r, c], limits.get(label, limit)).pairs
-                rows += [r.start + i for i, _ in pairs]
-                cols += [c.start + j for _, j in pairs]
+                affinity = mahalanobis_affinity(prediction, detected, blocks=scored,
+                                                limits=limits if greedy else None)
+                distances, yaws = affinity.values, affinity.yaws
+            if greedy:
+                rows, cols = _greedy_pairs(distances, scored, limits)
+            else:
+                for (r, c), limit in zip(scored, limits):
+                    pairs = MATCHERS[config.matcher](distances[r, c], limit).pairs
+                    rows += [r.start + i for i, _ in pairs]
+                    cols += [c.start + j for _, j in pairs]
         if rows:  # the order the update first needs each factor in
-            yaws = orientation_correct(means[rows, ANGLE_INDEX], detected[cols, ANGLE_INDEX])
+            yaws = (orientation_correct(means[rows, ANGLE_INDEX], detected[cols, ANGLE_INDEX])
+                    if yaws is None else yaws[rows, cols])
             means[rows], covs[rows] = update(prediction, detected[cols], yaws, rows)
         return means, covs, rows, cols
 
@@ -189,8 +220,8 @@ class MultiObjectTracker:
             tracks[i].consecutive_hits = 0
         keep = [i for i, t in enumerate(tracks) if t.consecutive_misses < self.config.death_misses]
         born = sorted(set(range(len(ordered))).difference(cols))  # by class, then input order
-        if born or len(keep) < len(tracks):
-            self.stats.died += len(tracks) - len(keep)
+        self.stats.died += len(tracks) - len(keep)
+        if born:
             self.stats.born += len(born)
             newborn = [Track(self._next_id + k, ordered[j].class_label) for k, j in enumerate(born)]
             self._next_id += len(born)  # fresh ids exceed every live one
@@ -200,17 +231,24 @@ class MultiObjectTracker:
             labels = [t.class_label for t in everyone]
             # each class's kept rows, then its newborn rows: a stable sort by class
             index = sorted(keep + list(range(len(tracks), len(everyone))), key=labels.__getitem__)
-            tracks, labels = [everyone[k] for k in index], [labels[k] for k in index]
-            if index == list(range(len(everyone))):
-                index = slice(None)  # no deaths, and each newborn row already ends its class
-            fresh = np.concatenate([detected[born], np.zeros((len(born), STATE_DIM - OBS_DIM))], 1)
-            means = np.concatenate([means, fresh])[index]
-            sigma0 = self._newborn[0][[self._classes[t.class_label] for t in newborn]]
-            covs = np.concatenate([covs, sigma0])[index]
+            tracks = [everyone[k] for k in index]
+            fresh = np.zeros((len(born), STATE_DIM))  # at rest, where it was detected
+            fresh[:, :OBS_DIM] = detected.take(born, axis=0)
+            sigma0 = self._newborn[0].take([self._classes[t.class_label] for t in newborn], axis=0)
+            means, covs = np.concatenate([means, fresh]), np.concatenate([covs, sigma0])
+            if index != list(range(len(everyone))):  # deaths, or births amid the bank
+                means, covs = means.take(index, axis=0), covs.take(index, axis=0)
+            labels = [labels[k] for k in index]
             sizes = [labels.count(label) for label in self._classes]  # rows per class, by label
-            self._q, self._r = (np.repeat(matrix, sizes, axis=0) for matrix in self._newborn[1:])
+            self._q, self._r = (matrix.repeat(sizes, axis=0) for matrix in self._newborn[1:])
+        elif len(keep) < len(tracks):  # deaths only: each stack keeps its live rows
+            tracks, labels = [tracks[k] for k in keep], [tracks[k].class_label for k in keep]
+            means, covs, self._q, self._r = (
+                stack.take(keep, axis=0) for stack in (means, covs, self._q, self._r))
+        if tracks is not self._bank:  # regrouped
             self._rows = _spans(labels)
-            self._by_id = sorted(range(len(tracks)), key=lambda k: tracks[k].track_id)
+            ids = [t.track_id for t in tracks]
+            self._by_id = sorted(range(len(ids)), key=ids.__getitem__)
             self.tracks = [tracks[k] for k in self._by_id]
         for track, mean, cov in zip(tracks, means, covs):
             track.mean, track.cov = mean, cov

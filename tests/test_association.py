@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from mot3d import association
 from mot3d.association import (greedy_center_match, greedy_match, hungarian_match,
                                mahalanobis_affinity, orientation_correct)
-from mot3d.core import OBS_DIM, Observation, observation_residual, observation_rows, wrap_angle
+from mot3d.core import (OBS_DIM, Observation, observation_residual, observation_rows, wrap_angle,
+                        wrap_angle_array)
 from mot3d.dataset_io import DEFAULT_MAHA_GATE
 from mot3d.errors import NumericalError
 from mot3d.kalman import Prediction
@@ -100,6 +101,45 @@ def test_mahalanobis_affinity_applies_orientation_correction():
     corrected = mahalanobis_affinity(stacked([pred]), observation_rows([obs])).values[0, 0]
     assert raw > 2.0
     assert corrected == pytest.approx(0.01, abs=1e-9)
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+def test_affinity_yaws_equal_orientation_correct_bit_for_bit(gated):
+    # the tracker's update takes each matched pair's corrected yaw from
+    # the affinity; it must be the float orientation_correct gives.
+    # Predicted yaws span +-pi (some unwrapped), and detections sit a
+    # quarter turn away, to within an ulp either side, or anywhere.
+    rng = np.random.default_rng(23)
+    quarter = math.pi / 2.0
+    offsets = [quarter, -quarter, math.nextafter(quarter, 0.0), math.nextafter(quarter, 4.0),
+               math.nextafter(-quarter, 0.0), math.nextafter(-quarter, -4.0), math.pi, 0.0]
+    n, m = 24, 30
+    mean = np.zeros((n, 11))
+    mean[:, :2] = rng.normal(scale=2.0, size=(n, 2))
+    mean[:, 3] = rng.choice([-math.pi, math.nextafter(math.pi, 0.0), 0.0, 3.0 * math.pi, -7.0,
+                             *rng.uniform(-math.pi, math.pi, 8)], n)
+    mean[:, 4:7] = rng.uniform(1.0, 5.0, (n, 3))
+    detected = mean[rng.integers(n, size=m), :7].copy()
+    detected[:, :2] += rng.normal(size=(m, 2))
+    detected[:, 3] = [rng.choice([rng.uniform(-math.pi, math.pi), yaw + rng.choice(offsets)])
+                      for yaw in mean[rng.integers(n, size=m), 3]]
+    prediction = Prediction(mean, np.broadcast_to(np.eye(11), (n, 11, 11)),
+                            np.broadcast_to(np.eye(7), (n, 7, 7)))
+    if gated:  # one block of 720 pairs, gated
+        blocks, limits = [(slice(0, n), slice(0, m))], [1.0]
+    else:  # two blocks; the cells between them are not scored
+        blocks, limits = [(slice(0, 10), slice(0, 12)), (slice(10, n), slice(12, m))], None
+    result = mahalanobis_affinity(prediction, detected, blocks=blocks, limits=limits)
+    expected = orientation_correct(mean[:, 3, None], detected[None, :, 3])
+    scored = ~np.isnan(result.yaws)
+    in_blocks = np.zeros((n, m), dtype=bool)
+    for rows, cols in blocks:
+        in_blocks[rows, cols] = True
+    assert (scored <= in_blocks).all() and (np.isfinite(result.values) <= scored).all()
+    assert (0 < scored.sum() < n * m) if gated else (scored == in_blocks).all()
+    assert result.yaws[scored].tobytes() == expected[scored].tobytes()
+    flipped = result.yaws[scored] != wrap_angle_array(mean[np.nonzero(scored)[0], 3])
+    assert flipped.any() and not flipped.all()
 
 
 def test_mahalanobis_affinity_matches_per_pair_loop():

@@ -8,16 +8,20 @@ per class; its outputs must equal the reference's bit for bit.
 """
 
 import math
+import unittest.mock
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mot3d import association
-from mot3d.association import MATCHERS, iou_affinity, mahalanobis_affinity, orientation_correct
+from mot3d import tracker as tracker_module
+from mot3d.association import (MATCHERS, greedy_match, iou_affinity, mahalanobis_affinity,
+                               orientation_correct)
 from mot3d.calibration import calibrate
 from mot3d.core import ANGLE_INDEX, OBS_DIM, STATE_DIM, checked_rows, observation_rows, trusted_box
-from mot3d.dataset_io import RunConfig
+from mot3d.dataset_io import DEFAULT_MAHA_GATE, RunConfig
 from mot3d.errors import NumericalError
 from mot3d.kalman import predict, update
 from mot3d.synthetic import (generate_suite, standard_suite, standard_suite_calibration,
@@ -173,6 +177,56 @@ def test_the_scene_bank_equals_the_per_class_trackers(config, suite_noise, multi
         assert_same_as_reference(frames, suite_noise, config)
         classes_per_frame += [len({d.class_label for d in boxes}) for boxes in frames.values()]
     assert max(classes_per_frame) == 3
+
+
+# Cells drawn from a few values so that ties, limits met exactly and
+# non-finite entries are common.
+DISTANCES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, DEFAULT_MAHA_GATE, math.inf,
+                                       -math.inf, math.nan]),
+                      st.floats(0.0, 50.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_greedy_pass_equals_the_per_class_passes(data):
+    # the tracker matches every class of a frame in one greedy call; it
+    # must pick the pairs, in the order, that one greedy call per class
+    # under the class's own limit picks.  Limits lie below and above the
+    # global gate, one of them an int.  Under Mahalanobis the cells
+    # between classes read inf; under IOU they read 1 against 1 - T.
+    shape = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                               min_size=1, max_size=4))
+    iou = data.draw(st.booleans())
+    if iou:
+        limits = [1.0 - data.draw(st.sampled_from([0.1, 0.5, 1e-20]))] * len(shape)
+    else:
+        limits = data.draw(st.lists(st.sampled_from([DEFAULT_MAHA_GATE, 0.5, 2.0, 40.0, 3]),
+                                    min_size=len(shape), max_size=len(shape)))
+    blocks, r0, c0 = [], 0, 0
+    for rows, cols in shape:
+        blocks.append((slice(r0, r0 + rows), slice(c0, c0 + cols)))
+        r0, c0 = r0 + rows, c0 + cols
+    distances = np.full((r0, c0), 1.0 if iou else math.inf)
+    for rows, cols in blocks:
+        cells = distances[rows, cols]
+        cells[...] = np.reshape(data.draw(st.lists(DISTANCES, min_size=cells.size,
+                                                   max_size=cells.size)), cells.shape)
+
+    expected_rows, expected_cols = [], []
+    for (rows, cols), limit in zip(blocks, limits):
+        pairs = greedy_match(distances[rows, cols], limit).pairs
+        expected_rows += [rows.start + i for i, _ in pairs]
+        expected_cols += [cols.start + j for _, j in pairs]
+    limits_seen = []
+
+    def greedy(cells, limit):
+        limits_seen.append(limit)
+        return greedy_match(cells, limit)
+
+    with unittest.mock.patch.dict(tracker_module.MATCHERS, greedy=greedy):
+        rows, cols = tracker_module._greedy_pairs(distances.copy(), blocks, limits)
+    assert (rows, cols) == (expected_rows, expected_cols)
+    assert len(limits_seen) == 1 and type(limits_seen[0]) is float
 
 
 def test_fresh_ids_go_by_class_label_then_input_order():
