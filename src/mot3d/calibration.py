@@ -10,15 +10,16 @@ extents are constant.
 
 Observation noise R is the per-class variance of the residual between
 detections and the annotations they match (greedy, 2D center distance
-under a 2 meter gate).  Initial covariances copy R for the observed
+under a 2 meter gate), read frame by frame from the ground truth.
+calibrate builds the initial covariances: R for the observed
 components and the Q velocity entries for the velocity components.
 
 Both passes run over arrays.  A track's second differences are one
 difference of its (n, 4) poses, the yaw column wrapped, the difference
 of neighbouring rows, and a mask that keeps the rows whose three frames
 are consecutive.  Residuals are formed per frame and class with one
-call over the matched (k, 7) rows.  Rows keep the order of the tracks
-and frames, so every variance sums its samples in a fixed order.
+call over the matched (k, 7) rows.  Q's samples keep the order of the
+tracks, R's that of the frames, so every variance sums in a fixed order.
 
 All variances are population variances (divide by the sample count).
 """
@@ -32,7 +33,6 @@ import numpy as np
 
 from .association import greedy_center_match
 from .core import (
-    ANGLE_INDEX,
     CLASS_LABELS,
     OBS_DIM,
     STATE_DIM,
@@ -40,7 +40,6 @@ from .core import (
     checked_rows,
     observation_residual,
     observation_rows,
-    wrap_angle_array,
 )
 from .dataset_io import number_list, read_json, write_json
 from .errors import CalibrationError, SchemaError
@@ -160,19 +159,9 @@ def _second_differences(track: GroundTruthTrack) -> np.ndarray:
     differences are taken once, their yaw column wrapped, and each
     kept row is the difference of two neighbouring steps.
     """
-    steps = np.diff(track.poses, axis=0)
-    steps[:, ANGLE_INDEX] = wrap_angle_array(steps[:, ANGLE_INDEX])
+    steps = observation_residual(track.poses[1:], track.poses[:-1])
     unit = np.diff(track.frames) == 1
     return (steps[1:] - steps[:-1])[unit[:-1] & unit[1:]]
-
-
-def _q_from_pose_variance(pose_var: np.ndarray) -> np.ndarray:
-    q = np.zeros(STATE_DIM)
-    q[0:4] = pose_var
-    # Extents are constant in the motion model: no process noise.
-    # Velocity entries reuse the position-level variances.
-    q[7:11] = pose_var
-    return q
 
 
 def _pool(samples: Mapping[str, list], labels: Sequence[str], pooled: bool) -> list:
@@ -208,85 +197,71 @@ def estimate_process_noise(gt_tracks: Sequence[GroundTruthTrack],
                 f"{MIN_SECOND_DIFFERENCES} second differences, got {len(rows)}" if pooled else
                 f"class {labels[0]!r} has {len(rows)} second differences; "
                 f"at least {MIN_SECOND_DIFFERENCES} are required")
-        q = _q_from_pose_variance(np.var(rows, axis=0))
+        pose_var = np.var(rows, axis=0)
+        # Extents are constant in the motion model: no process noise.
+        # Velocity entries reuse the position-level variances.
+        q = np.concatenate([pose_var, np.zeros(3), pose_var])
         out.update((label, q.copy()) for label in labels)
     return out
 
 
-def _gt_rows_by_frame(gt_tracks: Sequence[GroundTruthTrack]) -> tuple:
-    """Every annotation as one (x, y, z, yaw, l, w, h) row, in track order.
-
-    Returns the (n, 7) rows, held to Observation's rules by
-    core.checked_rows, and (scene, frame) -> class -> row indices.
-    """
-    blocks = []
-    groups: dict = {}
-    start = 0
-    for track in gt_tracks:
-        blocks.append(np.hstack([track.poses, track.sizes]))
-        for row, frame_index in enumerate(track.frames, start):
-            groups.setdefault((track.scene_id, frame_index), {}).setdefault(
-                track.class_label, []).append(row)
-        start += len(track.frames)
-    return checked_rows(np.concatenate(blocks) if blocks else np.empty((0, OBS_DIM))), groups
-
-
-def estimate_observation_noise(gt_tracks: Sequence[GroundTruthTrack],
+def estimate_observation_noise(ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
                                detections: Mapping[str, Mapping[int, Sequence[Box]]],
-                               process_noise: Mapping[str, np.ndarray] | None = None,
                                pooled: bool = False,
                                gate: float = CALIBRATION_GATE) -> dict:
-    """Per-class (R diagonal, initial covariance diagonal) from residuals.
+    """Per-class R diagonals from detection-to-annotation residuals.
 
-    Detections are matched to annotations per frame and class by
-    greedy 2D center distance under the gate; the per-component
-    variance of the matched residuals is R.  The initial covariance
-    copies R for the observed components and the Q velocity entries
-    for the velocities (process_noise is estimated from the same
-    tracks when not supplied).
+    Scenes and frames are walked in sorted order.  In each frame, every
+    class's annotations, in the order the frame lists them, are matched
+    to its detections by greedy 2D center distance under the gate; the
+    per-component variance of the matched residuals is R.  Every class
+    that has annotations gets an R, and one without a matched pair
+    raises CalibrationError.
     """
-    if process_noise is None:
-        process_noise = estimate_process_noise(gt_tracks, pooled=pooled)
-    residuals: dict = {label: [] for label in process_noise}
-    gt_rows, gt_by_frame = _gt_rows_by_frame(gt_tracks)
-    for (scene_id, frame_index), by_class in sorted(gt_by_frame.items()):
-        frame_detections = detections.get(scene_id, {}).get(frame_index, [])
-        for label in sorted(by_class):
-            det_rows = observation_rows(box.observation for box in frame_detections
-                                        if box.class_label == label)
-            if not len(det_rows):
-                continue
-            gt_block = gt_rows[by_class[label]]
-            result = greedy_center_match(gt_block, det_rows, gate)
-            if result.pairs:
-                gi, dj = zip(*result.pairs)
-                residuals.setdefault(label, []).append(
-                    observation_residual(det_rows[list(dj)], gt_block[list(gi)]))
+    residuals: dict = {}
+    for scene_id in sorted(ground_truth):
+        for frame_index, annotations in sorted(ground_truth[scene_id].items()):
+            frame_detections = detections.get(scene_id, {}).get(frame_index, [])
+            for label in sorted({box.class_label for box in annotations}):
+                blocks = residuals.setdefault(label, [])
+                det_rows = observation_rows(box.observation for box in frame_detections
+                                            if box.class_label == label)
+                if not len(det_rows):
+                    continue
+                gt_rows = checked_rows(observation_rows(
+                    box.observation for box in annotations if box.class_label == label))
+                result = greedy_center_match(gt_rows, det_rows, gate)
+                if result.pairs:
+                    gi, dj = zip(*result.pairs)
+                    blocks.append(observation_residual(det_rows[list(dj)], gt_rows[list(gi)]))
+    labels = sorted(residuals)
     out = {}
-    for labels, rows in _pool(residuals, sorted(process_noise), pooled):
+    for group, rows in _pool({label: residuals[label] for label in labels}, labels, pooled):
         if not len(rows):
             raise CalibrationError(
                 "no detection matched any annotation within the gate" if pooled else
-                f"class {labels[0]!r} has zero matched detection/annotation pairs")
+                f"class {group[0]!r} has zero matched detection/annotation pairs")
         r = np.var(rows, axis=0)
-        for label in labels:
-            out[label] = (r.copy(), np.concatenate([r, process_noise[label][7:11]]))
+        out.update((label, r.copy()) for label in group)
     return out
 
 
 def calibrate(ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
               detections: Mapping[str, Mapping[int, Sequence[Box]]],
               pooled: bool = False) -> NoiseModel:
-    """Estimate a full NoiseModel from a ground-truth and detection split."""
+    """Estimate a full NoiseModel from a ground-truth and detection split.
+
+    Q comes first, so its errors are raised before R's.  Each class's
+    initial covariance is its R followed by its Q velocity entries.
+    """
     gt_tracks = tracks_from_ground_truth(ground_truth)
     if not gt_tracks:
         raise CalibrationError("ground truth holds no boxes to calibrate from")
     process = estimate_process_noise(gt_tracks, pooled=pooled)
-    observation = estimate_observation_noise(
-        gt_tracks, detections, process_noise=process, pooled=pooled)
+    observation = estimate_observation_noise(ground_truth, detections, pooled=pooled)
     return NoiseModel({
-        label: ClassNoise(process[label], observation[label][0], observation[label][1])
-        for label in process
+        label: ClassNoise(q, observation[label], np.concatenate([observation[label], q[7:11]]))
+        for label, q in process.items()
     })
 
 

@@ -310,6 +310,10 @@ def _cmd_plot(args) -> int:
     if single_file and len(scene_ids) > 1:
         raise ConfigError("--out names one .svg but the input holds "
                           f"{len(scene_ids)} scenes; pass --scene or a directory")
+    for scene_id in scene_ids if not single_file else ():
+        if any(sep and sep in scene_id for sep in ("/", os.sep, os.altsep, "\0")):
+            raise ConfigError(f"scene {scene_id!r} does not name one file in {args.out}; "
+                              "pass --scene and a .svg --out")
     for scene_id in scene_ids:
         path = args.out if single_file else os.path.join(args.out, f"{scene_id}.svg")
         write_scene_svg(path, tracks[scene_id], ground_truth.get(scene_id),

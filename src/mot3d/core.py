@@ -160,10 +160,9 @@ def checked_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def observation_residual(observation: np.ndarray, predicted: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """observation - predicted over (..., 7) arrays with the yaw wrapped, into out if given."""
-    nu = np.subtract(observation, predicted, out=out)
+def observation_residual(observation: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """observation - predicted over (..., k) arrays, k >= 4, with the yaw (column 3) wrapped."""
+    nu = np.subtract(observation, predicted)
     nu[..., ANGLE_INDEX] = wrap_angle_array(nu[..., ANGLE_INDEX])
     return nu
 

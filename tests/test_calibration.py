@@ -147,11 +147,8 @@ def test_translation_and_scene_order_invariance():
 def test_observation_noise_constant_offset_has_zero_variance():
     gt = gt_dict([make_track([1.0 * t for t in range(6)])])
     dets = shifted_detections(gt, dx=0.5)
-    zero_q = {"car": np.zeros(11)}
-    r, sigma0 = estimate_observation_noise(
-        tracks_from_ground_truth(gt), dets, process_noise=zero_q)["car"]
+    r = estimate_observation_noise(gt, dets)["car"]
     np.testing.assert_array_equal(r, np.zeros(7))
-    np.testing.assert_array_equal(sigma0, np.zeros(11))
 
 
 def test_observation_noise_alternating_offset_exact():
@@ -162,8 +159,7 @@ def test_observation_noise_alternating_offset_exact():
         offset = 0.25 if frame % 2 == 0 else -0.25
         obs = Observation(0.0, offset, 0.0, 0.0, *CAR_SIZE)
         dets["s0"][frame] = [Box(obs, "car", frame, "s0", score=0.9)]
-    r, _ = estimate_observation_noise(
-        [track], dets, process_noise={"car": np.zeros(11)})["car"]
+    r = estimate_observation_noise(gt, dets)["car"]
     assert r[1] == 0.0625
     assert r[0] == 0.0
 
@@ -175,26 +171,41 @@ def test_observation_noise_wraps_angle_residuals():
         0: [Box(Observation(0, 0, 0, -math.pi + 0.01, *CAR_SIZE), "car", 0, "s0", score=0.9)],
         1: [Box(Observation(0, 0, 0, math.pi - 0.01, *CAR_SIZE), "car", 1, "s0", score=0.9)],
     }}
-    r, _ = estimate_observation_noise(
-        [track], dets, process_noise={"car": np.zeros(11)})["car"]
+    r = estimate_observation_noise(gt_dict([track]), dets)["car"]
     # residuals wrap to +-0.02 instead of +-(2*pi - 0.02)
     assert r[3] == pytest.approx(0.0004, abs=1e-15)
 
 
 def test_matching_gate_is_strict():
-    track = make_track([0.0] * 4)
-    zero_q = {"car": np.zeros(11)}
-    inside = shifted_detections(gt_dict([track]), dx=1.9)
-    r, _ = estimate_observation_noise([track], inside, process_noise=zero_q)["car"]
+    gt = gt_dict([make_track([0.0] * 4)])
+    inside = shifted_detections(gt, dx=1.9)
+    r = estimate_observation_noise(gt, inside)["car"]
     assert r[0] == 0.0  # constant offset matched on every frame
     for dx in (CALIBRATION_GATE, 2.1):
-        outside = shifted_detections(gt_dict([track]), dx=dx)
+        outside = shifted_detections(gt, dx=dx)
         with pytest.raises(CalibrationError, match="car"):
-            estimate_observation_noise([track], outside, process_noise=zero_q)
-    wide, _ = estimate_observation_noise(
-        [track], shifted_detections(gt_dict([track]), dx=2.5),
-        process_noise=zero_q, gate=3.0)["car"]
+            estimate_observation_noise(gt, outside)
+    wide = estimate_observation_noise(gt, shifted_detections(gt, dx=2.5), gate=3.0)["car"]
     assert wide[0] == 0.0
+
+
+def test_equidistant_annotations_go_to_the_one_the_frame_lists_first():
+    # Frame 1 lists B before A, and the detection lies 0.5 m from each.
+    # A, seen since frame 0, must not win the tie: greedy takes the
+    # first-listed annotation, as the evaluator does.
+    def annotation(y, frame, instance):
+        return Box(Observation(0.0, y, 0.0, 0.0, *CAR_SIZE), "car", frame, "s0",
+                   instance_id=instance)
+
+    def detection(y, frame):
+        return Box(Observation(0.0, y, 0.0, 0.0, *CAR_SIZE), "car", frame, "s0", score=0.9)
+
+    gt = {"s0": {0: [annotation(0.0, 0, "A")],
+                 1: [annotation(-0.5, 1, "B"), annotation(0.5, 1, "A")]}}
+    dets = {"s0": {0: [detection(-1.0, 0)], 1: [detection(0.0, 1)]}}
+    r = estimate_observation_noise(gt, dets)["car"]
+    assert r[1] == 0.5625  # residuals -1.0 and +0.5; A would give -0.5 and 0.0625
+    assert r[0] == 0.0
 
 
 def test_calibrate_sigma0_structure():

@@ -359,6 +359,26 @@ def test_plot_directory_and_single_file(pipeline, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scene_id", ["../escaped", "{tmp}/abs", "sub/dir", "nul\0byte"])
+def test_plot_rejects_a_scene_id_that_is_not_one_file_name(pipeline, tmp_path, capsys, scene_id):
+    scene_id = scene_id.format(tmp=tmp_path)
+    with open(pipeline["tracks"]) as handle:
+        data = json.load(handle)
+    data[scene_id] = data.pop(sorted(key for key in data if not key.startswith("_"))[-1])
+    tracks = tmp_path / "work" / "tracks.json"
+    tracks.parent.mkdir()
+    tracks.write_text(json.dumps(data))
+    out_dir = tmp_path / "work" / "plots"
+    out_dir.mkdir()
+    assert main(["plot", "--tracks", str(tracks), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mot3d: error: ") and repr(scene_id) in err
+    assert len(err.splitlines()) == 1
+    # checked before any scene is drawn: not even the well-named ones are written
+    assert [os.path.join(root, name) for root, _, names in os.walk(tmp_path)
+            for name in names] == [str(tracks)]
+
+
 def test_unwritable_outputs_exit_one(pipeline, tmp_path, capsys):
     # one error line each; an OSError escaping main() as a traceback fails here
     afile = tmp_path / "afile"
