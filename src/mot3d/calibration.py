@@ -90,11 +90,11 @@ class NoiseModel:
         return label in self.classes
 
     @classmethod
-    def default_covariance(cls, labels: Sequence[str] = CLASS_LABELS) -> "NoiseModel":
-        """Heuristic fallback: every diagonal entry is one."""
+    def default_covariance(cls) -> "NoiseModel":
+        """Heuristic fallback for every class: each diagonal entry is one."""
         return cls({
             label: ClassNoise(np.ones(STATE_DIM), np.ones(OBS_DIM), np.ones(STATE_DIM))
-            for label in labels
+            for label in CLASS_LABELS
         })
 
 
@@ -142,6 +142,9 @@ def tracks_from_ground_truth(
                     raise CalibrationError(
                         f"instance {box.instance_id!r} in scene {scene_id!r} "
                         f"changes class from {label!r} to {box.class_label!r}")
+                if frames and frames[-1] == frame_index:
+                    raise CalibrationError(f"instance {box.instance_id!r} in scene {scene_id!r} "
+                                           f"appears twice in frame {frame_index}")
                 obs = box.observation
                 frames.append(frame_index)
                 poses.append((obs.x, obs.y, obs.z, obs.a))

@@ -122,11 +122,11 @@ def write_json(payload, path: str):
 
 
 def positive_number(value) -> bool:
-    """A real number above zero that fits a float (JSON integers may not)."""
+    """A finite real number above zero that fits a float (JSON integers may not)."""
     if isinstance(value, bool) or not isinstance(value, Real):
         return False
     try:
-        return float(value) > 0.0
+        return 0.0 < float(value) < math.inf
     except OverflowError:
         return False
 

@@ -107,8 +107,9 @@ class RecallSample:
     score_threshold: float
     reachable: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_dict(self) -> dict:  # a class without track boxes has a NaN threshold: null in JSON
+        threshold = self.score_threshold
+        return {**asdict(self), "score_threshold": None if math.isnan(threshold) else threshold}
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ Hungarian matching runs on each class's block.  Under Mahalanobis the
 update takes each matched pair's orientation-corrected yaw from the
 affinity, which formed it; under IOU orientation_correct forms it.
 Unmatched detections are born at the end of their class's block, fresh
-ids going by class label and then input order; a frame with deaths only
-keeps the live rows of each stack.  A track is reported once
-matched on birth_hits consecutive frames, and dropped after death_misses
-unmatched ones.  A NumericalError names the first failing row: the
-affinity's, by class and track_id, before the update's, by class and
-best-first.
+ids going by class label and then input order; a frame with births or
+deaths regroups every stack through one stable sort of its rows by
+class.  A track is reported once matched on birth_hits consecutive
+frames, and dropped after death_misses unmatched ones.  A NumericalError
+names the first failing row: the affinity's, by class and track_id,
+before the update's, by class and best-first.
 """
 
 from __future__ import annotations
@@ -221,34 +221,26 @@ class MultiObjectTracker:
         keep = [i for i, t in enumerate(tracks) if t.consecutive_misses < self.config.death_misses]
         born = sorted(set(range(len(ordered))).difference(cols))  # by class, then input order
         self.stats.died += len(tracks) - len(keep)
-        if born:
+        if born or len(keep) < len(tracks):  # regroup
             self.stats.born += len(born)
             newborn = [Track(self._next_id + k, ordered[j].class_label) for k, j in enumerate(born)]
             self._next_id += len(born)  # fresh ids exceed every live one
             for track, j in zip(newborn, born):
                 self._hit(track, ordered[j].score)
             everyone = tracks + newborn
-            labels = [t.class_label for t in everyone]
+            kinds = [self._classes[t.class_label] for t in everyone]  # positions in label order
             # each class's kept rows, then its newborn rows: a stable sort by class
-            index = sorted(keep + list(range(len(tracks), len(everyone))), key=labels.__getitem__)
-            tracks = [everyone[k] for k in index]
+            index = sorted(keep + list(range(len(tracks), len(everyone))), key=kinds.__getitem__)
             fresh = np.zeros((len(born), STATE_DIM))  # at rest, where it was detected
             fresh[:, :OBS_DIM] = detected.take(born, axis=0)
-            sigma0 = self._newborn[0].take([self._classes[t.class_label] for t in newborn], axis=0)
-            means, covs = np.concatenate([means, fresh]), np.concatenate([covs, sigma0])
-            if index != list(range(len(everyone))):  # deaths, or births amid the bank
-                means, covs = means.take(index, axis=0), covs.take(index, axis=0)
-            labels = [labels[k] for k in index]
-            sizes = [labels.count(label) for label in self._classes]  # rows per class, by label
-            self._q, self._r = (matrix.repeat(sizes, axis=0) for matrix in self._newborn[1:])
-        elif len(keep) < len(tracks):  # deaths only: each stack keeps its live rows
-            tracks, labels = [tracks[k] for k in keep], [tracks[k].class_label for k in keep]
-            means, covs, self._q, self._r = (
-                stack.take(keep, axis=0) for stack in (means, covs, self._q, self._r))
-        if tracks is not self._bank:  # regrouped
-            self._rows = _spans(labels)
-            ids = [t.track_id for t in tracks]
-            self._by_id = sorted(range(len(ids)), key=ids.__getitem__)
+            sigma0 = self._newborn[0].take(kinds[len(tracks):], axis=0)
+            means = np.concatenate([means, fresh]).take(index, axis=0)
+            covs = np.concatenate([covs, sigma0]).take(index, axis=0)
+            self._q, self._r = (matrix.take([kinds[k] for k in index], axis=0)
+                                for matrix in self._newborn[1:])
+            tracks = [everyone[k] for k in index]
+            self._rows = _spans([t.class_label for t in tracks])
+            self._by_id = sorted(range(len(tracks)), key=[t.track_id for t in tracks].__getitem__)
             self.tracks = [tracks[k] for k in self._by_id]
         for track, mean, cov in zip(tracks, means, covs):
             track.mean, track.cov = mean, cov

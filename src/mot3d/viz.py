@@ -20,6 +20,7 @@ PALETTE = (
 )
 
 GT_STYLE = 'fill="none" stroke="#999999" stroke-width="0.08" stroke-dasharray="0.4 0.3"'
+WIDTH = 900  # pixels; the height keeps the scene's aspect ratio
 
 
 def track_color(track_id: int) -> str:
@@ -41,7 +42,7 @@ def _heading_tick(observation, corners, color: str) -> str:
 
 
 def render_scene_svg(track_frames: Mapping, gt_frames: Mapping | None = None,
-                     title: str = "", width: int = 900) -> str:
+                     title: str = "") -> str:
     """Render every frame of one scene into a single overlaid SVG.
 
     track_frames maps frame index to track boxes; gt_frames optionally
@@ -80,10 +81,10 @@ def render_scene_svg(track_frames: Mapping, gt_frames: Mapping | None = None,
     pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
-    height = int(round(width * (y1 - y0) / (x1 - x0))) or width
+    height = int(round(WIDTH * (y1 - y0) / (x1 - x0))) or WIDTH
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
         f'viewBox="{x0:.2f} {y0:.2f} {x1 - x0:.2f} {y1 - y0:.2f}">',
         # flip y so north is up; translate keeps the viewBox valid
         f'<g transform="translate(0,{y0 + y1:.2f}) scale(1,-1)">',

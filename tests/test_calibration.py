@@ -227,6 +227,15 @@ def test_instance_class_change_rejected():
         tracks_from_ground_truth(scene)
 
 
+def test_instance_repeated_in_a_frame_rejected():
+    # a box file cannot hold this (its loader rejects a repeated instance_id);
+    # a mapping built in Python can, and calibrate must raise a CalibrationError for it
+    box = Box(Observation(0, 0, 0, 0, *CAR_SIZE), "car", 4, "s0", instance_id="i0")
+    with pytest.raises(CalibrationError,
+                       match="instance 'i0' in scene 's0' appears twice in frame 4"):
+        calibrate({"s0": {4: [box, box]}}, {})
+
+
 def test_same_instance_id_in_two_scenes_stays_separate():
     a = make_track([0.0, 1.0], scene="s0", frames=[0, 1])
     b = make_track([50.0, 51.0], scene="s1", frames=[0, 1])

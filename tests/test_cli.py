@@ -18,9 +18,18 @@ from mot3d.dataset_io import load_tracks, write_detections
 SUBCOMMANDS = ("calibrate", "track", "evaluate", "simulate", "ablate", "plot")
 
 
+def load_strict_json(path):
+    """A file's JSON, refusing the NaN and Infinity tokens that json.load accepts."""
+    def refuse(token):
+        raise ValueError(f"{path} holds {token}, which is not JSON")
+
+    with open(path) as handle:
+        return json.load(handle, parse_constant=refuse)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """One full simulate -> calibrate -> track run shared by the module."""
+    """One full simulate -> calibrate -> track -> evaluate run shared by the module."""
     root = tmp_path_factory.mktemp("cli-pipeline")
     paths = {
         "cal_gt": str(root / "cal_gt.json"),
@@ -29,6 +38,7 @@ def pipeline(tmp_path_factory):
         "det": str(root / "det.json"),
         "noise": str(root / "noise.json"),
         "tracks": str(root / "tracks.json"),
+        "report": str(root / "report.json"),
     }
     assert main(["simulate", "--preset", "standard-calibration",
                  "--out-ground-truth", paths["cal_gt"],
@@ -42,6 +52,8 @@ def pipeline(tmp_path_factory):
     assert main(["track", "--detections", paths["det"],
                  "--noise-model", paths["noise"],
                  "--out", paths["tracks"]]) == 0
+    assert main(["evaluate", "--ground-truth", paths["gt"], "--tracks", paths["tracks"],
+                 "--out", paths["report"]]) == 0
     return paths
 
 
@@ -73,12 +85,10 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_pipeline_files_exist(pipeline):
-    for key in ("cal_gt", "cal_det", "gt", "det", "noise", "tracks"):
-        with open(pipeline[key]) as handle:
-            data = json.load(handle)
+    for key in ("cal_gt", "cal_det", "gt", "det", "noise", "tracks", "report"):
+        data = load_strict_json(pipeline[key])
         assert isinstance(data, dict) and data
-    with open(pipeline["tracks"]) as handle:
-        meta = json.load(handle)["_meta"]
+    meta = load_strict_json(pipeline["tracks"])["_meta"]
     assert meta["tool"] == "mot3d-track"
     assert meta["configuration"]["matcher"] == "greedy"
 
@@ -219,6 +229,20 @@ def test_evaluate_reports_per_class(pipeline, tmp_path, capsys):
         assert f" best motar {best['motar']:.4f} " in line
         assert line.endswith(f"ids {best['ids']} fp {best['fp']} fn {best['fn']}")
     assert any(re.fullmatch(r"evaluated in \d+\.\d\ds", line) for line in lines)
+
+
+def test_evaluate_without_track_boxes_writes_strict_json(tmp_path, capsys):
+    # a class without track boxes has no score threshold: null, never NaN
+    gt, det, tracks, report = (str(tmp_path / name)
+                               for name in ("gt.json", "det.json", "t.json", "r.json"))
+    assert main(["simulate", "--preset", "noiseless",
+                 "--out-ground-truth", gt, "--out-detections", det]) == 0
+    (tmp_path / "t.json").write_text("{}")
+    assert main(["evaluate", "--ground-truth", gt, "--tracks", tracks, "--out", report]) == 0
+    capsys.readouterr()
+    classes = load_strict_json(report)["classes"]
+    samples = [sample for entry in classes.values() for sample in entry["samples"]]
+    assert samples and all(sample["score_threshold"] is None for sample in samples)
 
 
 def test_evaluate_rejects_bad_sample_count(pipeline, capsys):
@@ -489,7 +513,11 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
     cases += [ablate + [f"--{axis}", ","]
               for axis in ("affinities", "matchers", "noise", "angular")]
     cases += [command + [f"--gate={gate}"]
-              for command in (evaluate, ablate) for gate in ("nan", "0", "-1")]
+              for command in (evaluate, ablate) for gate in ("nan", "0", "-1", "inf")]
+    # an infinite gate or threshold would be written as Infinity, which is not JSON
+    infinite = [evaluate + ["--gate=inf", "--out", out],
+                track + ["--default-covariance", "--maha-threshold", "inf"]]
+    cases += infinite
     for argv in cases:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -503,6 +531,8 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
             # one error line, no numpy overflow warning before it
             assert err.count("\n") == 1, err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if any(argv is case for case in infinite):
+            assert err.count("\n") == 1 and not os.path.exists(out), err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -283,6 +283,7 @@ def test_run_config_defaults_and_validation():
         dict(affinity="center"),
         dict(score_mode="max"),
         dict(maha_threshold=0.0),
+        dict(maha_threshold=math.inf),
         dict(iou_threshold=1.0),
         dict(iou_threshold=0.0),
         dict(birth_hits=0),
@@ -291,6 +292,7 @@ def test_run_config_defaults_and_validation():
         dict(amota_samples=1),
         dict(class_maha_thresholds={"griffin": 2.0}),
         dict(class_maha_thresholds={"car": 0.0}),
+        dict(class_maha_thresholds={"car": math.inf}),
         # values of the wrong type used to escape as TypeError
         dict(maha_threshold="x"),
         dict(maha_threshold=10 ** 400),

@@ -214,7 +214,7 @@ def test_amota_input_validation():
             amota({}, gt, n=n)
     with pytest.raises(ValueError):
         amota({}, {"s": {0: []}}, n=3)
-    for gate in (math.nan, 0.0, -1.0, "2"):
+    for gate in (math.nan, 0.0, -1.0, "2", math.inf):
         with pytest.raises(ValueError, match="gate"):
             amota({}, gt, n=3, gate=gate)
 
