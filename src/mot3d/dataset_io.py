@@ -159,7 +159,7 @@ class RunConfig:
         if self.score_mode not in SCORE_MODES:
             raise ConfigError(f"score_mode must be one of {SCORE_MODES}, got {self.score_mode!r}")
         if not positive_number(self.maha_threshold):
-            raise ConfigError("maha_threshold must be a positive number")
+            raise ConfigError("maha_threshold must be a finite positive number")
         if not positive_number(self.iou_threshold) or not self.iou_threshold < 1.0:
             raise ConfigError("iou_threshold must lie strictly between 0 and 1")
         if not isinstance(self.class_maha_thresholds, Mapping):
@@ -168,7 +168,8 @@ class RunConfig:
             if label not in CLASS_LABELS:
                 raise ConfigError(f"per-class threshold for unknown class {label!r}")
             if not positive_number(value):
-                raise ConfigError(f"per-class threshold for {label!r} must be a positive number")
+                raise ConfigError(f"per-class threshold for {label!r} must be a finite "
+                                  "positive number")
         if not isinstance(self.angular_velocity, bool):
             raise ConfigError(f"angular_velocity must be a boolean, got {self.angular_velocity!r}")
         for name in ("birth_hits", "death_misses"):

@@ -36,7 +36,7 @@ class SequencingError(Mot3dError):
 
 
 class NumericalError(Mot3dError):
-    """Linear algebra failed; carries the offending matrix condition estimate."""
+    """Filter arithmetic failed; carries the offending matrix's condition estimate, if any."""
 
     location = ""  # scene, frame, class and track, filled in by callers that know them
 

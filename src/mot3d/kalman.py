@@ -6,12 +6,12 @@ rows of such a stack.  The motion model is linear constant-velocity over
 discrete frames, so both steps are the textbook equations, with the yaw
 re-wrapped after every additive operation.  A row gets exactly the bits
 it gets in a one-row stack: A and H hold only 0/1 entries, numpy runs
-one BLAS kernel per slice, and each row's S is factored once, on first
-use, by LAPACK potrf.  Finiteness is checked once per stack, not per
-row: the S of every row on the first factor, and the right-hand sides of
-a stack of solves by their caller, whose Python bools the solves then
-test row by row.  Bad input or a failed factorization is surfaced as
-NumericalError, never silently regularized.
+one BLAS kernel per slice, and each row's S is factored once, by LAPACK
+potrf on the row's first solve.  Finiteness is checked once per stack,
+not per row: the S of every row on the first solve, and the right-hand
+sides of a stack of solves by their caller, whose Python bools the
+solves then test row by row.  Bad input or a failed factorization is
+surfaced as NumericalError, never silently regularized.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class Prediction:
 
     mean[k, :7] is row k's predicted observation, and innovation_cov[k]
     is the covariance of (observation - predicted observation), i.e. the
-    gating distribution for data association.  factor, solve and update
-    take int rows of the stack.  The first factor checks every row's S
-    for finiteness in one pass; each row is then factored once, on first
-    use.
+    gating distribution for data association.  solve and update take
+    int rows of the stack.  The first solve checks every row's S for
+    finiteness in one pass; a row's S is factored on the row's first
+    solve, and its factor kept for the rest.
     """
 
     mean: np.ndarray
@@ -60,29 +60,25 @@ class Prediction:
         """Whether each row's S is finite, for the whole stack at once."""
         return np.isfinite(self.innovation_cov).all(axis=(-2, -1))
 
-    def factor(self, row: int) -> np.ndarray:
-        """Lower Cholesky factor of S at a row; NumericalError if S is not finite and PD."""
+    def solve(self, rhs: np.ndarray, row: int, finite: bool) -> np.ndarray:
+        """S^-1 rhs at a row, rhs (7,) or (7, K), factoring S on the row's first solve.
+
+        finite is the caller's check of rhs, one of the bools it took for
+        its whole stack; NumericalError if it failed, then if S is not
+        finite and positive definite.
+        """
+        if not finite:
+            raise NumericalError("residual or covariance is not finite", row=row)
         factor = self._factors.get(row)
         if factor is None:
             if not self._finite[row]:
                 raise NumericalError("innovation covariance is not finite", row=row)
-            s = self.innovation_cov[row]
-            factor, info = _POTRF(s, lower=True, clean=False)
+            factor, info = _POTRF(s := self.innovation_cov[row], lower=True, clean=False)
             if info:
                 raise NumericalError("innovation covariance is not positive definite",
                                      condition=float(np.linalg.cond(s)), row=row)
             self._factors[row] = factor
-        return factor
-
-    def solve(self, rhs: np.ndarray, row: int, finite: bool) -> np.ndarray:
-        """S^-1 rhs at a row, rhs (7,) or (7, K).
-
-        finite is the caller's check of rhs, one of the bools it took for
-        its whole stack; NumericalError if it failed, before S is checked.
-        """
-        if not finite:
-            raise NumericalError("residual or covariance is not finite", row=row)
-        return _POTRS(self.factor(row), rhs, lower=True)[0]
+        return _POTRS(factor, rhs, lower=True)[0]
 
 
 def predict(mean: np.ndarray, cov: np.ndarray, process_noise: np.ndarray,
@@ -106,11 +102,11 @@ def update(prediction: Prediction, observation: np.ndarray, yaw: np.ndarray,
            rows: list) -> tuple:
     """Condition K rows of a stacked prediction on their matched (K, 7) observations.
 
-    rows are listed in the order their factors are first needed, and yaw
-    (K,) replaces each row's predicted yaw (the orientation-corrected
-    one).  K = Sigma H^T S^-1, mean <- mean + K nu, Sigma <- (I - K H)
-    Sigma, with the yaw residual wrapped before it enters the correction.
-    Returns the posterior (mean, cov) of the rows.
+    rows are listed in the order their factors are first needed, and yaw (K,)
+    replaces each row's predicted yaw (the orientation-corrected one).
+    K = Sigma H^T S^-1, mean <- mean + K nu, Sigma <- (I - K H) Sigma, with the
+    yaw residual wrapped before it enters the correction.  Returns the rows'
+    posterior (mean, cov); NumericalError at the first non-positive extent.
     """
     sigma = prediction.cov[rows]
     predicted = prediction.mean[rows]
@@ -126,5 +122,7 @@ def update(prediction: Prediction, observation: np.ndarray, yaw: np.ndarray,
 
     mean = predicted + (gain @ nu[:, :, None])[:, :, 0]
     mean[:, ANGLE_INDEX] = wrap_angle_array(mean[:, ANGLE_INDEX])
+    if not (positive := mean[:, 4:OBS_DIM] > 0.0).all():  # a gain of 1 can round l + (z - l) to 0
+        raise NumericalError("posterior extent is not positive", row=rows[positive.all(1).argmin()])
     cov = symmetrize((np.eye(STATE_DIM) - gain @ OBSERVATION_MATRIX) @ sigma)
     return mean, cov

@@ -306,7 +306,7 @@ def check_amota_args(n: int, gate: float):
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if not positive_number(gate):
-        raise ValueError(f"gate must be a positive number, got {gate!r}")
+        raise ValueError(f"gate must be a finite positive number, got {gate!r}")
 
 
 def amota(tracks: Mapping[str, Mapping[int, Sequence[Box]]],

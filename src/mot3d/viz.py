@@ -8,7 +8,7 @@ decimals.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .association import footprint_corners
 from .core import observation_rows

@@ -204,6 +204,27 @@ def test_overflowing_residual_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_posterior_extent_rounded_to_zero_exits_two(tmp_path, capsys):
+    # R's l entry 0 puts a gain of exactly 1 on l, so on frame 2
+    # l + (z - l) rounds to 0.0 for a detection far shorter than the track
+    r = np.ones(7)
+    r[4] = 0.0
+    noise_path = tmp_path / "noise.json"
+    save_noise_model(NoiseModel({"car": ClassNoise(np.ones(11), r, np.ones(11))}), str(noise_path))
+    detections = {"s": {f: [Box(Observation(0, 0, 0, 0, l, 2, 1.5), "car", f, "s", score=0.9)]
+                        for f, l in enumerate((1.0, 1.0, 1e-17))}}
+    det_path = tmp_path / "det.json"
+    write_detections(detections, str(det_path))
+    out = tmp_path / "t.json"
+    assert main(["track", "--detections", str(det_path), "--noise-model", str(noise_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mot3d: numerical error: scene s, frame 2, class car, track 1: "
+                          "posterior extent is not positive"), err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_evaluate_reports_per_class(pipeline, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert main(["evaluate", "--tracks", pipeline["tracks"],
@@ -533,6 +554,7 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if any(argv is case for case in infinite):
             assert err.count("\n") == 1 and not os.path.exists(out), err
+            assert "must be a finite positive number" in err, err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -304,6 +304,10 @@ def test_run_config_defaults_and_validation():
     for overrides in cases:
         with pytest.raises(ConfigError):
             RunConfig(**overrides)
+    # inf is positive: the message names the rule that it breaks
+    for overrides in (dict(maha_threshold=math.inf), dict(class_maha_thresholds={"car": math.inf})):
+        with pytest.raises(ConfigError, match="must be a finite positive number$"):
+            RunConfig(**overrides)
 
 
 def test_config_dict_round_trip():

@@ -17,7 +17,7 @@ import pytest
 from mot3d.association import orientation_correct
 from mot3d.core import OBS_DIM, OBSERVATION_MATRIX, STATE_DIM, TRANSITION_MATRIX, wrap_angle
 from mot3d.errors import NumericalError
-from mot3d.kalman import _POTRF, Prediction, predict, update
+from mot3d.kalman import _POTRF, _POTRS, Prediction, predict, update
 
 ANGLE = 3
 
@@ -274,6 +274,39 @@ def test_stacked_update_names_the_first_failing_row_in_update_order(bad_sigma_ro
     assert info.value.row == named
 
 
+def test_a_posterior_extent_rounded_to_zero_names_the_first_such_row_in_update_order():
+    # a zero variance on l in R gives l a gain of exactly 1, so
+    # l + (z - l) rounds to 0.0 when z is far below l
+    covs = np.stack([np.eye(STATE_DIM)] * 3)
+    covs[:, 4, 4] = 0.0
+    r = np.eye(OBS_DIM)
+    r[4, 4] = 0.0
+    prediction = predict(state(0, 0, 0, 0, 1, 1, 1)[None].repeat(3, axis=0), covs,
+                         np.eye(STATE_DIM), r)
+    observed = prediction.mean[:, :OBS_DIM].copy()
+    observed[:2, 4] = 1e-17
+    rows = [2, 0, 1]
+    with pytest.raises(NumericalError, match="^posterior extent is not positive") as info:
+        update(prediction, observed[rows], prediction.mean[rows, ANGLE], rows)
+    assert info.value.row == 0
+    # a detection merely shorter than the track keeps a positive extent
+    observed[:2, 4] = 0.5
+    mean, _ = update(prediction, observed[rows], prediction.mean[rows, ANGLE], rows)
+    assert mean[:, 4].tolist() == [1.0, 0.5, 0.5]
+
+
+def test_a_row_failing_both_checks_is_named_for_its_right_hand_side():
+    # solve tests the caller's finiteness flag before it checks and
+    # factors S, also on the row's first solve
+    prediction = predict(state(0, 0, 0, 0, 1, 1, 1)[None], np.eye(STATE_DIM)[None],
+                         np.eye(STATE_DIM), np.eye(OBS_DIM))
+    prediction.cov[0, 1, 5] = math.nan
+    prediction.innovation_cov[0] = -np.eye(OBS_DIM)
+    with pytest.raises(NumericalError, match="^residual or covariance is not finite") as info:
+        update(prediction, prediction.mean[:, :OBS_DIM], prediction.mean[:, ANGLE], [0])
+    assert info.value.row == 0
+
+
 def test_update_of_no_rows_is_empty():
     prediction = predict(np.zeros((2, STATE_DIM)), np.stack([np.eye(STATE_DIM)] * 2),
                          np.eye(STATE_DIM), np.eye(OBS_DIM))
@@ -339,8 +372,9 @@ def test_stacked_calls_equal_one_row_stacks_bit_for_bit():
             assert np.array_equal(one.innovation_cov[0], (s + s.T) / 2.0)
             # one LAPACK potrf per row, never a batched Cholesky with other rounding
             expected = np.tril(_POTRF(one.innovation_cov[0], lower=True, clean=False)[0])
-            assert np.array_equal(np.tril(stacked.factor(k)), expected)
-            assert np.array_equal(np.tril(one.factor(0)), expected)
+            inverse = _POTRS(expected, np.eye(OBS_DIM), lower=True)[0]
+            assert np.array_equal(stacked.solve(np.eye(OBS_DIM), k, True), inverse)
+            assert np.array_equal(one.solve(np.eye(OBS_DIM), 0, True), inverse)
 
         # a subset of rows in shuffled order, against observations that
         # straddle the seam or face away from the prediction

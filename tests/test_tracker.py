@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mot3d import association, kalman
 from mot3d import tracker as tracker_module
@@ -13,7 +14,7 @@ from mot3d.calibration import ClassNoise, NoiseModel, calibrate
 from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, Box, Observation, observation_rows, trusted_box,
                         wrap_angle)
 from mot3d.dataset_io import DEFAULT_MAHA_GATE, RunConfig
-from mot3d.errors import ConfigError, NumericalError, SchemaError, SequencingError
+from mot3d.errors import ConfigError, Mot3dError, NumericalError, SchemaError, SequencingError
 from mot3d.synthetic import (calibration_scenario, generate, generate_suite, standard_suite,
                              standard_suite_calibration, turning_scenario)
 from mot3d.tracker import MultiObjectTracker, run_scene
@@ -607,6 +608,44 @@ def test_first_failing_pair_of_an_iou_class_step_is_named():
         tracker.step(2, [det(2, x=x + (0.5 if x == 20.0 else 0.0)) for x in xs])
     assert str(info.value).startswith(
         "frame 2, class car, track 4: innovation covariance is not positive definite")
+
+
+def noise_diagonal(size):
+    return st.lists(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e6, 1e150]),
+                    min_size=size, max_size=size)
+
+
+COORDINATES = st.sampled_from([0.0, 1.0, -1.0, 1e6, -1e6, 1e150, -1e150, 1e300, -1e300])
+EXTENTS = st.sampled_from([1e-300, 1e-17, 1e-6, 1.0, 4.0, 1e6, 1e150])
+# (class, center, yaw, extents, score) of one detection
+DETECTIONS = st.tuples(st.sampled_from(["car", "pedestrian"]), st.tuples(*[COORDINATES] * 3),
+                       st.sampled_from([-math.pi, -1.5, 0.0, 1.5, 3.1]),
+                       st.tuples(*[EXTENTS] * 3), st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=noise_diagonal(11), r=noise_diagonal(7), sigma0=noise_diagonal(11),
+       frames=st.lists(st.lists(DETECTIONS, max_size=3), min_size=1, max_size=4),
+       affinity=st.sampled_from(["mahalanobis", "iou"]),
+       matcher=st.sampled_from(["greedy", "hungarian"]), birth_hits=st.integers(1, 3))
+# R's l entry 0 gives l a gain of 1, so l + (z - l) rounds to 0.0 on frame 2
+@example(q=[1.0] * 11, r=[1.0] * 4 + [0.0, 1.0, 1.0], sigma0=[1.0] * 11,
+         frames=[[("car", (0.0, 0.0, 0.0), 0.0, (l, 2.0, 1.5), 0.9)] for l in (1.0, 1.0, 1e-17)],
+         affinity="mahalanobis", matcher="greedy", birth_hits=1)
+def test_only_toolkit_errors_escape_tracking(q, r, sigma0, frames, affinity, matcher, birth_hits):
+    # any valid noise model on any valid detections, extreme magnitudes
+    # included: every step returns its output or raises a Mot3dError
+    noise = NoiseModel({label: ClassNoise(np.array(q), np.array(r), np.array(sigma0))
+                        for label in ("car", "pedestrian")})
+    tracker = MultiObjectTracker(noise, RunConfig(affinity=affinity, matcher=matcher,
+                                                  birth_hits=birth_hits))
+    try:
+        for frame_index, detections in enumerate(frames):
+            tracker.step(frame_index, [
+                Box(Observation(*center, yaw, *size), label, frame_index, "s", score=score)
+                for label, center, yaw, size, score in detections])
+    except Mot3dError:
+        pass
 
 
 def newborn_row(noise, config) -> tuple:
