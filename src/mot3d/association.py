@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ANGLE_INDEX, OBS_DIM, checked_rows, wrap_angle_array, wrap_finite_array
 from .kalman import Prediction
@@ -453,7 +452,8 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     pairs at or beyond the limit are then removed, mirroring trackers
     that filter an optimal assignment instead of gating inside it.
     NaN and +-inf pairs never match: the assignment keeps as many finite
-    pairs as any can, and among those minimizes their total.
+    pairs as any can, and among those minimizes their total.  The first
+    call that solves imports scipy.optimize, which greedy runs never load.
     """
     if distances.size == 0:
         return MatchResult(())
@@ -471,6 +471,7 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
         # is exact (bar subnormals), so it keeps every comparison of totals.
         scale = 2.0 ** -math.frexp(magnitudes.max())[1]
         costs, infeasible = distances * scale, 1.0 + 2.0 * (magnitudes * scale).sum()
+    from scipy.optimize import linear_sum_assignment  # loaded on first use, never by greedy runs
     rows, cols = linear_sum_assignment(np.where(finite, costs, infeasible))
     pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
              if finite[i, j] and distances[i, j] < limit]

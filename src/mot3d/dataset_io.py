@@ -31,6 +31,9 @@ files are streamed a frame at a time from a fixed text per record, and
 scene ids starting with an underscore are rejected.  Every output file
 is written atomically: a temp file in the target directory replaces
 the target only once it is complete.
+
+DEFAULT_MAHA_GATE is the literal that sqrt(2 * gammaincinv(3.5, 0.95)) gives,
+held bit-equal by a test, so importing this module loads no scipy.special.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from numbers import Real
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from scipy.special import gammaincinv
-
 from .core import CLASS_LABELS, Box, Observation, finite_real, trusted_box
 from .errors import ConfigError, SchemaError
 
@@ -57,9 +58,9 @@ if TYPE_CHECKING:
     from .tracker import FrameOutput
 
 # Gate on the Mahalanobis distance: sqrt of the 95th percentile of a
-# chi-squared with 7 degrees of freedom (one per observed component),
-# which is twice the same quantile of a gamma with shape 7/2.
-DEFAULT_MAHA_GATE = math.sqrt(2.0 * gammaincinv(3.5, 0.95))
+# chi-squared with 7 degrees of freedom (one per observed component):
+# sqrt(2 * gammaincinv(3.5, 0.95)), via the gamma of shape 7/2.
+DEFAULT_MAHA_GATE = 3.7506186755440987
 
 MATCHER_NAMES = ("greedy", "hungarian")
 AFFINITY_NAMES = ("mahalanobis", "iou")

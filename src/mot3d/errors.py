@@ -40,11 +40,13 @@ class NumericalError(Mot3dError):
 
     location = ""  # scene, frame, class and track, filled in by callers that know them
 
-    def __init__(self, message, condition=float("nan"), row=None):
+    def __init__(self, message, condition=None, row=None):
         self.condition = condition
         self.row = row  # the failing row of a stacked prediction
         super().__init__(message)
 
     def __str__(self):
-        text = f"{self.args[0]} (condition estimate: {self.condition:.3e})"
+        text = self.args[0]
+        if self.condition is not None:
+            text += f" (condition estimate: {self.condition:.3e})"
         return f"{self.location}: {text}" if self.location else text

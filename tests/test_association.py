@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import unittest.mock
 import warnings
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mot3d
 from mot3d import association
 from mot3d.association import (greedy_center_match, greedy_match, hungarian_match,
                                mahalanobis_affinity, orientation_correct)
@@ -443,6 +447,22 @@ def test_hungarian_filters_on_original_distances():
     result = hungarian_match(matrix, 4.0)
     assert result.pairs == ((0, 0),)
     assert unmatched(result, (2, 2)) == ([1], [1])
+
+
+def test_hungarian_imports_its_solver_on_first_use():
+    # this process loaded scipy.optimize long ago; only a fresh one shows when
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from mot3d.association import hungarian_match",
+        "before = 'scipy.optimize' in sys.modules",
+        "nan, inf = float('nan'), float('inf')",
+        "values = np.array([[nan, 1.0, 4.0], [2.0, inf, 0.5], [0.25, 3.0, inf]])",
+        "print(before, hungarian_match(values, 3.5).pairs, 'scipy.optimize' in sys.modules)"])
+    src = os.path.dirname(os.path.dirname(mot3d.__file__))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "False ((2, 0), (1, 2), (0, 1)) True\n"
 
 
 def test_match_empty_inputs():

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -125,6 +127,23 @@ def test_parallel_jobs_match_serial(pipeline, tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_hungarian_workers_import_the_solver_on_their_own(pipeline, tmp_path):
+    # this process loaded scipy.optimize long ago; only fresh interpreters
+    # show that forked workers import it on their first Hungarian call
+    src = os.path.dirname(os.path.dirname(dataset_io.__file__))
+    tracks = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        subprocess.run([sys.executable, "-m", "mot3d", "track", "--detections", pipeline["det"],
+                        "--noise-model", pipeline["noise"], "--matcher", "hungarian",
+                        "--jobs", jobs, "--out", str(out)],
+                       capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        tracks.append(out.read_bytes())
+    assert json.loads(tracks[0])["_meta"]["configuration"]["matcher"] == "hungarian"
+    assert len(load_tracks(str(out))) == 3
+    assert tracks[0] == tracks[1]
+
+
 def test_negative_jobs_rejected(pipeline, tmp_path, capsys):
     assert main(["track", "--detections", pipeline["det"],
                  "--noise-model", pipeline["noise"],
@@ -223,6 +242,27 @@ def test_posterior_extent_rounded_to_zero_exits_two(tmp_path, capsys):
                           "posterior extent is not positive"), err
     assert err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_an_error_without_a_condition_estimate_ends_with_its_message(tmp_path, capsys):
+    # only a not-positive-definite S has an estimate to append
+    r = np.ones(7)
+    r[4] = 0.0
+    noise_path = tmp_path / "noise.json"
+    save_noise_model(NoiseModel({"car": ClassNoise(np.ones(11), r, np.ones(11))}), str(noise_path))
+    det_path = tmp_path / "det.json"
+    cases = [(["--default-covariance"], [(1e308, 4.0), (-1e308, 4.0)],
+              "residual or covariance is not finite"),
+             (["--noise-model", str(noise_path)], [(0.0, 1.0), (0.0, 1.0), (0.0, 1e-17)],
+              "posterior extent is not positive")]
+    for noise_args, boxes, message in cases:
+        write_detections({"s": {f: [Box(Observation(x, 0, 0, 0, l, 2, 1.5), "car", f, "s",
+                                        score=0.9)] for f, (x, l) in enumerate(boxes)}},
+                         str(det_path))
+        assert main(["track", "--detections", str(det_path), *noise_args,
+                     "--out", str(tmp_path / "t.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"track 1: {message}\n"), err
 
 
 def test_evaluate_reports_per_class(pipeline, tmp_path, capsys):

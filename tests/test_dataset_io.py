@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import gammaincinv
 from scipy.stats import chi2
 
 import mot3d
@@ -37,20 +38,26 @@ def write_json(path, payload):
 
 
 def test_default_gate_value():
+    # the gate is written as a literal; both formulas pin it bit for bit
     assert DEFAULT_MAHA_GATE == math.sqrt(chi2.ppf(0.95, 7))
+    assert DEFAULT_MAHA_GATE == math.sqrt(2.0 * gammaincinv(3.5, 0.95))
     assert DEFAULT_MAHA_GATE == pytest.approx(3.7506186755440987)
     assert type(DEFAULT_MAHA_GATE) is float
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import, and the gate needs only scipy.special
+    # scipy.linalg serves the filter; the gate is a literal, and
+    # hungarian_match imports scipy.optimize on its first call
     src = os.path.dirname(os.path.dirname(mot3d.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, mot3d; print('\\n'.join(sys.modules))"],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    modules = set(out.stdout.split())
-    assert "mot3d.tracker" in modules and "scipy.special" in modules
-    assert "scipy.stats" not in modules
+    for module in ("mot3d", "mot3d.cli"):
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print('\\n'.join(sys.modules))"],
+            capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        modules = set(out.stdout.split())
+        assert "mot3d.tracker" in modules and "scipy.linalg" in modules, module
+        assert "scipy.special" not in modules, module
+        assert "scipy.optimize" not in modules, module
+        assert "scipy.stats" not in modules, module
 
 
 def test_detection_round_trip(tmp_path):
