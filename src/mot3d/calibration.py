@@ -37,7 +37,6 @@ from .core import (
     OBS_DIM,
     STATE_DIM,
     Box,
-    checked_rows,
     observation_residual,
     observation_rows,
 )
@@ -61,12 +60,11 @@ class ClassNoise:
 
     def __post_init__(self):
         for name, size in (("q", STATE_DIM), ("r", OBS_DIM), ("sigma0", STATE_DIM)):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (size,):
                 raise ValueError(f"{name} diagonal must have shape ({size},), got {arr.shape}")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
                 raise ValueError(f"{name} diagonal must be finite and non-negative")
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -100,14 +98,13 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class GroundTruthTrack:
-    """One annotated instance: its frames, poses (x, y, z, yaw), and sizes."""
+    """One annotated instance: its frames and a read-only copy of its poses (x, y, z, yaw)."""
 
     class_label: str
     instance_id: str
     scene_id: str
     frames: tuple
     poses: np.ndarray
-    sizes: np.ndarray
 
     def __post_init__(self):
         frames = tuple(int(f) for f in self.frames)
@@ -115,29 +112,24 @@ class GroundTruthTrack:
             raise ValueError("track must cover at least one frame")
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError("track frames must be strictly increasing")
-        poses = np.asarray(self.poses, dtype=float)
-        sizes = np.asarray(self.sizes, dtype=float)
-        if poses.shape != (len(frames), 4) or sizes.shape != (len(frames), 3):
-            raise ValueError("poses must be (n, 4) and sizes (n, 3) matching the frame count")
-        poses = poses.copy()
-        sizes = sizes.copy()
+        poses = np.array(self.poses, dtype=float)
+        if poses.shape != (len(frames), 4):
+            raise ValueError("poses must be (n, 4) matching the frame count")
         poses.flags.writeable = False
-        sizes.flags.writeable = False
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "poses", poses)
-        object.__setattr__(self, "sizes", sizes)
 
 
 def tracks_from_ground_truth(
         ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
 ) -> list:
     """Group ground-truth boxes into per-instance tracks."""
-    grouped: dict = {}  # (scene, instance) -> (label, frames, poses, sizes)
+    grouped: dict = {}  # (scene, instance) -> (label, frames, poses)
     for scene_id in sorted(ground_truth):
         for frame_index in sorted(ground_truth[scene_id]):
             for box in ground_truth[scene_id][frame_index]:
-                label, frames, poses, sizes = grouped.setdefault(
-                    (scene_id, box.instance_id), (box.class_label, [], [], []))
+                label, frames, poses = grouped.setdefault(
+                    (scene_id, box.instance_id), (box.class_label, [], []))
                 if label != box.class_label:
                     raise CalibrationError(
                         f"instance {box.instance_id!r} in scene {scene_id!r} "
@@ -148,10 +140,8 @@ def tracks_from_ground_truth(
                 obs = box.observation
                 frames.append(frame_index)
                 poses.append((obs.x, obs.y, obs.z, obs.a))
-                sizes.append((obs.l, obs.w, obs.h))
-    return [GroundTruthTrack(label, instance_id, scene_id, tuple(frames),
-                             np.array(poses), np.array(sizes))
-            for (scene_id, instance_id), (label, frames, poses, sizes) in grouped.items()]
+    return [GroundTruthTrack(label, instance_id, scene_id, tuple(frames), poses)
+            for (scene_id, instance_id), (label, frames, poses) in grouped.items()]
 
 
 def _second_differences(track: GroundTruthTrack) -> np.ndarray:
@@ -231,8 +221,8 @@ def estimate_observation_noise(ground_truth: Mapping[str, Mapping[int, Sequence[
                                             if box.class_label == label)
                 if not len(det_rows):
                     continue
-                gt_rows = checked_rows(observation_rows(
-                    box.observation for box in annotations if box.class_label == label))
+                gt_rows = observation_rows(box.observation for box in annotations
+                                           if box.class_label == label)
                 result = greedy_center_match(gt_rows, det_rows, gate)
                 if result.pairs:
                     gi, dj = zip(*result.pairs)

@@ -335,8 +335,7 @@ def noiseless_scene(scene_id: str = "noiseless", seed: int = 7,
 
 
 def calibration_scenario(scene_id: str = "calibration", seed: int = 101,
-                         accel_sigma=0.1, obs_sigma: float = 0.3,
-                         angle_accel_sigma: float = 0.02,
+                         accel_sigma: tuple = (0.1, 0.1, 0.1, 0.02), obs_sigma: float = 0.3,
                          angle_obs_sigma: float = 0.05,
                          size_sigma: float = 0.02,
                          objects: int = 100, frame_count: int = 102,
@@ -347,8 +346,7 @@ def calibration_scenario(scene_id: str = "calibration", seed: int = 101,
     Defaults yield objects * (frame_count - 2) = 10000 second
     differences; the generous spacing keeps random-walk wander from
     ever bringing two objects inside the matching gate.  accel_sigma
-    may be a scalar (applied to x, y, z, with angle_accel_sigma for
-    yaw) or a full 4-tuple.
+    is NoiseSpec's (x, y, z, yaw) tuple.
     """
     side = math.ceil(math.sqrt(objects))
     object_specs = []
@@ -360,8 +358,6 @@ def calibration_scenario(scene_id: str = "calibration", seed: int = 101,
             y=row * spacing,
             yaw=(index % 7) * 0.8 - 2.4,
         ))
-    if isinstance(accel_sigma, (int, float)):
-        accel_sigma = (accel_sigma,) * 3 + (angle_accel_sigma,)
     noise = NoiseSpec(
         position_sigma=obs_sigma,
         angle_sigma=angle_obs_sigma,

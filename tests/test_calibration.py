@@ -24,8 +24,7 @@ def make_track(xs, ys=None, zs=None, yaws=None, label="car", instance="i0",
     yaws = yaws if yaws is not None else [0.0] * n
     frames = tuple(frames) if frames is not None else tuple(range(n))
     poses = np.stack([xs, ys, zs, yaws], axis=1)
-    sizes = np.tile(CAR_SIZE, (n, 1))
-    return GroundTruthTrack(label, instance, scene, frames, poses, sizes)
+    return GroundTruthTrack(label, instance, scene, frames, poses)
 
 
 def positions_with_second_diffs(diffs, v0=1.0):
@@ -45,7 +44,7 @@ def gt_dict(tracks):
     for track in tracks:
         for idx, frame in enumerate(track.frames):
             x, y, z, a = track.poses[idx]
-            box = Box(Observation(x, y, z, a, *track.sizes[idx]),
+            box = Box(Observation(x, y, z, a, *CAR_SIZE),
                       track.class_label, frame, track.scene_id,
                       instance_id=track.instance_id)
             out.setdefault(track.scene_id, {}).setdefault(frame, []).append(box)
@@ -251,7 +250,7 @@ def test_ground_truth_track_validation():
     with pytest.raises(ValueError):
         make_track([])
     with pytest.raises(ValueError):
-        GroundTruthTrack("car", "i", "s", (0, 1), np.zeros((3, 4)), np.zeros((2, 3)))
+        GroundTruthTrack("car", "i", "s", (0, 1), np.zeros((3, 4)))
 
 
 def test_class_noise_validation():
@@ -264,6 +263,26 @@ def test_class_noise_validation():
     noise = ClassNoise(np.ones(11), np.ones(7), np.ones(11))
     with pytest.raises(ValueError):
         noise.q[0] = 5.0
+
+
+def test_records_hold_read_only_copies():
+    diagonals = [np.ones(11), np.ones(7), np.ones(11)]
+    noise = ClassNoise(*diagonals)
+    for diagonal in diagonals:
+        diagonal[0] = 5.0
+    for stored, size in ((noise.q, 11), (noise.r, 7), (noise.sigma0, 11)):
+        np.testing.assert_array_equal(stored, np.ones(size))
+    poses = [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]
+    pose_array = np.array(poses)
+    from_list = GroundTruthTrack("car", "i", "s", (0, 1), poses)
+    from_array = GroundTruthTrack("car", "i", "s", (0, 1), pose_array)
+    poses[1] = (9.0, 9.0, 9.0, 9.0)
+    pose_array[1] = 9.0
+    for track in (from_list, from_array):
+        np.testing.assert_array_equal(track.poses, [[0.0] * 4, [1.0, 0.0, 0.0, 0.0]])
+    for stored in (noise.q, noise.r, noise.sigma0, from_list.poses, from_array.poses):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 7.0
 
 
 def test_noise_model_validation():
@@ -363,15 +382,12 @@ def reference_noise(ground_truth, detections, pooled: bool) -> dict:
         pose_var = np.var(np.concatenate(rows), axis=0)
         q[label] = np.concatenate([pose_var, np.zeros(3), pose_var])
 
-    by_frame: dict = {}
-    for track in tracks:
-        for idx, frame_index in enumerate(track.frames):
-            x, y, z, a = track.poses[idx]
-            l, w, h = track.sizes[idx]
-            by_frame.setdefault((track.scene_id, frame_index), []).append(
-                (track.class_label, Observation(x, y, z, a, l, w, h)))
     residuals: dict = {label: [] for label in q}
-    for (scene_id, frame_index), labeled in sorted(by_frame.items()):
+    for scene_id, frame_index in sorted((scene_id, frame_index)
+                                        for scene_id, frames in ground_truth.items()
+                                        for frame_index in frames):
+        labeled = [(box.class_label, box.observation)
+                   for box in ground_truth[scene_id][frame_index]]
         frame_detections = detections.get(scene_id, {}).get(frame_index, [])
         for label in sorted({lab for lab, _ in labeled}):
             gt_obs = [obs for lab, obs in labeled if lab == label]
@@ -471,4 +487,4 @@ def test_tracks_follow_frame_order_not_insertion_order():
         assert [t.instance_id for t in tracks] == ["i0", "i1"]
         assert [t.frames for t in tracks] == [(0, 1, 2), (1, 2)]
         np.testing.assert_array_equal(tracks[0].poses, a.poses)
-        np.testing.assert_array_equal(tracks[1].sizes, b.sizes)
+        np.testing.assert_array_equal(tracks[1].poses, b.poses)
