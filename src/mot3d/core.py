@@ -87,7 +87,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """A detected 3D box: center, yaw, and extents.
 
@@ -109,19 +109,14 @@ class Observation:
         # One pass for seven Python floats: their sum is finite only when
         # every term is.  Any other input takes the per-field checks, which
         # name the first field at fault.
-        if not (type(x) is float and type(y) is float and type(z) is float
-                and type(a) is float and type(l) is float and type(w) is float
-                and type(h) is float and math.isfinite(x + y + z + a + l + w + h)
-                and l > 0.0 and w > 0.0 and h > 0.0):
-            self._check_each_field()
+        if not (type(x) is type(y) is type(z) is type(a) is type(l) is type(w) is type(h) is float
+                and math.isfinite(x + y + z + a + l + w + h) and l > 0.0 and w > 0.0 and h > 0.0):
+            for f in fields(self):
+                finite_real(f.name, getattr(self, f.name))
+            for name in ("l", "w", "h"):
+                if getattr(self, name) <= 0.0:
+                    raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         object.__setattr__(self, "a", wrap_angle(a))
-
-    def _check_each_field(self):
-        for f in fields(self):
-            finite_real(f.name, getattr(self, f.name))
-        for name in ("l", "w", "h"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def _build_transition() -> np.ndarray:
@@ -167,14 +162,16 @@ def observation_residual(observation: np.ndarray, predicted: np.ndarray) -> np.n
     return nu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """A 3D box of a known class in one frame of one scene.
 
     Each source fills in what it knows: detections a score, tracker
     output a score and a track_id, ground truth an instance_id.  The
     loader and the tracker check these rules in bulk and build through
-    trusted_box; only a failing value comes here for its message.
+    trusted_box; only a failing value comes here for its message.  Box and
+    Observation are frozen slotted dataclasses: no instance __dict__ and no
+    vars(), but pickling, ==, hash and dataclasses.replace work as usual.
     """
 
     observation: Observation
@@ -202,25 +199,31 @@ class Box:
             raise ValueError(f"instance_id must be a non-empty string, got {self.instance_id!r}")
 
 
+(_SET_X, _SET_Y, _SET_Z, _SET_A, _SET_L, _SET_W, _SET_H, _SET_OBSERVATION, _SET_CLASS, _SET_FRAME,
+ _SET_SCENE, _SET_SCORE, _SET_TRACK, _SET_INSTANCE) = (  # each slot's setter, for trusted_box
+    cls.__dict__[f.name].__set__ for cls in (Observation, Box) for f in fields(cls))
+
+
 def trusted_box(x, y, z, a, l, w, h, class_label, frame_index, scene_id="", score=None,
                 track_id=None, instance_id=None) -> Box:
     """Box(Observation(x, ..., h), ...) for fields that passed every rule of both, a wrapped.
 
-    __post_init__ does not run, so only a caller that has just checked the rules may use it.
+    One store per field, through its slot's setter; __post_init__ does not run, so only a
+    caller that has just checked the rules may use it.
     """
-    observation, box, fill = object.__new__(Observation), object.__new__(Box), object.__setattr__
-    fill(observation, "x", x)
-    fill(observation, "y", y)
-    fill(observation, "z", z)
-    fill(observation, "a", a)
-    fill(observation, "l", l)
-    fill(observation, "w", w)
-    fill(observation, "h", h)
-    fill(box, "observation", observation)
-    fill(box, "class_label", class_label)
-    fill(box, "frame_index", frame_index)
-    fill(box, "scene_id", scene_id)
-    fill(box, "score", score)
-    fill(box, "track_id", track_id)
-    fill(box, "instance_id", instance_id)
+    observation, box = object.__new__(Observation), object.__new__(Box)
+    _SET_X(observation, x)
+    _SET_Y(observation, y)
+    _SET_Z(observation, z)
+    _SET_A(observation, a)
+    _SET_L(observation, l)
+    _SET_W(observation, w)
+    _SET_H(observation, h)
+    _SET_OBSERVATION(box, observation)
+    _SET_CLASS(box, class_label)
+    _SET_FRAME(box, frame_index)
+    _SET_SCENE(box, scene_id)
+    _SET_SCORE(box, score)
+    _SET_TRACK(box, track_id)
+    _SET_INSTANCE(box, instance_id)
     return box

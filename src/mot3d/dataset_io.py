@@ -9,17 +9,17 @@ beginning with an underscore are reserved for metadata (for example
 the generator provenance header) and are skipped by the loaders.
 
 Each rule is checked once, at the boundary.  In the frame loop, one
-condition per record covers the JSON shape (exactly the file's fields,
+fused check per record covers the JSON shape (exactly the file's fields,
 arrays of three floats), finiteness, and the value rules of
 core.Observation and core.Box (positive extents, score range, known
-class, ids, no instance twice in a frame); core.trusted_box builds a
-record that passes, and Observation and Box any other, their checks
-writing its message.  Box allows a missing id, but an id the file
-carries may not be null: that is the last value rule.  A fault surfaces
-as SchemaError naming its scene, frame and record, a location built
-only then.  A record with several faults reports the first in the
-order: unexpected fields, center, yaw, size, the file's extra fields,
-class, and only then the value rules.
+class, ids, no instance twice in a frame), reading each value once;
+core.trusted_box builds a record that passes, one slot store per field,
+and Observation and Box any other, their checks writing its message.
+Box allows a missing id, but an id the file carries may not be null:
+that is the last value rule.  A fault surfaces as SchemaError naming
+its scene, frame and record, a location built only then.  A record with
+several faults reports the first in the order: unexpected fields,
+center, yaw, size, the file's extra fields, class, then the value rules.
 
 The cyclic garbage collector is paused while a file is parsed and its
 boxes are built, then restored as it was: the records hold no reference
@@ -294,27 +294,27 @@ def _boxes_from_json(data, kind: str, path: str) -> dict:
                 raise SchemaError("frame must hold an array of box records", frame_location)
             boxes, instance_ids = [], set()
             for record_index, record in enumerate(records):
-                # Every rule of the JSON shape, Observation and Box in one condition: seven
-                # floats sum to a finite number only when each is finite.
+                # Every rule of the JSON shape, Observation and Box, each value read once:
+                # seven floats sum to a finite number only when each is finite.
+                box = None
                 if (type(record) is dict and record.keys() == keys
                         and type(center := record["center"]) is list and len(center) == 3
-                        and type(size := record["size"]) is list and len(size) == 3
-                        and type(center[0]) is type(center[1]) is type(center[2]) is float
-                        and type(yaw := record["yaw"]) is float
-                        and type(size[0]) is type(size[1]) is type(size[2]) is float
-                        and isfinite(center[0] + center[1] + center[2] + yaw
-                                     + size[0] + size[1] + size[2])
-                        and size[0] > 0.0 and size[1] > 0.0 and size[2] > 0.0
-                        and type(label := record["class"]) is str and label in _CLASSES
-                        and type(score := record.get("score")) is score_type
-                        and (score is None or 0.0 <= score <= 1.0)
-                        and type(track_id := record.get("track_id")) is track_type
-                        and (track_id is None or track_id > 0)
-                        and type(instance_id := record.get("instance_id")) is id_type
-                        and instance_id != "" and instance_id not in instance_ids):
-                    box = trusted_box(*center, (yaw + pi) % two_pi - pi, *size, label,
-                                      frame_index, scene_id, score, track_id, instance_id)
-                else:
+                        and type(size := record["size"]) is list and len(size) == 3):
+                    (x, y, z), (l, w, h) = center, size
+                    if (type(x) is type(y) is type(z) is type(l) is type(w) is type(h) is float
+                            and type(yaw := record["yaw"]) is float
+                            and isfinite(x + y + z + yaw + l + w + h)
+                            and l > 0.0 and w > 0.0 and h > 0.0
+                            and type(label := record["class"]) is str and label in _CLASSES
+                            and type(score := record.get("score")) is score_type
+                            and (score is None or 0.0 <= score <= 1.0)
+                            and type(track_id := record.get("track_id")) is track_type
+                            and (track_id is None or track_id > 0)
+                            and type(instance_id := record.get("instance_id")) is id_type
+                            and instance_id != "" and instance_id not in instance_ids):
+                        box = trusted_box(x, y, z, (yaw + pi) % two_pi - pi, l, w, h, label,
+                                          frame_index, scene_id, score, track_id, instance_id)
+                if box is None:
                     try:
                         box = _box(record, kind, frame_index, scene_id)
                         if box.instance_id in instance_ids:

@@ -5,11 +5,14 @@ themselves and build the boxes that pass through core.trusted_box, which
 runs no __post_init__.  These tests hold the loader to a copy of its
 record check from before that shortcut (every record built through
 Observation and Box, the fused check switched off), and count the
-__post_init__ calls a valid load and a tracking run make.
+__post_init__ calls a valid load and a tracking run make.  Every builder
+(constructor, loaders, tracker) makes frozen slotted records.
 """
 
 import json
 import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import pytest
@@ -18,10 +21,11 @@ from hypothesis import given, settings, strategies as st
 from mot3d import dataset_io
 from mot3d.core import CLASS_LABELS, Box, Observation
 from mot3d.dataset_io import (BOX_SCHEMAS, _RECORD_KEYS, _number, _triple, load_detections,
-                              load_ground_truth, load_tracks, write_detections)
+                              load_ground_truth, load_tracks, write_detections,
+                              write_ground_truth, write_tracks)
 from mot3d.errors import SchemaError
 from mot3d.synthetic import generate_suite, standard_suite
-from mot3d.tracker import run_scene
+from mot3d.tracker import boxes_by_frame, run_scene
 from tests.test_io_fuzz import SKELETONS, json_values, mutate, nodes
 from tests.test_tracker import hand_noise
 
@@ -155,3 +159,55 @@ def test_a_failing_record_gets_its_message_from_the_checks(tmp_path, post_init_c
         load_detections(str(path))
     assert str(excinfo.value) == f"detections scene 's' frame 0 record 1: {message}"
     assert post_init_calls[checked_by] == 1
+
+
+@pytest.fixture(scope="module")
+def built_boxes(tmp_path_factory):
+    """Builder name -> boxes it made: the constructor, each loader and the tracker's output."""
+    ground_truth, detections = generate_suite(standard_suite(seed=3, scenes=1, frame_count=20))
+    outputs = {"suite0": run_scene(detections["suite0"], hand_noise(CLASS_LABELS))}
+    directory = tmp_path_factory.mktemp("layout")
+    paths = {name: str(directory / f"{name}.json") for name in ("det", "gt", "tracks")}
+    write_detections(detections, paths["det"])
+    write_ground_truth(ground_truth, paths["gt"])
+    write_tracks(outputs, paths["tracks"])
+    frames = {
+        "load_detections": load_detections(paths["det"])["suite0"],
+        "load_ground_truth": load_ground_truth(paths["gt"])["suite0"],
+        "load_tracks": load_tracks(paths["tracks"])["suite0"],
+        "run_scene": boxes_by_frame(outputs["suite0"]),
+    }
+    built = {name: [box for boxes in by_frame.values() for box in boxes]
+             for name, by_frame in frames.items()}
+    built["constructor"] = [Box(Observation(1.0, -2.0, 0.5, 3.0, 4.0, 2.0, 1.5), "car", 7,
+                                "s", score=0.5, track_id=3),
+                            Box(Observation(0.0, 0.0, 0.0, -0.5, 0.5, 0.5, 1.8), "pedestrian", 0,
+                                instance_id="walker")]
+    return built
+
+
+def constructed(box, score):
+    """box rebuilt through Observation and Box, with the given score."""
+    o = box.observation
+    return Box(Observation(o.x, o.y, o.z, o.a, o.l, o.w, o.h), box.class_label, box.frame_index,
+               box.scene_id, score, box.track_id, box.instance_id)
+
+
+@pytest.mark.parametrize("builder", ["constructor", "load_detections", "load_ground_truth",
+                                     "load_tracks", "run_scene"])
+def test_every_builder_makes_frozen_slotted_records(built_boxes, builder):
+    boxes = built_boxes[builder]
+    assert boxes
+    for box in boxes:
+        assert not hasattr(box, "__dict__") and not hasattr(box.observation, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            box.score = 0.5
+        with pytest.raises(FrozenInstanceError):
+            box.observation.x = 0.5
+        # workers under --jobs receive pickled boxes
+        copy = pickle.loads(pickle.dumps(box))
+        assert copy == box and hash(copy) == hash(box)
+        assert repr(copy) == repr(box)
+        assert replace(box, score=0.25) == constructed(box, 0.25)
+        with pytest.raises(ValueError, match="score must lie in"):
+            replace(box, score=1.5)
