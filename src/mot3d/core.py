@@ -14,7 +14,7 @@ so velocities are stored in units per frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -198,6 +198,19 @@ class Box:
                 not isinstance(self.instance_id, str) or not self.instance_id):
             raise ValueError(f"instance_id must be a non-empty string, got {self.instance_id!r}")
 
+
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# dataclasses' own frozen methods refer to the class that slots=True replaced, so for a name
+# that is not a field they raise TypeError; a frozen class body may not define these.
+Observation.__setattr__ = Box.__setattr__ = _refuse_assignment
+Observation.__delattr__ = Box.__delattr__ = _refuse_deletion
 
 (_SET_X, _SET_Y, _SET_Z, _SET_A, _SET_L, _SET_W, _SET_H, _SET_OBSERVATION, _SET_CLASS, _SET_FRAME,
  _SET_SCENE, _SET_SCORE, _SET_TRACK, _SET_INSTANCE) = (  # each slot's setter, for trusted_box

@@ -47,7 +47,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from json.encoder import encode_basestring_ascii
-from numbers import Real
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -123,12 +122,10 @@ def write_json(payload, path: str):
 
 
 def positive_number(value) -> bool:
-    """A finite real number above zero that fits a float (JSON integers may not)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        return False
+    """A finite real number above zero, by finite_real's rule (JSON integers may overflow)."""
     try:
-        return 0.0 < float(value) < math.inf
-    except OverflowError:
+        return finite_real("value", value) > 0.0
+    except ValueError:
         return False
 
 

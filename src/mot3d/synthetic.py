@@ -22,7 +22,7 @@ minimum, or n reals (one scalar stands for all n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -186,13 +186,14 @@ def generate(spec: ScenarioSpec) -> tuple:
     """Build one scene; returns (gt_frames, detection_frames).
 
     Both are dicts over every frame index in [0, frame_count); frames
-    may hold empty lists.  A scene whose poses or noise leave the float
-    range raises ValueError.
+    may hold empty lists.  A scene whose poses, noise or ranges leave
+    the float range raises ValueError.
     """
     with np.errstate(over="raise"):
         try:
             return _generate(spec)
-        except FloatingPointError as exc:
+        except (FloatingPointError, OverflowError) as exc:
+            # numpy arithmetic that overflowed, or a uniform draw over a range wider than a float
             raise ValueError(f"scene {spec.scene_id!r} leaves the float range: {exc}") from None
 
 
@@ -320,8 +321,7 @@ def load_scenarios(path: str) -> list:
     raise SchemaError("scenario file must hold an object", path)
 
 
-def noiseless_scene(scene_id: str = "noiseless", seed: int = 7,
-                    frame_count: int = 50) -> ScenarioSpec:
+def noiseless_scene(seed: int = 7) -> ScenarioSpec:
     """Five well-separated moving objects observed perfectly."""
     objects = (
         ObjectSpec("car", x=-40.0, y=-20.0, yaw=0.0, vx=1.2),
@@ -330,23 +330,25 @@ def noiseless_scene(scene_id: str = "noiseless", seed: int = 7,
         ObjectSpec("bus", x=-30.0, y=25.0, yaw=0.3, vx=0.9, vy=0.3),
         ObjectSpec("truck", x=25.0, y=-25.0, yaw=-2.0, vx=-0.5, vy=-0.6),
     )
-    return ScenarioSpec(scene_id=scene_id, frame_count=frame_count,
-                        objects=objects, noise=NoiseSpec(), seed=seed)
+    return ScenarioSpec(scene_id="noiseless", frame_count=50, objects=objects, seed=seed)
+
+
+# Known training noise: calibration must recover Q_xx = 0.1**2 and R_xx = 0.3**2.
+CALIBRATION_NOISE = NoiseSpec(position_sigma=0.3, angle_sigma=0.05, size_sigma=0.02,
+                              accel_sigma=(0.1, 0.1, 0.1, 0.02), score_range=(0.5, 1.0))
 
 
 def calibration_scenario(scene_id: str = "calibration", seed: int = 101,
-                         accel_sigma: tuple = (0.1, 0.1, 0.1, 0.02), obs_sigma: float = 0.3,
-                         angle_obs_sigma: float = 0.05,
-                         size_sigma: float = 0.02,
                          objects: int = 100, frame_count: int = 102,
-                         spacing: float = 150.0,
-                         classes: Sequence[str] = ("car",)) -> ScenarioSpec:
-    """Widely spaced objects for noise estimation.
+                         spacing: float = 150.0, classes: Sequence[str] = ("car",),
+                         noise: NoiseSpec = CALIBRATION_NOISE) -> ScenarioSpec:
+    """Widely spaced objects for noise estimation, under known noise.
 
     Defaults yield objects * (frame_count - 2) = 10000 second
     differences; the generous spacing keeps random-walk wander from
-    ever bringing two objects inside the matching gate.  accel_sigma
-    is NoiseSpec's (x, y, z, yaw) tuple.
+    ever bringing two objects inside the matching gate.  Objects cycle
+    through classes.  The default noise, CALIBRATION_NOISE, has no
+    misses and no false positives.
     """
     side = math.ceil(math.sqrt(objects))
     object_specs = []
@@ -358,19 +360,12 @@ def calibration_scenario(scene_id: str = "calibration", seed: int = 101,
             y=row * spacing,
             yaw=(index % 7) * 0.8 - 2.4,
         ))
-    noise = NoiseSpec(
-        position_sigma=obs_sigma,
-        angle_sigma=angle_obs_sigma,
-        size_sigma=size_sigma,
-        accel_sigma=accel_sigma,
-        score_range=(0.5, 1.0),
-    )
     return ScenarioSpec(scene_id=scene_id, frame_count=frame_count,
                         objects=tuple(object_specs), noise=noise, seed=seed,
                         bounds=(-spacing, side * spacing, -spacing, side * spacing))
 
 
-_SUITE_NOISE = dict(
+_SUITE_NOISE = NoiseSpec(
     position_sigma=0.15,
     angle_sigma=0.05,
     size_sigma=0.02,
@@ -416,31 +411,24 @@ def standard_suite(seed: int = 11, scenes: int = 3,
             scene_id=f"suite{scene_index}",
             frame_count=frame_count,
             objects=objects,
-            noise=NoiseSpec(**_SUITE_NOISE),
+            noise=_SUITE_NOISE,
             seed=seed + scene_index,
         ))
     return specs
 
 
 def standard_suite_calibration(seed: int = 12) -> ScenarioSpec:
-    """Calibration split with the standard suite's noise parameters."""
-    noise = _SUITE_NOISE
-    return calibration_scenario(
-        scene_id="suite-calibration",
-        seed=seed,
-        accel_sigma=noise["accel_sigma"],
-        obs_sigma=noise["position_sigma"],
-        angle_obs_sigma=noise["angle_sigma"],
-        size_sigma=noise["size_sigma"],
-        objects=42,
-        frame_count=52,
-        classes=("pedestrian", "car", "bus"),
-    )
+    """Calibration split with the standard suite's motion and observation noise."""
+    suite = _SUITE_NOISE
+    noise = replace(CALIBRATION_NOISE, position_sigma=suite.position_sigma,
+                    angle_sigma=suite.angle_sigma, size_sigma=suite.size_sigma,
+                    accel_sigma=suite.accel_sigma)
+    return calibration_scenario(scene_id="suite-calibration", seed=seed, objects=42,
+                                frame_count=52, classes=("pedestrian", "car", "bus"),
+                                noise=noise)
 
 
-def turning_scenario(scene_id: str = "turning", seed: int = 5,
-                     yaw_rate: float = 0.15, frame_count: int = 40) -> ScenarioSpec:
-    """A single noiseless box rotating in place at a constant yaw rate."""
-    objects = (ObjectSpec("car", x=0.0, y=0.0, yaw=0.2, yaw_rate=yaw_rate),)
-    return ScenarioSpec(scene_id=scene_id, frame_count=frame_count,
-                        objects=objects, noise=NoiseSpec(), seed=seed)
+def turning_scenario(seed: int = 5, frame_count: int = 40) -> ScenarioSpec:
+    """A single noiseless box rotating in place at 0.15 rad per frame."""
+    objects = (ObjectSpec("car", x=0.0, y=0.0, yaw=0.2, yaw_rate=0.15),)
+    return ScenarioSpec(scene_id="turning", frame_count=frame_count, objects=objects, seed=seed)

@@ -16,6 +16,7 @@ from mot3d import cli, dataset_io
 from mot3d.cli import build_parser, main
 from mot3d.core import Box, Observation
 from mot3d.dataset_io import load_tracks, write_detections
+from mot3d.synthetic import generate, load_scenarios
 
 SUBCOMMANDS = ("calibrate", "track", "evaluate", "simulate", "ablate", "plot")
 
@@ -415,9 +416,48 @@ def test_ablate_rejects_bad_tokens(tmp_path, capsys):
                  "--out-ground-truth", str(gt)]) == 0
     base = ["ablate", "--detections", str(det), "--ground-truth", str(gt),
             "--out", str(tmp_path / "o.csv"), "--noise", "default"]
-    assert main(base + ["--affinities", "overlap"]) == 1
-    assert main(base + ["--matchers", "brute"]) == 1
-    assert main(base + ["--angular", "sometimes"]) == 1
+    cases = [
+        (["--affinities", "overlap"],
+         "bad affinity token 'overlap'; use 'mahalanobis' or 'iou@<threshold>'"),
+        (["--affinities", "iou@x"], "bad affinity token 'iou@x'"),
+        (["--matchers", "brute"], "bad matcher token 'brute'"),
+        (["--noise", "default,fitted"], "bad noise token 'fitted'; use 'calibrated' or 'default'"),
+        (["--angular", "sometimes"], "bad angular token 'sometimes'; use 'with' or 'without'"),
+    ]
+    capsys.readouterr()
+    for extra, message in cases:
+        assert main(base + extra) == 1, extra
+        assert capsys.readouterr().err == f"mot3d: error: {message}\n", extra
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_ablate_rows_for_a_bare_iou_and_both_angular_settings(tmp_path, capsys):
+    det, gt, out = (str(tmp_path / name) for name in ("det.json", "gt.json", "grid.csv"))
+    assert main(["simulate", "--preset", "turning",
+                 "--out-detections", det, "--out-ground-truth", gt]) == 0
+    assert main(["ablate", "--detections", det, "--ground-truth", gt, "--out", out,
+                 "--affinities", "mahalanobis,iou", "--matchers", "greedy", "--noise", "default",
+                 "--angular", "with,without", "--n-samples", "5", "--jobs", "1"]) == 0
+    with open(out, newline="") as handle:
+        names = [row[0] for row in list(csv.reader(handle))[1:]]
+    # a bare 'iou' takes RunConfig's default threshold, 0.1
+    assert names == ["maha+greedy+default", "maha+greedy+default+no-angvel",
+                     "iou@0.1+greedy+default", "iou@0.1+greedy+default+no-angvel"]
+    capsys.readouterr()
+
+
+def test_ablate_calibration_split_matches_calibrate_track_evaluate(pipeline, tmp_path, capsys):
+    # the pipeline's report.json came from calibrate, track and evaluate on these files
+    out = str(tmp_path / "grid.csv")
+    assert main(["ablate", "--detections", pipeline["det"], "--ground-truth", pipeline["gt"],
+                 "--calibration-detections", pipeline["cal_det"],
+                 "--calibration-ground-truth", pipeline["cal_gt"],
+                 "--affinities", "mahalanobis", "--matchers", "greedy", "--noise", "calibrated",
+                 "--jobs", "1", "--out", out]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [row[0] for row in rows] == ["maha+greedy+calibrated"]
+    assert rows[0][1] == repr(load_strict_json(pipeline["report"])["overall_amota"])
     capsys.readouterr()
 
 
@@ -595,6 +635,52 @@ def test_malformed_inputs_exit_one(pipeline, tmp_path, capsys):
         if any(argv is case for case in infinite):
             assert err.count("\n") == 1 and not os.path.exists(out), err
             assert "must be a finite positive number" in err, err
+
+
+@pytest.mark.parametrize("wide", [{"bounds": [-1e308, 1e308, -1.0, 1.0]},
+                                  {"fp_z_range": [-1e308, 1e308]}], ids=["bounds", "fp_z_range"])
+def test_simulate_range_wider_than_a_float_exits_one(tmp_path, capsys, wide):
+    # Generator.uniform raised OverflowError here, which ended in a traceback
+    car = {"class_label": "car", "x": 0.0, "y": 0.0}
+    spec = dict({"scene_id": "s", "frame_count": 3, "objects": [car], "noise": {"fp_rate": 2.0}},
+                **wide)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match="scene 's' leaves the float range"):
+        generate(load_scenarios(str(path))[0])
+    assert main(["simulate", "--spec", str(path), "--out-detections", str(tmp_path / "d.json"),
+                 "--out-ground-truth", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"mot3d: error: {path}: cannot generate scenes: "), err
+    assert err.count("\n") == 1, err
+
+
+def test_read_errors_of_noise_models_and_box_files(pipeline, tmp_path, capsys):
+    def put(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    out = str(tmp_path / "tracks.json")
+    track = ["track", "--out", out]
+    no_class = put("no_class.json", {"classes": {}})
+    frame = "1" * 4301  # more digits than int() parses
+    cases = [
+        (track + ["--detections", pipeline["det"], "--noise-model", no_class],
+         f"{no_class}: noise model must cover at least one class"),
+        (track + ["--detections", pipeline["det"],
+                  "--noise-model", put("scalar.json", {"classes": {"car": 3}})],
+         "noise model class 'car': class entry must be an object"),
+        (track + ["--detections", str(tmp_path), "--default-covariance"],
+         f"cannot read detections file {tmp_path}: Is a directory"),
+        (track + ["--detections", put("long_key.json", {"s": {frame: []}}),
+                  "--default-covariance"],
+         f"detections scene 's': frame key '{frame}' is not a canonical non-negative integer"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"mot3d: error: {message}\n", argv
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("field, value", [

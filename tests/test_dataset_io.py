@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
 from mot3d.core import Box, Observation, wrap_angle
 from mot3d.dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
                               load_detections, load_ground_truth, load_tracks,
-                              merge_config, write_detections, write_ground_truth,
-                              write_tracks)
+                              merge_config, positive_number, write_detections,
+                              write_ground_truth, write_tracks)
 from mot3d.errors import ConfigError, SchemaError
 from mot3d.synthetic import calibration_scenario, generate
 from mot3d.tracker import run_scene
@@ -315,6 +316,14 @@ def test_run_config_defaults_and_validation():
     for overrides in (dict(maha_threshold=math.inf), dict(class_maha_thresholds={"car": math.inf})):
         with pytest.raises(ConfigError, match="must be a finite positive number$"):
             RunConfig(**overrides)
+
+
+def test_positive_number_is_finite_real_above_zero():
+    for value in (1, 0.5, 10 ** 300, Fraction(1, 3), np.float32(2.0), np.int64(3)):
+        assert positive_number(value) is True, value
+    for value in (0, 0.0, -1.0, True, False, None, "1", [1.0], math.nan, math.inf, 10 ** 400,
+                  -10 ** 400, Fraction(10 ** 400), np.float64("nan")):
+        assert positive_number(value) is False, value
 
 
 def test_config_dict_round_trip():

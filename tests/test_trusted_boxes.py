@@ -211,3 +211,18 @@ def test_every_builder_makes_frozen_slotted_records(built_boxes, builder):
         assert replace(box, score=0.25) == constructed(box, 0.25)
         with pytest.raises(ValueError, match="score must lie in"):
             replace(box, score=1.5)
+
+
+@pytest.mark.parametrize("builder", ["constructor", "load_detections", "load_ground_truth",
+                                     "load_tracks", "run_scene"])
+def test_any_assignment_or_deletion_raises_frozen_instance_error(built_boxes, builder):
+    # names that are not fields used to raise TypeError from super() instead
+    for box in built_boxes[builder]:
+        before = repr(box)
+        for record, field in ((box, "score"), (box.observation, "x")):
+            for name in (field, "foo"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(record, name, 1.0)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(record, name)
+        assert repr(box) == before
