@@ -2,23 +2,23 @@
 
 Two affinities score the pairs within blocks (the tracker's classes) of a
 stacked prediction of N tracks and M detections: the Mahalanobis distance
-between a detection and the predicted observation distribution, and the
-3D intersection-over-union of the two boxes.  IOU has one implementation,
-iou_pairs: it clips the footprints (footprint_corners, which viz draws
-too) of all the candidate pairs of a call together, one array pass per
-clip edge, and gives each pair the floats that clipping it alone with
-Python floats would give.  The Mahalanobis affinity also returns each
-scored pair's orientation-corrected predicted yaw, which the tracker's
-update takes.  The tracker turns either affinity into a plain (N, M)
-distance array and a limit per class (1 - IOU under 1 - T for a minimum
-IOU T), and two bipartite matchers return only matched index pairs, never
-a non-finite one: a greedy nearest-first matcher, which takes a frame's
-whole array at once, and an optimal assignment (Hungarian) matcher with
-post-assignment thresholding, which takes one class's block.  Greedy
-reads only pairs below the limit, so for it the Mahalanobis affinity
-takes the limits and, on large blocks, solves only the pairs whose
-(x, y) marginal distance, a lower bound of the full one, falls within
-the gate.
+between a detection and the predicted observation distribution (whose
+diagonal S makes it elementwise), and the 3D intersection-over-union of
+the two boxes.  IOU has one implementation, iou_pairs: it clips the
+footprints (footprint_corners, which viz draws too) of all the candidate
+pairs of a call together, one array pass per clip edge, and gives each
+pair the floats that clipping it alone with Python floats would give.
+The Mahalanobis affinity also returns each scored pair's
+orientation-corrected predicted yaw, which the tracker's update takes.
+The tracker turns either affinity into a plain (N, M) distance array and
+a limit per class (1 - IOU under 1 - T for a minimum IOU T), and two
+bipartite matchers return only matched index pairs, never a non-finite
+one: a greedy nearest-first matcher, which takes a frame's whole array at
+once, and an optimal assignment (Hungarian) matcher with post-assignment
+thresholding, which takes one class's block.  Greedy reads only pairs
+below the limit, so for it the Mahalanobis affinity takes the limits and,
+on large blocks, scores only the pairs whose (x, y) terms of the squared
+distance, a lower bound of the whole sum, fall within the gate.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ANGLE_INDEX, OBS_DIM, checked_rows, wrap_angle_array, wrap_finite_array
-from .kalman import Prediction
+from .kalman import AxisPrediction
 
 
 @dataclass(frozen=True)
@@ -76,151 +76,101 @@ def orientation_correct(predicted_angle, detected_angle):
                     wrap_angle_array(predicted_angle + math.pi), predicted_angle)
 
 
-# The (x, y) gate's relative margin, and the limits and magnitudes (S's
-# diagonal, every coordinate) within which it prunes.
-_GATE_MARGIN, _GATE_LIMITS, _GATE_SCALES = 1e-9, (1e-10, 1e10), (1e-50, 1e50)
+# The (x, y) gate's relative margin, the limits within which it prunes, and
+# the coordinate magnitude within which no residual it skips can overflow.
+_GATE_MARGIN, _GATE_LIMITS, _GATE_SCALE = 1e-9, (1e-10, 1e10), 1e300
 # Smaller blocks are scored in full: the bound costs more than it saves.
 _GATE_MIN_PAIRS = 512
-# Quadratic forms are stacked this many pairs at a time, capping their memory.
+# Residuals are formed this many pairs at a time, capping their memory.
 _STACK_PAIRS = 1024
-# A flattened 7 x 7 matrix times this sums the entries below its diagonal.
-_BELOW_DIAGONAL = np.tril(np.ones((OBS_DIM, OBS_DIM)), -1).ravel()
 
 
-def _marginal_coefficients(s: np.ndarray, predicted: np.ndarray, limit: float) -> tuple:
-    """Per row, (A, B, C): A dx^2 + B dx dy + C dy^2 > 1 puts (dx, dy) beyond the cut.
-
-    The form is the squared distance under the leading 2 x 2 block of S
-    (as potrf reads it: the lower triangle) over (limit * (1 + margin))^2.
-    A row gets NaN, which never prunes, unless its diagonal and predicted
-    row lie within _GATE_SCALES and its correlations below the diagonal
-    sum to at most a half in magnitude: then the matrix potrf factors has
-    a correlation matrix diagonally dominant by a half (condition <= 3).
-    """
-    diagonal = np.diagonal(s, axis1=1, axis2=2)
-    inside = ((diagonal >= _GATE_SCALES[0]) & (diagonal <= _GATE_SCALES[1])
-              & (np.abs(predicted) <= _GATE_SCALES[1]))
-    scale = np.where(inside, 1.0 / np.sqrt(diagonal), math.nan)
-    correlations = np.abs(s) * (scale[:, :, None] * scale[:, None, :])
-    usable = correlations.reshape(-1, OBS_DIM * OBS_DIM) @ _BELOW_DIAGONAL <= 0.5
-    a, b, c = s[:, 0, 0], s[:, 1, 0], s[:, 1, 1]
-    k = np.where(usable, 1.0 / ((a * c - b * b) * (limit * (1.0 + _GATE_MARGIN)) ** 2), math.nan)
-    return c * k, -2.0 * b * k, a * k
-
-
-def _kept_pairs(prediction: Prediction, predicted: np.ndarray, detected: np.ndarray,
+def _kept_pairs(weights: np.ndarray, predicted: np.ndarray, detected: np.ndarray,
                 blocks, limits) -> np.ndarray:
-    """The (N, M) mask of the pairs to score: every cell of each block the gate keeps."""
-    kept, xs = np.zeros((len(predicted), len(detected)), dtype=bool), None
+    """The (N, M) mask of the pairs to score: every cell of each block the gate keeps.
+
+    A NaN bound keeps its pair: a coordinate on either side beyond
+    _GATE_SCALE or not finite gives one (a failing S raises in any case).
+    """
+    kept, xy = np.zeros((len(predicted), len(detected)), dtype=bool), None
     for (rows, cols), limit in zip(blocks, limits or [None] * len(blocks)):
         cells = kept[rows, cols]
         if (limit is None or cells.size < _GATE_MIN_PAIRS
                 or not _GATE_LIMITS[0] <= limit <= _GATE_LIMITS[1]):
             cells[...] = True
             continue
-        with np.errstate(all="ignore"):  # rows and detections out of range give NaN: kept
-            if xs is None:  # a NaN x keeps the detection's pairs, as NaN coefficients keep a row's
-                xs = np.where(np.abs(detected).max(axis=1) <= _GATE_SCALES[1],
-                              detected[:, 0], math.nan)
-            a, b, c = _marginal_coefficients(prediction.innovation_cov[rows], predicted[rows],
-                                             limit)
-            dx = xs[cols] - predicted[rows, 0, None]
-            dy = detected[cols, 1] - predicted[rows, 1, None]
-            bound = a[:, None] * dx
-            bound += b[:, None] * dy
-            bound *= dx
-            bound += c[:, None] * dy * dy
-            np.logical_not(bound > 1.0, out=cells)
+        with np.errstate(all="ignore"):
+            if xy is None:
+                xy = np.where(np.abs(detected).max(axis=1, keepdims=True) <= _GATE_SCALE,
+                              detected[:, :2], math.nan)
+            scaled = np.where(np.abs(predicted[rows]).max(axis=1, keepdims=True) <= _GATE_SCALE,
+                              weights[rows, :2], math.nan)
+            bound = np.square((xy[cols, 0] - predicted[rows, 0, None]) * scaled[:, 0, None])
+            bound += np.square((xy[cols, 1] - predicted[rows, 1, None]) * scaled[:, 1, None])
+            np.logical_not(bound > (limit * (1.0 + _GATE_MARGIN)) ** 2, out=cells)
     return kept
 
 
-def _residuals(detected: np.ndarray, predicted: np.ndarray, rows: np.ndarray,
-               cols: np.ndarray) -> tuple:
-    """Detection less prediction over the pairs (rows[k], cols[k]), and their predicted yaws.
+def _distances(detected: np.ndarray, predicted: np.ndarray, weights: np.ndarray,
+               rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Squared distances of the pairs (rows[k], cols[k]), their corrected yaws, finite residuals.
 
-    One pass covers every pair of the call, in stacks of _STACK_PAIRS so
-    that its temporaries stay small.  The predicted yaws come wrapped,
-    hence finite.  Each pair's yaw residual is taken against the row's
-    yaw and against that yaw flipped by pi, both wrapped in one call, and
-    the flip is kept where the first lies beyond pi/2 in magnitude: the
-    floats orientation_correct gives, with each row's flipped yaw wrapped
-    once.  The second array holds each pair's predicted yaw so corrected.
+    The pairs are taken _STACK_PAIRS at a time, so temporaries stay small.
+    Each pair's yaw residual is taken against the row's yaw and against
+    that yaw flipped by pi, both wrapped in one call, and the flip is kept
+    where the first lies beyond pi/2 in magnitude: orientation_correct's
+    floats.  The distance is nu . ((nu * w) * w), a stack of 1 x 7 by 7 x 1
+    matmuls, which add the products in a dot product's order.
     """
-    nu, corrected = detected.take(cols, axis=0), np.empty(len(cols))
+    scores, corrected, finite = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows), bool)
     yaws = np.empty((len(predicted), 2))  # each row's yaw, and its flip
     yaws[:, 0] = predicted[:, ANGLE_INDEX]
     yaws[:, 1] = wrap_finite_array(predicted[:, ANGLE_INDEX] + math.pi)
-    for start in range(0, len(nu), _STACK_PAIRS):
+    for start in range(0, len(rows), _STACK_PAIRS):
         stack = slice(start, start + _STACK_PAIRS)
-        pair_yaws = yaws.take(rows[stack], axis=0)
-        deltas = wrap_angle_array(nu[stack, ANGLE_INDEX, None] - pair_yaws)
-        nu[stack] -= predicted.take(rows[stack], axis=0)  # yaws less the wrapped yaws
+        nu, pair_yaws = detected.take(cols[stack], axis=0), yaws.take(rows[stack], axis=0)
+        deltas = wrap_angle_array(nu[:, ANGLE_INDEX, None] - pair_yaws)
+        nu -= predicted.take(rows[stack], axis=0)  # yaws less the wrapped yaws
         flip = np.abs(deltas[:, 0]) > math.pi / 2.0
-        nu[stack, ANGLE_INDEX] = np.where(flip, deltas[:, 1], deltas[:, 0])
+        nu[:, ANGLE_INDEX] = np.where(flip, deltas[:, 1], deltas[:, 0])
         corrected[stack] = np.where(flip, pair_yaws[:, 1], pair_yaws[:, 0])
-    return nu, corrected
+        finite[stack] = np.isfinite(nu).all(axis=1)
+        w = weights.take(rows[stack], axis=0)
+        np.matmul(nu[:, None, :], ((nu * w) * w)[:, :, None], out=scores[stack, None, None])
+    return scores, corrected, finite
 
 
-def _quadratic_forms(prediction: Prediction, nu: np.ndarray, rows: list,
-                     counts: list) -> np.ndarray:
-    """nu_k . S^-1 nu_k of each residual, where rows[i] owns the next counts[i] residuals.
-
-    Each row in turn has its residuals checked, its S factored and one
-    potrs over its residuals; the products are stacks of 1x7 by 7x1 matmuls.
-    """
-    failing = (set() if np.isfinite(nu).all()
-               else set(np.repeat(rows, counts)[~np.isfinite(nu).all(axis=1)].tolist()))
-    scores, solved, start, done = np.empty(len(nu)), [], 0, 0
-    for row, count in zip(rows, counts):
-        solved.append(prediction.solve(nu[start:start + count].T, row, row not in failing).T)
-        start += count
-        if start - done >= _STACK_PAIRS or start == len(nu):
-            stack = solved[0] if len(solved) == 1 else np.concatenate(solved)
-            np.matmul(nu[done:start, None, :], stack[:, :, None],
-                      out=scores[done:start, None, None])
-            solved, done = [], start
-    return scores
-
-
-def mahalanobis_affinity(prediction: Prediction, detected: np.ndarray,
+def mahalanobis_affinity(prediction: AxisPrediction, detected: np.ndarray,
                          blocks=None, limits=None) -> AffinityMatrix:
-    """Pairwise Mahalanobis distances of a stacked prediction and (M, 7) detection rows.
+    """Pairwise Mahalanobis distances of a stacked per-axis prediction and (M, 7) detection rows.
 
+    Each scored pair gets the floats of a Cholesky solve with its dense S.
     Only the pairs of blocks, (rows, columns) slices in ascending rows, no
     two sharing a row (by default all pairs), are scored; the others score
-    inf.  Every row of a block is checked, factored and solved in order
-    (_quadratic_forms), so the first failing row is named, its residuals
-    checked before its factor, and every scored pair gets the floats it
-    gets alone.  The result's yaws hold each scored pair's predicted yaw
-    as orientation_correct corrects it, bit for bit; the other cells are
-    NaN.
+    inf.  The first failing row of the blocks (AxisPrediction.check) is
+    named.  The result's yaws hold each scored pair's predicted yaw as
+    orientation_correct corrects it, bit for bit; the other cells are NaN.
 
     limits, one per block, gate each block of at least _GATE_MIN_PAIRS
     pairs for the greedy matcher, which reads only pairs below their
-    limit.  A pair whose distance under the leading 2 x 2 block of S (its
-    (x, y) marginal) exceeds the limit by a relative 1e-9 scores inf with
-    no residual and no potrs column.  By the Schur complement that
-    marginal distance never exceeds the full one, and rounding cannot
-    reverse it: pairs are pruned only in rows whose correlation matrix is
-    diagonally dominant by a half, and only where the row's scales and
-    coordinates and the detection's coordinates lie within _GATE_SCALES.
-    There the bound errs by a few dozen ulps, and potrs with its quadratic
-    form by a few hundred (its backward error is under 22u |L||L^T|;
-    Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    Thm 10.4), far inside the margin.  Every other pair is scored, so a
-    NaN, inf or huge entry raises the error it raises without limits.
+    limit.  A pair whose (x, y) terms alone, (dx * w_x)^2 + (dy * w_y)^2,
+    exceed the squared limit by a relative 2e-9 scores inf with no
+    residual: the squared distance adds five non-negative terms, and each
+    term is within a few ulps of exact.  The gate prunes only where the
+    limit lies within _GATE_LIMITS (no term underflows) and every
+    coordinate of both sides within _GATE_SCALE (no skipped residual
+    overflows), so a NaN, inf or huge entry raises its error as ungated.
     """
     predicted = prediction.mean[:, :OBS_DIM].copy()
     blocks = blocks or [(slice(0, len(predicted)), slice(0, len(detected)))]
     predicted[:, ANGLE_INDEX] = wrap_angle_array(predicted[:, ANGLE_INDEX])
-    kept = _kept_pairs(prediction, predicted, detected, blocks, limits)
+    weights = prediction.weights
+    kept = _kept_pairs(weights, predicted, detected, blocks, limits)
     pair_rows, pair_cols = np.divmod(np.flatnonzero(kept), len(detected))  # block by block
-    counts = np.bincount(pair_rows, minlength=len(predicted)).tolist()
-    rows = [row for block_rows, _ in blocks for row in range(len(predicted))[block_rows]]
-    with np.errstate(over="ignore"):  # inf residuals fail the solve, inf distances never match
-        nu, pair_yaws = _residuals(detected, predicted, pair_rows, pair_cols)
-        del pair_rows, pair_cols  # kept through the solves, they would pass two blocks
-        scores = _quadratic_forms(prediction, nu, rows, [counts[row] for row in rows])
+    with np.errstate(all="ignore"):  # a failing row raises below; inf distances never match
+        scores, pair_yaws, finite = _distances(detected, predicted, weights, pair_rows, pair_cols)
+    rows = np.concatenate([np.arange(len(predicted))[block_rows] for block_rows, _ in blocks])
+    prediction.check(rows, ~np.isin(rows, pair_rows[~finite]))
     values, yaws = np.full(kept.shape, math.inf), np.full(kept.shape, math.nan)
     values[kept], yaws[kept] = scores, pair_yaws
     return AffinityMatrix(np.sqrt(values, out=values), yaws)
@@ -232,7 +182,7 @@ def _z_extents(rows: np.ndarray) -> tuple:
     return z - half_h, z + half_h
 
 
-def iou_affinity(prediction: Prediction, detected: np.ndarray, blocks=None) -> AffinityMatrix:
+def iou_affinity(prediction: AxisPrediction, detected: np.ndarray, blocks=None) -> AffinityMatrix:
     """Pairwise 3D IOU between the boxes of a stacked (N, 11) prediction and (M, 7) detection rows.
 
     Only the pairs of blocks, (rows, columns) slices (by default all

@@ -1,11 +1,12 @@
 """Frame-by-frame multi-object tracking.
 
 One bank per scene holds the live tracks of every class, by class label
-and then track_id, with their stacked means, covariances, Q and R.  A
-frame sorts its detections by class, so each class is one block of bank
-rows and one of detection columns.  One predict call forecasts the bank,
-one affinity call scores the pairs within each class, and one update call
-conditions the matched rows.  Greedy matching runs once per frame, over
+and then track_id, with their stacked means, per-axis covariances (see
+kalman) and Q and R diagonals.  A frame sorts its detections by class, so
+each class is one block of bank rows and one of detection columns.  One
+predict call forecasts the bank, one affinity call scores the pairs
+within each class, and one update call conditions the matched rows, each
+elementwise.  Greedy matching runs once per frame, over
 the whole distance array (no pair between two classes is a candidate);
 Hungarian matching runs on each class's block.  Under Mahalanobis the
 update takes each matched pair's orientation-corrected yaw from the
@@ -34,15 +35,16 @@ from .calibration import NoiseModel
 from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, checked_rows, observation_rows, trusted_box
 from .dataset_io import RunConfig
 from .errors import ConfigError, NumericalError, SchemaError, SequencingError
-from .kalman import predict, update
+from .kalman import AXES, predict_per_axis as predict, update_per_axis as update
 
 @dataclass
 class Track:
     """Mutable per-object bookkeeping.
 
-    mean (11,) and cov (11, 11) are views of the track's row in the
-    scene's bank, set after every frame; the bank's arrays are replaced
-    each frame, never edited once the tracks point at them.
+    mean (11,) and cov (15,), a per-axis covariance (see kalman), are views
+    of the track's row in the scene's bank, set after every frame; the
+    bank's arrays are replaced each frame, never edited once the tracks
+    point at them.
     """
 
     track_id: int
@@ -122,11 +124,11 @@ class MultiObjectTracker:
         self._last_frame: int | None = None
         matrices = []
         for _, entry in sorted(noise.classes.items()):
-            q, sigma0 = np.diag(entry.q), np.diag(entry.sigma0)
+            q, sigma0 = entry.q.copy(), np.concatenate([entry.sigma0, np.zeros(AXES)])
             if not self.config.angular_velocity:
                 # no yaw-rate noise or initial spread: da stays pinned at zero
-                q[10, 10] = sigma0[10, 10] = 0.0
-            matrices.append((sigma0, q, np.diag(entry.r)))
+                q[10] = sigma0[10] = 0.0
+            matrices.append((sigma0, q, entry.r))
         # the covariance, Q and R of each class, stacked in label order
         self._classes = {label: k for k, label in enumerate(sorted(noise.classes))}
         self._newborn = [np.array(stack) for stack in zip(*matrices)]

@@ -20,32 +20,42 @@ from mot3d.core import (OBS_DIM, Observation, observation_residual, observation_
                         wrap_angle_array)
 from mot3d.dataset_io import DEFAULT_MAHA_GATE
 from mot3d.errors import NumericalError
-from mot3d.kalman import Prediction
+from mot3d.kalman import AxisPrediction
+from tests.test_kalman import dense_distance
+
+# The per-axis covariance row of the identity.
+UNIT_COV = np.concatenate([np.ones(11), np.zeros(4)])
 
 
-def make_prediction(obs: Observation, innovation_cov=None) -> Prediction:
+def make_prediction(obs: Observation, innovation_var=None) -> AxisPrediction:
+    """One belief at obs, its S the diagonal innovation_var (by default I)."""
     mean = np.concatenate([observation_rows([obs])[0], np.zeros(4)])
-    if innovation_cov is None:
-        innovation_cov = np.eye(7)
-    return Prediction(mean, np.eye(11), innovation_cov)
+    if innovation_var is None:
+        innovation_var = np.ones(7)
+    return AxisPrediction(mean, UNIT_COV, np.asarray(innovation_var, dtype=float))
 
 
-def reference_mahalanobis(prediction: Prediction, observation: Observation) -> float:
+def reference_mahalanobis(prediction: AxisPrediction, observation: Observation) -> float:
     """sqrt(nu^T S^-1 nu) of one observation against one belief: the scalar oracle.
 
-    The caller orientation-corrects the prediction (orientation_correct);
-    the yaw residual is wrapped here.
+    A LAPACK Cholesky factor and solve of the dense S.  The caller
+    orientation-corrects the prediction (orientation_correct); the yaw
+    residual is wrapped here.
     """
     nu = observation_residual(observation_rows([observation])[0], prediction.mean[:OBS_DIM])
-    one_row = stacked([prediction])
-    return math.sqrt(nu @ one_row.solve(nu, 0, bool(np.isfinite(nu).all())))
+    return dense_distance(np.diag(prediction.innovation_var), nu)
 
 
-def stacked(predictions) -> Prediction:
+def stacked(predictions) -> AxisPrediction:
     """The single-belief predictions as one stacked prediction, rows in order."""
-    return Prediction(np.array([p.mean for p in predictions]).reshape(-1, 11),
-                      np.array([p.cov for p in predictions]).reshape(-1, 11, 11),
-                      np.array([p.innovation_cov for p in predictions]).reshape(-1, 7, 7))
+    return AxisPrediction(np.array([p.mean for p in predictions]).reshape(-1, 11),
+                          np.array([p.cov for p in predictions]).reshape(-1, 15),
+                          np.array([p.innovation_var for p in predictions]).reshape(-1, 7))
+
+
+def random_variances(rng, size=7) -> np.ndarray:
+    """A random diagonal of S, spanning a factor of 50."""
+    return rng.uniform(0.1, 5.0, size)
 
 
 def test_orientation_correct_flips_beyond_quarter_turn():
@@ -85,13 +95,12 @@ def test_mahalanobis_identity_innovation():
     pred = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1))
     assert reference_mahalanobis(pred, Observation(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(1.0)
     # scaled innovation covariance halves the normalized distance
-    pred4 = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1), 4.0 * np.eye(7))
+    pred4 = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1), np.full(7, 4.0))
     assert reference_mahalanobis(pred4, Observation(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(0.5)
 
 
 def test_mahalanobis_sign_symmetric():
-    pred = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1),
-                           np.diag([1, 2, 3, 0.5, 1, 1, 1.0]))
+    pred = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1), [1, 2, 3, 0.5, 1, 1, 1.0])
     plus = reference_mahalanobis(pred, Observation(0.7, -0.3, 0.2, 0.1, 1.2, 0.9, 1.1))
     minus = reference_mahalanobis(pred, Observation(-0.7, 0.3, -0.2, -0.1, 0.8, 1.1, 0.9))
     assert plus == pytest.approx(minus, abs=1e-12)
@@ -127,8 +136,7 @@ def test_affinity_yaws_equal_orientation_correct_bit_for_bit(gated):
     detected[:, :2] += rng.normal(size=(m, 2))
     detected[:, 3] = [rng.choice([rng.uniform(-math.pi, math.pi), yaw + rng.choice(offsets)])
                       for yaw in mean[rng.integers(n, size=m), 3]]
-    prediction = Prediction(mean, np.broadcast_to(np.eye(11), (n, 11, 11)),
-                            np.broadcast_to(np.eye(7), (n, 7, 7)))
+    prediction = AxisPrediction(mean, np.broadcast_to(UNIT_COV, (n, 15)), np.ones((n, 7)))
     if gated:  # one block of 720 pairs, gated
         blocks, limits = [(slice(0, n), slice(0, m))], [1.0]
     else:  # two blocks; the cells between them are not scored
@@ -152,10 +160,9 @@ def test_mahalanobis_affinity_matches_per_pair_loop():
     rng = np.random.default_rng(9)
     predictions = []
     for _ in range(6):
-        b = rng.normal(size=(7, 7))
         obs = Observation(*rng.normal(scale=5.0, size=3), rng.uniform(-math.pi, math.pi),
                           *rng.uniform(1.0, 5.0, size=3))
-        predictions.append(make_prediction(obs, b @ b.T + 0.1 * np.eye(7)))
+        predictions.append(make_prediction(obs, random_variances(rng)))
     detections = [Observation(*rng.normal(scale=5.0, size=3), rng.uniform(-4.0, 4.0),
                               *rng.uniform(1.0, 5.0, size=3)) for _ in range(9)]
     values = mahalanobis_affinity(stacked(predictions), observation_rows(detections)).values
@@ -182,12 +189,11 @@ def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_d
     for _ in range(4):
         predictions = []
         for _ in range(n_pred):
-            b = rng.normal(size=(7, 7))
             yaw = rng.choice([rng.uniform(-math.pi, math.pi),
                               wrap_angle(math.pi - rng.uniform(0.0, 1e-3)),
                               wrap_angle(-math.pi + rng.uniform(0.0, 1e-3))])
             obs = Observation(*rng.normal(scale=5.0, size=3), yaw, *rng.uniform(1.0, 5.0, size=3))
-            predictions.append(make_prediction(obs, b @ b.T + 0.1 * np.eye(7)))
+            predictions.append(make_prediction(obs, random_variances(rng)))
         detections = []
         for _ in range(n_det):
             base = predictions[rng.integers(n_pred)].mean[3]
@@ -214,7 +220,7 @@ def test_mahalanobis_affinity_keeps_empty_shapes():
 def test_mahalanobis_affinity_error_names_the_failing_row():
     obs = Observation(0, 0, 0, 0, 1, 1, 1)
     good = make_prediction(obs)
-    singular = make_prediction(obs, np.zeros((7, 7)))
+    singular = make_prediction(obs, np.zeros(7))
     with pytest.raises(NumericalError, match="not positive definite") as info:
         mahalanobis_affinity(stacked([good, good, singular]), observation_rows([obs]))
     assert info.value.row == 2
@@ -230,8 +236,8 @@ def test_mahalanobis_affinity_names_a_bad_covariance_before_a_later_bad_residual
     # residuals are checked for the whole stack at once, yet rows fail in
     # row order: row 1's S is NaN, row 2's residual overflows
     obs = Observation(0, 0, 0, 0, 1, 1, 1)
-    nan_s = np.eye(7)
-    nan_s[2, 4] = math.nan
+    nan_s = np.ones(7)
+    nan_s[2] = math.nan
     predictions = [make_prediction(obs), make_prediction(obs, nan_s),
                    make_prediction(Observation(1e308, 0, 0, 0, 1, 1, 1))]
     detected = observation_rows([obs, Observation(-1e308, 0, 0, 0, 1, 1, 1)])
@@ -249,9 +255,8 @@ def test_mahalanobis_affinity_allocates_under_two_residual_blocks():
     mean[:, :3] = rng.normal(scale=50.0, size=(n, 3))
     mean[:, 3] = rng.uniform(-math.pi, math.pi, n)
     mean[:, 4:7] = rng.uniform(1.0, 5.0, (n, 3))
-    b = rng.normal(size=(n, 7, 7))
-    prediction = Prediction(mean, np.broadcast_to(np.eye(11), (n, 11, 11)),
-                            b @ b.transpose(0, 2, 1) + 0.1 * np.eye(7))
+    prediction = AxisPrediction(mean, np.broadcast_to(UNIT_COV, (n, 15)),
+                                random_variances(rng, (n, 7)))
     detected = mean[rng.permutation(n)[:m], :7].copy()
     detected[:, :3] += rng.normal(size=(m, 3))
     detected[:, 3] = rng.uniform(-math.pi, math.pi, m)
@@ -275,12 +280,8 @@ def test_gated_mahalanobis_affinity_allocates_under_one_residual_block():
     mean[:, 2] = rng.normal(size=n)
     mean[:, 3] = rng.uniform(-math.pi, math.pi, n)
     mean[:, 4:7] = rng.uniform(1.0, 5.0, (n, 3))
-    # S within the gate's rule: correlations below its diagonal sum to under a half
-    correlation = np.eye(7) + np.tril(rng.uniform(-0.02, 0.02, (n, 7, 7)), -1)
-    correlation = np.tril(correlation) + np.tril(correlation, -1).transpose(0, 2, 1)
-    scale = np.sqrt(rng.uniform(0.5, 4.0, (n, 7)))
-    prediction = Prediction(mean, np.broadcast_to(np.eye(11), (n, 11, 11)),
-                            scale[:, :, None] * correlation * scale[:, None, :])
+    prediction = AxisPrediction(mean, np.broadcast_to(UNIT_COV, (n, 15)),
+                                rng.uniform(0.5, 4.0, (n, 7)))
     detected = mean[rng.permutation(n)[:m], :7].copy()
     detected[:, :3] += rng.normal(size=(m, 3))
     detected[:, 3] = rng.uniform(-math.pi, math.pi, m)
@@ -298,28 +299,19 @@ def test_gated_mahalanobis_affinity_allocates_under_one_residual_block():
 
 
 # Specials that reach the gate: NaN and +-inf fail a row, 1e308 overflows a
-# residual or leaves every range the gate's rounding argument covers.
-SPECIALS = (math.nan, math.inf, -math.inf, 1e308, -1e308)
-INNOVATION_FAMILIES = ("scaled", "unit", "weakly correlated", "x-y near +-1", "ill-conditioned")
-FAILURES = ("x-y not positive definite", "special innovation", "special prediction",
-            "special detection")
+# residual, and 1e301 lies beyond the coordinates the gate prunes within.
+SPECIALS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e301)
+INNOVATION_FAMILIES = ("scaled", "unit", "extreme")
+FAILURES = ("not positive", "special innovation", "special prediction", "special detection")
 
 
 def random_innovation(rng, family: str) -> np.ndarray:
-    """One S of a family: its scales, spanning up to 1e12, and its correlations."""
-    scale = 10.0 ** rng.uniform(-6.0, 6.0, 7) if family == "scaled" else rng.uniform(0.2, 5.0, 7)
-    correlation = np.eye(7)
-    if family == "weakly correlated":  # the lower sums fall on either side of one half
-        correlation += np.tril(rng.uniform(-0.05, 0.05, (7, 7)), -1)
-        correlation = np.tril(correlation) + np.tril(correlation, -1).T
-    elif family in ("x-y near +-1", "x-y not positive definite"):
-        gap = 10.0 ** rng.uniform(-12.0, -1.0)
-        rho = (1.0 - gap if family == "x-y near +-1" else 1.0 + gap) * rng.choice([-1.0, 1.0])
-        correlation[0, 1] = correlation[1, 0] = rho
-    elif family == "ill-conditioned":  # condition numbers up to 1e12
-        q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
-        correlation = (q * np.logspace(0.0, -rng.uniform(0.0, 12.0), 7)) @ q.T
-    return scale[:, None] * correlation * scale[None, :]
+    """One diagonal of S of a family: scales spanning up to 1e12, or near the float range's ends."""
+    if family == "scaled":
+        return 10.0 ** rng.uniform(-6.0, 6.0, 7)
+    if family == "extreme":
+        return 10.0 ** rng.choice([-300.0, -150.0, 0.0, 150.0, 300.0], 7)
+    return rng.uniform(0.2, 5.0, 7)
 
 
 def outcome(call):
@@ -343,8 +335,9 @@ def test_gated_affinity_prunes_only_pairs_the_greedy_matcher_cannot_take(
         seed, shape, families, failures):
     # every pair below its limit keeps its floats, inf appears only where
     # the full distance reaches the limit (including pairs placed within
-    # 1e-9 of it on the (x, y) marginal), greedy takes the same pairs, and
-    # a failing call fails with the same error and row
+    # 1e-9 of it on the (x, y) terms), greedy takes the same pairs, a pair
+    # whose bound is NaN (a coordinate beyond the gate's range) keeps its
+    # floats, and a failing call fails with the same error and row
     rng = np.random.default_rng(seed)
     n, m = sum(rows for rows, _, _ in shape), sum(cols for _, cols, _ in shape)
     blocks, limits, r0, c0 = [], [], 0, 0
@@ -357,33 +350,31 @@ def test_gated_affinity_prunes_only_pairs_the_greedy_matcher_cannot_take(
     mean[:, 3] = rng.uniform(-math.pi, math.pi, n)
     mean[:, 4:7] = rng.uniform(1.0, 5.0, (n, 3))
     innovation = np.array([random_innovation(rng, family) for family in families[:n]])
-    innovation = innovation.reshape(n, 7, 7)
+    innovation = innovation.reshape(n, 7)
     detected = np.empty((m, 7))
     for (rows, cols), limit in zip(blocks, limits):
         for j in range(cols.start, cols.stop):
             i = int(rng.integers(rows.start, rows.stop)) if rows.stop > rows.start else 0
             detected[j] = mean[i, :7] if n else [0, 0, 0, 0, 1, 1, 1]
             if rows.stop > rows.start and rng.random() < 0.5:
-                # x alone, within 1e-9 of the limit on the (x, y) marginal
-                s = innovation[i]
-                marginal = s[1, 1] / (s[0, 0] * s[1, 1] - s[1, 0] ** 2)
+                # x alone, within 1e-9 of the limit on the (x, y) terms
                 detected[j, 0] += (limit * (1.0 + rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0]) * 1e-9)
-                                   / math.sqrt(marginal))
+                                   * math.sqrt(innovation[i, 0]))
             else:
                 detected[j, :3] += rng.normal(scale=rng.choice([0.3, 3.0]), size=3)
                 detected[j, 3] = rng.uniform(-math.pi, math.pi)
     for failure, side in zip(failures, (innovation, mean, detected)):
-        if failure == "x-y not positive definite" and n:
-            innovation[rng.integers(n)] = random_innovation(rng, failure)
+        if failure == "not positive" and n:
+            innovation[rng.integers(n), rng.integers(7)] = rng.choice([0.0, -0.0, -1e-3])
         elif failure == "special innovation" and n:
-            innovation[rng.integers(n), rng.integers(7), rng.integers(7)] = rng.choice(SPECIALS)
+            innovation[rng.integers(n), rng.integers(7)] = rng.choice(SPECIALS)
         elif failure == "special prediction" and n:
             mean[rng.integers(n), rng.integers(7)] = rng.choice(SPECIALS)
         elif failure == "special detection" and m:
             detected[rng.integers(m), rng.integers(7)] = rng.choice(SPECIALS)
 
     def call(gates):
-        prediction = Prediction(mean, np.broadcast_to(np.eye(11), (n, 11, 11)), innovation)
+        prediction = AxisPrediction(mean, np.broadcast_to(UNIT_COV, (n, 15)), innovation)
         return lambda: mahalanobis_affinity(prediction, detected, blocks=blocks, limits=gates)
 
     with warnings.catch_warnings():
@@ -402,6 +393,11 @@ def test_gated_affinity_prunes_only_pairs_the_greedy_matcher_cannot_take(
         changed = ~((g == u) | (np.isnan(g) & np.isnan(u)))
         assert np.isinf(g[changed]).all() and (u[changed] >= limit).all()
         assert greedy_match(g, limit).pairs == greedy_match(u, limit).pairs
+    with np.errstate(invalid="ignore"):  # the predicted yaws are wrapped before the gate
+        beyond = (~(np.abs(mean[:, [0, 1, 2, 4, 5, 6]]) <= association._GATE_SCALE).all(axis=1)
+                  [:, None] | ~(np.abs(detected) <= association._GATE_SCALE).all(axis=1)[None, :])
+    assert np.array_equal(gated[beyond], ungated[beyond], equal_nan=True)
+
 
 def unmatched(result, shape) -> tuple:
     """The indices in no pair of a match over an array of shape: (rows, columns), ascending."""

@@ -15,7 +15,7 @@ from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
 from mot3d import cli, dataset_io
 from mot3d.cli import build_parser, main
 from mot3d.core import Box, Observation
-from mot3d.dataset_io import load_tracks, write_detections
+from mot3d.dataset_io import load_ground_truth, load_tracks, write_detections, write_ground_truth
 from mot3d.synthetic import generate, load_scenarios
 
 SUBCOMMANDS = ("calibrate", "track", "evaluate", "simulate", "ablate", "plot")
@@ -176,7 +176,9 @@ def test_degenerate_noise_exits_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "numerical error" in err
-    assert "condition" in err
+    # an all-zero S: max |s| / min |s| divides by 0, so the estimate is inf, never nan
+    assert err.endswith("innovation covariance is not positive definite "
+                        "(condition estimate: inf)\n"), err
     # the error names where it happened: from the affinity, and under IOU
     # association (no Mahalanobis solve) from the matched update
     assert "mot3d: numerical error: scene s, frame 1, class car, track 1: " in err
@@ -293,6 +295,21 @@ def test_evaluate_reports_per_class(pipeline, tmp_path, capsys):
     assert any(re.fullmatch(r"evaluated in \d+\.\d\ds", line) for line in lines)
 
 
+def test_evaluate_names_the_classes_without_ground_truth(pipeline, tmp_path, capsys):
+    # tracks of a class the ground truth lacks are not scored, and the
+    # report says which classes those are
+    ground_truth = load_ground_truth(pipeline["gt"])
+    cars_only = {scene: {frame: [box for box in boxes if box.class_label == "car"]
+                         for frame, boxes in frames.items()}
+                 for scene, frames in ground_truth.items()}
+    gt = tmp_path / "cars.json"
+    write_ground_truth(cars_only, str(gt))
+    assert main(["evaluate", "--tracks", pipeline["tracks"], "--ground-truth", str(gt)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "not scored (no ground truth): bus, pedestrian"
+    assert [line.split()[0] for line in lines[:-2]] == ["car", "overall"]
+
+
 def test_evaluate_without_track_boxes_writes_strict_json(tmp_path, capsys):
     # a class without track boxes has no score threshold: null, never NaN
     gt, det, tracks, report = (str(tmp_path / name)
@@ -326,6 +343,26 @@ def test_simulate_requires_exactly_one_source(tmp_path, capsys):
     assert main(base + ["--spec", str(spec_path), "--preset", "noiseless"]) == 1
     assert "exactly one" in capsys.readouterr().err
     assert main(base + ["--spec", str(spec_path)]) == 0
+
+
+def test_simulate_spec_seed_reseeds_each_scene_by_its_index(tmp_path, capsys):
+    # --seed S gives the i-th spec of a file the seed S + i, whatever seeds it holds
+    scene = {"frame_count": 3, "objects": [{"class_label": "car", "x": 0.0, "y": 0.0}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"scenarios": [dict(scene, scene_id="a", seed=1),
+                                                   dict(scene, scene_id="b", seed=1)]}))
+    expected_path = tmp_path / "expected.json"
+    expected_path.write_text(json.dumps({"scenarios": [dict(scene, scene_id="a", seed=40),
+                                                       dict(scene, scene_id="b", seed=41)]}))
+    written = []
+    for path in (spec_path, expected_path):
+        det, gt = tmp_path / f"d-{path.stem}.json", tmp_path / f"g-{path.stem}.json"
+        seed = ["--seed", "40"] if path == spec_path else []
+        assert main(["simulate", "--spec", str(path), *seed,
+                     "--out-detections", str(det), "--out-ground-truth", str(gt)]) == 0
+        written.append((det.read_bytes(), gt.read_bytes()))
+    assert written[0] == written[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("preset, own_seed", [
@@ -482,6 +519,14 @@ def test_plot_directory_and_single_file(pipeline, tmp_path, capsys):
     assert main(["plot", "--tracks", pipeline["tracks"], "--scene", "ghost",
                  "--out", str(tmp_path / "g.svg")]) == 1
     assert "ghost" in capsys.readouterr().err
+
+
+def test_plot_of_a_track_file_without_scenes_exits_one(tmp_path, capsys):
+    tracks = tmp_path / "empty.json"
+    tracks.write_text("{}")
+    assert main(["plot", "--tracks", str(tracks), "--out", str(tmp_path / "plots")]) == 1
+    assert capsys.readouterr().err == f"mot3d: error: no scenes in {tracks}\n"
+    assert not (tmp_path / "plots").exists()
 
 
 @pytest.mark.parametrize("scene_id", ["../escaped", "{tmp}/abs", "sub/dir", "nul\0byte"])

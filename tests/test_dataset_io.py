@@ -46,19 +46,33 @@ def test_default_gate_value():
     assert type(DEFAULT_MAHA_GATE) is float
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.linalg serves the filter; the gate is a literal, and
-    # hungarian_match imports scipy.optimize on its first call
+def scipy_modules_loaded(script: str) -> set:
+    """The scipy modules a fresh interpreter has loaded after running script."""
     src = os.path.dirname(os.path.dirname(mot3d.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{script}\nimport sys; print('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    modules = set(out.stdout.split())
+    assert "mot3d.tracker" in modules
+    return {name for name in modules if name == "scipy" or name.startswith("scipy.")}
+
+
+def test_import_loads_no_scipy():
+    # the tracker's filter solves elementwise, the gate is a literal, and
+    # hungarian_match and the dense update import scipy on their first call
     for module in ("mot3d", "mot3d.cli"):
-        out = subprocess.run(
-            [sys.executable, "-c", f"import sys, {module}; print('\\n'.join(sys.modules))"],
-            capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-        modules = set(out.stdout.split())
-        assert "mot3d.tracker" in modules and "scipy.linalg" in modules, module
-        assert "scipy.special" not in modules, module
-        assert "scipy.optimize" not in modules, module
-        assert "scipy.stats" not in modules, module
+        assert scipy_modules_loaded(f"import {module}") == set(), module
+
+
+def test_a_greedy_mahalanobis_scene_loads_no_scipy():
+    script = "\n".join([
+        "from mot3d.calibration import NoiseModel",
+        "from mot3d.synthetic import calibration_scenario, generate",
+        "from mot3d.tracker import run_scene",
+        "_, frames = generate(calibration_scenario(objects=20, frame_count=8, spacing=15.0))",
+        "outputs = run_scene(frames, NoiseModel.default_covariance())",
+        "assert sum(len(output.records) for output in outputs) > 50"])
+    assert scipy_modules_loaded(script) == set()
 
 
 def test_detection_round_trip(tmp_path):

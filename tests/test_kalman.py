@@ -3,21 +3,28 @@
 Oracle A recomputes predict/update from explicitly built dense
 matrices using plain inverses.  Oracle B treats the update as exact
 conditioning of an 18-D joint Gaussian over (state, measurement) and
-solves the Schur complement directly.  The implementation under test
+solves the Schur complement directly.  The dense filter under test
 uses Cholesky solves, so agreement is numerical, not definitional.
+The per-axis filter the tracker runs is held to the dense one bit for
+bit on block-structured inputs.
 """
 
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from mot3d.association import orientation_correct
-from mot3d.core import OBS_DIM, OBSERVATION_MATRIX, STATE_DIM, TRANSITION_MATRIX, wrap_angle
+from scipy.linalg.lapack import dpotrf, dpotrs
+
+from mot3d.association import mahalanobis_affinity, orientation_correct
+from mot3d.core import (OBS_DIM, OBSERVATION_MATRIX, STATE_DIM, TRANSITION_MATRIX,
+                        observation_residual, wrap_angle)
 from mot3d.errors import NumericalError
-from mot3d.kalman import _POTRF, _POTRS, Prediction, predict, update
+from mot3d.kalman import (AxisPrediction, Prediction, predict, predict_per_axis, update,
+                          update_per_axis)
 
 ANGLE = 3
 
@@ -370,11 +377,6 @@ def test_stacked_calls_equal_one_row_stacks_bit_for_bit():
             assert np.array_equal(one.mean[0], expected_mean)
             s = h @ one.cov[0] @ h.T + r
             assert np.array_equal(one.innovation_cov[0], (s + s.T) / 2.0)
-            # one LAPACK potrf per row, never a batched Cholesky with other rounding
-            expected = np.tril(_POTRF(one.innovation_cov[0], lower=True, clean=False)[0])
-            inverse = _POTRS(expected, np.eye(OBS_DIM), lower=True)[0]
-            assert np.array_equal(stacked.solve(np.eye(OBS_DIM), k, True), inverse)
-            assert np.array_equal(one.solve(np.eye(OBS_DIM), 0, True), inverse)
 
         # a subset of rows in shuffled order, against observations that
         # straddle the seam or face away from the prediction
@@ -388,6 +390,15 @@ def test_stacked_calls_equal_one_row_stacks_bit_for_bit():
             mean, cov = update(ones[row], observed[k:k + 1], yaws[k:k + 1], [0])
             assert np.array_equal(means[k], mean[0])
             assert np.array_equal(covs[k], cov[0])
+            # one LAPACK potrf and potrs per row, never a batched Cholesky with other rounding
+            factor = dpotrf(stacked.innovation_cov[row], lower=True, clean=False)[0]
+            gain = dpotrs(factor, stacked.cov[row, :OBS_DIM], lower=True)[0].T
+            predicted = stacked.mean[row].copy()
+            predicted[ANGLE] = yaws[k]
+            nu = observation_residual(observed[k], predicted[:OBS_DIM])
+            expected = predicted + (gain[None] @ nu[None, :, None])[0, :, 0]
+            expected[ANGLE] = wrap_angle(expected[ANGLE])
+            assert np.array_equal(means[k], expected)
 
 
 def test_thousand_cycles_stay_symmetric_psd():
@@ -410,3 +421,147 @@ def test_thousand_cycles_stay_symmetric_psd():
             assert np.linalg.eigvalsh(cov).min() >= -1e-9
     assert np.linalg.eigvalsh(cov).min() >= -1e-9
     assert math.isfinite(mean[0])
+
+
+# ---------------------------------------------------------------- per-axis filter
+
+AXES = range(4)  # x, y, z and yaw: position i pairs with velocity i + 7
+
+
+def dense_covariance(rows: np.ndarray) -> np.ndarray:
+    """The (..., 11, 11) covariances of (..., 15) per-axis rows."""
+    rows = np.asarray(rows, dtype=float)
+    cov = np.zeros(rows.shape[:-1] + (STATE_DIM, STATE_DIM))
+    cov[..., range(STATE_DIM), range(STATE_DIM)] = rows[..., :STATE_DIM]
+    cov[..., AXES, range(7, 11)] = cov[..., range(7, 11), AXES] = rows[..., STATE_DIM:]
+    return cov
+
+
+def per_axis_covariance(cov: np.ndarray) -> np.ndarray:
+    """The (..., 15) per-axis rows of block-structured (..., 11, 11) covariances."""
+    return np.concatenate([np.diagonal(cov, axis1=-2, axis2=-1), cov[..., AXES, range(7, 11)]],
+                          axis=-1)
+
+
+def dense_prediction(prediction: AxisPrediction) -> Prediction:
+    """The same beliefs as a dense Prediction: block-structured Sigma, diagonal S."""
+    s = np.zeros(prediction.innovation_var.shape + (OBS_DIM,))
+    s[..., range(OBS_DIM), range(OBS_DIM)] = prediction.innovation_var
+    return Prediction(prediction.mean, dense_covariance(prediction.cov), s)
+
+
+def dense_distance(s: np.ndarray, nu: np.ndarray) -> float:
+    """sqrt(nu^T S^-1 nu) by one LAPACK Cholesky factor and solve of a dense S."""
+    factor, info = dpotrf(s, lower=True, clean=False)
+    assert info == 0
+    return math.sqrt(nu @ dpotrs(factor, nu, lower=True)[0])
+
+
+def random_axis_rows(rng, n: int) -> np.ndarray:
+    """n per-axis covariance rows: SPD (position, velocity) blocks, positive extents."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    pp, vv = scale * rng.uniform(0.05, 5.0, (n, 4)), scale * rng.uniform(0.05, 5.0, (n, 4))
+    pv = rng.uniform(-0.95, 0.95, (n, 4)) * np.sqrt(pp * vv)
+    return np.concatenate([pp, scale * rng.uniform(0.05, 5.0, (n, 3)), vv, pv], axis=1)
+
+
+def outcome(call):
+    """The call's result, or its exception as (type, message, row)."""
+    try:
+        return call()
+    except NumericalError as exc:
+        return type(exc), str(exc), exc.row
+
+
+@pytest.mark.parametrize("angular_velocity", [True, False])
+def test_the_per_axis_filter_equals_the_dense_filter_bit_for_bit(angular_velocity):
+    # predict, affinity and update on block-structured beliefs with
+    # diagonal Q and R, against the dense filter and a LAPACK solve per
+    # pair; without angular velocity the yaw rate's q and Sigma are 0
+    rng = np.random.default_rng(52 if angular_velocity else 53)
+    for n in (1, 2, 7, 30) * 5:
+        mean, _ = zip(*(random_estimate(rng) for _ in range(n)))
+        mean = np.array(mean)
+        seam = mean[::3]  # yaws on either side of the +-pi seam
+        seam[:, ANGLE] = rng.choice([math.pi, -math.pi]) + rng.normal(scale=1e-3, size=len(seam))
+        cov = random_axis_rows(rng, n)
+        q = 10.0 ** rng.uniform(-4.0, 1.0, (n, STATE_DIM))
+        q[:, 4:7] = rng.choice([0.0, 1e-3], (n, 3))
+        r = 10.0 ** rng.uniform(-3.0, 1.0, (n, OBS_DIM))
+        if not angular_velocity:
+            q[:, 10] = cov[:, 10] = cov[:, 14] = 0.0
+        axis = predict_per_axis(mean, cov, q, r)
+        dense = predict(mean, dense_covariance(cov), q[:, :, None] * np.eye(STATE_DIM),
+                        r[:, :, None] * np.eye(OBS_DIM))
+        assert axis.mean.tobytes() == dense.mean.tobytes()
+        assert dense_covariance(axis.cov).tobytes() == dense.cov.tobytes()
+        assert dense_prediction(axis).innovation_cov.tobytes() == dense.innovation_cov.tobytes()
+
+        detected = dense.mean[rng.integers(n, size=n + 2), :OBS_DIM] \
+            + rng.normal(scale=2.0, size=(n + 2, OBS_DIM))
+        detected[:, ANGLE] = [wrap_angle(a) for a in rng.uniform(-4.0, 4.0, n + 2)]
+        detected[:, 4:] = np.abs(detected[:, 4:]) + 0.5
+        values = mahalanobis_affinity(axis, detected).values
+        for i, j in np.ndindex(values.shape):
+            flipped = dense.mean[i, :OBS_DIM].copy()
+            flipped[ANGLE] = orientation_correct(flipped[ANGLE], detected[j, ANGLE])
+            nu = observation_residual(detected[j], flipped)
+            assert values[i, j] == dense_distance(dense.innovation_cov[i], nu)
+
+        rows = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
+        observed = detected[rng.integers(n + 2, size=len(rows))]
+        yaws = orientation_correct(dense.mean[rows, ANGLE], observed[:, ANGLE])
+        mean_axis, cov_axis = update_per_axis(axis, observed, yaws, rows)
+        mean_dense, cov_dense = update(dense, observed, yaws, rows)
+        assert mean_axis.tobytes() == mean_dense.tobytes()
+        assert dense_covariance(cov_axis).tobytes() == cov_dense.tobytes()
+
+
+@pytest.mark.parametrize("spoil", ["pp", "pv", "extent", "s nan", "s zero", "s negative",
+                                   "extent to zero"])
+def test_the_per_axis_update_fails_as_the_dense_update_does(spoil):
+    # the same message and row, rows visited in update order, each row's
+    # H Sigma block before its S
+    rng = np.random.default_rng(54)
+    n = 6
+    mean = np.array([random_estimate(rng)[0] for _ in range(n)])
+    axis = predict_per_axis(mean, random_axis_rows(rng, n), np.full((n, STATE_DIM), 0.1),
+                            np.full((n, OBS_DIM), 0.1))
+    observed = axis.mean[:, :OBS_DIM].copy()
+    for row in (1, 4):
+        if spoil == "pp":
+            axis.cov[row, 2] = math.nan
+            axis.innovation_var[row, 2] = math.nan
+        elif spoil == "pv":  # S does not read pv: its block fails, S stays finite
+            axis.cov[row, 13] = math.inf
+        elif spoil == "extent":
+            axis.cov[row, 5] = -math.inf
+            axis.innovation_var[row, 5] = -math.inf
+        elif spoil == "extent to zero":  # a gain of 1 rounds l + (z - l) to 0
+            axis.cov[row, 4], axis.innovation_var[row, 4] = 1.0, 1.0
+            observed[row, 4] = 1e-17
+        else:
+            axis.innovation_var[row, 6] = {"s nan": math.nan, "s zero": 0.0,
+                                           "s negative": -1e-3}[spoil]
+    dense = dense_prediction(axis)
+    rows = [3, 4, 0, 1]
+    yaws = axis.mean[rows, ANGLE]
+    got = outcome(lambda: update_per_axis(axis, observed[rows], yaws, rows))
+    expected = outcome(lambda: update(dense, observed[rows], yaws, rows))
+    assert got == expected and got[2] == 4
+
+
+def test_the_per_axis_condition_estimate_is_that_of_the_dense_s():
+    # a row that is not positive definite carries cond(S), from its
+    # magnitudes: a negative entry counts by its size, and a zero gives inf
+    for s, cond in (([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -1e-3], 6000.0),
+                    ([1.0, 2.0, 0.0, 4.0, 5.0, 6.0, 7.0], math.inf), ([0.0] * 7, math.inf)):
+        prediction = AxisPrediction(np.zeros((1, STATE_DIM)), np.zeros((1, 15)), np.array([s]))
+        with pytest.raises(NumericalError, match="not positive definite") as info:
+            prediction.check([0], np.array([True]))
+        assert info.value.condition == pytest.approx(cond, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a singular S divides by zero
+            assert info.value.condition == pytest.approx(np.linalg.cond(np.diag(s)), rel=1e-12)
+    assert str(info.value) == ("innovation covariance is not positive definite "
+                               "(condition estimate: inf)")

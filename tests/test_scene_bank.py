@@ -1,10 +1,12 @@
 """One track bank per scene, held to the per-class tracker it replaced.
 
-ReferenceTracker is the tracker with one bank per class: each frame runs
-a full predict -> affinity -> match -> update round for every class that
-has tracks or detections, in label order.  MultiObjectTracker does the
-filter and affinity work of all classes in one call each and matches
-per class; its outputs must equal the reference's bit for bit.
+ReferenceTracker is the tracker with one bank per class and the dense
+filter: each frame runs a full predict -> affinity -> match -> update
+round for every class that has tracks or detections, in label order,
+with (11, 11) covariances and one LAPACK solve per Mahalanobis pair.
+MultiObjectTracker does the per-axis filter and affinity work of all
+classes in one call each and matches per class; its outputs must equal
+the reference's bit for bit.
 """
 
 import math
@@ -20,14 +22,28 @@ from mot3d import tracker as tracker_module
 from mot3d.association import (MATCHERS, greedy_match, iou_affinity, mahalanobis_affinity,
                                orientation_correct)
 from mot3d.calibration import calibrate
-from mot3d.core import ANGLE_INDEX, OBS_DIM, STATE_DIM, checked_rows, observation_rows, trusted_box
+from mot3d.core import (ANGLE_INDEX, OBS_DIM, STATE_DIM, checked_rows, observation_residual,
+                        observation_rows, trusted_box)
 from mot3d.dataset_io import DEFAULT_MAHA_GATE, RunConfig
 from mot3d.errors import NumericalError
-from mot3d.kalman import predict, update
+from mot3d.kalman import predict, predict_per_axis, update
 from mot3d.synthetic import (generate_suite, standard_suite, standard_suite_calibration,
                              turning_scenario)
 from mot3d.tracker import FrameOutput, MultiObjectTracker, SceneStats, Track
+from tests.test_kalman import dense_covariance, dense_distance
 from tests.test_tracker import det, hand_noise
+
+
+def dense_mahalanobis(prediction, detected) -> np.ndarray:
+    """The (N, M) distances of a dense prediction's orientation-corrected pairs, one by one."""
+    values = np.empty((len(prediction.mean), len(detected)))
+    for i, j in np.ndindex(values.shape):
+        predicted = prediction.mean[i, :OBS_DIM].copy()
+        predicted[ANGLE_INDEX] = orientation_correct(predicted[ANGLE_INDEX],
+                                                     detected[j, ANGLE_INDEX])
+        values[i, j] = dense_distance(prediction.innovation_cov[i],
+                                      observation_residual(detected[j], predicted))
+    return values
 
 
 class ReferenceTracker:
@@ -99,7 +115,7 @@ class ReferenceTracker:
                     distances = 1.0 - iou_affinity(prediction, detected).values
                     limit = 1.0 - config.iou_threshold
                 else:
-                    distances = mahalanobis_affinity(prediction, detected).values
+                    distances = dense_mahalanobis(prediction, detected)
                     limit = config.class_maha_thresholds.get(label, config.maha_threshold)
                 pairs = MATCHERS[config.matcher](distances, limit).pairs
 
@@ -142,7 +158,8 @@ def assert_same_as_reference(frames, noise, config):
         assert repr(tracker.step(frame_index, detections)) == \
             repr(reference.step(frame_index, detections))
     assert tracker.stats == reference.stats
-    assert [(t.track_id, t.mean.tobytes(), t.cov.tobytes()) for t in tracker.tracks] == \
+    assert [(t.track_id, t.mean.tobytes(), dense_covariance(t.cov).tobytes())
+            for t in tracker.tracks] == \
         [(t.track_id, t.mean.tobytes(), t.cov.tobytes()) for t in reference.tracks]
 
 
@@ -262,7 +279,7 @@ def test_an_affinity_leaves_the_cells_outside_its_blocks_unscored(monkeypatch):
     tracker = MultiObjectTracker(hand_noise(("car", "pedestrian")))
     boxes = [det(0, x=1e308), det(0, x=-1e308, label="pedestrian", size=(0.8, 0.6, 1.7))]
     tracker.step(0, boxes)
-    prediction = predict(tracker._means, tracker._covs, tracker._q, tracker._r)
+    prediction = predict_per_axis(tracker._means, tracker._covs, tracker._q, tracker._r)
     detected = observation_rows(box.observation for box in sorted(
         boxes, key=lambda box: box.class_label))
     blocks = [(slice(0, 1), slice(0, 1)), (slice(1, 2), slice(1, 2))]
@@ -281,15 +298,20 @@ def test_an_affinity_leaves_the_cells_outside_its_blocks_unscored(monkeypatch):
     assert measured == [(1, 1), (1, 1)]
 
 
-def spoil_for_update(track):
-    """Make a track's next update fail while its innovation stays finite and positive definite.
+def spoiling_predict(tracker, tracks):
+    """The tracker's predict, made to fail the listed tracks' next update.
 
-    After the predict, Sigma[4, 8] is 1.5e308 on both sides of the
-    diagonal, and symmetrizing overflows it to inf; the l-y term it adds
-    to is cancelled by Sigma[4, 1], so S keeps its finite values.
+    Their predicted Sigma[0, 7], the x axis's pv, which S does not read,
+    is inf: the update finds a covariance that is not finite while the
+    affinity's S stays finite and positive.
     """
-    track.cov[4, 8] = track.cov[8, 4] = 1.5e308
-    track.cov[4, 1] = track.cov[1, 4] = -1.5e308
+    rows, real_predict = [tracker._bank.index(track) for track in tracks], tracker_module.predict
+
+    def spoiled(*args):
+        prediction = real_predict(*args)
+        prediction.cov[rows, STATE_DIM] = math.inf
+        return prediction
+    return spoiled
 
 
 @pytest.mark.parametrize("bus_fails_in, car_fails_in, named", [
@@ -298,7 +320,8 @@ def spoil_for_update(track):
     ("update", "update", "class bus, track 1"),
     ("affinity", "update", "class bus, track 1"),
 ])
-def test_affinity_rows_fail_before_update_rows_then_by_class(bus_fails_in, car_fails_in, named):
+def test_affinity_rows_fail_before_update_rows_then_by_class(bus_fails_in, car_fails_in, named,
+                                                             monkeypatch):
     # a frame scores the rows of every class before it updates any: the
     # first failing row is an affinity row if there is one, each stage
     # taking its classes in label order
@@ -310,12 +333,11 @@ def test_affinity_rows_fail_before_update_rows_then_by_class(bus_fails_in, car_f
     for frame in (0, 1):
         tracker.step(frame, [det(frame, x=x["bus"], y=0.0, label="bus", size=(12.0, 2.5, 3.0)),
                              det(frame, x=x["car"], y=12.0)])
-    for track in tracker.tracks:
-        if {"bus": bus_fails_in, "car": car_fails_in}[track.class_label] == "update":
-            spoil_for_update(track)
+    monkeypatch.setattr(tracker_module, "predict", spoiling_predict(tracker, [
+        track for track in tracker.tracks
+        if {"bus": bus_fails_in, "car": car_fails_in}[track.class_label] == "update"]))
     x = {label: -value for label, value in x.items()}
-    # the spoiled covariance overflows by design
-    with np.errstate(over="ignore"), pytest.raises(NumericalError) as info:
+    with pytest.raises(NumericalError) as info:
         tracker.step(2, [det(2, x=x["bus"], y=0.0, label="bus", size=(12.0, 2.5, 3.0)),
                          det(2, x=x["car"], y=12.0)])
     assert str(info.value).startswith(f"frame 2, {named}: residual or covariance is not finite")

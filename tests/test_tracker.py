@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import math
@@ -19,6 +20,7 @@ from mot3d.synthetic import (calibration_scenario, generate, generate_suite, sta
                              standard_suite_calibration, turning_scenario)
 from mot3d.tracker import MultiObjectTracker, run_scene
 from tests.test_iou3d import reference_iou_3d
+from tests.test_kalman import dense_covariance, per_axis_covariance
 
 CAR_SIZE = (4.0, 2.0, 1.5)
 
@@ -163,7 +165,8 @@ def test_newborn_track_is_detection_with_zero_velocity():
     (track,) = tracker.tracks
     np.testing.assert_array_equal(track.mean[:7], observation_rows([detection.observation])[0])
     np.testing.assert_array_equal(track.mean[7:], np.zeros(4))
-    np.testing.assert_array_equal(track.cov, np.diag(noise.classes["car"].sigma0))
+    np.testing.assert_array_equal(dense_covariance(track.cov),
+                                  np.diag(noise.classes["car"].sigma0))
 
 
 def test_matched_update_flips_predicted_yaw_not_covariance():
@@ -195,8 +198,9 @@ def test_covariances_stay_symmetric_psd_over_standard_suite():
             for frame_index, frame in detections[scene_id].items():
                 tracker.step(frame_index, frame)
                 for track in tracker.tracks:
-                    np.testing.assert_array_equal(track.cov, track.cov.T)
-                    assert np.linalg.eigvalsh(track.cov).min() >= -1e-9
+                    cov = dense_covariance(track.cov)
+                    np.testing.assert_array_equal(cov, cov.T)
+                    assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
 
 def test_unknown_class_is_a_config_error():
@@ -543,19 +547,21 @@ def test_iou_tracking_equals_tracking_on_the_per_pair_reference(monkeypatch):
     assert sum(len(output.records) for output in outputs) > 500
 
 
-def test_mahalanobis_tracking_factors_each_innovation_once_per_frame(monkeypatch):
-    # 100 objects 15 m apart: affinity and update share each track's factor
+def test_mahalanobis_tracking_takes_each_frames_weights_once(monkeypatch):
+    # 100 objects 15 m apart: affinity and update share one 1 / sqrt(s)
+    # array per frame, which covers every live track
     _, frames = generate(calibration_scenario(objects=100, frame_count=10, spacing=15.0))
-    factored = []
-    real_potrf = kalman._POTRF
-    monkeypatch.setattr(kalman, "_POTRF",
-                        lambda *args, **kwargs: factored.append(1) or real_potrf(*args, **kwargs))
+    weighed, real_weights = [], kalman.AxisPrediction.weights.func
+    counted = functools.cached_property(
+        lambda prediction: weighed.append(len(prediction.mean)) or real_weights(prediction))
+    counted.__set_name__(kalman.AxisPrediction, "weights")
+    monkeypatch.setattr(kalman.AxisPrediction, "weights", counted)
     tracker = MultiObjectTracker(NoiseModel.default_covariance())
     for frame_index, detections in frames.items():
-        factored.clear()
+        weighed.clear()
         live = len(tracker.tracks)
         tracker.step(frame_index, detections)
-        assert len(factored) <= live
+        assert weighed == ([live] if live else [])
     # tracks were confirmed, so matched updates ran
     assert tracker.stats.confirmed > 0
 
@@ -572,7 +578,7 @@ def test_numerical_error_names_frame_class_and_track():
 def spoil_covariances(tracker, rows):
     """Make the listed live tracks' covariances negative definite, in place."""
     for row in rows:
-        tracker.tracks[row].cov[...] = -np.eye(11)
+        tracker.tracks[row].cov[...] = per_axis_covariance(-np.eye(11))
 
 
 @pytest.mark.parametrize("overflow_row, spoiled_row, named, message", [
@@ -661,9 +667,9 @@ def test_without_angular_velocity_only_the_yaw_rate_noise_is_zero():
     without = newborn_row(noise, RunConfig(angular_velocity=False))
     for name, full, pinned in zip("q r sigma0".split(), with_rate, without):
         expected = full.copy()
-        if name != "r":
-            assert full[10, 10] > 0.0
-            expected[10, 10] = 0.0
+        if name != "r":  # the yaw rate's entry of Q's diagonal and of the per-axis Sigma0
+            assert full[10] > 0.0
+            expected[10] = 0.0
         np.testing.assert_array_equal(pinned, expected)
     # the caller's model is left as it was
     assert noise.classes["car"].q[10] == 0.01 and noise.classes["car"].sigma0[10] == 1.0

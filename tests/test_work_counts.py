@@ -3,9 +3,10 @@
 The counts are deterministic, so they guard the shape of a frame's work
 without any timing: how many times the tracker calls its matcher and
 orientation_correct, and how many Cholesky factors (potrf) and solves
-(potrs) the filter runs.  A refactor that brings back one matcher call
-per class under greedy, a second orientation correction, or a second
-factor of a row fails here.  The suite has 3 scenes of 50 frames; each
+(potrs) the filter runs: none, since the per-axis filter solves
+elementwise.  A refactor that brings back one matcher call per class
+under greedy, a second orientation correction, or a LAPACK call while
+tracking fails here.  The suite has 3 scenes of 50 frames; each
 scene's first frame has no tracks, so 147 frames hold pairs to match,
 441 (frame, class) blocks in all.
 """
@@ -14,8 +15,8 @@ import collections
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from mot3d import kalman
 from mot3d import tracker as tracker_module
 from mot3d.calibration import calibrate
 from mot3d.dataset_io import RunConfig
@@ -23,10 +24,10 @@ from mot3d.synthetic import generate_suite, standard_suite, standard_suite_calib
 
 # config -> (matcher calls, orientation_correct calls, potrf calls, potrs calls)
 PINNED = {
-    "mahalanobis-greedy": (RunConfig(), (147, 0, 1417, 2377)),
-    "mahalanobis-hungarian": (RunConfig(matcher="hungarian"), (441, 0, 1419, 2376)),
-    "iou-greedy": (RunConfig(affinity="iou"), (147, 147, 769, 769)),
-    "iou-hungarian": (RunConfig(affinity="iou", matcher="hungarian"), (441, 147, 769, 769)),
+    "mahalanobis-greedy": (RunConfig(), (147, 0, 0, 0)),
+    "mahalanobis-hungarian": (RunConfig(matcher="hungarian"), (441, 0, 0, 0)),
+    "iou-greedy": (RunConfig(affinity="iou"), (147, 147, 0, 0)),
+    "iou-hungarian": (RunConfig(affinity="iou", matcher="hungarian"), (441, 147, 0, 0)),
 }
 
 
@@ -59,8 +60,9 @@ def test_a_standard_pass_does_the_pinned_work(name, standard_pass, monkeypatch):
         for key, matcher in tracker_module.MATCHERS.items()})
     for key in ("orientation_correct", "update"):
         monkeypatch.setattr(tracker_module, key, counting(key, getattr(tracker_module, key)))
-    monkeypatch.setattr(kalman, "_POTRF", counting("potrf", kalman._POTRF))
-    monkeypatch.setattr(kalman, "_POTRS", counting("potrs", kalman._POTRS))
+    for key in ("potrf", "potrs"):  # every LAPACK Cholesky routine the filter could call
+        for prefix in "sdcz":
+            monkeypatch.setattr(lapack, prefix + key, counting(key, getattr(lapack, prefix + key)))
     for frames in detections.values():
         tracker_module.run_scene(frames, noise, config)
     assert (calls["match"], calls["orientation_correct"], calls["potrf"], calls["potrs"]) == pinned
