@@ -4,10 +4,13 @@ Two affinities score the pairs within blocks (the tracker's classes) of a
 stacked prediction of N tracks and M detections: the Mahalanobis distance
 between a detection and the predicted observation distribution (whose
 diagonal S makes it elementwise), and the 3D intersection-over-union of
-the two boxes.  IOU has one implementation, iou_pairs: it clips the
-footprints (footprint_corners, which viz draws too) of all the candidate
-pairs of a call together, one array pass per clip edge, and gives each
-pair the floats that clipping it alone with Python floats would give.
+the two boxes.  IOU has one implementation, iou_pairs: it places each
+candidate pair's first footprint (footprint_corners, which viz draws too)
+in the second box's own frame, clips all the pairs of a call together,
+one array pass per axis-aligned side, and gives each pair the floats
+that clipping it alone with Python floats would give.  In that frame a
+crossing divides by no cancelled difference of products, and the IOU
+does not depend on where the pair lies.
 The Mahalanobis affinity also returns each scored pair's
 orientation-corrected predicted yaw, which the tracker's update takes.
 The tracker turns either affinity into a plain (N, M) distance array and
@@ -216,80 +219,62 @@ def iou_affinity(prediction: AxisPrediction, detected: np.ndarray, blocks=None) 
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
+def _cos_sin(angles: np.ndarray) -> tuple:
+    """cos and sin of each angle from math, one at a time: np.cos can differ in the last bit."""
+    angles = angles.tolist()
+    return (np.fromiter(map(math.cos, angles), float, len(angles)),
+            np.fromiter(map(math.sin, angles), float, len(angles)))
+
+
 def footprint_corners(rows: np.ndarray) -> np.ndarray:
     """(K, 4, 2) footprint corners in the x-y plane of (K, 7) box rows, counter-clockwise.
 
-    The l extent runs along the yaw direction, w across it.  cos and sin
-    come from math one box at a time (np.cos can differ in the last bit),
-    and the rotation is one stacked matmul, which gives each box the
-    floats of its own (4, 2) @ (2, 2) matmul; an elementwise product
-    would not, where BLAS fuses a multiply and an add.
+    The l extent runs along the yaw direction, w across it.  The rotation
+    is one stacked matmul, which gives each box the floats of its own
+    (4, 2) @ (2, 2) matmul; an elementwise product would not, where BLAS
+    fuses a multiply and an add.
     """
-    yaws = rows[:, ANGLE_INDEX].tolist()
-    cos_a = np.fromiter(map(math.cos, yaws), float, len(yaws))
-    sin_a = np.fromiter(map(math.sin, yaws), float, len(yaws))
+    cos_a, sin_a = _cos_sin(rows[:, ANGLE_INDEX])
     rotation = np.stack([cos_a, -sin_a, sin_a, cos_a], axis=1).reshape(-1, 2, 2)
     return (_CORNER_SIGNS * (rows[:, None, 4:6] / 2.0)) @ rotation.transpose(0, 2, 1) \
         + rows[:, None, :2]
 
 
-def _near_parallel(denom: np.ndarray, dc: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """|denom| <= 1e-12 * math.hypot(*dc[k]) * math.hypot(*dp[k]) for each k.
-
-    A vector's norm lies between its largest component magnitude and the
-    sum of its component magnitudes, and math.hypot rounds it by under an
-    ulp.  Where |denom| clears the bounds this gives by a relative 1e-9,
-    far beyond the few ulps of rounding in the products, the bounds settle
-    the test, provided both bounds of both vectors lie within 1e-140..1e140
-    so that every product is a normal float.  Only the other rows
-    (crossings near the threshold, and values out of that range or NaN)
-    call math.hypot; np.hypot can differ in the last bit.
-    """
-    size = np.abs(denom)
-    magnitudes = np.abs(np.stack([dc, dp], axis=1))  # (K, 2 vectors, 2 components)
-    largest, total = magnitudes.max(axis=2), magnitudes.sum(axis=2)
-    near = size <= 1e-12 * largest[:, 0] * largest[:, 1] * (1.0 - 1e-9)
-    settled = ((largest.min(axis=1) >= 1e-140) & (total.max(axis=1) <= 1e140)
-               & (near | (size > 1e-12 * total[:, 0] * total[:, 1] * (1.0 + 1e-9))))
-    for k in np.flatnonzero(~settled).tolist():
-        (a, b), (c, d) = dc[k].tolist(), dp[k].tolist()
-        near[k] = size[k] <= 1e-12 * math.hypot(a, b) * math.hypot(c, d)
-    return near
+# The sides of a box in its own frame, in footprint_corners' counter-clockwise
+# order, as (axis, sign): the inside of a side holds sign * coordinate <= the
+# half extent along axis (v <= w/2, u >= -l/2, v >= -w/2, u <= l/2).
+_SIDES = ((1, 1.0), (0, -1.0), (1, -1.0), (0, 1.0))
 
 
-def _clip_edge(points: np.ndarray, counts: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """One Sutherland-Hodgman pass: K convex polygons clipped against one edge each.
+def _clip_side(points: np.ndarray, counts: np.ndarray, axis: int, sign: float, half: np.ndarray):
+    """One Sutherland-Hodgman pass: K convex polygons clipped against one side each.
 
     Polygon k holds its counts[k] vertices in the first slots of row k
-    of the (K, n, 2) points; its edge runs from start[k] to end[k].
-    Points on the edge count as inside.  Each vertex emits, in order,
-    the crossing of the edge with the segment from its predecessor
-    (where the two lie on different sides) and itself (where it is
-    inside).  Rounding can emit more than the 8 vertices two convex
-    quadrilaterals allow, so the result takes as many slots as its
+    of the (K, n, 2) points, in the clip box's frame; its side is the
+    line where coordinate axis equals c = sign * half[k], and points on
+    it count as inside.  Each vertex emits, in order, the crossing of the
+    side with the segment from its predecessor (where the two lie on
+    different sides) and itself (where it is inside).  A crossing runs
+    from the segment's inside end p toward its outside end q, at
+    t = (c - p_axis) / (q_axis - p_axis): the divisor never cancels, and
+    the crossing lies on the side exactly.  Rounding can leave a polygon
+    a few ulps from convex, so the result takes as many slots as its
     longest polygon needs; the slots past a polygon's count hold junk.
     """
     owner, slots = np.arange(len(counts))[:, None], np.arange(points.shape[1])
-    sx, sy, ex, ey = start[:, :1], start[:, 1:], end[:, :1], end[:, 1:]
-    xs, ys = points[..., 0], points[..., 1]
     valid = slots < counts[:, None]
-    inside = valid & ((ex - sx) * (ys - sy) - (ey - sy) * (xs - sx) >= 0.0)
+    inside = valid & (sign * points[..., axis] <= half[:, None])
     previous = np.where(slots == 0, counts[:, None] - 1, slots - 1)
     crossing = valid & (inside != inside[owner, previous])
 
-    # Line (start, end) crossed with segment (p, q), for each crossing.
     k, j = np.nonzero(crossing)
-    p, q = points[k, previous[k, j]], points[k, j]
-    dc, dp = (start - end)[k], p - q
-    denom = dc[:, 0] * dp[:, 1] - dc[:, 1] * dp[:, 0]
-    near_parallel = _near_parallel(denom, dc, dp)
-    n1 = (start[:, 0] * end[:, 1] - start[:, 1] * end[:, 0])[k]
-    n2 = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-    # Nearly parallel segments only straddle the edge through rounding, so
-    # q sits on it to working precision; dividing by the tiny cross term
-    # would blow up.
-    crossed = np.where(near_parallel[:, None], q,
-                       (n1[:, None] * dp - n2[:, None] * dc) / denom[:, None])
+    current, before = points[k, j], points[k, previous[k, j]]
+    current_inside = inside[k, j, None]
+    p, q = np.where(current_inside, current, before), np.where(current_inside, before, current)
+    bound = sign * half[k]
+    t = (bound - p[:, axis]) / (q[:, axis] - p[:, axis])
+    crossed = p + t[:, None] * (q - p)
+    crossed[:, axis] = bound
 
     # Slot 2i holds vertex i's crossing, slot 2i + 1 the vertex itself; a
     # stable sort moves the emitted slots to the front, in order.
@@ -303,7 +288,7 @@ def _clip_edge(points: np.ndarray, counts: np.ndarray, start: np.ndarray, end: n
 
 
 def _shoelace(points: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sign-free shoelace areas of the polygons _clip_edge leaves, 0 below 3 vertices."""
+    """Sign-free shoelace areas of the polygons _clip_side leaves, 0 below 3 vertices."""
     slots = np.arange(points.shape[1])
     following = points[np.arange(len(counts))[:, None],
                        np.where(slots + 1 < counts[:, None], slots + 1, 0)]
@@ -321,17 +306,26 @@ def iou_pairs(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     Both are (K, 7) rows of upright yawed boxes.  The intersection
     volume factors into the overlap area of the yawed footprints times
     the vertical extent overlap, because both boxes rotate only around
-    the vertical axis.  The footprint of a is clipped against the four
-    edges of the footprint of b (Sutherland-Hodgman, all K pairs per
-    edge at once), then measured by the shoelace formula.  Footprints
-    whose coordinate products overflow (extents near 1e200) give NaN
-    silently, and a NaN never matches.
+    the vertical axis.  The footprint of a is placed in the frame of b
+    (its center difference turned by -yaw_b, its corners at the relative
+    yaw yaw_a - yaw_b), clipped against b's four sides |u| <= l/2 and
+    |v| <= w/2 (Sutherland-Hodgman, all K pairs per side at once), then
+    measured by the shoelace formula.  In b's frame every side is
+    axis-aligned, so a crossing divides by no cancelled product, and
+    the result does not depend on where the pair lies.  Footprints whose
+    coordinate products overflow (extents near 1e200) give NaN silently,
+    and a NaN never matches.
     """
     with np.errstate(all="ignore"):
-        clip = footprint_corners(rows_b)
-        points, counts = footprint_corners(rows_a), np.full(len(rows_a), 4)
-        for k in range(4):
-            points, counts = _clip_edge(points, counts, clip[:, k], clip[:, (k + 1) % 4])
+        cos_b, sin_b = _cos_sin(rows_b[:, ANGLE_INDEX])
+        dx, dy = rows_a[:, 0] - rows_b[:, 0], rows_a[:, 1] - rows_b[:, 1]
+        local = rows_a.copy()  # box a in the frame of box b
+        local[:, 0], local[:, 1] = cos_b * dx + sin_b * dy, cos_b * dy - sin_b * dx
+        local[:, ANGLE_INDEX] -= rows_b[:, ANGLE_INDEX]
+        points, counts = footprint_corners(local), np.full(len(rows_a), 4)
+        half = rows_b[:, 4:6] / 2.0
+        for axis, sign in _SIDES:
+            points, counts = _clip_side(points, counts, axis, sign, half[:, axis])
         overlap = _shoelace(points, counts)
         bottoms_a, tops_a = _z_extents(rows_a)
         bottoms_b, tops_b = _z_extents(rows_b)

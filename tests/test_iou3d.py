@@ -5,24 +5,25 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mot3d import association
 from mot3d.association import footprint_corners, iou_affinity, iou_pairs
 from mot3d.core import Observation, observation_rows, wrap_angle
-from mot3d.kalman import Prediction
+from mot3d.kalman import AxisPrediction
 
 
 # The scalar reference: Sutherland-Hodgman clipping of one pair at a time
-# over Python tuples.  iou_pairs must give every pair exactly its floats.
-# A seen Counter, where given, records the rare branches a pair takes.
+# over Python floats, in the frame of the clip box.  iou_pairs must give
+# every pair exactly its floats.  A seen Counter, where given, records the
+# rare branches a pair takes.
 
-def reference_corners(box: Observation) -> np.ndarray:
-    """Corners of the box footprint in the x-y plane, counter-clockwise."""
-    cos_a = math.cos(box.a)
-    sin_a = math.sin(box.a)
-    half_l = box.l / 2.0
-    half_w = box.w / 2.0
+def reference_corners(x: float, y: float, a: float, l: float, w: float) -> np.ndarray:
+    """Corners of a footprint centered at (x, y) and turned by a, counter-clockwise."""
+    cos_a = math.cos(a)
+    sin_a = math.sin(a)
+    half_l = l / 2.0
+    half_w = w / 2.0
     local = np.array([
         [half_l, half_w],
         [-half_l, half_w],
@@ -30,40 +31,36 @@ def reference_corners(box: Observation) -> np.ndarray:
         [half_l, -half_w],
     ])
     rotation = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
-    return local @ rotation.T + np.array([box.x, box.y])
+    return local @ rotation.T + np.array([x, y])
 
 
-def clip_polygon(subject, clip, seen=None) -> list:
-    """Clip a convex polygon against a counter-clockwise convex polygon.
+def clip_polygon(subject, half_l: float, half_w: float, seen=None) -> list:
+    """Clip a convex polygon against the rectangle |u| <= half_l, |v| <= half_w.
 
-    Points on an edge count as inside, so clipping a polygon against
-    itself returns it unchanged.
+    The sides are taken counter-clockwise from v = half_w.  Points on a
+    side count as inside, so clipping the rectangle itself returns it
+    unchanged.
     """
-    output = [tuple(p) for p in subject]
-    clip = [tuple(p) for p in clip]
-    for k in range(len(clip)):
+    output = [tuple(map(float, p)) for p in subject]
+    for axis, sign, half in ((1, 1.0, half_w), (0, -1.0, half_l), (1, -1.0, half_w),
+                             (0, 1.0, half_l)):
+        bound = sign * half
         if not output:
+            if seen is not None:
+                seen["clipped away before the last side"] += 1
             break
-        edge_start = clip[k]
-        edge_end = clip[(k + 1) % len(clip)]
 
         def inside(p):
-            return ((edge_end[0] - edge_start[0]) * (p[1] - edge_start[1])
-                    - (edge_end[1] - edge_start[1]) * (p[0] - edge_start[0])) >= 0.0
+            if seen is not None and p[axis] == bound:
+                seen["vertex exactly on a side"] += 1
+            return sign * p[axis] <= half
 
         def intersect(p, q):
-            # Line (edge_start, edge_end) crossed with segment (p, q).
-            dc = (edge_start[0] - edge_end[0], edge_start[1] - edge_end[1])
-            dp = (p[0] - q[0], p[1] - q[1])
-            denom = dc[0] * dp[1] - dc[1] * dp[0]
-            if abs(denom) <= 1e-12 * math.hypot(*dc) * math.hypot(*dp):
-                if seen is not None:
-                    seen["near-parallel shortcut"] += 1
-                return q
-            n1 = edge_start[0] * edge_end[1] - edge_start[1] * edge_end[0]
-            n2 = p[0] * q[1] - p[1] * q[0]
-            return ((n1 * dp[0] - n2 * dc[0]) / denom,
-                    (n1 * dp[1] - n2 * dc[1]) / denom)
+            # From the inside end p toward the outside end q of the segment.
+            t = (bound - p[axis]) / (q[axis] - p[axis])
+            crossed = [p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])]
+            crossed[axis] = bound
+            return tuple(crossed)
 
         polygon = output
         output = []
@@ -72,12 +69,10 @@ def clip_polygon(subject, clip, seen=None) -> list:
             previous = polygon[idx - 1]
             if inside(current):
                 if not inside(previous):
-                    output.append(intersect(previous, current))
+                    output.append(intersect(current, previous))
                 output.append(current)
             elif inside(previous):
                 output.append(intersect(previous, current))
-    if seen is not None and len(output) > 8:
-        seen["more than 8 vertices"] += 1
     return output
 
 
@@ -94,10 +89,17 @@ def polygon_area(points) -> float:
 
 
 def reference_iou_3d(box_a: Observation, box_b: Observation, seen=None) -> float:
-    """3D IOU of two upright yawed boxes, footprint overlap times height overlap."""
+    """3D IOU of two upright yawed boxes, footprint overlap times height overlap.
+
+    Box a's footprint is placed in box b's frame from raw floats: its yaw
+    there, box_a.a - box_b.a, is left unwrapped.
+    """
     with np.errstate(all="ignore"):  # overflowing footprints give NaN silently
-        overlap = polygon_area(clip_polygon(reference_corners(box_a), reference_corners(box_b),
-                                            seen))
+        cos_b, sin_b = math.cos(box_b.a), math.sin(box_b.a)
+        dx, dy = box_a.x - box_b.x, box_a.y - box_b.y
+        corners = reference_corners(cos_b * dx + sin_b * dy, cos_b * dy - sin_b * dx,
+                                    box_a.a - box_b.a, box_a.l, box_a.w)
+        overlap = polygon_area(clip_polygon(corners, box_b.l / 2.0, box_b.w / 2.0, seen))
         z_overlap = max(
             0.0,
             min(box_a.z + box_a.h / 2.0, box_b.z + box_b.h / 2.0)
@@ -109,7 +111,11 @@ def reference_iou_3d(box_a: Observation, box_b: Observation, seen=None) -> float
         volume_a = box_a.l * box_a.w * box_a.h
         volume_b = box_b.l * box_b.w * box_b.h
         union = volume_a + volume_b - intersection
-        return 1.0 if intersection > union else intersection / union
+        if intersection > union:
+            if seen is not None:
+                seen["ratio past one"] += 1
+            return 1.0
+        return intersection / union
 
 
 def box(x=0.0, y=0.0, z=0.0, a=0.0, l=2.0, w=2.0, h=2.0) -> Observation:
@@ -130,12 +136,13 @@ def volume(o: Observation) -> float:
     return o.l * o.w * o.h
 
 
-def as_prediction(observations) -> Prediction:
-    """A stacked prediction whose row k is box k at rest."""
+def as_prediction(observations) -> AxisPrediction:
+    """A stacked per-axis prediction whose row k is box k at rest, with unit variances."""
     mean = np.zeros((len(observations), 11))
     mean[:, :7] = observation_rows(observations)
-    return Prediction(mean, np.broadcast_to(np.eye(11), (len(mean), 11, 11)),
-                      np.broadcast_to(np.eye(7), (len(mean), 7, 7)))
+    cov = np.zeros((len(mean), 15))
+    cov[:, :11] = 1.0
+    return AxisPrediction(mean, cov, np.ones((len(mean), 7)))
 
 
 def test_corners_axis_aligned():
@@ -161,9 +168,8 @@ def test_polygon_area_shoelace():
 
 
 def test_clip_polygon_self_is_identity():
-    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
-    clipped = clip_polygon(square, square)
-    assert polygon_area(clipped) == pytest.approx(4.0, abs=1e-12)
+    rectangle = [(2, 1), (-2, 1), (-2, -1), (2, -1)]
+    assert clip_polygon(rectangle, 2.0, 1.0) == [(2.0, 1.0), (-2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)]
 
 
 def test_identical_boxes():
@@ -210,7 +216,7 @@ def test_rotated_square_overlap_is_octagon():
     # the footprint overlap is a regular octagon of area 8*(sqrt(2)-1)
     a = box(l=2, w=2, h=1)
     b = box(a=math.pi / 4, l=2, w=2, h=1)
-    overlap = polygon_area(clip_polygon(one_box_corners(a), one_box_corners(b)))
+    overlap = polygon_area(clip_polygon(one_box_corners(b), a.l / 2.0, a.w / 2.0))
     expected = 8.0 * (math.sqrt(2.0) - 1.0)
     assert overlap == pytest.approx(expected, abs=1e-9)
     assert one_pair_iou(a, b) == pytest.approx(expected / (8.0 - expected), abs=1e-9)
@@ -241,6 +247,8 @@ def test_symmetry_and_range(a, b):
 @settings(max_examples=60, deadline=None)
 @given(box_strategy, box_strategy,
        st.floats(-8, 8), st.floats(-8, 8), st.floats(-math.pi, math.pi - 1e-9))
+# two unit boxes 4.4e-9 rad apart, whose IOU lies within 5e-9 of 1
+@example(box(l=1, w=1, h=1), box(a=4.4e-9, l=1, w=1, h=1), 3.0, -2.0, 1.0)
 def test_rigid_motion_invariance(a, b, tx, ty, rot):
     def moved(o: Observation) -> Observation:
         c, s = math.cos(rot), math.sin(rot)
@@ -383,8 +391,8 @@ def test_iou_affinity_equals_per_pair_iou_on_random_frames():
 def near_identical_pairs(rng, count: int) -> list:
     """Boxes at offsets up to 1e6 paired with copies nudged by up to 1e-9.
 
-    Clipping two almost equal footprints leaves rounding slivers, so
-    the scalar clipper can emit more than 8 vertices.
+    Clipping two almost equal footprints leaves rounding slivers, and
+    their vertices fall on the clip box's sides.
     """
     def nudge(value):
         return value + rng.choice([0.0, rng.uniform(-1e-9, 1e-9)])
@@ -404,8 +412,8 @@ def slid_pairs(rng, count: int) -> list:
     """Boxes at coordinates up to 1e4 paired with one slid along their own long axis.
 
     The long sides of the two lie on one line up to rounding, so their
-    segments straddle each other's edges only through rounding and take
-    the near-parallel shortcut.
+    segments straddle each other's sides only through rounding.  Both
+    share the yaw and the width, so the true overlap is 1-D.
     """
     pairs = []
     for _ in range(count):
@@ -443,34 +451,28 @@ def test_iou_pairs_equals_the_scalar_reference_bit_for_bit():
         assert np.array_equal(values, expected, equal_nan=True), name
         seen["NaN"] += np.count_nonzero(np.isnan(expected))
         seen["positive"] += np.count_nonzero(expected > 0.0)
-    assert seen.keys() == {"near-parallel shortcut", "more than 8 vertices", "NaN", "positive"}
+    assert seen.keys() == {"vertex exactly on a side", "clipped away before the last side",
+                           "ratio past one", "NaN", "positive"}
 
 
-def test_near_parallel_bounds_give_the_hypot_test_exactly():
-    # denominators at the threshold, one ulp either side of it and a
-    # relative 1e-15 or 1e-9 off it, for segments from 1e-160 to 1e160
-    # long (a quarter of them short enough for a subnormal threshold),
-    # with zero, subnormal, infinite and NaN components mixed in
-    rng = np.random.default_rng(23)
-    count = 20_000
-    exponents = np.where(rng.random((count, 1, 1)) < 0.25, rng.uniform(-160, -145, (count, 2, 1)),
-                         rng.uniform(-160, 160, (count, 2, 1)))
-    vectors = rng.normal(size=(count, 2, 2)) * 10.0 ** exponents
-    special = rng.random(vectors.shape) < 0.02
-    vectors[special] = rng.choice([0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, math.nan],
-                                  np.count_nonzero(special))
-    dc, dp = vectors[:, 0], vectors[:, 1]
-    with np.errstate(all="ignore"):
-        thresholds = np.array([1e-12 * math.hypot(*c) * math.hypot(*p)
-                               for c, p in zip(dc.tolist(), dp.tolist())])
-        offsets = rng.choice([0.0, 0.5, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 2.0], count)
-        denom = np.select([rng.random(count) < 0.2, rng.random(count) < 0.25],
-                          [np.nextafter(thresholds, math.inf), np.nextafter(thresholds, 0.0)],
-                          thresholds * offsets)
-        denom *= rng.choice([1.0, -1.0], count)
-        near = association._near_parallel(denom, dc, dp)
-    assert np.array_equal(near, np.abs(denom) <= thresholds)
-    assert 0 < np.count_nonzero(near) < count
+def test_near_identical_boxes_far_from_the_origin_score_one():
+    # the true IOU of every pair is above 1 - 1e-6 wherever the pair lies
+    pairs = near_identical_pairs(np.random.default_rng(17), 1000)
+    values = iou_pairs(observation_rows([a for a, _ in pairs]),
+                       observation_rows([b for _, b in pairs]))
+    assert (values >= 1.0 - 1e-6).all(), np.sort(values)[:5]
+
+
+def test_boxes_slid_along_their_long_axis_match_the_closed_form():
+    pairs = slid_pairs(np.random.default_rng(17), 1000)
+    expected = []
+    for a, b in pairs:
+        shift = (b.x - a.x) * math.cos(a.a) + (b.y - a.y) * math.sin(a.a)
+        length = max(0.0, min(a.l / 2.0, shift + b.l / 2.0) - max(-a.l / 2.0, shift - b.l / 2.0))
+        expected.append(length / (a.l + b.l - length))
+    values = iou_pairs(observation_rows([a for a, _ in pairs]),
+                       observation_rows([b for _, b in pairs]))
+    np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-9)
 
 
 def test_iou_affinity_rejects_an_invalid_prediction_that_overlaps_nothing():
