@@ -27,10 +27,10 @@ cycles, so collections would free nothing yet walk the whole heap.
 
 Writers emit the bytes of json.dump(..., indent=2, sort_keys=True):
 sorted keys, a fixed layout, floats at full round-trip precision.  Box
-files are streamed a frame at a time from a fixed text per record, and
-scene ids starting with an underscore are rejected.  Every output file
-is written atomically: a temp file in the target directory replaces
-the target only once it is complete.
+files stream a frame at a time from a fixed text per record, filled from
+Boxes or from a tracker output's columns; scene ids starting with an
+underscore are rejected.  Every output file is written atomically: a
+temp file in the target directory replaces it only once complete.
 
 DEFAULT_MAHA_GATE is the literal that sqrt(2 * gammaincinv(3.5, 0.95)) gives,
 held bit-equal by a test, so importing this module loads no scipy.special.
@@ -44,11 +44,12 @@ import math
 import os
 import uuid
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .core import CLASS_LABELS, Box, Observation, finite_real, trusted_box
 from .errors import ConfigError, SchemaError
@@ -74,6 +75,7 @@ BOX_SCHEMAS = {
 _BOX_FIELDS = ("center", "yaw", "size", "class")
 _RECORD_KEYS = {kind: frozenset(_BOX_FIELDS + extras) for kind, extras in BOX_SCHEMAS.items()}
 _CLASSES = frozenset(CLASS_LABELS)
+_TRACK_COLUMNS = [f"observation.{c}" for c in "xyzalwh"] + ["class_label", "score", "track_id"]
 
 
 def read_json(path: str, label: str, error_cls=SchemaError):
@@ -360,26 +362,26 @@ def _json_key(key) -> str:
 
 
 def _record_layout(kind: str):
-    """One record's text in a box file, a %s per value, and the getter of those values."""
+    """A box file's record text, a %s per value, and those values' Box attributes and getter."""
     triple = "[\n          %s,\n          %s,\n          %s\n        ]"
     fields = {"center": (triple, "observation.x", "observation.y", "observation.z"),
               "yaw": ("%s", "observation.a"), "class": ("%s", "class_label"),
               "size": (triple, "observation.l", "observation.w", "observation.h"),
               **{name: ("%s", name) for name in BOX_SCHEMAS[kind]}}
     lines = [f'        "{key}": {fields[key][0]}' for key in sorted(fields)]
-    return ("{\n" + ",\n".join(lines) + "\n      }",
-            attrgetter(*(name for key in sorted(fields) for name in fields[key][1:])))
+    names = [name for key in sorted(fields) for name in fields[key][1:]]
+    return "{\n" + ",\n".join(lines) + "\n      }", names, attrgetter(*names)
 
 
-def _write_boxes(boxes: Mapping[str, Mapping[int, Sequence[Box]]], kind: str, path: str,
-                 meta: Mapping | None):
+def _write_boxes(boxes: Mapping[str, Mapping[int, Sequence[Box] | Callable]], kind: str,
+                 path: str, meta: Mapping | None):
     """The text json.dump(payload, indent=2, sort_keys=True) gives, streamed frame by frame."""
     for scene_id in boxes:
         if isinstance(scene_id, str) and scene_id.startswith("_"):
             raise ValueError(f"scene id {scene_id!r} starts with '_', which marks metadata")
     keys = sorted([*boxes, "_meta"] if meta is not None else boxes)
     meta_text = "" if meta is None else json.dumps(dict(meta), indent=2, sort_keys=True)
-    template, values_of = _record_layout(kind)
+    template, names, values_of = _record_layout(kind)
     with atomic_open(path) as handle:
         for position, key in enumerate(keys):
             handle.write(",\n  " if position else "{\n  ")
@@ -388,12 +390,13 @@ def _write_boxes(boxes: Mapping[str, Mapping[int, Sequence[Box]]], kind: str, pa
                 continue
             frames = {str(index): frame_boxes for index, frame_boxes in boxes[key].items()}
             handle.write(_json_key(key) + ": {")
-            for number, frame_key in enumerate(sorted(frames)):
+            for number, (frame_key, frame) in enumerate(sorted(frames.items())):
+                texts = (zip(*map(frame().__getitem__, names)) if callable(frame)  # write_tracks
+                         else (tuple(map(_json_value, values_of(box))) for box in frame))
                 try:
-                    records = [template % tuple(map(_json_value, values_of(box)))
-                               for box in frames[frame_key]]
+                    records = [template % values for values in texts]
                 except TypeError:  # json.dump's error, unless a box lacks a field of its file
-                    for box, name in product(frames[frame_key], BOX_SCHEMAS[kind]):
+                    for box, name in product(frame, BOX_SCHEMAS[kind]):
                         if getattr(box, name) is None:
                             raise ValueError(
                                 f"box {box!r} has no {name}, which its file requires") from None
@@ -418,6 +421,11 @@ def write_ground_truth(ground_truth: Mapping[str, Mapping[int, Sequence[Box]]],
 def write_tracks(outputs: "Mapping[str, Sequence[FrameOutput]]", path: str,
                  meta: Mapping | None = None):
     """Serialize per-scene tracker outputs to a track file."""
-    from .tracker import boxes_by_frame  # the tracker imports RunConfig from here
-    _write_boxes({scene_id: boxes_by_frame(frame_outputs)
+    # json.dump's texts of a tracker output's columns, made as its frame is written: no Box
+    def texts(rows, labels, scores, track_ids):
+        return dict(zip(_TRACK_COLUMNS, [*(map(repr, column) for column in rows.T.tolist()),
+                                         map(encode_basestring_ascii, labels),
+                                         map(repr, scores), map(repr, track_ids)]))
+    _write_boxes({scene_id: {output.frame_index: output.records if output.columns is None
+                             else partial(texts, *output.columns) for output in frame_outputs}
                   for scene_id, frame_outputs in outputs.items()}, "tracks", path, meta)

@@ -6,18 +6,19 @@ kalman) and Q and R diagonals.  A frame sorts its detections by class, so
 each class is one block of bank rows and one of detection columns.  One
 predict call forecasts the bank, one affinity call scores the pairs
 within each class, and one update call conditions the matched rows, each
-elementwise.  Greedy matching runs once per frame, over
-the whole distance array (no pair between two classes is a candidate);
-Hungarian matching runs on each class's block.  Under Mahalanobis the
-update takes each matched pair's orientation-corrected yaw from the
-affinity, which formed it; under IOU orientation_correct forms it.
-Unmatched detections are born at the end of their class's block, fresh
-ids going by class label and then input order; a frame with births or
-deaths regroups every stack through one stable sort of its rows by
-class.  A track is reported once matched on birth_hits consecutive
-frames, and dropped after death_misses unmatched ones.  A NumericalError
-names the first failing row: the affinity's, by class and track_id,
-before the update's, by class and best-first.
+elementwise.  Greedy matching runs once per frame, over the whole
+distance array (no pair between two classes is a candidate); Hungarian
+matching runs on each class's block.  Under Mahalanobis the update takes
+each matched pair's orientation-corrected yaw from the affinity, which
+formed it; under IOU orientation_correct forms it.  Unmatched detections
+are born at the end of their class's block, fresh ids going by class
+label and then input order; a frame with births or deaths regroups every
+stack through one stable sort of its rows by class.  A track is reported
+once matched on birth_hits consecutive frames, and dropped after
+death_misses unmatched ones; the reported rows are checked once and
+handed on as columns, their Boxes built only when read.  A
+NumericalError names the first failing row: the affinity's, by class and
+track_id, before the update's, by class and best-first.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 
 from .association import MATCHERS, iou_affinity, mahalanobis_affinity, orientation_correct
 from .calibration import NoiseModel
-from .core import ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, checked_rows, observation_rows, trusted_box
+from .core import (ANGLE_INDEX, OBS_DIM, STATE_DIM, Box, _refuse_assignment, _refuse_deletion,
+                   checked_rows, observation_rows, trusted_box)
 from .dataset_io import RunConfig
 from .errors import ConfigError, NumericalError, SchemaError, SequencingError
 from .kalman import AXES, predict_per_axis as predict, update_per_axis as update
@@ -59,16 +61,38 @@ class Track:
     score_count: int = 0
 
 
-@dataclass(frozen=True)
 class FrameOutput:
-    """Confirmed tracks emitted for one frame as Boxes, sorted by track_id.
+    """Confirmed tracks emitted for one frame, sorted by track_id; frozen.
 
-    Each Box carries the track's observed state, its score under the
-    configured score_mode, and its track_id.
+    A tracker's output holds columns, snapshots of the frame's checked (k, 7) rows, class labels,
+    scores under the configured score_mode and track ids, and builds records, one Box per track,
+    from them when first read; FrameOutput(frame_index, records) holds Boxes built elsewhere and
+    no columns.  ==, hash and repr go by (frame_index, records), as for a frozen dataclass.
     """
 
-    frame_index: int
-    records: tuple
+    __setattr__, __delattr__ = _refuse_assignment, _refuse_deletion
+
+    def __init__(self, frame_index: int, records: tuple | None = None, columns=None):
+        self.__dict__.update(frame_index=frame_index, _records=records, columns=columns)
+
+    @property
+    def records(self) -> tuple:
+        if self._records is None:
+            rows, labels, scores, track_ids = self.columns
+            self.__dict__["_records"] = tuple(
+                trusted_box(*row, label, self.frame_index, score=score, track_id=track_id)
+                for row, label, score, track_id in zip(rows.tolist(), labels, scores, track_ids))
+        return self._records
+
+    def __eq__(self, other):
+        return isinstance(other, FrameOutput) and (
+            (self.frame_index, self.records) == (other.frame_index, other.records))
+
+    def __hash__(self):
+        return hash((self.frame_index, self.records))
+
+    def __repr__(self):
+        return f"FrameOutput(frame_index={self.frame_index!r}, records={self.records!r})"
 
 
 def boxes_by_frame(frame_outputs: Sequence[FrameOutput]) -> dict:
@@ -168,15 +192,13 @@ class MultiObjectTracker:
         self.stats.frames += 1
         self._advance(ordered, detected, *filtered)
 
-        running_mean = self.config.score_mode == "running_mean"
         confirmed = [k for k in self._by_id if self._bank[k].confirmed]  # bank rows
-        rows = checked_rows(self._means[confirmed, :OBS_DIM])
-        records = tuple(
-            trusted_box(*row, t.class_label, frame_index,
-                        score=t.score_sum / t.score_count if running_mean else t.last_score,
-                        track_id=t.track_id)
-            for t, row in zip([self._bank[k] for k in confirmed], rows.tolist()))
-        return FrameOutput(frame_index, records)
+        rows = checked_rows(self._means[confirmed, :OBS_DIM])  # a copy, not a view of the bank
+        tracks = [self._bank[k] for k in confirmed]
+        scores = ([t.score_sum / t.score_count for t in tracks]
+                  if self.config.score_mode == "running_mean" else [t.last_score for t in tracks])
+        return FrameOutput(frame_index, None, (rows, [t.class_label for t in tracks], scores,
+                                               [t.track_id for t in tracks]))
 
     def _filter(self, detected: np.ndarray, columns: dict) -> tuple:
         """Posterior means and covariances of the bank, and its matched rows and columns."""

@@ -10,6 +10,7 @@ the reference's bit for bit.
 """
 
 import math
+import pickle
 import unittest.mock
 import warnings
 
@@ -24,12 +25,12 @@ from mot3d.association import (MATCHERS, greedy_match, iou_affinity, mahalanobis
 from mot3d.calibration import calibrate
 from mot3d.core import (ANGLE_INDEX, OBS_DIM, STATE_DIM, checked_rows, observation_residual,
                         observation_rows, trusted_box)
-from mot3d.dataset_io import DEFAULT_MAHA_GATE, RunConfig
+from mot3d.dataset_io import DEFAULT_MAHA_GATE, RunConfig, write_tracks
 from mot3d.errors import NumericalError
 from mot3d.kalman import predict, predict_per_axis, update
 from mot3d.synthetic import (generate_suite, standard_suite, standard_suite_calibration,
                              turning_scenario)
-from mot3d.tracker import FrameOutput, MultiObjectTracker, SceneStats, Track
+from mot3d.tracker import FrameOutput, MultiObjectTracker, SceneStats, Track, run_scene
 from tests.test_kalman import dense_covariance, dense_distance
 from tests.test_tracker import det, hand_noise
 
@@ -194,6 +195,45 @@ def test_the_scene_bank_equals_the_per_class_trackers(config, suite_noise, multi
         assert_same_as_reference(frames, suite_noise, config)
         classes_per_frame += [len({d.class_label for d in boxes}) for boxes in frames.values()]
     assert max(classes_per_frame) == 3
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
+def test_records_read_after_the_scene_equal_those_read_after_each_step(config, suite_noise,
+                                                                       multi_class_scenes):
+    # an output holds snapshots of its frame: records built from bank rows or
+    # tracks that later frames move would read differently after the scene
+    for frames in multi_class_scenes.values():
+        tracker = MultiObjectTracker(suite_noise, config)
+        at_each_step = [repr(tracker.step(k, frames[k]).records) for k in frames]
+        outputs = run_scene(frames, suite_noise, config)
+        assert [repr(output.records) for output in outputs] == at_each_step
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
+def test_an_output_writes_compares_and_prints_as_its_boxes(config, suite_noise,
+                                                           multi_class_scenes, tmp_path):
+    # write_tracks formats a tracker output's columns, and a FrameOutput
+    # built from Boxes their attributes: the two forms must agree, also once
+    # pickled, as --jobs workers send them
+    outputs = {scene_id: run_scene(frames, suite_noise, config)
+               for scene_id, frames in multi_class_scenes.items()}
+    forms = [outputs, pickle.loads(pickle.dumps(outputs))]
+    assert all(output.columns is not None for form in forms for scene in form.values()
+               for output in scene)
+    boxed = {scene_id: [FrameOutput(output.frame_index, output.records) for output in scene]
+             for scene_id, scene in outputs.items()}
+    forms += [boxed, pickle.loads(pickle.dumps(boxed))]
+    texts = []
+    for form in forms:
+        write_tracks(form, str(tmp_path / "tracks.json"), meta={"config": config.to_dict()})
+        texts.append((tmp_path / "tracks.json").read_bytes())
+    assert texts == texts[:1] * len(forms)
+    for scene_id, scene in outputs.items():
+        for columnar, box_built in zip(scene, boxed[scene_id]):
+            assert box_built.columns is None
+            assert columnar == box_built and box_built == columnar
+            assert hash(columnar) == hash(box_built)
+            assert repr(columnar) == repr(box_built)
 
 
 # Cells drawn from a few values so that ties, limits met exactly and
