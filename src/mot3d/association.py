@@ -434,7 +434,7 @@ def center_distances(boxes_a, boxes_b) -> np.ndarray:
 def greedy_center_match(boxes_a, boxes_b, gate: float) -> MatchResult:
     """Greedy one-to-one matching (greedy_match) by ascending 2D center distance.
 
-    Each side is a sequence of Observations or an (n, >= 2) array whose
+    Each side is a sequence of Boxes or an (n, >= 2) array whose
     first two columns are x and y.  Used by the evaluation protocol and
     by observation-noise calibration; z is ignored, and a pair at or
     beyond the gate never matches.

@@ -137,9 +137,8 @@ def tracks_from_ground_truth(
                 if frames and frames[-1] == frame_index:
                     raise CalibrationError(f"instance {box.instance_id!r} in scene {scene_id!r} "
                                            f"appears twice in frame {frame_index}")
-                obs = box.observation
                 frames.append(frame_index)
-                poses.append((obs.x, obs.y, obs.z, obs.a))
+                poses.append((box.x, box.y, box.z, box.a))
     return [GroundTruthTrack(label, instance_id, scene_id, tuple(frames), poses)
             for (scene_id, instance_id), (label, frames, poses) in grouped.items()]
 
@@ -217,11 +216,11 @@ def estimate_observation_noise(ground_truth: Mapping[str, Mapping[int, Sequence[
             frame_detections = detections.get(scene_id, {}).get(frame_index, [])
             for label in sorted({box.class_label for box in annotations}):
                 blocks = residuals.setdefault(label, [])
-                det_rows = observation_rows(box.observation for box in frame_detections
+                det_rows = observation_rows(box for box in frame_detections
                                             if box.class_label == label)
                 if not len(det_rows):
                     continue
-                gt_rows = observation_rows(box.observation for box in annotations
+                gt_rows = observation_rows(box for box in annotations
                                            if box.class_label == label)
                 result = greedy_center_match(gt_rows, det_rows, gate)
                 if result.pairs:

@@ -87,38 +87,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
-    """A detected 3D box: center, yaw, and extents.
-
-    Every field must be a finite real number (not a bool) and the
-    extents must be positive; the yaw is stored wrapped to [-pi, pi).
-    Values already checked in bulk skip these checks (see Box).
-    """
-
-    x: float
-    y: float
-    z: float
-    a: float
-    l: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        x, y, z, a, l, w, h = self.x, self.y, self.z, self.a, self.l, self.w, self.h
-        # One pass for seven Python floats: their sum is finite only when
-        # every term is.  Any other input takes the per-field checks, which
-        # name the first field at fault.
-        if not (type(x) is type(y) is type(z) is type(a) is type(l) is type(w) is type(h) is float
-                and math.isfinite(x + y + z + a + l + w + h) and l > 0.0 and w > 0.0 and h > 0.0):
-            for f in fields(self):
-                finite_real(f.name, getattr(self, f.name))
-            for name in ("l", "w", "h"):
-                if getattr(self, name) <= 0.0:
-                    raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        object.__setattr__(self, "a", wrap_angle(a))
-
-
 def _build_transition() -> np.ndarray:
     a = np.eye(STATE_DIM)
     # Center and yaw advance by their per-frame velocities; extents are constant.
@@ -140,17 +108,26 @@ TRANSITION_MATRIX = _build_transition()
 OBSERVATION_MATRIX = _build_observation()
 
 
-def observation_rows(observations) -> np.ndarray:
-    """The (k, 7) float array of an iterable of Observations, one row each."""
-    return np.array([(o.x, o.y, o.z, o.a, o.l, o.w, o.h) for o in observations],
+def observation_rows(boxes) -> np.ndarray:
+    """The (k, 7) float array of an iterable of Boxes' poses (x, ..., h), one row each."""
+    return np.array([(b.x, b.y, b.z, b.a, b.l, b.w, b.h) for b in boxes],
                     dtype=float).reshape(-1, OBS_DIM)
 
 
+def _check_pose(values) -> None:
+    """Raise Box's ValueError for the first of seven pose values (x, ..., h) at fault."""
+    for name, value in zip("xyzalwh", values):
+        finite_real(name, value)
+    for name, value in zip("lwh", values[4:]):
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def checked_rows(rows: np.ndarray) -> np.ndarray:
-    """(k, 7) rows, yaws wrapped in place; the first that breaks a rule raises Observation's."""
+    """(k, 7) rows, yaws wrapped in place; the first that breaks a rule raises Box's message."""
     valid = np.isfinite(rows).all(axis=1) & (rows[:, 4:] > 0.0).all(axis=1)
     if not valid.all():
-        Observation(*rows[np.argmin(valid)].tolist())
+        _check_pose(rows[np.argmin(valid)].tolist())
     rows[:, ANGLE_INDEX] = wrap_finite_array(rows[:, ANGLE_INDEX])
     return rows
 
@@ -166,15 +143,22 @@ def observation_residual(observation: np.ndarray, predicted: np.ndarray) -> np.n
 class Box:
     """A 3D box of a known class in one frame of one scene.
 
-    Each source fills in what it knows: detections a score, tracker
-    output a score and a track_id, ground truth an instance_id.  The
-    loader and the tracker check these rules in bulk and build through
-    trusted_box; only a failing value comes here for its message.  Box and
-    Observation are frozen slotted dataclasses: no instance __dict__ and no
-    vars(), but pickling, ==, hash and dataclasses.replace work as usual.
+    Its pose is the center (x, y, z), the yaw a, stored wrapped to [-pi, pi), and the
+    positive extents (l, w, h), each a finite real number, not a bool.  Each source fills
+    in what else it knows: detections a score, tracker output a score and a track_id,
+    ground truth an instance_id.  The loader and the tracker check these rules in bulk and
+    build through trusted_box; only a failing value comes here for its message.  Box is a
+    frozen slotted dataclass: no instance __dict__ and no vars(), but pickling, ==, hash
+    and dataclasses.replace work as usual.
     """
 
-    observation: Observation
+    x: float
+    y: float
+    z: float
+    a: float
+    l: float
+    w: float
+    h: float
     class_label: str
     frame_index: int
     scene_id: str = ""
@@ -183,6 +167,14 @@ class Box:
     instance_id: str | None = None
 
     def __post_init__(self):
+        x, y, z, a, l, w, h = self.x, self.y, self.z, self.a, self.l, self.w, self.h
+        # One pass for seven Python floats: their sum is finite only when
+        # every term is.  Any other input takes the per-field checks, which
+        # name the first field at fault.
+        if not (type(x) is type(y) is type(z) is type(a) is type(l) is type(w) is type(h) is float
+                and math.isfinite(x + y + z + a + l + w + h) and l > 0.0 and w > 0.0 and h > 0.0):
+            _check_pose((x, y, z, a, l, w, h))
+        object.__setattr__(self, "a", wrap_angle(a))
         if self.class_label not in CLASS_LABELS:
             raise ValueError(f"unknown class label {self.class_label!r}")
         if not _is_int(self.frame_index) or self.frame_index < 0:
@@ -209,30 +201,29 @@ def _refuse_deletion(self, name):
 
 # dataclasses' own frozen methods refer to the class that slots=True replaced, so for a name
 # that is not a field they raise TypeError; a frozen class body may not define these.
-Observation.__setattr__ = Box.__setattr__ = _refuse_assignment
-Observation.__delattr__ = Box.__delattr__ = _refuse_deletion
+Box.__setattr__ = _refuse_assignment
+Box.__delattr__ = _refuse_deletion
 
-(_SET_X, _SET_Y, _SET_Z, _SET_A, _SET_L, _SET_W, _SET_H, _SET_OBSERVATION, _SET_CLASS, _SET_FRAME,
- _SET_SCENE, _SET_SCORE, _SET_TRACK, _SET_INSTANCE) = (  # each slot's setter, for trusted_box
-    cls.__dict__[f.name].__set__ for cls in (Observation, Box) for f in fields(cls))
+(_SET_X, _SET_Y, _SET_Z, _SET_A, _SET_L, _SET_W, _SET_H, _SET_CLASS, _SET_FRAME, _SET_SCENE,
+ _SET_SCORE, _SET_TRACK, _SET_INSTANCE) = (  # each slot's setter, in field order, for trusted_box
+    Box.__dict__[f.name].__set__ for f in fields(Box))
 
 
 def trusted_box(x, y, z, a, l, w, h, class_label, frame_index, scene_id="", score=None,
                 track_id=None, instance_id=None) -> Box:
-    """Box(Observation(x, ..., h), ...) for fields that passed every rule of both, a wrapped.
+    """Box(x, ..., instance_id) for fields that passed every rule, a wrapped.
 
     One store per field, through its slot's setter; __post_init__ does not run, so only a
     caller that has just checked the rules may use it.
     """
-    observation, box = object.__new__(Observation), object.__new__(Box)
-    _SET_X(observation, x)
-    _SET_Y(observation, y)
-    _SET_Z(observation, z)
-    _SET_A(observation, a)
-    _SET_L(observation, l)
-    _SET_W(observation, w)
-    _SET_H(observation, h)
-    _SET_OBSERVATION(box, observation)
+    box = object.__new__(Box)
+    _SET_X(box, x)
+    _SET_Y(box, y)
+    _SET_Z(box, z)
+    _SET_A(box, a)
+    _SET_L(box, l)
+    _SET_W(box, w)
+    _SET_H(box, h)
     _SET_CLASS(box, class_label)
     _SET_FRAME(box, frame_index)
     _SET_SCENE(box, scene_id)

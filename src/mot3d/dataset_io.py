@@ -10,11 +10,11 @@ the generator provenance header) and are skipped by the loaders.
 
 Each rule is checked once, at the boundary.  In the frame loop, one
 fused check per record covers the JSON shape (exactly the file's fields,
-arrays of three floats), finiteness, and the value rules of
-core.Observation and core.Box (positive extents, score range, known
-class, ids, no instance twice in a frame), reading each value once;
-core.trusted_box builds a record that passes, one slot store per field,
-and Observation and Box any other, their checks writing its message.
+arrays of three floats), finiteness, and the value rules of core.Box
+(positive extents, score range, known class, ids, no instance twice in
+a frame), reading each value once; core.trusted_box builds a record that
+passes, one slot store per field, and Box any other, its checks writing
+its message.
 Box allows a missing id, but an id the file carries may not be null:
 that is the last value rule.  A fault surfaces as SchemaError naming
 its scene, frame and record, a location built only then.  A record with
@@ -51,7 +51,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .core import CLASS_LABELS, Box, Observation, finite_real, trusted_box
+from .core import CLASS_LABELS, Box, finite_real, trusted_box
 from .errors import ConfigError, SchemaError
 
 if TYPE_CHECKING:
@@ -75,7 +75,7 @@ BOX_SCHEMAS = {
 _BOX_FIELDS = ("center", "yaw", "size", "class")
 _RECORD_KEYS = {kind: frozenset(_BOX_FIELDS + extras) for kind, extras in BOX_SCHEMAS.items()}
 _CLASSES = frozenset(CLASS_LABELS)
-_TRACK_COLUMNS = [f"observation.{c}" for c in "xyzalwh"] + ["class_label", "score", "track_id"]
+_TRACK_COLUMNS = [*"xyzalwh", "class_label", "score", "track_id"]
 
 
 def read_json(path: str, label: str, error_cls=SchemaError):
@@ -238,7 +238,7 @@ def _frame_index(key: str, location: str) -> int:
 
 
 def _box(record, kind: str, frame_index: int, scene_id: str) -> Box:
-    """One record's Box built through Observation and Box; the first fault raises ValueError."""
+    """One record's Box built through its constructor; the first fault raises ValueError."""
     if not isinstance(record, dict):
         raise ValueError("box record must be a JSON object")
     if not record.keys() <= _RECORD_KEYS[kind]:
@@ -253,7 +253,7 @@ def _box(record, kind: str, frame_index: int, scene_id: str) -> Box:
         class_label = record["class"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
-    box = Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
+    box = Box(*center, yaw, *size, class_label, frame_index, scene_id, **values)
     # Box raises for every fault but a null id, which it allows
     for name, rule in (("track_id", "a positive int"), ("instance_id", "a non-empty string")):
         if name in values and values[name] is None:
@@ -293,7 +293,7 @@ def _boxes_from_json(data, kind: str, path: str) -> dict:
                 raise SchemaError("frame must hold an array of box records", frame_location)
             boxes, instance_ids = [], set()
             for record_index, record in enumerate(records):
-                # Every rule of the JSON shape, Observation and Box, each value read once:
+                # Every rule of the JSON shape and of Box, each value read once:
                 # seven floats sum to a finite number only when each is finite.
                 box = None
                 if (type(record) is dict and record.keys() == keys
@@ -364,9 +364,8 @@ def _json_key(key) -> str:
 def _record_layout(kind: str):
     """A box file's record text, a %s per value, and those values' Box attributes and getter."""
     triple = "[\n          %s,\n          %s,\n          %s\n        ]"
-    fields = {"center": (triple, "observation.x", "observation.y", "observation.z"),
-              "yaw": ("%s", "observation.a"), "class": ("%s", "class_label"),
-              "size": (triple, "observation.l", "observation.w", "observation.h"),
+    fields = {"center": (triple, "x", "y", "z"), "yaw": ("%s", "a"),
+              "class": ("%s", "class_label"), "size": (triple, "l", "w", "h"),
               **{name: ("%s", name) for name in BOX_SCHEMAS[kind]}}
     lines = [f'        "{key}": {fields[key][0]}' for key in sorted(fields)]
     names = [name for key in sorted(fields) for name in fields[key][1:]]

@@ -62,8 +62,7 @@ def match_frame(gt_boxes: Sequence[Box], track_boxes: Sequence[Box],
     changed counts one identity switch.  Returns (assignment, tp, fp,
     fn, ids) where assignment covers only this frame's matches.
     """
-    result = greedy_center_match([g.observation for g in gt_boxes],
-                                 [t.observation for t in track_boxes], gate)
+    result = greedy_center_match(gt_boxes, track_boxes, gate)
     pairs = [(gt_boxes[gi].instance_id, track_boxes[tj].track_id)
              for gi, tj in result.pairs]
     assignment, ids = _switches(pairs, prev_assignment)
@@ -201,8 +200,7 @@ class _Frame:
         self.links = [scene_links.setdefault(g.instance_id, ([], {})) for g in gt_boxes]
         self.track_ids = [t.track_id for t in track_boxes]
         self.scores = [t.score for t in track_boxes]
-        self.rows, self.cols = candidate_order(center_distances(
-            [g.observation for g in gt_boxes], [t.observation for t in track_boxes]), gate)
+        self.rows, self.cols = candidate_order(center_distances(gt_boxes, track_boxes), gate)
         self.tp = self.fp = 0
 
     def rematch(self, threshold: float) -> tuple:

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CLASS_LABELS, Box, Observation, finite_real, wrap_angle
+from .core import CLASS_LABELS, Box, finite_real, wrap_angle
 from .dataset_io import read_json
 from .errors import SchemaError
 
@@ -213,7 +213,7 @@ def _generate(spec: ScenarioSpec) -> tuple:
                 continue
             extents = obj.extents()
             gt_frames[frame].append(Box(
-                observation=Observation(*pose.tolist(), *extents),
+                *pose.tolist(), *extents,
                 class_label=obj.class_label,
                 instance_id=f"inst{index:03d}",
                 frame_index=frame,
@@ -228,7 +228,7 @@ def _generate(spec: ScenarioSpec) -> tuple:
                 MIN_EXTENT)
             score = rng.uniform(noise.score_range[0], noise.score_range[1])
             det_frames[frame].append(Box(
-                observation=Observation(*center.tolist(), yaw, *size.tolist()),
+                *center.tolist(), yaw, *size.tolist(),
                 class_label=obj.class_label,
                 score=float(min(1.0, max(0.0, score))),
                 frame_index=frame,
@@ -240,12 +240,11 @@ def _generate(spec: ScenarioSpec) -> tuple:
                 base = np.array(CLASS_SIZES[label])
                 size = np.maximum(base * rng.uniform(0.9, 1.1, size=3), MIN_EXTENT)
                 det_frames[frame].append(Box(
-                    observation=Observation(
-                        rng.uniform(spec.bounds[0], spec.bounds[1]),
-                        rng.uniform(spec.bounds[2], spec.bounds[3]),
-                        rng.uniform(spec.fp_z_range[0], spec.fp_z_range[1]),
-                        rng.uniform(-math.pi, math.pi),
-                        *size.tolist()),
+                    rng.uniform(spec.bounds[0], spec.bounds[1]),
+                    rng.uniform(spec.bounds[2], spec.bounds[3]),
+                    rng.uniform(spec.fp_z_range[0], spec.fp_z_range[1]),
+                    rng.uniform(-math.pi, math.pi),
+                    *size.tolist(),
                     class_label=label,
                     score=float(rng.uniform(noise.fp_score_range[0],
                                             noise.fp_score_range[1])),

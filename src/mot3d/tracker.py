@@ -182,7 +182,7 @@ class MultiObjectTracker:
         self._last_frame = frame_index
 
         ordered = sorted(detections, key=attrgetter("class_label"))  # stable: input order kept
-        detected = observation_rows(d.observation for d in ordered)
+        detected = observation_rows(ordered)
         try:
             filtered = self._filter(detected, _spans([d.class_label for d in ordered]))
         except NumericalError as exc:

@@ -32,11 +32,11 @@ def _polygon(points, style: str) -> str:
     return f'<polygon points="{coords}" {style} />'
 
 
-def _heading_tick(observation, corners, color: str) -> str:
+def _heading_tick(box, corners, color: str) -> str:
     # line from box center to the midpoint of the leading edge
     front_x = (corners[0][0] + corners[3][0]) / 2.0
     front_y = (corners[0][1] + corners[3][1]) / 2.0
-    return (f'<line x1="{observation.x:.2f}" y1="{observation.y:.2f}" '
+    return (f'<line x1="{box.x:.2f}" y1="{box.y:.2f}" '
             f'x2="{front_x:.2f}" y2="{front_y:.2f}" '
             f'stroke="{color}" stroke-width="0.08" />')
 
@@ -55,7 +55,7 @@ def render_scene_svg(track_frames: Mapping, gt_frames: Mapping | None = None,
 
     if gt_frames:
         for frame in sorted(gt_frames):
-            rows = observation_rows(box.observation for box in gt_frames[frame])
+            rows = observation_rows(gt_frames[frame])
             for corners in footprint_corners(rows):
                 xs.extend(c[0] for c in corners)
                 ys.extend(c[1] for c in corners)
@@ -64,14 +64,14 @@ def render_scene_svg(track_frames: Mapping, gt_frames: Mapping | None = None,
     track_ids = []
     for frame in sorted(track_frames):
         boxes = track_frames[frame]
-        rows = observation_rows(box.observation for box in boxes)
+        rows = observation_rows(boxes)
         for box, corners in zip(boxes, footprint_corners(rows)):
             xs.extend(c[0] for c in corners)
             ys.extend(c[1] for c in corners)
             color = track_color(box.track_id)
             style = f'fill="none" stroke="{color}" stroke-width="0.12"'
             track_items.append(_polygon(corners, style))
-            track_items.append(_heading_tick(box.observation, corners, color))
+            track_items.append(_heading_tick(box, corners, color))
             if box.track_id not in track_ids:
                 track_ids.append(box.track_id)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from mot3d.association import hungarian_match, iou_pairs
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
-from mot3d.core import OBS_DIM, STATE_DIM, Box, Observation, observation_rows, wrap_angle
+from mot3d.core import OBS_DIM, STATE_DIM, Box, observation_rows, wrap_angle
 from mot3d.dataset_io import RunConfig
 from mot3d.kalman import predict
 from mot3d.metrics import amota, motar
@@ -23,7 +23,7 @@ from mot3d.synthetic import (calibration_scenario, generate, generate_suite,
                              noiseless_scene, standard_suite,
                              standard_suite_calibration, turning_scenario)
 from mot3d.tracker import boxes_by_frame, run_scene
-from tests.test_iou3d import mc_iou
+from tests.test_iou3d import box, mc_iou
 from tests.test_kalman import (angle_aware_diff, build_transition,
                                oracle_predict, oracle_update_conditioning,
                                oracle_update_inverse, random_estimate,
@@ -127,9 +127,9 @@ def test_box_overlap_matches_million_point_monte_carlo():
     Tolerance 2e-3 (several MC standard deviations); analytic spots
     exact to 1e-12.
     """
-    same = Observation(1.0, -2.0, 0.5, 0.7, 4.2, 1.9, 1.6)
-    cube = Observation(0, 0, 0, 0, 1, 1, 1)
-    shifted = Observation(0.5, 0, 0, 0, 1, 1, 1)
+    same = box(1.0, -2.0, 0.5, 0.7, 4.2, 1.9, 1.6)
+    cube = box(0, 0, 0, 0, 1, 1, 1)
+    shifted = box(0.5, 0, 0, 0, 1, 1, 1)
     spots = iou_pairs(observation_rows([same, cube]), observation_rows([same, shifted]))
     assert abs(spots[0] - 1.0) < 1e-12
     assert abs(spots[1] - 1.0 / 3.0) < 1e-12
@@ -137,13 +137,13 @@ def test_box_overlap_matches_million_point_monte_carlo():
     rng = np.random.default_rng(31)
     pairs, estimates = [], []
     for _ in range(200):
-        a = Observation(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-1, 1),
-                        rng.uniform(-math.pi, math.pi),
-                        rng.uniform(1, 5), rng.uniform(1, 4), rng.uniform(1, 3))
-        b = Observation(a.x + rng.uniform(-1.5, 1.5), a.y + rng.uniform(-1.5, 1.5),
-                        a.z + rng.uniform(-0.5, 0.5),
-                        rng.uniform(-math.pi, math.pi),
-                        rng.uniform(1, 5), rng.uniform(1, 4), rng.uniform(1, 3))
+        a = box(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-1, 1),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(1, 5), rng.uniform(1, 4), rng.uniform(1, 3))
+        b = box(a.x + rng.uniform(-1.5, 1.5), a.y + rng.uniform(-1.5, 1.5),
+                a.z + rng.uniform(-0.5, 0.5),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(1, 5), rng.uniform(1, 4), rng.uniform(1, 3))
         pairs.append((a, b))
         estimates.append(mc_iou(a, b, rng, samples=1_000_000))
     exact = iou_pairs(observation_rows(a for a, _ in pairs), observation_rows(b for _, b in pairs))
@@ -289,8 +289,7 @@ def test_track_lifecycle_is_exhaustively_correct():
         for frame, hit in enumerate(bits):
             frames[frame] = []
             if hit:
-                frames[frame] = [Box(Observation(0, 0, 0, 0, 4, 2, 1.5),
-                                     "car", frame, "s", score=0.9)]
+                frames[frame] = [Box(0, 0, 0, 0, 4, 2, 1.5, "car", frame, "s", score=0.9)]
         outputs = run_scene(frames, noise)
         got = [len(out.records) > 0 for out in outputs]
         assert got == reference_visibility(bits), bits
@@ -328,9 +327,9 @@ def test_turning_object_heading_needs_angular_velocity():
         outputs = run_scene(detections, noise, config)
         errors = {}
         for out in outputs:
-            truth = ground_truth[out.frame_index][0].observation.a
+            truth = ground_truth[out.frame_index][0].a
             assert len(out.records) == 1
-            errors[out.frame_index] = abs(wrap_angle(out.records[0].observation.a - truth))
+            errors[out.frame_index] = abs(wrap_angle(out.records[0].a - truth))
         return errors
 
     with_rate = heading_errors(True)
@@ -360,8 +359,7 @@ def test_metric_formulas_spot_values_and_invariance():
     tracks: dict = {"s": {}}
     for frame in range(12):
         gt["s"][frame] = [
-            Box(Observation(10.0 * obj, 0.4 * frame, 0, 0, *size),
-                "car", frame, "s", instance_id=f"obj{obj}")
+            Box(10.0 * obj, 0.4 * frame, 0, 0, *size, "car", frame, "s", instance_id=f"obj{obj}")
             for obj in range(3)]
         boxes = []
         for obj in range(3):
@@ -369,12 +367,11 @@ def test_metric_formulas_spot_values_and_invariance():
                 continue  # occasional miss
             track_id = obj + 1 if frame < 6 or obj != 1 else 9  # one switch
             boxes.append(Box(
-                Observation(10.0 * obj + rng.normal(0, 0.3),
-                            0.4 * frame + rng.normal(0, 0.3), 0, 0, *size),
+                10.0 * obj + rng.normal(0, 0.3), 0.4 * frame + rng.normal(0, 0.3), 0, 0, *size,
                 "car", frame, "s", score=float(rng.uniform(0.3, 1.0)),
                 track_id=track_id))
         if rng.random() < 0.3:
-            boxes.append(Box(Observation(77.0, 0, 0, 0, *size), "car", frame, "s",
+            boxes.append(Box(77.0, 0, 0, 0, *size, "car", frame, "s",
                              score=float(rng.uniform(0.1, 0.6)),
                              track_id=50 + frame))
         tracks["s"][frame] = boxes

@@ -16,7 +16,7 @@ import mot3d
 from mot3d import association
 from mot3d.association import (greedy_center_match, greedy_match, hungarian_match,
                                mahalanobis_affinity, orientation_correct)
-from mot3d.core import (OBS_DIM, Observation, observation_residual, observation_rows, wrap_angle,
+from mot3d.core import (OBS_DIM, Box, observation_residual, observation_rows, wrap_angle,
                         wrap_angle_array)
 from mot3d.dataset_io import DEFAULT_MAHA_GATE
 from mot3d.errors import NumericalError
@@ -27,7 +27,12 @@ from tests.test_kalman import dense_distance
 UNIT_COV = np.concatenate([np.ones(11), np.zeros(4)])
 
 
-def make_prediction(obs: Observation, innovation_var=None) -> AxisPrediction:
+def pose(*values) -> Box:
+    """A box of the pose (x, y, z, a, l, w, h); its class and frame play no part."""
+    return Box(*values, "car", 0)
+
+
+def make_prediction(obs: Box, innovation_var=None) -> AxisPrediction:
     """One belief at obs, its S the diagonal innovation_var (by default I)."""
     mean = np.concatenate([observation_rows([obs])[0], np.zeros(4)])
     if innovation_var is None:
@@ -35,7 +40,7 @@ def make_prediction(obs: Observation, innovation_var=None) -> AxisPrediction:
     return AxisPrediction(mean, UNIT_COV, np.asarray(innovation_var, dtype=float))
 
 
-def reference_mahalanobis(prediction: AxisPrediction, observation: Observation) -> float:
+def reference_mahalanobis(prediction: AxisPrediction, observation: Box) -> float:
     """sqrt(nu^T S^-1 nu) of one observation against one belief: the scalar oracle.
 
     A LAPACK Cholesky factor and solve of the dense S.  The caller
@@ -92,24 +97,24 @@ def test_orientation_correct_array_matches_scalar():
 
 
 def test_mahalanobis_identity_innovation():
-    pred = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1))
-    assert reference_mahalanobis(pred, Observation(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(1.0)
+    pred = make_prediction(pose(0, 0, 0, 0, 1, 1, 1))
+    assert reference_mahalanobis(pred, pose(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(1.0)
     # scaled innovation covariance halves the normalized distance
-    pred4 = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1), np.full(7, 4.0))
-    assert reference_mahalanobis(pred4, Observation(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(0.5)
+    pred4 = make_prediction(pose(0, 0, 0, 0, 1, 1, 1), np.full(7, 4.0))
+    assert reference_mahalanobis(pred4, pose(1.0, 0, 0, 0, 1, 1, 1)) == pytest.approx(0.5)
 
 
 def test_mahalanobis_sign_symmetric():
-    pred = make_prediction(Observation(0, 0, 0, 0, 1, 1, 1), [1, 2, 3, 0.5, 1, 1, 1.0])
-    plus = reference_mahalanobis(pred, Observation(0.7, -0.3, 0.2, 0.1, 1.2, 0.9, 1.1))
-    minus = reference_mahalanobis(pred, Observation(-0.7, 0.3, -0.2, -0.1, 0.8, 1.1, 0.9))
+    pred = make_prediction(pose(0, 0, 0, 0, 1, 1, 1), [1, 2, 3, 0.5, 1, 1, 1.0])
+    plus = reference_mahalanobis(pred, pose(0.7, -0.3, 0.2, 0.1, 1.2, 0.9, 1.1))
+    minus = reference_mahalanobis(pred, pose(-0.7, 0.3, -0.2, -0.1, 0.8, 1.1, 0.9))
     assert plus == pytest.approx(minus, abs=1e-12)
 
 
 def test_mahalanobis_affinity_applies_orientation_correction():
     # prediction faces backwards; raw distance is huge, corrected is small
-    pred = make_prediction(Observation(0, 0, 0, wrap_angle(math.pi), 1, 1, 1))
-    obs = Observation(0, 0, 0, 0.01, 1, 1, 1)
+    pred = make_prediction(pose(0, 0, 0, wrap_angle(math.pi), 1, 1, 1))
+    obs = pose(0, 0, 0, 0.01, 1, 1, 1)
     raw = reference_mahalanobis(pred, obs)
     corrected = mahalanobis_affinity(stacked([pred]), observation_rows([obs])).values[0, 0]
     assert raw > 2.0
@@ -160,11 +165,11 @@ def test_mahalanobis_affinity_matches_per_pair_loop():
     rng = np.random.default_rng(9)
     predictions = []
     for _ in range(6):
-        obs = Observation(*rng.normal(scale=5.0, size=3), rng.uniform(-math.pi, math.pi),
-                          *rng.uniform(1.0, 5.0, size=3))
+        obs = pose(*rng.normal(scale=5.0, size=3), rng.uniform(-math.pi, math.pi),
+                   *rng.uniform(1.0, 5.0, size=3))
         predictions.append(make_prediction(obs, random_variances(rng)))
-    detections = [Observation(*rng.normal(scale=5.0, size=3), rng.uniform(-4.0, 4.0),
-                              *rng.uniform(1.0, 5.0, size=3)) for _ in range(9)]
+    detections = [pose(*rng.normal(scale=5.0, size=3), rng.uniform(-4.0, 4.0),
+                       *rng.uniform(1.0, 5.0, size=3)) for _ in range(9)]
     values = mahalanobis_affinity(stacked(predictions), observation_rows(detections)).values
     for i, prediction in enumerate(predictions):
         for j, obs in enumerate(detections):
@@ -192,7 +197,7 @@ def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_d
             yaw = rng.choice([rng.uniform(-math.pi, math.pi),
                               wrap_angle(math.pi - rng.uniform(0.0, 1e-3)),
                               wrap_angle(-math.pi + rng.uniform(0.0, 1e-3))])
-            obs = Observation(*rng.normal(scale=5.0, size=3), yaw, *rng.uniform(1.0, 5.0, size=3))
+            obs = pose(*rng.normal(scale=5.0, size=3), yaw, *rng.uniform(1.0, 5.0, size=3))
             predictions.append(make_prediction(obs, random_variances(rng)))
         detections = []
         for _ in range(n_det):
@@ -200,8 +205,8 @@ def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_d
             yaw = rng.choice([rng.uniform(-math.pi, math.pi),
                               wrap_angle(base + math.pi / 2), wrap_angle(base - math.pi / 2),
                               wrap_angle(base + math.pi), wrap_angle(-base)])
-            detections.append(Observation(*rng.normal(scale=5.0, size=3), yaw,
-                                          *rng.uniform(1.0, 5.0, size=3)))
+            detections.append(pose(*rng.normal(scale=5.0, size=3), yaw,
+                                   *rng.uniform(1.0, 5.0, size=3)))
         values = mahalanobis_affinity(stacked(predictions), observation_rows(detections)).values
         assert values.shape == (n_pred, n_det)
         for i, prediction in enumerate(predictions):
@@ -210,37 +215,37 @@ def test_mahalanobis_affinity_matches_per_pair_loop_on_random_frames(n_pred, n_d
 
 
 def test_mahalanobis_affinity_keeps_empty_shapes():
-    predictions = [make_prediction(Observation(i, 0, 0, 0, 1, 1, 1)) for i in range(3)]
-    observations = [Observation(0, i, 0, 0, 1, 1, 1) for i in range(4)]
+    predictions = [make_prediction(pose(i, 0, 0, 0, 1, 1, 1)) for i in range(3)]
+    observations = [pose(0, i, 0, 0, 1, 1, 1) for i in range(4)]
     assert mahalanobis_affinity(stacked([]), observation_rows(observations)).values.shape == (0, 4)
     assert mahalanobis_affinity(stacked(predictions), observation_rows([])).values.shape == (3, 0)
     assert mahalanobis_affinity(stacked([]), observation_rows([])).values.shape == (0, 0)
 
 
 def test_mahalanobis_affinity_error_names_the_failing_row():
-    obs = Observation(0, 0, 0, 0, 1, 1, 1)
+    obs = pose(0, 0, 0, 0, 1, 1, 1)
     good = make_prediction(obs)
     singular = make_prediction(obs, np.zeros(7))
     with pytest.raises(NumericalError, match="not positive definite") as info:
         mahalanobis_affinity(stacked([good, good, singular]), observation_rows([obs]))
     assert info.value.row == 2
     # a residual that overflows, against an otherwise valid factor
-    far = make_prediction(Observation(1e308, 0, 0, 0, 1, 1, 1))
+    far = make_prediction(pose(1e308, 0, 0, 0, 1, 1, 1))
     with pytest.raises(NumericalError, match="not finite") as info:
         mahalanobis_affinity(stacked([good, far]),
-                             observation_rows([Observation(-1e308, 0, 0, 0, 1, 1, 1)]))
+                             observation_rows([pose(-1e308, 0, 0, 0, 1, 1, 1)]))
     assert info.value.row == 1
 
 
 def test_mahalanobis_affinity_names_a_bad_covariance_before_a_later_bad_residual():
     # residuals are checked for the whole stack at once, yet rows fail in
     # row order: row 1's S is NaN, row 2's residual overflows
-    obs = Observation(0, 0, 0, 0, 1, 1, 1)
+    obs = pose(0, 0, 0, 0, 1, 1, 1)
     nan_s = np.ones(7)
     nan_s[2] = math.nan
     predictions = [make_prediction(obs), make_prediction(obs, nan_s),
-                   make_prediction(Observation(1e308, 0, 0, 0, 1, 1, 1))]
-    detected = observation_rows([obs, Observation(-1e308, 0, 0, 0, 1, 1, 1)])
+                   make_prediction(pose(1e308, 0, 0, 0, 1, 1, 1))]
+    detected = observation_rows([obs, pose(-1e308, 0, 0, 0, 1, 1, 1)])
     with pytest.raises(NumericalError, match="^innovation covariance is not finite") as info:
         mahalanobis_affinity(stacked(predictions), detected)
     assert info.value.row == 1
@@ -587,16 +592,16 @@ def test_gated_hungarian_can_keep_fewer_pairs_than_greedy():
 
 def test_center_distance_2d_ignores_z():
     # the center distance is planar: z, yaw and extents play no part
-    a = Observation(0, 0, 0, 0, 1, 1, 1)
-    b = Observation(3.0, 4.0, 50.0, 1.0, 2, 2, 2)
+    a = pose(0, 0, 0, 0, 1, 1, 1)
+    b = pose(3.0, 4.0, 50.0, 1.0, 2, 2, 2)
     # the distance is exactly 5.0: a gate just above it matches, one at it does not
     assert greedy_center_match([a], [b], gate=math.nextafter(5.0, 6.0)).pairs == ((0, 0),)
     assert greedy_center_match([a], [b], gate=5.0).pairs == ()
 
 
 def test_greedy_center_match_gate():
-    a = [Observation(0, 0, 0, 0, 1, 1, 1), Observation(10, 0, 0, 0, 1, 1, 1)]
-    b = [Observation(0.5, 0, 0, 0, 1, 1, 1), Observation(14, 0, 0, 0, 1, 1, 1)]
+    a = [pose(0, 0, 0, 0, 1, 1, 1), pose(10, 0, 0, 0, 1, 1, 1)]
+    b = [pose(0.5, 0, 0, 0, 1, 1, 1), pose(14, 0, 0, 0, 1, 1, 1)]
     result = greedy_center_match(a, b, gate=2.0)
     assert result.pairs == ((0, 0),)
     assert unmatched(result, (2, 2)) == ([1], [1])
@@ -643,7 +648,7 @@ def test_greedy_matchers_equal_per_pair_reference():
     gate = 2.0
 
     def box(x, y):
-        return Observation(float(x), float(y), 0.0, 0.0, 1.0, 1.0, 1.0)
+        return pose(float(x), float(y), 0.0, 0.0, 1.0, 1.0, 1.0)
 
     frames = []
     for _ in range(150):

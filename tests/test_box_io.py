@@ -4,7 +4,7 @@ The writer fills one fixed text per record instead of running json.dump
 over a payload of record dicts.  reference_text keeps that payload and
 json.dump as the oracle, and the writer must match it byte for byte.
 The loader builds a record that passes its one condition directly and
-sends every other record through Observation and Box; with that
+sends every other record through Box; with that
 condition switched off, every record takes the second path, which the
 differential tests below hold the loader to.
 """
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mot3d import dataset_io
-from mot3d.core import CLASS_LABELS, Box, Observation
+from mot3d.core import CLASS_LABELS, Box
 from mot3d.dataset_io import (BOX_SCHEMAS, _RECORD_KEYS, load_detections, load_ground_truth,
                               load_tracks, write_detections, write_ground_truth, write_tracks)
 from mot3d.errors import SchemaError
@@ -33,9 +33,8 @@ from tests.test_trusted_boxes import EDGE_VALUES, outcome, reference_box
 
 
 def reference_record(box: Box, extras: tuple) -> dict:
-    obs = box.observation
-    record = {"center": [obs.x, obs.y, obs.z], "yaw": obs.a,
-              "size": [obs.l, obs.w, obs.h], "class": box.class_label}
+    record = {"center": [box.x, box.y, box.z], "yaw": box.a,
+              "size": [box.l, box.w, box.h], "class": box.class_label}
     for name in extras:
         record[name] = getattr(box, name)
         if record[name] is None:
@@ -75,18 +74,18 @@ numbers = {"coordinate": coordinates, "extent": extents}
 
 
 def number(kind: str):
-    """A value Observation accepts: a float, an int, or an np.float64."""
+    """A pose value Box accepts: a float, an int, or an np.float64."""
     return numbers[kind] | numbers[kind].map(lambda value: np.float64(float(value)))
 
 
 @st.composite
 def boxes_of(draw, kind: str, scene_id: str, frame_index: int):
-    observation = Observation(*(draw(number("coordinate")) for _ in range(4)),
-                              *(draw(number("extent")) for _ in range(3)))
+    pose = ([draw(number("coordinate")) for _ in range(4)]
+            + [draw(number("extent")) for _ in range(3)])
     extras = {"score": st.floats(0.0, 1.0) | st.sampled_from([0, 1, -0.0, 5e-324]),
               "track_id": st.integers(1, 2 ** 70),
               "instance_id": st.text(min_size=1, max_size=4)}
-    return Box(observation, draw(st.sampled_from(CLASS_LABELS)), frame_index, scene_id,
+    return Box(*pose, draw(st.sampled_from(CLASS_LABELS)), frame_index, scene_id,
                **{name: draw(extras[name]) for name in BOX_SCHEMAS[kind]})
 
 
@@ -123,9 +122,9 @@ def test_writer_matches_json_dump_byte_for_byte(kind, data, out_path):
 
 
 def test_writer_covers_the_edges_of_json_dump(tmp_path):
-    car = Observation(0, -0.0, 5e-324, 1.5, 1e16, 1.7e308, np.float64(2.5))
-    boxes = {"Zed": {10: [Box(car, "car", 10, "Zed", score=1)], 2: [], 0: []},
-             "é\"": {}, "0": {3: [Box(car, "bus", 3, "0", score=np.float64(0.25))]}}
+    car = (0, -0.0, 5e-324, 1.5, 1e16, 1.7e308, np.float64(2.5))
+    boxes = {"Zed": {10: [Box(*car, "car", 10, "Zed", score=1)], 2: [], 0: []},
+             "é\"": {}, "0": {3: [Box(*car, "bus", 3, "0", score=np.float64(0.25))]}}
     path = str(tmp_path / "det.json")
     for meta in (None, {}, {"b": [1, 2.5, None, {"c": "ü"}], "a": {}}):
         write_detections(boxes, path, meta=meta)
@@ -149,12 +148,12 @@ def test_writer_covers_the_edges_of_json_dump(tmp_path):
 
 @pytest.mark.parametrize("meta, x, score, error", [
     ({"bad": object()}, 0.0, 0.5, TypeError),  # meta that JSON cannot hold
-    (None, Fraction(3, 2), 0.5, TypeError),  # a Real that Observation takes and JSON does not
+    (None, Fraction(3, 2), 0.5, TypeError),  # a Real that Box takes and JSON does not
     (None, Fraction(3, 2), None, ValueError),  # a box its file cannot hold comes first
     (None, 0.0, None, ValueError),
 ])
 def test_writer_raises_where_json_dump_raises(tmp_path, meta, x, score, error):
-    boxes = {"s": {0: [Box(Observation(x, 0, 0, 0, 4, 2, 1.5), "car", 0, "s", score=score)]}}
+    boxes = {"s": {0: [Box(x, 0, 0, 0, 4, 2, 1.5, "car", 0, "s", score=score)]}}
     path = tmp_path / "det.json"
     path.write_text("old")
     with pytest.raises(error):
@@ -166,7 +165,7 @@ def test_writer_raises_where_json_dump_raises(tmp_path, meta, x, score, error):
 
 @pytest.mark.parametrize("scene_id", ["_hidden", "_meta", "_"])
 def test_writers_reject_scene_ids_that_mark_metadata(tmp_path, scene_id):
-    box = Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", 0, scene_id, score=0.5)
+    box = Box(0, 0, 0, 0, 4, 2, 1.5, "car", 0, scene_id, score=0.5)
     path = tmp_path / "new" / "det.json"
     with pytest.raises(ValueError, match=f"scene id {scene_id!r}"):
         write_detections({"fine": {}, scene_id: {0: [box]}}, str(path), meta={"k": 1})

@@ -9,7 +9,7 @@ from mot3d.calibration import (CALIBRATION_GATE, ClassNoise, GroundTruthTrack,
                                NoiseModel, _second_differences, calibrate,
                                estimate_observation_noise, estimate_process_noise,
                                load_noise_model, save_noise_model, tracks_from_ground_truth)
-from mot3d.core import (Box, Observation, observation_residual, observation_rows, wrap_angle,
+from mot3d.core import (Box, observation_residual, observation_rows, wrap_angle,
                         wrap_angle_array)
 from mot3d.errors import CalibrationError, SchemaError
 
@@ -44,7 +44,7 @@ def gt_dict(tracks):
     for track in tracks:
         for idx, frame in enumerate(track.frames):
             x, y, z, a = track.poses[idx]
-            box = Box(Observation(x, y, z, a, *CAR_SIZE),
+            box = Box(x, y, z, a, *CAR_SIZE,
                       track.class_label, frame, track.scene_id,
                       instance_id=track.instance_id)
             out.setdefault(track.scene_id, {}).setdefault(frame, []).append(box)
@@ -57,10 +57,9 @@ def shifted_detections(ground_truth, dx=0.0, dy=0.0, da=0.0, score=0.9):
         for frame, boxes in frames.items():
             dets = []
             for box in boxes:
-                o = box.observation
-                obs = Observation(o.x + dx, o.y + dy, o.z, wrap_angle(o.a + da),
-                                  o.l, o.w, o.h)
-                dets.append(Box(obs, box.class_label, frame, scene_id, score=score))
+                dets.append(Box(box.x + dx, box.y + dy, box.z, wrap_angle(box.a + da),
+                                box.l, box.w, box.h, box.class_label, frame, scene_id,
+                                score=score))
             out.setdefault(scene_id, {})[frame] = dets
     return out
 
@@ -156,8 +155,8 @@ def test_observation_noise_alternating_offset_exact():
     dets: dict = {"s0": {}}
     for frame in range(6):
         offset = 0.25 if frame % 2 == 0 else -0.25
-        obs = Observation(0.0, offset, 0.0, 0.0, *CAR_SIZE)
-        dets["s0"][frame] = [Box(obs, "car", frame, "s0", score=0.9)]
+        dets["s0"][frame] = [Box(0.0, offset, 0.0, 0.0, *CAR_SIZE, "car", frame, "s0",
+                                 score=0.9)]
     r = estimate_observation_noise(gt, dets)["car"]
     assert r[1] == 0.0625
     assert r[0] == 0.0
@@ -167,8 +166,8 @@ def test_observation_noise_wraps_angle_residuals():
     track = make_track([0.0, 0.0], yaws=[math.pi - 0.01, -math.pi + 0.01],
                        frames=[0, 1])
     dets: dict = {"s0": {
-        0: [Box(Observation(0, 0, 0, -math.pi + 0.01, *CAR_SIZE), "car", 0, "s0", score=0.9)],
-        1: [Box(Observation(0, 0, 0, math.pi - 0.01, *CAR_SIZE), "car", 1, "s0", score=0.9)],
+        0: [Box(0, 0, 0, -math.pi + 0.01, *CAR_SIZE, "car", 0, "s0", score=0.9)],
+        1: [Box(0, 0, 0, math.pi - 0.01, *CAR_SIZE, "car", 1, "s0", score=0.9)],
     }}
     r = estimate_observation_noise(gt_dict([track]), dets)["car"]
     # residuals wrap to +-0.02 instead of +-(2*pi - 0.02)
@@ -193,11 +192,11 @@ def test_equidistant_annotations_go_to_the_one_the_frame_lists_first():
     # A, seen since frame 0, must not win the tie: greedy takes the
     # first-listed annotation, as the evaluator does.
     def annotation(y, frame, instance):
-        return Box(Observation(0.0, y, 0.0, 0.0, *CAR_SIZE), "car", frame, "s0",
+        return Box(0.0, y, 0.0, 0.0, *CAR_SIZE, "car", frame, "s0",
                    instance_id=instance)
 
     def detection(y, frame):
-        return Box(Observation(0.0, y, 0.0, 0.0, *CAR_SIZE), "car", frame, "s0", score=0.9)
+        return Box(0.0, y, 0.0, 0.0, *CAR_SIZE, "car", frame, "s0", score=0.9)
 
     gt = {"s0": {0: [annotation(0.0, 0, "A")],
                  1: [annotation(-0.5, 1, "B"), annotation(0.5, 1, "A")]}}
@@ -219,8 +218,8 @@ def test_calibrate_sigma0_structure():
 
 def test_instance_class_change_rejected():
     scene = {"s0": {
-        0: [Box(Observation(0, 0, 0, 0, *CAR_SIZE), "car", 0, "s0", instance_id="i0")],
-        1: [Box(Observation(0, 0, 0, 0, *CAR_SIZE), "bus", 1, "s0", instance_id="i0")],
+        0: [Box(0, 0, 0, 0, *CAR_SIZE, "car", 0, "s0", instance_id="i0")],
+        1: [Box(0, 0, 0, 0, *CAR_SIZE, "bus", 1, "s0", instance_id="i0")],
     }}
     with pytest.raises(CalibrationError, match="changes class"):
         tracks_from_ground_truth(scene)
@@ -229,7 +228,7 @@ def test_instance_class_change_rejected():
 def test_instance_repeated_in_a_frame_rejected():
     # a box file cannot hold this (its loader rejects a repeated instance_id);
     # a mapping built in Python can, and calibrate must raise a CalibrationError for it
-    box = Box(Observation(0, 0, 0, 0, *CAR_SIZE), "car", 4, "s0", instance_id="i0")
+    box = Box(0, 0, 0, 0, *CAR_SIZE, "car", 4, "s0", instance_id="i0")
     with pytest.raises(CalibrationError,
                        match="instance 'i0' in scene 's0' appears twice in frame 4"):
         calibrate({"s0": {4: [box, box]}}, {})
@@ -302,10 +301,9 @@ def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     dets = {"s0": {}}
     for frame, boxes in gt["s0"].items():
-        o = boxes[0].observation
-        obs = Observation(o.x + rng.normal(0, 0.1), o.y + rng.normal(0, 0.1),
-                          o.z, o.a, o.l, o.w, o.h)
-        dets["s0"][frame] = [Box(obs, "car", frame, "s0", score=0.9)]
+        o = boxes[0]
+        dets["s0"][frame] = [Box(o.x + rng.normal(0, 0.1), o.y + rng.normal(0, 0.1),
+                                 o.z, o.a, o.l, o.w, o.h, "car", frame, "s0", score=0.9)]
     model = calibrate(gt, dets)
     path = tmp_path / "noise.json"
     save_noise_model(model, str(path))
@@ -386,12 +384,11 @@ def reference_noise(ground_truth, detections, pooled: bool) -> dict:
     for scene_id, frame_index in sorted((scene_id, frame_index)
                                         for scene_id, frames in ground_truth.items()
                                         for frame_index in frames):
-        labeled = [(box.class_label, box.observation)
-                   for box in ground_truth[scene_id][frame_index]]
+        labeled = [(box.class_label, box) for box in ground_truth[scene_id][frame_index]]
         frame_detections = detections.get(scene_id, {}).get(frame_index, [])
         for label in sorted({lab for lab, _ in labeled}):
             gt_obs = [obs for lab, obs in labeled if lab == label]
-            det_obs = [d.observation for d in frame_detections if d.class_label == label]
+            det_obs = [d for d in frame_detections if d.class_label == label]
             if not det_obs:
                 continue
             for gi, dj in greedy_center_match(gt_obs, det_obs, CALIBRATION_GATE).pairs:
@@ -435,24 +432,24 @@ def seeded_split(seed: int):
                 yaw = wrap_angle(yaw + turn + rng.normal(0.0, 0.02))
                 if frame not in frames:
                     continue
-                obs = Observation(float(x), float(y), float(z), yaw, *size.tolist())
                 gt_frames.setdefault(frame, []).append(
-                    Box(obs, label, frame, scene_id, instance_id=f"i{index}"))
+                    Box(float(x), float(y), float(z), yaw, *size.tolist(), label, frame, scene_id,
+                        instance_id=f"i{index}"))
                 if rng.random() < 0.15:
                     continue
                 dx, dy, dz = rng.normal(0.0, 0.8, size=3)
-                det = Observation(float(x + dx), float(y + dy), float(z + dz),
-                                  wrap_angle(yaw + rng.normal(0.0, 0.1)),
-                                  *np.maximum(size + rng.normal(0.0, 0.1, size=3), 0.1).tolist())
-                det_frames.setdefault(frame, []).append(Box(det, label, frame, scene_id,
-                                                            score=0.5))
+                det = Box(float(x + dx), float(y + dy), float(z + dz),
+                          wrap_angle(yaw + rng.normal(0.0, 0.1)),
+                          *np.maximum(size + rng.normal(0.0, 0.1, size=3), 0.1).tolist(),
+                          label, frame, scene_id, score=0.5)
+                det_frames.setdefault(frame, []).append(det)
         for frame in range(40):
             for _ in range(int(rng.poisson(0.5))):
                 label = ("car", "pedestrian", "bus", "truck")[int(rng.integers(4))]
-                fp = Observation(*rng.uniform(-60.0, 60.0, size=3).tolist(),
-                                 float(rng.uniform(-math.pi, math.pi)), 1.0, 1.0, 1.0)
-                det_frames.setdefault(frame, []).append(Box(fp, label, frame, scene_id,
-                                                            score=0.2))
+                fp = Box(*rng.uniform(-60.0, 60.0, size=3).tolist(),
+                         float(rng.uniform(-math.pi, math.pi)), 1.0, 1.0, 1.0,
+                         label, frame, scene_id, score=0.2)
+                det_frames.setdefault(frame, []).append(fp)
     return ground_truth, detections
 
 

@@ -14,7 +14,7 @@ import pytest
 from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
 from mot3d import cli, dataset_io
 from mot3d.cli import build_parser, main
-from mot3d.core import Box, Observation
+from mot3d.core import Box
 from mot3d.dataset_io import load_ground_truth, load_tracks, write_detections, write_ground_truth
 from mot3d.synthetic import generate, load_scenarios
 
@@ -166,7 +166,7 @@ def test_degenerate_noise_exits_two(tmp_path, capsys):
     zeros = NoiseModel({"car": ClassNoise(np.zeros(11), np.zeros(7), np.zeros(11))})
     noise_path = tmp_path / "zeros.json"
     save_noise_model(zeros, str(noise_path))
-    detections = {"s": {f: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", f, "s",
+    detections = {"s": {f: [Box(0, 0, 0, 0, 4, 2, 1.5, "car", f, "s",
                                 score=0.9)] for f in (0, 1)}}
     det_path = tmp_path / "det.json"
     write_detections(detections, str(det_path))
@@ -194,7 +194,7 @@ def test_numerical_error_from_a_worker_keeps_its_message(tmp_path, capsys):
     zeros = NoiseModel({"car": ClassNoise(np.zeros(11), np.zeros(7), np.zeros(11))})
     noise_path = tmp_path / "zeros.json"
     save_noise_model(zeros, str(noise_path))
-    detections = {scene: {f: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", f, scene,
+    detections = {scene: {f: [Box(0, 0, 0, 0, 4, 2, 1.5, "car", f, scene,
                                   score=0.9)] for f in (0, 1)} for scene in ("s", "t")}
     det_path = tmp_path / "det.json"
     write_detections(detections, str(det_path))
@@ -207,7 +207,7 @@ def test_numerical_error_from_a_worker_keeps_its_message(tmp_path, capsys):
 
 def test_overflowing_residual_exits_two(tmp_path, capsys):
     # finite coordinates whose difference overflows to inf in the residual
-    detections = {"s": {f: [Box(Observation(x, 0, 0, 0, 4, 2, 1.5), "car", f, "s", score=0.9)]
+    detections = {"s": {f: [Box(x, 0, 0, 0, 4, 2, 1.5, "car", f, "s", score=0.9)]
                         for f, x in ((0, 1e308), (1, -1e308))}}
     det_path = tmp_path / "det.json"
     write_detections(detections, str(det_path))
@@ -233,7 +233,7 @@ def test_posterior_extent_rounded_to_zero_exits_two(tmp_path, capsys):
     r[4] = 0.0
     noise_path = tmp_path / "noise.json"
     save_noise_model(NoiseModel({"car": ClassNoise(np.ones(11), r, np.ones(11))}), str(noise_path))
-    detections = {"s": {f: [Box(Observation(0, 0, 0, 0, l, 2, 1.5), "car", f, "s", score=0.9)]
+    detections = {"s": {f: [Box(0, 0, 0, 0, l, 2, 1.5, "car", f, "s", score=0.9)]
                         for f, l in enumerate((1.0, 1.0, 1e-17))}}
     det_path = tmp_path / "det.json"
     write_detections(detections, str(det_path))
@@ -259,7 +259,7 @@ def test_an_error_without_a_condition_estimate_ends_with_its_message(tmp_path, c
              (["--noise-model", str(noise_path)], [(0.0, 1.0), (0.0, 1.0), (0.0, 1e-17)],
               "posterior extent is not positive")]
     for noise_args, boxes, message in cases:
-        write_detections({"s": {f: [Box(Observation(x, 0, 0, 0, l, 2, 1.5), "car", f, "s",
+        write_detections({"s": {f: [Box(x, 0, 0, 0, l, 2, 1.5, "car", f, "s",
                                         score=0.9)] for f, (x, l) in enumerate(boxes)}},
                          str(det_path))
         assert main(["track", "--detections", str(det_path), *noise_args,

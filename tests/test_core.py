@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, OBS_DIM, OBSERVATION_MATRIX,
-                        STATE_DIM, TRANSITION_MATRIX, Box, Observation, checked_rows,
+                        STATE_DIM, TRANSITION_MATRIX, Box, checked_rows,
                         observation_residual, observation_rows, symmetrize,
                         wrap_angle, wrap_angle_array)
 from mot3d.kalman import predict
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
+
+
+def pose(*values) -> Box:
+    """A box of the pose (x, y, z, a, l, w, h); its class and frame play no part."""
+    return Box(*values, "car", 0)
 
 
 def test_wrap_angle_known_values():
@@ -59,14 +64,14 @@ def test_symmetrize_fixpoint(seed):
 
 
 def test_observation_validation():
-    obs = Observation(1.0, 2.0, 3.0, 4.0, 1.0, 1.0, 1.0)
+    obs = pose(1.0, 2.0, 3.0, 4.0, 1.0, 1.0, 1.0)
     assert obs.a == pytest.approx(wrap_angle(4.0))
     with pytest.raises(ValueError):
-        Observation(0, 0, 0, 0, 0.0, 1, 1)
+        pose(0, 0, 0, 0, 0.0, 1, 1)
     with pytest.raises(ValueError):
-        Observation(0, 0, 0, 0, 1, -1.0, 1)
+        pose(0, 0, 0, 0, 1, -1.0, 1)
     with pytest.raises(ValueError):
-        Observation(math.nan, 0, 0, 0, 1, 1, 1)
+        pose(math.nan, 0, 0, 0, 1, 1, 1)
 
 
 @pytest.mark.parametrize("bad", ["1.5", True, False, None, [1.0], np.bool_(True),
@@ -81,47 +86,47 @@ def test_observation_rejects_non_real_fields(index, bad):
     name = "xyzalwh"[index]
     rule = "finite" if type(bad) is int else "a real number"
     with pytest.raises(ValueError, match=f"^{name} must be {rule}, got "):
-        Observation(*values)
+        pose(*values)
     if bad is not None:  # a None score means the box has none
         with pytest.raises(ValueError, match=f"^score must be {rule}, got "):
-            Box(Observation(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0), "car", 0, score=bad)
+            Box(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, "car", 0, score=bad)
 
 
 def test_observation_reports_the_first_faulty_field():
     with pytest.raises(ValueError, match=r"^y must be finite, got nan$"):
-        Observation(0.0, math.nan, "z", 0.0, -1.0, 1.0, 1.0)
+        pose(0.0, math.nan, "z", 0.0, -1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match=r"^w must be positive, got -2.0$"):
-        Observation(0.0, 0.0, 0.0, 0.0, 1.0, -2.0, -1.0)
+        pose(0.0, 0.0, 0.0, 0.0, 1.0, -2.0, -1.0)
     with pytest.raises(ValueError, match=r"^h must be positive, got 0$"):
-        Observation(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0)
+        pose(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0)
     with pytest.raises(ValueError, match=r"^a must be finite, got inf$"):
-        Observation(0.0, 0.0, 0.0, math.inf, 1.0, 1.0, 1.0)
+        pose(0.0, 0.0, 0.0, math.inf, 1.0, 1.0, 1.0)
 
 
 def test_observation_accepts_any_finite_real():
     # ints, numpy scalars, and finite floats whose sum overflows
-    obs = Observation(1, np.float64(2.5), np.float32(0.5), 7, 1e308, 1e308, 1e308)
+    obs = pose(1, np.float64(2.5), np.float32(0.5), 7, 1e308, 1e308, 1e308)
     assert (obs.x, obs.y, obs.z, obs.l) == (1, 2.5, 0.5, 1e308)
     assert type(obs.a) is float and obs.a == wrap_angle(7.0)
-    assert Observation(*observation_rows([obs])[0].tolist()).x == 1.0
+    assert pose(*observation_rows([obs])[0].tolist()).x == 1.0
 
 
 def test_observation_from_array_holds_python_floats():
-    obs = Observation(*np.array([1.5, -2.0, 0.3, 4.0, 4.5, 1.9, 1.6]).tolist())
+    obs = pose(*np.array([1.5, -2.0, 0.3, 4.0, 4.5, 1.9, 1.6]).tolist())
     assert all(type(getattr(obs, name)) is float for name in "xyzalwh")
     assert obs.a == wrap_angle(4.0)
 
 
 def test_observation_array_round_trip():
-    obs = Observation(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6)
-    again = Observation(*observation_rows([obs])[0].tolist())
+    obs = pose(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6)
+    again = pose(*observation_rows([obs])[0].tolist())
     assert again == obs
 
 
 def test_observation_rows_are_bit_equal_to_stacked_arrays():
-    observations = [Observation(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6),
-                    Observation(1, np.float64(2.5), np.float32(0.1), 7, 1e308, 1e308, 1e308),
-                    Observation(-1e-300, 0.0, -0.0, -math.pi, 5e-324, 1.0, 2.0)]
+    observations = [pose(1.5, -2.0, 0.3, 1.1, 4.5, 1.9, 1.6),
+                    pose(1, np.float64(2.5), np.float32(0.1), 7, 1e308, 1e308, 1e308),
+                    pose(-1e-300, 0.0, -0.0, -math.pi, 5e-324, 1.0, 2.0)]
     stacked = np.stack([np.array([o.x, o.y, o.z, o.a, o.l, o.w, o.h]) for o in observations])
     rows = observation_rows(observations)
     assert rows.dtype == stacked.dtype and rows.tobytes() == stacked.tobytes()
@@ -133,7 +138,7 @@ def test_checked_rows_wrap_yaws_as_observations_do():
     rows = np.array([[1.0, 2.0, 0.5, 3 * math.pi, 4.0, 2.0, 1.5],
                      [1, 2, 3, -3 * math.pi, 1e308, 5e-324, 2.0],
                      [0.0, -0.0, 0.0, math.pi, 1.0, 1.0, 1.0]])
-    expected = [[getattr(Observation(*row), name) for name in "xyzalwh"] for row in rows.tolist()]
+    expected = [[getattr(pose(*row), name) for name in "xyzalwh"] for row in rows.tolist()]
     assert checked_rows(rows) is rows
     assert rows.tolist() == expected
     assert rows[:, ANGLE_INDEX].tolist() == [wrap_angle(3 * math.pi), wrap_angle(-3 * math.pi),
@@ -199,8 +204,8 @@ def test_apply_transition_wraps_angle():
 
 def test_observation_residual_wraps_yaw():
     # detection at -179 degrees against +179 degrees: 2 degrees, not 358
-    predicted = Observation(0, 0, 0, math.radians(179.0), 1, 1, 1)
-    detected = Observation(0, 0, 0, math.radians(-179.0), 1, 1, 1)
+    predicted = pose(0, 0, 0, math.radians(179.0), 1, 1, 1)
+    detected = pose(0, 0, 0, math.radians(-179.0), 1, 1, 1)
     detected_row, predicted_row = observation_rows([detected, predicted])
     residual = observation_residual(detected_row, predicted_row)
     assert residual[ANGLE_INDEX] == pytest.approx(math.radians(2.0), abs=1e-12)
@@ -212,24 +217,24 @@ def test_observation_residual_wraps_yaw():
 
 
 def test_detection_validation():
-    obs = Observation(0, 0, 0, 0, 1, 1, 1)
-    det = Box(obs, "car", 0, score=0.5)
+    obs = (0, 0, 0, 0, 1, 1, 1)
+    det = Box(*obs, "car", 0, score=0.5)
     assert det.scene_id == ""
     with pytest.raises(ValueError):
-        Box(obs, "plane", 0, score=0.5)
+        Box(*obs, "plane", 0, score=0.5)
     with pytest.raises(ValueError):
-        Box(obs, "car", 0, score=1.5)
+        Box(*obs, "car", 0, score=1.5)
     with pytest.raises(ValueError):
-        Box(obs, "car", -1, score=0.5)
+        Box(*obs, "car", -1, score=0.5)
     assert "car" in CLASS_LABELS and len(CLASS_LABELS) == 7
-    assert Box(obs, "car", 0, score=1, track_id=3).score == 1.0
-    assert Box(obs, "car", 0, instance_id="a").instance_id == "a"
+    assert Box(*obs, "car", 0, score=1, track_id=3).score == 1.0
+    assert Box(*obs, "car", 0, instance_id="a").instance_id == "a"
     # a string or bool score used to pass as its float value
     for fields in (dict(score=math.nan), dict(score="high"), dict(score="0.5"),
                    dict(score=True), dict(track_id=0),
                    dict(track_id=True), dict(track_id=1.0), dict(instance_id=""),
                    dict(instance_id=7), dict(instance_id=["a"])):
         with pytest.raises(ValueError):
-            Box(obs, "car", 0, **fields)
+            Box(*obs, "car", 0, **fields)
     with pytest.raises(ValueError):
-        Box(obs, "car", True, score=0.5)
+        Box(*obs, "car", True, score=0.5)

@@ -13,7 +13,7 @@ from scipy.stats import chi2
 
 import mot3d
 from mot3d.calibration import ClassNoise, NoiseModel, save_noise_model
-from mot3d.core import Box, Observation, wrap_angle
+from mot3d.core import Box, wrap_angle
 from mot3d.dataset_io import (DEFAULT_MAHA_GATE, RunConfig, load_config,
                               load_detections, load_ground_truth, load_tracks,
                               merge_config, positive_number, write_detections,
@@ -77,11 +77,11 @@ def test_a_greedy_mahalanobis_scene_loads_no_scipy():
 
 def test_detection_round_trip(tmp_path):
     detections = {
-        "scene-b": {0: [Box(Observation(1.25, -3.5, 0.125, 0.75, 4, 2, 1.5),
+        "scene-b": {0: [Box(1.25, -3.5, 0.125, 0.75, 4, 2, 1.5,
                             "car", 0, "scene-b", score=0.875)],
-                    2: [Box(Observation(7, 8, 0, -2.5, 0.7, 0.7, 1.8),
+                    2: [Box(7, 8, 0, -2.5, 0.7, 0.7, 1.8,
                             "pedestrian", 2, "scene-b", score=0.5)]},
-        "scene-a": {5: [Box(Observation(0.1, 0.2, 0.3, 0.4, 10, 2.9, 3.4),
+        "scene-a": {5: [Box(0.1, 0.2, 0.3, 0.4, 10, 2.9, 3.4,
                             "bus", 5, "scene-a", score=1.0)]},
     }
     path = tmp_path / "det.json"
@@ -100,21 +100,21 @@ def test_arbitrary_float_values_round_trip_exactly(tmp_path):
     x = 0.1 + 0.2  # not representable prettily
     from mot3d.core import wrap_angle
     yaw = wrap_angle(1.1)
-    detections = {"s": {0: [Box(Observation(x, math.pi, -0.0, yaw, 4, 2, 1.5),
+    detections = {"s": {0: [Box(x, math.pi, -0.0, yaw, 4, 2, 1.5,
                                 "car", 0, "s", score=0.123456789012345)]}}
     path = tmp_path / "det.json"
     write_detections(detections, str(path))
     loaded = load_detections(str(path))["s"][0][0]
-    assert loaded.observation.x == x
-    assert loaded.observation.y == math.pi
-    assert loaded.observation.a == yaw
+    assert loaded.x == x
+    assert loaded.y == math.pi
+    assert loaded.a == yaw
     assert loaded.score == 0.123456789012345
 
 
 def test_ground_truth_round_trip(tmp_path):
-    gt = {"s": {0: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", 0, "s",
+    gt = {"s": {0: [Box(0, 0, 0, 0, 4, 2, 1.5, "car", 0, "s",
                         instance_id="inst001")],
-                1: [Box(Observation(1, 0, 0, 0, 4, 2, 1.5), "car", 1, "s",
+                1: [Box(1, 0, 0, 0, 4, 2, 1.5, "car", 1, "s",
                         instance_id="inst001")]}}
     path = tmp_path / "gt.json"
     write_ground_truth(gt, str(path))
@@ -136,7 +136,7 @@ def test_track_round_trip_through_tracker(tmp_path):
     boxes = loaded["scene"][4]
     assert len(boxes) == 1
     assert boxes[0].track_id == 1
-    assert boxes[0].observation.x == pytest.approx(4.0, abs=0.2)
+    assert boxes[0].x == pytest.approx(4.0, abs=0.2)
 
 
 def test_write_is_deterministic(tmp_path):
@@ -378,7 +378,7 @@ def test_merge_config_skips_none():
 
 
 def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
-    detections = {"s": {0: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", 0, "s",
+    detections = {"s": {0: [Box(0, 0, 0, 0, 4, 2, 1.5, "car", 0, "s",
                                 score=0.5)]}}
     det_path = tmp_path / "det.json"
     write_detections(detections, str(det_path))
@@ -390,7 +390,7 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
     with pytest.raises(TypeError):  # meta that JSON cannot hold
         write_detections(detections, str(det_path), meta={"bad": object()})
     with pytest.raises(ValueError, match="score"):  # a box the loader would reject
-        write_detections({"s": {0: [Box(Observation(0, 0, 0, 0, 4, 2, 1.5), "car", 0)]}},
+        write_detections({"s": {0: [Box(0, 0, 0, 0, 4, 2, 1.5, "car", 0)]}},
                          str(det_path))
 
     def dump_half_then_fail(payload, handle, **kwargs):
@@ -408,7 +408,7 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
 
 # One fault per entry, in the order the loader reports them: unexpected
 # keys, then center, yaw, size, the file's extra fields, and last the
-# value rules of Observation and Box.  Each fault touches its own spot
+# value rules of Box.  Each fault touches its own spot
 # of the record, so any two can be combined.
 RECORD_FAULTS = [
     ("extra key", lambda r: r.update(colour="red"), "unexpected fields ['colour']"),
@@ -459,12 +459,11 @@ def test_number_literals_load_as_floats(tmp_path):
     path = tmp_path / "literals.json"
     path.write_text(NUMBER_LITERALS)
     box = load_detections(str(path))["s"][0][0]
-    obs = box.observation
-    values = (obs.x, obs.y, obs.z, obs.l, obs.w, obs.h, box.score)
-    assert all(type(value) is float for value in values + (obs.a,))
+    values = (box.x, box.y, box.z, box.l, box.w, box.h, box.score)
+    assert all(type(value) is float for value in values + (box.a,))
     assert values == (1.0, -0.0, 5e-324, 1e308, 2.0, float(10 ** 22 + 1), 1.0)
-    assert math.copysign(1.0, obs.y) == -1.0
-    assert obs.a == wrap_angle(-3.0)
+    assert math.copysign(1.0, box.y) == -1.0
+    assert box.a == wrap_angle(-3.0)
 
 
 def test_number_literals_write_back_as_floats(tmp_path):

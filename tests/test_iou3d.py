@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mot3d import association
 from mot3d.association import footprint_corners, iou_affinity, iou_pairs
-from mot3d.core import Observation, observation_rows, wrap_angle
+from mot3d.core import Box, observation_rows, wrap_angle
 from mot3d.kalman import AxisPrediction
 
 
@@ -88,7 +88,7 @@ def polygon_area(points) -> float:
     return abs(area) / 2.0
 
 
-def reference_iou_3d(box_a: Observation, box_b: Observation, seen=None) -> float:
+def reference_iou_3d(box_a: Box, box_b: Box, seen=None) -> float:
     """3D IOU of two upright yawed boxes, footprint overlap times height overlap.
 
     Box a's footprint is placed in box b's frame from raw floats: its yaw
@@ -118,21 +118,21 @@ def reference_iou_3d(box_a: Observation, box_b: Observation, seen=None) -> float
         return intersection / union
 
 
-def box(x=0.0, y=0.0, z=0.0, a=0.0, l=2.0, w=2.0, h=2.0) -> Observation:
-    return Observation(x, y, z, a, l, w, h)
+def box(x=0.0, y=0.0, z=0.0, a=0.0, l=2.0, w=2.0, h=2.0) -> Box:
+    return Box(x, y, z, a, l, w, h, "car", 0)
 
 
-def one_pair_iou(box_a: Observation, box_b: Observation) -> float:
+def one_pair_iou(box_a: Box, box_b: Box) -> float:
     """iou_pairs on the single pair (box_a, box_b)."""
     return float(iou_pairs(observation_rows([box_a]), observation_rows([box_b]))[0])
 
 
-def one_box_corners(box: Observation) -> np.ndarray:
+def one_box_corners(box: Box) -> np.ndarray:
     """footprint_corners of a single box: its (4, 2) corners."""
     return footprint_corners(observation_rows([box]))[0]
 
 
-def volume(o: Observation) -> float:
+def volume(o: Box) -> float:
     return o.l * o.w * o.h
 
 
@@ -250,15 +250,15 @@ def test_symmetry_and_range(a, b):
 # two unit boxes 4.4e-9 rad apart, whose IOU lies within 5e-9 of 1
 @example(box(l=1, w=1, h=1), box(a=4.4e-9, l=1, w=1, h=1), 3.0, -2.0, 1.0)
 def test_rigid_motion_invariance(a, b, tx, ty, rot):
-    def moved(o: Observation) -> Observation:
+    def moved(o: Box) -> Box:
         c, s = math.cos(rot), math.sin(rot)
-        return Observation(c * o.x - s * o.y + tx, s * o.x + c * o.y + ty, o.z,
-                           wrap_angle(o.a + rot), o.l, o.w, o.h)
+        return box(c * o.x - s * o.y + tx, s * o.x + c * o.y + ty, o.z,
+                   wrap_angle(o.a + rot), o.l, o.w, o.h)
 
     assert one_pair_iou(moved(a), moved(b)) == pytest.approx(one_pair_iou(a, b), abs=1e-9)
 
 
-def mc_iou(a: Observation, b: Observation, rng, samples=200_000) -> float:
+def mc_iou(a: Box, b: Box, rng, samples=200_000) -> float:
     """Monte Carlo IOU via points sampled uniformly inside box a."""
     pts = rng.uniform(-0.5, 0.5, size=(samples, 3)) * np.array([a.l, a.w, a.h])
     ca, sa = math.cos(a.a), math.sin(a.a)

@@ -9,7 +9,7 @@ import pytest
 
 from mot3d import metrics
 from mot3d.calibration import calibrate
-from mot3d.core import CLASS_LABELS, Box, Observation
+from mot3d.core import CLASS_LABELS, Box
 from mot3d.dataset_io import RunConfig
 from mot3d.metrics import (EVALUATION_GATE, amota, match_frame, motar,
                            write_amota_csv, write_report)
@@ -20,12 +20,12 @@ CAR_SIZE = (4.0, 2.0, 1.5)
 
 
 def gt_box(frame, x=0.0, y=0.0, instance="A", label="car", scene="s"):
-    return Box(Observation(x, y, 0, 0, *CAR_SIZE), label, frame, scene,
+    return Box(x, y, 0, 0, *CAR_SIZE, label, frame, scene,
                instance_id=instance)
 
 
 def track_box(frame, x=0.0, y=0.0, track_id=1, score=0.9, label="car", scene="s"):
-    return Box(Observation(x, y, 0, 0, *CAR_SIZE), label, frame, scene,
+    return Box(x, y, 0, 0, *CAR_SIZE, label, frame, scene,
                score=score, track_id=track_id)
 
 
@@ -198,7 +198,7 @@ def test_overall_is_unweighted_class_mean():
 def test_tracker_only_classes_are_skipped_not_scored():
     gt = by_frame([gt_box(f) for f in range(2)])
     tracks = by_frame([track_box(f, track_id=1) for f in range(2)]
-                      + [Box(Observation(5, 5, 0, 0, 10, 2.9, 3.4), "bus", f, "s",
+                      + [Box(5, 5, 0, 0, 10, 2.9, 3.4, "bus", f, "s",
                              score=0.9, track_id=7) for f in range(2)])
     report = amota(tracks, gt, n=3)
     assert report.skipped_classes == ("bus",)

@@ -105,7 +105,7 @@ class ReferenceTracker:
         config = self.config
         q, r, sigma0 = self._matrices[label]
         tracks, means, covs = self._banks[label]
-        detected = observation_rows(d.observation for d in detections)
+        detected = observation_rows(detections)
 
         pairs = ()
         if tracks:
@@ -293,7 +293,7 @@ def test_fresh_ids_go_by_class_label_then_input_order():
     noise, config = hand_noise(("bus", "car", "pedestrian")), RunConfig(birth_hits=1)
     assert_same_as_reference(frames, noise, config)
     records = MultiObjectTracker(noise, config).step(0, frames[0]).records
-    assert [(box.track_id, box.class_label, box.observation.x) for box in records] == [
+    assert [(box.track_id, box.class_label, box.x) for box in records] == [
         (1, "bus", 20.0), (2, "car", 10.0), (3, "car", 30.0), (4, "pedestrian", 0.0)]
 
 
@@ -320,8 +320,7 @@ def test_an_affinity_leaves_the_cells_outside_its_blocks_unscored(monkeypatch):
     boxes = [det(0, x=1e308), det(0, x=-1e308, label="pedestrian", size=(0.8, 0.6, 1.7))]
     tracker.step(0, boxes)
     prediction = predict_per_axis(tracker._means, tracker._covs, tracker._q, tracker._r)
-    detected = observation_rows(box.observation for box in sorted(
-        boxes, key=lambda box: box.class_label))
+    detected = observation_rows(sorted(boxes, key=lambda box: box.class_label))
     blocks = [(slice(0, 1), slice(0, 1)), (slice(1, 2), slice(1, 2))]
     measured = []
     real_center_distances = association.center_distances

@@ -59,11 +59,11 @@ def test_noiseless_detections_coincide_with_ground_truth():
     for frame in gt:
         assert len(det[frame]) == len(gt[frame]) == 5
         for g, d in zip(gt[frame], det[frame]):
-            assert d.observation.x == g.observation.x
-            assert d.observation.y == g.observation.y
-            assert d.observation.z == g.observation.z
-            assert d.observation.a == pytest.approx(g.observation.a, abs=1e-12)
-            assert d.observation.l == g.observation.l
+            assert d.x == g.x
+            assert d.y == g.y
+            assert d.z == g.z
+            assert d.a == pytest.approx(g.a, abs=1e-12)
+            assert d.l == g.l
             assert d.class_label == g.class_label
             assert d.score == 1.0
 
@@ -74,14 +74,14 @@ def test_constant_velocity_trajectory():
     gt, _ = generate(spec)
     for frame in range(10):
         box = gt[frame][0]
-        assert box.observation.x == pytest.approx(-5.0 + 0.5 * frame)
-        assert box.observation.y == pytest.approx(2.0 - 0.25 * frame)
-        assert box.observation.a == 0.0
+        assert box.x == pytest.approx(-5.0 + 0.5 * frame)
+        assert box.y == pytest.approx(2.0 - 0.25 * frame)
+        assert box.a == 0.0
 
 
 def test_yaw_rate_advances_heading():
     gt, _ = generate(turning_scenario())
-    yaws = [gt[frame][0].observation.a for frame in sorted(gt)]
+    yaws = [gt[frame][0].a for frame in sorted(gt)]
     for previous, current in zip(yaws, yaws[1:]):
         assert wrap_angle(current - previous) == pytest.approx(0.15, abs=1e-12)
 
@@ -105,12 +105,12 @@ def test_false_positives_land_inside_bounds():
     # the single true object sits far outside the clutter region, so
     # every detection inside the bounds is a false positive
     _, det = generate(spec)
-    fps = [d for boxes in det.values() for d in boxes if d.observation.x < 100.0]
+    fps = [d for boxes in det.values() for d in boxes if d.x < 100.0]
     assert len(fps) > 50
     for d in fps:
-        assert bounds[0] <= d.observation.x <= bounds[1]
-        assert bounds[2] <= d.observation.y <= bounds[3]
-        assert spec.fp_z_range[0] <= d.observation.z <= spec.fp_z_range[1]
+        assert bounds[0] <= d.x <= bounds[1]
+        assert bounds[2] <= d.y <= bounds[3]
+        assert spec.fp_z_range[0] <= d.z <= spec.fp_z_range[1]
         assert 0.1 <= d.score <= 0.4
         assert d.class_label == "car"  # clutter mimics the scene's classes
 

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import math
 import warnings
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from mot3d import association, kalman
 from mot3d import tracker as tracker_module
 from mot3d.calibration import ClassNoise, NoiseModel, calibrate
-from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, Box, Observation, observation_rows, trusted_box,
+from mot3d.core import (ANGLE_INDEX, CLASS_LABELS, Box, observation_rows, trusted_box,
                         wrap_angle)
 from mot3d.dataset_io import DEFAULT_MAHA_GATE, RunConfig
 from mot3d.errors import ConfigError, Mot3dError, NumericalError, SchemaError, SequencingError
@@ -40,7 +41,10 @@ def hand_noise(labels=("car",)) -> NoiseModel:
 
 def det(frame, x=0.0, y=0.0, z=0.0, a=0.0, label="car", score=0.9,
         size=CAR_SIZE, scene="s0") -> Box:
-    return Box(Observation(x, y, z, a, *size), label, frame, scene, score=score)
+    return Box(x, y, z, a, *size, label, frame, scene, score=score)
+
+
+pose = attrgetter(*"xyzalwh")  # a box's (x, y, z, a, l, w, h)
 
 
 def moving_car_frames(n, vx=1.0, start=0, x0=0.0):
@@ -91,8 +95,8 @@ def test_missed_track_coasts_on_prediction_then_dies():
     by_frame = {out.frame_index: out.records for out in outputs}
     # one miss: still reported, on the extrapolated state
     assert len(by_frame[5]) == 1
-    coasted = by_frame[5][0].observation
-    held = by_frame[4][0].observation
+    coasted = by_frame[5][0]
+    held = by_frame[4][0]
     assert coasted.x > held.x + 0.5
     assert coasted.x == pytest.approx(5.0, abs=0.5)
     # second consecutive miss removes the track
@@ -163,7 +167,7 @@ def test_newborn_track_is_detection_with_zero_velocity():
     detection = det(0, x=1.0, y=2.0, z=3.0, a=0.5)
     tracker.step(0, [detection])
     (track,) = tracker.tracks
-    np.testing.assert_array_equal(track.mean[:7], observation_rows([detection.observation])[0])
+    np.testing.assert_array_equal(track.mean[:7], observation_rows([detection])[0])
     np.testing.assert_array_equal(track.mean[7:], np.zeros(4))
     np.testing.assert_array_equal(dense_covariance(track.cov),
                                   np.diag(noise.classes["car"].sigma0))
@@ -248,8 +252,8 @@ def test_angular_velocity_toggle():
         for _, state in pairs:
             assert state[DA] == 0.0
     # the constant-yaw tracker follows the ramping heading, with lag
-    assert 0.5 < without[-1][0][0].observation.a <= 0.9
-    assert without[-1][0][0].observation.a < with_rate[-1][0][0].observation.a
+    assert 0.5 < without[-1][0][0].a <= 0.9
+    assert without[-1][0][0].a < with_rate[-1][0][0].a
 
 
 def test_birth_hits_one_reports_immediately():
@@ -304,11 +308,11 @@ def test_equidistant_tracks_give_the_detection_to_the_lower_id(affinity, matcher
     frames = {0: [det(0, x=d), det(0, x=-d)], 1: [det(1, x=0.0)]}
     config = RunConfig(birth_hits=1, affinity=affinity, matcher=matcher)
     first, second = run_scene(frames, hand_noise(), config)
-    assert [(rec.track_id, rec.observation.x) for rec in first.records] == [(1, d), (2, -d)]
+    assert [(rec.track_id, rec.x) for rec in first.records] == [(1, d), (2, -d)]
     matched, coasted = second.records
     assert (matched.track_id, coasted.track_id) == (1, 2)
-    assert abs(matched.observation.x) < d
-    assert coasted.observation.x == -d
+    assert abs(matched.x) < d
+    assert coasted.x == -d
 
 
 def test_running_mean_of_a_negative_zero_score_keeps_its_sign():
@@ -461,7 +465,7 @@ def test_per_class_gate_override():
     assert last_default == {1}
     tracker_ids = {rec.track_id for out in loose for rec in out.records}
     assert tracker_ids == {1}
-    assert loose[-1].records[0].observation.x > 1.0
+    assert loose[-1].records[0].x > 1.0
 
 
 def test_class_maha_thresholds_gate_only_their_class_and_only_mahalanobis():
@@ -469,7 +473,7 @@ def test_class_maha_thresholds_gate_only_their_class_and_only_mahalanobis():
     frames, noise = detections["suite0"], hand_noise(("bus", "car", "pedestrian"))
 
     def boxes(config, label):
-        return [[(rec.observation, rec.score) for rec in output.records
+        return [[(pose(rec), rec.score) for rec in output.records
                  if rec.class_label == label] for output in run_scene(frames, noise, config)]
 
     tight = {"pedestrian": 1e-3}
@@ -492,13 +496,13 @@ def test_iou_tracking_never_matches_a_pair_whose_iou_is_nan():
     frames = {0: [det(0, size=huge)], 1: [det(1, x=0.99e200, size=huge)]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = observation_rows(frames[k][0].observation for k in (0, 1))
+        rows = observation_rows(frames[k][0] for k in (0, 1))
         assert math.isnan(association.iou_pairs(rows[:1], rows[1:])[0])
         for matcher in ("greedy", "hungarian"):
             config = RunConfig(affinity="iou", matcher=matcher, birth_hits=1)
             first, second = run_scene(frames, hand_noise(), config)
             assert [rec.track_id for rec in second.records] == [1, 2]
-            assert second.records[0].observation == first.records[0].observation
+            assert pose(second.records[0]) == pose(first.records[0])
 
 
 def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):
@@ -520,9 +524,9 @@ def test_iou_tracking_clips_only_pairs_that_can_overlap(monkeypatch):
 
 def reference_affinity(prediction, detected, blocks=None) -> association.AffinityMatrix:
     """iou_affinity from the scalar reference, one pair at a time, on the pairs of the blocks."""
-    predicted = [Observation(*row) for row in prediction.mean[:, :7].tolist()]
-    # the detection rows' own floats: Observation() would wrap the yaws again
-    observations = [trusted_box(*row, "car", 0).observation for row in detected.tolist()]
+    predicted = [Box(*row, "car", 0) for row in prediction.mean[:, :7].tolist()]
+    # the detection rows' own floats: Box() would wrap the yaws again
+    observations = [trusted_box(*row, "car", 0) for row in detected.tolist()]
     values = np.zeros((len(predicted), len(observations)))
     if blocks is None:
         blocks = [(slice(0, len(predicted)), slice(0, len(observations)))]
@@ -648,7 +652,7 @@ def test_only_toolkit_errors_escape_tracking(q, r, sigma0, frames, affinity, mat
     try:
         for frame_index, detections in enumerate(frames):
             tracker.step(frame_index, [
-                Box(Observation(*center, yaw, *size), label, frame_index, "s", score=score)
+                Box(*center, yaw, *size, label, frame_index, "s", score=score)
                 for label, center, yaw, size, score in detections])
     except Mot3dError:
         pass
@@ -676,10 +680,10 @@ def test_without_angular_velocity_only_the_yaw_rate_noise_is_zero():
 
 
 def checked_records(tracker, frame_index) -> tuple:
-    """The confirmed tracks as Boxes built through every check of Observation and Box."""
+    """The confirmed tracks as Boxes built through every check of Box."""
     running_mean = tracker.config.score_mode == "running_mean"
     return tuple(
-        Box(Observation(*t.mean[:7].tolist()), t.class_label, frame_index,
+        Box(*t.mean[:7].tolist(), t.class_label, frame_index,
             score=t.score_sum / t.score_count if running_mean else t.last_score,
             track_id=t.track_id)
         for t in tracker.tracks if t.confirmed)
@@ -705,9 +709,9 @@ def test_emitted_records_equal_fully_checked_boxes_bit_for_bit(config):
             assert records == expected
             # float reprs round-trip, so equal reprs mean equal bits (and -0.0 stays -0.0)
             assert repr(records) == repr(expected)
-            assert all(type(getattr(record.observation, name)) is float
+            assert all(type(getattr(record, name)) is float
                        for record in records for name in "xyzalwh")
-            yaws += [record.observation.a for record in records]
+            yaws += [record.a for record in records]
     assert min(yaws) < -3.0 and max(yaws) > 3.0
 
 

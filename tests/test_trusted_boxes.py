@@ -1,25 +1,28 @@
 """Boxes whose values pass every rule are checked once, at the boundary.
 
-The loader and the tracker check the rules of Observation and Box
-themselves and build the boxes that pass through core.trusted_box, which
-runs no __post_init__.  These tests hold the loader to a copy of its
-record check from before that shortcut (every record built through
-Observation and Box, the fused check switched off), and count the
-__post_init__ calls a valid load and a tracking run make.  Every builder
-(constructor, loaders, tracker) makes frozen slotted records.
+The loader and the tracker check the rules of Box themselves and build
+the boxes that pass through core.trusted_box, which runs no
+__post_init__.  These tests hold the loader to a copy of its record
+check from before that shortcut (every record built through Box, the
+fused check switched off), and count the __post_init__ calls a valid
+load and a tracking run make.  Every builder (constructor, loaders,
+tracker) makes frozen slotted records, each one object for the garbage
+collector.
 """
 
+import gc
+import inspect
 import json
 import math
 import pickle
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mot3d import dataset_io
-from mot3d.core import CLASS_LABELS, Box, Observation
+from mot3d.core import CLASS_LABELS, Box, trusted_box
 from mot3d.dataset_io import (BOX_SCHEMAS, _RECORD_KEYS, _number, _triple, load_detections,
                               load_ground_truth, load_tracks, write_detections,
                               write_ground_truth, write_tracks)
@@ -33,7 +36,7 @@ BOX_LOADERS = (load_detections, load_ground_truth, load_tracks)
 
 
 def reference_box(record, kind: str, frame_index: int, scene_id: str) -> Box:
-    """The loader's record check with every record built through Observation and Box.
+    """The loader's record check with every record built through Box.
 
     Box allows a missing id, but an id the file's records carry may not
     be null; that is checked after Box's own rules.
@@ -55,7 +58,7 @@ def reference_box(record, kind: str, frame_index: int, scene_id: str) -> Box:
         class_label = record["class"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
-    box = Box(Observation(*center, yaw, *size), class_label, frame_index, scene_id, **values)
+    box = Box(*center, yaw, *size, class_label, frame_index, scene_id, **values)
     for name, rule in (("track_id", "a positive int"), ("instance_id", "a non-empty string")):
         if name in values and values[name] is None:
             raise ValueError(f"{name} must be {rule}, got None")
@@ -121,13 +124,13 @@ def test_mutated_files_load_as_the_reference_does(loader, data, input_path):
 
 @pytest.fixture
 def post_init_calls(monkeypatch):
-    """Counts of Observation.__post_init__ and Box.__post_init__ calls."""
-    calls = {Observation: 0, Box: 0}
-    for cls in calls:
-        def counted(self, cls=cls, original=cls.__post_init__):
-            calls[cls] += 1
-            original(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    """The count of Box.__post_init__ calls."""
+    calls = {Box: 0}
+
+    def counted(self, original=Box.__post_init__):
+        calls[Box] += 1
+        original(self)
+    monkeypatch.setattr(Box, "__post_init__", counted)
     return calls
 
 
@@ -135,22 +138,22 @@ def test_valid_boxes_are_checked_once(tmp_path, post_init_calls):
     _, detections = generate_suite(standard_suite(seed=3, scenes=1, frame_count=20))
     path = str(tmp_path / "detections.json")
     write_detections(detections, path)
-    post_init_calls.update({Observation: 0, Box: 0})
+    post_init_calls[Box] = 0
 
     loaded = load_detections(path)
     outputs = run_scene(loaded["suite0"], hand_noise(CLASS_LABELS))
     assert sum(len(frame) for frame in loaded["suite0"].values()) > 100
     assert sum(len(output.records) for output in outputs) > 50
-    assert post_init_calls == {Observation: 0, Box: 0}
+    assert post_init_calls == {Box: 0}
 
 
-@pytest.mark.parametrize("fault, message, checked_by", [
-    ({"size": [4.0, -2.0, 1.5]}, "w must be positive, got -2.0", Observation),
-    ({"class": "plane"}, "unknown class label 'plane'", Box),
-    ({"score": 1.25}, "score must lie in [0, 1], got 1.25", Box),
+@pytest.mark.parametrize("fault, message", [
+    ({"size": [4.0, -2.0, 1.5]}, "w must be positive, got -2.0"),
+    ({"class": "plane"}, "unknown class label 'plane'"),
+    ({"score": 1.25}, "score must lie in [0, 1], got 1.25"),
 ])
 def test_a_failing_record_gets_its_message_from_the_checks(tmp_path, post_init_calls, fault,
-                                                           message, checked_by):
+                                                           message):
     good = {"center": [1.0, 2.0, 0.5], "yaw": 0.3, "size": [4.0, 2.0, 1.5], "class": "car",
             "score": 0.9}
     path = tmp_path / "detections.json"
@@ -158,7 +161,7 @@ def test_a_failing_record_gets_its_message_from_the_checks(tmp_path, post_init_c
     with pytest.raises(SchemaError) as excinfo:
         load_detections(str(path))
     assert str(excinfo.value) == f"detections scene 's' frame 0 record 1: {message}"
-    assert post_init_calls[checked_by] == 1
+    assert post_init_calls[Box] == 1
 
 
 @pytest.fixture(scope="module")
@@ -179,18 +182,17 @@ def built_boxes(tmp_path_factory):
     }
     built = {name: [box for boxes in by_frame.values() for box in boxes]
              for name, by_frame in frames.items()}
-    built["constructor"] = [Box(Observation(1.0, -2.0, 0.5, 3.0, 4.0, 2.0, 1.5), "car", 7,
-                                "s", score=0.5, track_id=3),
-                            Box(Observation(0.0, 0.0, 0.0, -0.5, 0.5, 0.5, 1.8), "pedestrian", 0,
+    built["constructor"] = [Box(1.0, -2.0, 0.5, 3.0, 4.0, 2.0, 1.5, "car", 7, "s", score=0.5,
+                                track_id=3),
+                            Box(0.0, 0.0, 0.0, -0.5, 0.5, 0.5, 1.8, "pedestrian", 0,
                                 instance_id="walker")]
     return built
 
 
 def constructed(box, score):
-    """box rebuilt through Observation and Box, with the given score."""
-    o = box.observation
-    return Box(Observation(o.x, o.y, o.z, o.a, o.l, o.w, o.h), box.class_label, box.frame_index,
-               box.scene_id, score, box.track_id, box.instance_id)
+    """box rebuilt through Box, with the given score."""
+    return Box(box.x, box.y, box.z, box.a, box.l, box.w, box.h, box.class_label,
+               box.frame_index, box.scene_id, score, box.track_id, box.instance_id)
 
 
 @pytest.mark.parametrize("builder", ["constructor", "load_detections", "load_ground_truth",
@@ -198,12 +200,19 @@ def constructed(box, score):
 def test_every_builder_makes_frozen_slotted_records(built_boxes, builder):
     boxes = built_boxes[builder]
     assert boxes
+    # trusted_box's slot setters are taken from fields(Box) by position
+    names = [f.name for f in fields(Box)]
+    assert names == list(inspect.signature(trusted_box).parameters)
     for box in boxes:
-        assert not hasattr(box, "__dict__") and not hasattr(box.observation, "__dict__")
+        assert not hasattr(box, "__dict__")
+        # one object for the collector: no other tracked object hangs off a box
+        assert [ref for ref in gc.get_referents(box) if gc.is_tracked(ref)] == [Box]
+        rebuilt = trusted_box(*(getattr(box, name) for name in names))
+        assert rebuilt == box and repr(rebuilt) == repr(box)
         with pytest.raises(FrozenInstanceError):
             box.score = 0.5
         with pytest.raises(FrozenInstanceError):
-            box.observation.x = 0.5
+            box.x = 0.5
         # workers under --jobs receive pickled boxes
         copy = pickle.loads(pickle.dumps(box))
         assert copy == box and hash(copy) == hash(box)
@@ -219,10 +228,9 @@ def test_any_assignment_or_deletion_raises_frozen_instance_error(built_boxes, bu
     # names that are not fields used to raise TypeError from super() instead
     for box in built_boxes[builder]:
         before = repr(box)
-        for record, field in ((box, "score"), (box.observation, "x")):
-            for name in (field, "foo"):
-                with pytest.raises(FrozenInstanceError):
-                    setattr(record, name, 1.0)
-                with pytest.raises(FrozenInstanceError):
-                    delattr(record, name)
+        for name in ("score", "x", "foo"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(box, name, 1.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(box, name)
         assert repr(box) == before
