@@ -27,10 +27,12 @@ cycles, so collections would free nothing yet walk the whole heap.
 
 Writers emit the bytes of json.dump(..., indent=2, sort_keys=True):
 sorted keys, a fixed layout, floats at full round-trip precision.  Box
-files stream a frame at a time from a fixed text per record, filled from
-Boxes or from a tracker output's columns; scene ids starting with an
-underscore are rejected.  Every output file is written atomically: a
-temp file in the target directory replaces it only once complete.
+files stream a frame at a time from a fixed text per record, filled a
+column at a time from a tracker output's columns or its Boxes' fields:
+only floats or only strs through one builtin, any other value through
+_json_value.  Scene ids starting with an underscore are rejected.  Every
+output file is written atomically: a temp file in the target directory
+replaces it only once complete.
 
 DEFAULT_MAHA_GATE is the literal that sqrt(2 * gammaincinv(3.5, 0.95)) gives,
 held bit-equal by a test, so importing this module loads no scipy.special.
@@ -49,7 +51,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .core import CLASS_LABELS, Box, finite_real, trusted_box
 from .errors import ConfigError, SchemaError
@@ -355,6 +357,14 @@ def _json_value(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _column_texts(column: Sequence) -> Iterable[str]:
+    """json.dump's texts of one field over a frame's Boxes, by the rules of the module docstring.
+    Lazy, so a zip of columns formats, and raises, box by box as json.dump does."""
+    kinds = set(map(type, column))
+    return map(float.__repr__ if kinds == {float} else encode_basestring_ascii
+               if kinds == {str} else _json_value, column)
+
+
 def _json_key(key) -> str:
     """A top-level key as json.dump writes it: int, float, bool and None keys become strings.
     json.dumps({key: 0}) is that key between "{" and ": 0}", or raises json's TypeError."""
@@ -391,7 +401,7 @@ def _write_boxes(boxes: Mapping[str, Mapping[int, Sequence[Box] | Callable]], ki
             handle.write(_json_key(key) + ": {")
             for number, (frame_key, frame) in enumerate(sorted(frames.items())):
                 texts = (zip(*map(frame().__getitem__, names)) if callable(frame)  # write_tracks
-                         else (tuple(map(_json_value, values_of(box))) for box in frame))
+                         else zip(*map(_column_texts, zip(*map(values_of, frame)))))
                 try:
                     records = [template % values for values in texts]
                 except TypeError:  # json.dump's error, unless a box lacks a field of its file

@@ -12,7 +12,11 @@ drop boxes with a miss probability, and add Poisson-distributed false
 positives with class-typical sizes.  All randomness flows through one
 seeded PCG64 generator in a fixed call order, so a spec reproduces
 byte-identical files; the writer records the generator and seed in the
-file's metadata header.
+file's metadata header.  Each object makes one normal draw for all its
+accelerations, and each detection one for its seven noise values and
+one uniform draw for its score.  Normals come one after another whatever
+a call's shape, and running sums repeat a frame-by-frame walk's float
+operations, so the stream, and every file's bytes, stay as that walk's.
 
 Every numeric spec field passes one of three rules when the spec is
 built: a finite real number that is not a bool, an int count with a
@@ -27,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CLASS_LABELS, Box, finite_real, wrap_angle
+from .core import CLASS_LABELS, finite_real, trusted_box, wrap_angle
 from .dataset_io import read_json
 from .errors import SchemaError
 
@@ -158,6 +162,10 @@ class ScenarioSpec:
         _count("frame_count", self.frame_count, 1)
         _count("seed", self.seed, 0)
         object.__setattr__(self, "objects", tuple(self.objects))
+        for name, value, kind in [*((f"objects[{index}]", obj, ObjectSpec) for index, obj
+                                    in enumerate(self.objects)), ("noise", self.noise, NoiseSpec)]:
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         bounds = _reals("bounds", self.bounds, 4)
         if bounds[0] >= bounds[1] or bounds[2] >= bounds[3]:
             raise ValueError("bounds must be (x_min, x_max, y_min, y_max) with min < max")
@@ -165,21 +173,22 @@ class ScenarioSpec:
         object.__setattr__(self, "fp_z_range", _reals("fp_z_range", self.fp_z_range, 2))
 
 
-def _trajectory(spec: ScenarioSpec, obj: ObjectSpec, rng) -> dict:
-    """Pose per live frame; velocity integrates sampled accelerations."""
+def _trajectory(spec: ScenarioSpec, obj: ObjectSpec, rng) -> np.ndarray:
+    """(x, y, z, yaw, l, w, h) per live frame, the yaw wrapped after each step as it is summed."""
     last = spec.frame_count if obj.lifespan is None else min(
         spec.frame_count, obj.first_frame + obj.lifespan)
-    pose = np.array([obj.x, obj.y, obj.z, obj.yaw], dtype=float)
-    velocity = np.array([obj.vx, obj.vy, obj.vz, obj.yaw_rate], dtype=float)
-    sigma = np.array(spec.noise.accel_sigma)
-    poses = {}
-    for frame in range(obj.first_frame, last):
-        if frame > obj.first_frame:
-            velocity = velocity + rng.normal(0.0, 1.0, size=4) * sigma
-            pose = pose + velocity
-            pose[3] = wrap_angle(pose[3])
-        poses[frame] = pose.copy()
-    return poses
+    if last <= obj.first_frame:
+        return np.empty((0, 7))
+    start = np.array([[obj.x, obj.y, obj.z, obj.yaw], [obj.vx, obj.vy, obj.vz, obj.yaw_rate]],
+                     dtype=float)
+    accel = rng.normal(0.0, 1.0, size=(last - obj.first_frame - 1, 4))
+    velocity = np.cumsum(np.vstack([start[1], accel * spec.noise.accel_sigma]), axis=0)
+    poses = np.vstack([start[0], velocity[1:]])
+    poses[:, :3] = np.cumsum(poses[:, :3], axis=0)
+    yaw = poses[0, 3]  # a numpy float, so an overflow of the first, unwrapped step raises
+    for step, rate in enumerate(velocity[1:, 3].tolist(), 1):
+        poses[step, 3] = yaw = wrap_angle(yaw + rate)
+    return np.hstack([poses, np.broadcast_to(obj.extents(), (len(poses), 3))])
 
 
 def generate(spec: ScenarioSpec) -> tuple:
@@ -201,6 +210,7 @@ def _generate(spec: ScenarioSpec) -> tuple:
     rng = np.random.default_rng(spec.seed)
     noise = spec.noise
     trajectories = [_trajectory(spec, obj, rng) for obj in spec.objects]
+    sigma = np.array([*noise.position_sigma, noise.angle_sigma, *[noise.size_sigma] * 3])
     fp_classes = sorted({obj.class_label for obj in spec.objects}) or list(CLASS_LABELS)
 
     gt_frames: dict = {frame: [] for frame in range(spec.frame_count)}
@@ -208,49 +218,31 @@ def _generate(spec: ScenarioSpec) -> tuple:
 
     for frame in range(spec.frame_count):
         for index, obj in enumerate(spec.objects):
-            pose = trajectories[index].get(frame)
-            if pose is None:
+            step = frame - obj.first_frame
+            if not 0 <= step < len(trajectories[index]):
                 continue
-            extents = obj.extents()
-            gt_frames[frame].append(Box(
-                *pose.tolist(), *extents,
-                class_label=obj.class_label,
-                instance_id=f"inst{index:03d}",
-                frame_index=frame,
-                scene_id=spec.scene_id,
-            ))
+            row = trajectories[index][step]
+            x, y, z, yaw, l, w, h = row.tolist()
+            gt_frames[frame].append(trusted_box(
+                x, y, z, wrap_angle(yaw), l, w, h, obj.class_label, frame, spec.scene_id,
+                instance_id=f"inst{index:03d}"))
             if noise.p_miss > 0.0 and rng.random() < noise.p_miss:
                 continue
-            center = pose[:3] + rng.normal(0.0, 1.0, size=3) * np.array(noise.position_sigma)
-            yaw = wrap_angle(pose[3] + rng.normal(0.0, 1.0) * noise.angle_sigma)
-            size = np.maximum(
-                np.array(extents) + rng.normal(0.0, 1.0, size=3) * noise.size_sigma,
-                MIN_EXTENT)
-            score = rng.uniform(noise.score_range[0], noise.score_range[1])
-            det_frames[frame].append(Box(
-                *center.tolist(), yaw, *size.tolist(),
-                class_label=obj.class_label,
-                score=float(min(1.0, max(0.0, score))),
-                frame_index=frame,
-                scene_id=spec.scene_id,
-            ))
+            x, y, z, yaw, l, w, h = (row + rng.normal(0.0, 1.0, size=7) * sigma).tolist()
+            det_frames[frame].append(trusted_box(
+                x, y, z, wrap_angle(wrap_angle(yaw)), max(l, MIN_EXTENT), max(w, MIN_EXTENT),
+                max(h, MIN_EXTENT), obj.class_label, frame, spec.scene_id,
+                float(min(1.0, max(0.0, rng.uniform(*noise.score_range))))))
         if noise.fp_rate > 0.0:
             for _ in range(int(rng.poisson(noise.fp_rate))):
                 label = fp_classes[int(rng.integers(len(fp_classes)))]
                 base = np.array(CLASS_SIZES[label])
                 size = np.maximum(base * rng.uniform(0.9, 1.1, size=3), MIN_EXTENT)
-                det_frames[frame].append(Box(
-                    rng.uniform(spec.bounds[0], spec.bounds[1]),
-                    rng.uniform(spec.bounds[2], spec.bounds[3]),
-                    rng.uniform(spec.fp_z_range[0], spec.fp_z_range[1]),
-                    rng.uniform(-math.pi, math.pi),
-                    *size.tolist(),
-                    class_label=label,
-                    score=float(rng.uniform(noise.fp_score_range[0],
-                                            noise.fp_score_range[1])),
-                    frame_index=frame,
-                    scene_id=spec.scene_id,
-                ))
+                x, y, z, yaw = (rng.uniform(*spec.bounds[:2]), rng.uniform(*spec.bounds[2:]),
+                                rng.uniform(*spec.fp_z_range), rng.uniform(-math.pi, math.pi))
+                det_frames[frame].append(trusted_box(
+                    x, y, z, wrap_angle(yaw), *size.tolist(), label, frame, spec.scene_id,
+                    float(rng.uniform(*noise.fp_score_range))))
     return gt_frames, det_frames
 
 

@@ -163,7 +163,19 @@ def test_writer_raises_where_json_dump_raises(tmp_path, meta, x, score, error):
     assert path.read_text() == "old" and os.listdir(tmp_path) == ["det.json"]
 
 
-@pytest.mark.parametrize("scene_id", ["_hidden", "_meta", "_"])
+def test_writer_names_the_value_json_dump_names_first(tmp_path):
+    # a later field of the first box comes before an earlier field of the second
+    first = Box(0, 0, 0, 0, 4, 2, np.float32(1.5), "car", 0, "s", score=0.5)
+    second = Box(Fraction(3, 2), 0, 0, 0, 4, 2, 1.5, "car", 0, "s", score=0.5)
+    for frame in ([first, second], [second, first]):
+        boxes = {"s": {0: frame}}
+        with pytest.raises(TypeError) as expected:
+            reference_text(boxes, "detections", None)
+        with pytest.raises(TypeError, match=f"^{expected.value}$"):
+            write_detections(boxes, str(tmp_path / "det.json"))
+
+
+@pytest.mark.parametrize("scene_id",["_hidden", "_meta", "_"])
 def test_writers_reject_scene_ids_that_mark_metadata(tmp_path, scene_id):
     box = Box(0, 0, 0, 0, 4, 2, 1.5, "car", 0, scene_id, score=0.5)
     path = tmp_path / "new" / "det.json"

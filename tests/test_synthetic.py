@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import pytest
 
 from mot3d.core import CLASS_LABELS, wrap_angle
+from mot3d.dataset_io import write_detections, write_ground_truth
 from mot3d.errors import SchemaError
 from mot3d.synthetic import (CLASS_SIZES, RNG_NAME, NoiseSpec, ObjectSpec,
                              ScenarioSpec, calibration_scenario, generate,
@@ -126,11 +128,24 @@ def test_detection_scores_respect_range():
 def test_overflowing_scene_is_a_value_error_without_warnings():
     runaway = simple_spec(objects=(ObjectSpec("car", x=1e308, y=0.0, vx=1e308),))
     wide = simple_spec(noise=NoiseSpec(position_sigma=1e308))
-    for spec in (runaway, wide):
+    # angle noise must overflow here too, not reach wrap_angle as an infinite yaw
+    turning = simple_spec(noise=NoiseSpec(angle_sigma=1e308))
+    growing = simple_spec(noise=NoiseSpec(size_sigma=1e308))
+    for spec in (runaway, wide, turning, growing):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="leaves the float range"):
                 generate(spec)
+
+
+def test_overflow_is_caught_per_operation_not_per_box():
+    # each extent fits a float though a box's seven values sum past it
+    spec = simple_spec(frame_count=5,
+                       objects=(ObjectSpec("car", x=0.0, y=0.0, size=(1e308, 1e308, 1e308)),),
+                       noise=NoiseSpec(position_sigma=0.1, size_sigma=0.01, accel_sigma=0.01))
+    gt, det = generate(spec)
+    for boxes in (gt, det):
+        assert [(b.l, b.w, b.h) for frame in boxes.values() for b in frame] == [(1e308,) * 3] * 5
 
 
 def test_first_frame_and_lifespan_window():
@@ -309,6 +324,14 @@ def test_scenario_spec_validation():
             simple_spec(seed=seed)
 
 
+def test_scenario_spec_entries_must_be_specs():
+    # caught when the spec is built, not as an AttributeError inside generate
+    with pytest.raises(ValueError, match=r"^objects\[1\] must be of type ObjectSpec, got 'car'$"):
+        ScenarioSpec("s", 5, objects=(ObjectSpec("car", x=0.0, y=0.0), "car"))
+    with pytest.raises(ValueError, match=r"^noise must be of type NoiseSpec, got \{'p_miss': 0.5\}$"):
+        ScenarioSpec("s", 5, objects=(), noise={"p_miss": 0.5})
+
+
 def test_counts_and_seeds_must_be_ints():
     for bad in (5.5, True, "3", None):
         with pytest.raises(ValueError, match=r"^frame_count must be an int >= 1, got "):
@@ -375,3 +398,56 @@ def test_spec_dict_keeps_its_json_layout():
     }
     assert (json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True)
             == json.dumps(expected, indent=2, sort_keys=True))
+
+
+# Specs that together take every draw of the simulator, and the sha256 of the files
+# write_ground_truth and write_detections make of each (with scenario_meta), recorded
+# from the frame-by-frame generator that drew one normal per value.
+PINNED_SCENES = [
+    # misses, clutter and every kind of detection noise, over three classes
+    (ScenarioSpec(
+        "clutter", 40, seed=5,
+        objects=(ObjectSpec("car", x=-20.0, y=0.0, yaw=0.5, vx=0.7),
+                 ObjectSpec("pedestrian", x=10.0, y=5.0, vy=0.4, size=(0.5, 0.5, 1.7)),
+                 ObjectSpec("bus", x=3, y=-12, vx=-0.3, vy=0.1)),
+        noise=NoiseSpec(position_sigma=(0.2, 0.1, 0.05), angle_sigma=0.1, size_sigma=0.05,
+                        accel_sigma=(0.05, 0.05, 0.02, 0.01), p_miss=0.2, fp_rate=0.8,
+                        score_range=(0.4, 0.9), fp_score_range=(0.05, 0.35))),
+     "c3497d6a2bc45cff8ea51afa2d288854419f2732e664fa2e329e5594943cc159",
+     "a463cb9e7359f7676f047b2e253cfdeb7af28134d62f01bc3865b18803d2f0f5"),
+    # objects that never appear or live one frame come first: a draw of theirs
+    # would shift every later value
+    (ScenarioSpec(
+        "window", 12, seed=9,
+        objects=(ObjectSpec("truck", x=0.0, y=0.0, first_frame=12),
+                 ObjectSpec("bicycle", x=5.0, y=5.0, first_frame=20, lifespan=2),
+                 ObjectSpec("pedestrian", x=-5.0, y=2.0, first_frame=7, lifespan=1),
+                 ObjectSpec("car", x=1.0, y=-3.0, vx=0.5, first_frame=3, lifespan=5),
+                 ObjectSpec("car", x=-8.0, y=9.0, vy=-0.6)),
+        noise=NoiseSpec(position_sigma=0.1, angle_sigma=0.05, size_sigma=0.02,
+                        accel_sigma=0.1, p_miss=0.1, fp_rate=0.3)),
+     "4db638224daf33316fa6c4f55bf69b31da0a7824095defe5ceb2ddf2187d8bb8",
+     "0ad94711a5e0f039986081b030d66834b4517d58c804b115bab09dadf65e4701"),
+    # tiny boxes that size noise clamps to MIN_EXTENT, and yaws that turn through
+    # +-pi, one of them starting unwrapped
+    (ScenarioSpec(
+        "turning", 30, seed=13,
+        objects=(ObjectSpec("pedestrian", x=0.0, y=0.0, yaw=3.0, yaw_rate=0.3,
+                            size=(0.06, 0.05, 0.08)),
+                 ObjectSpec("motorcycle", x=4.0, y=4.0, yaw=-3.0, yaw_rate=-0.25),
+                 ObjectSpec("trailer", x=-9.0, y=1.0, yaw=7.5, yaw_rate=0.1)),
+        noise=NoiseSpec(angle_sigma=0.2, size_sigma=0.1, accel_sigma=(0.0, 0.0, 0.0, 0.05))),
+     "2ae8e973c7fb9bd762c5c640d75385715fa9e2e6f7594fa1f84a196d157b9401",
+     "e498c3176618542178e59e89e95a203dc621f7db98ae3c8e098c4fc21ebec2bb"),
+]
+
+
+@pytest.mark.parametrize("spec, gt_sha256, det_sha256", PINNED_SCENES,
+                         ids=[spec.scene_id for spec, *_ in PINNED_SCENES])
+def test_generated_files_keep_their_bytes(tmp_path, spec, gt_sha256, det_sha256):
+    gt, det = generate_suite([spec])
+    gt_path, det_path = tmp_path / "gt.json", tmp_path / "det.json"
+    write_ground_truth(gt, str(gt_path), meta=scenario_meta([spec]))
+    write_detections(det, str(det_path), meta=scenario_meta([spec]))
+    assert hashlib.sha256(gt_path.read_bytes()).hexdigest() == gt_sha256
+    assert hashlib.sha256(det_path.read_bytes()).hexdigest() == det_sha256
