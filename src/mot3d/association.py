@@ -3,25 +3,21 @@
 Two affinities score the pairs within blocks (the tracker's classes) of a
 stacked prediction of N tracks and M detections: the Mahalanobis distance
 between a detection and the predicted observation distribution (whose
-diagonal S makes it elementwise), and the 3D intersection-over-union of
-the two boxes.  IOU has one implementation, iou_pairs: it places each
-candidate pair's first footprint (footprint_corners, which viz draws too)
-in the second box's own frame, clips all the pairs of a call together,
-one array pass per axis-aligned side, and gives each pair the floats
-that clipping it alone with Python floats would give.  In that frame a
-crossing divides by no cancelled difference of products, and the IOU
-does not depend on where the pair lies.
-The Mahalanobis affinity also returns each scored pair's
-orientation-corrected predicted yaw, which the tracker's update takes.
+diagonal S makes it elementwise), which also returns each scored pair's
+orientation-corrected predicted yaw for the update, and the 3D
+intersection-over-union of the two boxes.  IOU clips only the pairs that
+a sort-and-sweep window in x (_window_pairs) and exact circle and height
+tests leave, all together in each second box's own frame (iou_pairs).
 The tracker turns either affinity into a plain (N, M) distance array and
 a limit per class (1 - IOU under 1 - T for a minimum IOU T), and two
-bipartite matchers return only matched index pairs, never a non-finite
-one: a greedy nearest-first matcher, which takes a frame's whole array at
-once, and an optimal assignment (Hungarian) matcher with post-assignment
-thresholding, which takes one class's block.  Greedy reads only pairs
-below the limit, so for it the Mahalanobis affinity takes the limits and,
-on large blocks, scores only the pairs whose (x, y) terms of the squared
-distance, a lower bound of the whole sum, fall within the gate.
+bipartite matchers return only matched index pairs, best first, never a
+non-finite one: a greedy nearest-first matcher, which takes a frame's
+whole array at once, and an optimal assignment (Hungarian) matcher with
+post-assignment thresholding, which takes one class's block.  Greedy
+reads only pairs below the limit, so for it the Mahalanobis affinity
+takes the limits and, on large blocks, scores only the pairs whose (x, y)
+terms of the squared distance, a lower bound of the whole sum, fall
+within the gate; a large center match measures only its window's pairs.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ def orientation_correct(predicted_angle, detected_angle):
 # The (x, y) gate's relative margin, the limits within which it prunes, and
 # the coordinate magnitude within which no residual it skips can overflow.
 _GATE_MARGIN, _GATE_LIMITS, _GATE_SCALE = 1e-9, (1e-10, 1e10), 1e300
-# Smaller blocks are scored in full: the bound costs more than it saves.
+# Smaller blocks are scored and center-matched in full: a bound costs more than it saves.
 _GATE_MIN_PAIRS = 512
 # Residuals are formed this many pairs at a time, capping their memory.
 _STACK_PAIRS = 1024
@@ -165,18 +161,32 @@ def mahalanobis_affinity(prediction: AxisPrediction, detected: np.ndarray,
     overflows), so a NaN, inf or huge entry raises its error as ungated.
     """
     predicted = prediction.mean[:, :OBS_DIM].copy()
-    blocks = blocks or [(slice(0, len(predicted)), slice(0, len(detected)))]
+    blocks = [(slice(0, None),) * 2] if blocks is None else blocks
     predicted[:, ANGLE_INDEX] = wrap_angle_array(predicted[:, ANGLE_INDEX])
     weights = prediction.weights
     kept = _kept_pairs(weights, predicted, detected, blocks, limits)
     pair_rows, pair_cols = np.divmod(np.flatnonzero(kept), len(detected))  # block by block
     with np.errstate(all="ignore"):  # a failing row raises below; inf distances never match
         scores, pair_yaws, finite = _distances(detected, predicted, weights, pair_rows, pair_cols)
-    rows = np.concatenate([np.arange(len(predicted))[block_rows] for block_rows, _ in blocks])
+    rows = np.concatenate([np.empty(0, int)] + [np.arange(len(predicted))[r] for r, _ in blocks])
     prediction.check(rows, ~np.isin(rows, pair_rows[~finite]))
     values, yaws = np.full(kept.shape, math.inf), np.full(kept.shape, math.nan)
     values[kept], yaws[kept] = scores, pair_yaws
     return AffinityMatrix(np.sqrt(values, out=values), yaws)
+
+
+def _window_pairs(a_x: np.ndarray, b_x: np.ndarray, reach) -> tuple:
+    """(i, j) of a superset of the pairs with |a_x[i] - b_x[j]| <= reach (a scalar or per i).
+
+    Sort and sweep: a_x[i] gets the run of the stably sorted b_x within
+    [fl(a_x[i] - reach), fl(a_x[i] + reach)]: for finite x, rounding to nearest is
+    monotone and keeps b_x[j], so a_x[i] - reach <= b_x[j] gives fl(a_x[i] - reach) <= b_x[j].
+    """
+    order = b_x.argsort(kind="stable")  # array methods skip the np.* wrappers' cost
+    starts = b_x[order].searchsorted(a_x - reach, "left")
+    runs = np.maximum(b_x[order].searchsorted(a_x + reach, "right") - starts, 0)
+    rows = np.arange(len(a_x)).repeat(runs)
+    return rows, order[np.arange(len(rows)) - (runs.cumsum() - runs - starts).repeat(runs)]
 
 
 def _z_extents(rows: np.ndarray) -> tuple:
@@ -189,26 +199,25 @@ def iou_affinity(prediction: AxisPrediction, detected: np.ndarray, blocks=None) 
     """Pairwise 3D IOU between the boxes of a stacked (N, 11) prediction and (M, 7) detection rows.
 
     Only the pairs of blocks, (rows, columns) slices (by default all
-    pairs), are computed; the others score 0.  A pair whose footprint
-    circles (centered on the box, radius half the footprint diagonal) or
-    height intervals are disjoint scores 0 without clipping, as clipping
-    would score it; the other pairs go to iou_pairs in one call.  Circles
-    within a relative 1e-9 of touching count as overlapping, so rounding
-    cannot drop a pair that iou_pairs scores above 0.
+    pairs), are computed; the others score 0.  Of the pairs _window_pairs
+    finds within (r_a + max r_b)(1 + 2e-9) in x, one whose footprint circles
+    (radius r, half the footprint diagonal) or height intervals are disjoint
+    scores 0 as clipping would; the rest go to iou_pairs in one call.
+    Circles within a relative 1e-9 of touching count as overlapping, so
+    rounding cannot drop a pair that iou_pairs scores above 0.
     """
-    candidates = []  # per block: the predicted rows of its candidate pairs, and their cells
-    for rows, cols in blocks or [(slice(0, len(prediction.mean)), slice(0, len(detected)))]:
+    candidates = [(np.empty((0, OBS_DIM)), *np.empty((2, 0), int))]  # rows and cells, per block
+    for rows, cols in [(slice(0, None),) * 2] if blocks is None else blocks:
         predicted, boxes = checked_rows(prediction.mean[rows, :OBS_DIM].copy()), detected[cols]
-        bottoms_a, tops_a = _z_extents(predicted)
-        bottoms_b, tops_b = _z_extents(boxes)
+        (bottoms_a, tops_a), (bottoms_b, tops_b) = _z_extents(predicted), _z_extents(boxes)
         radii_a, radii_b = (0.5 * np.hypot(side[:, 4], side[:, 5]) for side in (predicted, boxes))
-        near = (center_distances(predicted, boxes)
-                <= (radii_a[:, None] + radii_b[None, :]) * (1.0 + 1e-9))
+        i, j = _window_pairs(predicted[:, 0], boxes[:, 0],
+                             (radii_a + radii_b.max(initial=0.0)) * (1.0 + 2e-9))
+        near = (np.hypot(predicted[:, 0][i] - boxes[:, 0][j], predicted[:, 1][i] - boxes[:, 1][j])
+                <= (radii_a[i] + radii_b[j]) * (1.0 + 1e-9))
         # The same sums iou_pairs forms: its height overlap is positive exactly here.
-        z_overlap = (np.minimum(tops_a[:, None], tops_b[None, :])
-                     > np.maximum(bottoms_a[:, None], bottoms_b[None, :]))
-        i, j = np.nonzero(near & z_overlap)
-        candidates.append((predicted[i], i + rows.start, j + cols.start))
+        near &= np.minimum(tops_a[i], tops_b[j]) > np.maximum(bottoms_a[i], bottoms_b[j])
+        candidates.append((predicted[i[near]], i[near] + rows.start, j[near] + cols.start))
     picked, rows, cols = (np.concatenate(side) for side in zip(*candidates))
     values = np.zeros((len(prediction.mean), len(detected)))
     values[rows, cols] = iou_pairs(picked, detected[cols])
@@ -393,8 +402,8 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
     """Optimal-assignment matching with post-assignment thresholding.
 
     The assignment minimizes the total over an (N, M) distance array;
-    pairs at or beyond the limit are then removed, mirroring trackers
-    that filter an optimal assignment instead of gating inside it.
+    pairs at or beyond the limit are then removed, as trackers that filter
+    an assignment rather than gate in it do; the rest go best first.
     NaN and +-inf pairs never match: the assignment keeps as many finite
     pairs as any can, and among those minimizes their total.  The first
     call that solves imports scipy.optimize, which greedy runs never load.
@@ -417,29 +426,38 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
         costs, infeasible = distances * scale, 1.0 + 2.0 * (magnitudes * scale).sum()
     from scipy.optimize import linear_sum_assignment  # loaded on first use, never by greedy runs
     rows, cols = linear_sum_assignment(np.where(finite, costs, infeasible))
-    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
-             if finite[i, j] and distances[i, j] < limit]
-    pairs.sort(key=lambda pair: (distances[pair], *pair))
-    return MatchResult(tuple(pairs))
+    assigned = np.where(finite[rows, cols], distances[rows, cols], math.inf)
+    kept = np.lexsort((cols, rows, assigned))[:np.count_nonzero(assigned < limit)]  # best first
+    return MatchResult(tuple(zip(rows[kept].tolist(), cols[kept].tolist())))
+
+
+def _centers(boxes) -> np.ndarray:
+    """The (n, 2) x and y of a side of greedy_center_match."""
+    return (boxes[:, :2] if isinstance(boxes, np.ndarray)
+            else np.array([(box.x, box.y) for box in boxes], dtype=float).reshape(-1, 2))
 
 
 def center_distances(boxes_a, boxes_b) -> np.ndarray:
     """2D distances between the centers of two sides, as greedy_center_match takes them."""
-    a, b = (boxes[:, :2] if isinstance(boxes, np.ndarray)
-            else np.array([(box.x, box.y) for box in boxes], dtype=float).reshape(-1, 2)
-            for boxes in (boxes_a, boxes_b))
+    a, b = _centers(boxes_a), _centers(boxes_b)
     return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 
 def greedy_center_match(boxes_a, boxes_b, gate: float) -> MatchResult:
     """Greedy one-to-one matching (greedy_match) by ascending 2D center distance.
 
-    Each side is a sequence of Boxes or an (n, >= 2) array whose
-    first two columns are x and y.  Used by the evaluation protocol and
-    by observation-noise calibration; z is ignored, and a pair at or
-    beyond the gate never matches.
+    Each side is a sequence of Boxes or an (n, >= 2) array whose first two
+    columns are x and y.  Used by evaluation and noise calibration; z is
+    ignored, and a pair at or beyond the gate never matches.  From
+    _GATE_MIN_PAIRS pairs on, only pairs within gate * (1 + 2e-9) in x are measured.
     """
-    return greedy_match(center_distances(boxes_a, boxes_b), gate)
+    a, b = _centers(boxes_a), _centers(boxes_b)
+    if len(a) * len(b) < _GATE_MIN_PAIRS:
+        return greedy_match(center_distances(a, b), gate)
+    i, j = _window_pairs(a[:, 0], b[:, 0], gate * (1.0 + 2e-9))
+    distances = np.full((len(a), len(b)), math.inf)
+    distances[i, j] = np.hypot(a[:, 0][i] - b[:, 0][j], a[:, 1][i] - b[:, 1][j])  # beats a[i, 0]
+    return greedy_match(distances, gate)
 
 
 MATCHERS = {

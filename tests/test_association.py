@@ -10,11 +10,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 import mot3d
 from mot3d import association
-from mot3d.association import (greedy_center_match, greedy_match, hungarian_match,
+from mot3d.association import (greedy_center_match, greedy_match, hungarian_match, iou_affinity,
                                mahalanobis_affinity, orientation_correct)
 from mot3d.core import (OBS_DIM, Box, observation_residual, observation_rows, wrap_angle,
                         wrap_angle_array)
@@ -689,3 +690,120 @@ def test_greedy_matchers_equal_per_pair_reference():
             assert list(result.pairs) == pairs
             assert unmatched(result, values.shape) == (free_a, free_b)
     assert gated_at_boundary > 0 and tied > 0
+
+
+def test_an_empty_block_list_scores_no_pair():
+    # two identical boxes: scored, every pair is at distance 0 and IOU 1
+    rows = observation_rows([pose(0, 0, 0, 0, 2, 2, 2)] * 2)
+    prediction = AxisPrediction(np.concatenate([rows, np.zeros((2, 4))], axis=1),
+                                np.tile(UNIT_COV, (2, 1)), np.ones((2, OBS_DIM)))
+    assert (mahalanobis_affinity(prediction, rows).values == 0.0).all()
+    assert (iou_affinity(prediction, rows).values == 1.0).all()
+    for limits in (None, []):
+        unscored = mahalanobis_affinity(prediction, rows, blocks=[], limits=limits)
+        assert (unscored.values == math.inf).all() and np.isnan(unscored.yaws).all()
+    assert (iou_affinity(prediction, rows, blocks=[]).values == 0.0).all()
+
+
+def all_cells_center_match(a: np.ndarray, b: np.ndarray, gate: float) -> tuple:
+    """greedy_center_match as it measured every pair: the full hypot array, then greedy_match."""
+    distances = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+    flat = distances.ravel()
+    candidates = np.flatnonzero(flat < gate)
+    candidates = candidates[flat[candidates] > -math.inf]
+    order = candidates[np.argsort(flat[candidates], kind="stable")]
+    free_rows, free_cols, pairs = [True] * len(a), [True] * len(b), []
+    for i, j in zip(*divmod(order, distances.shape[1])):
+        if free_rows[i] and free_cols[j]:
+            free_rows[i] = free_cols[j] = False
+            pairs.append((int(i), int(j)))
+    return distances, tuple(pairs)
+
+
+# Center coordinates: a few shared values (ties and duplicate centers),
+# values at the float range's ends, and NaN and +-inf, which never match.
+center_coordinates = (st.floats(-6.0, 6.0) | st.floats(allow_nan=True, allow_infinity=True)
+                      | st.sampled_from([0.0, -0.0, 1.0, 1.5, 1.7e308, -1.7e308, 1e308,
+                                         -1e308, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def center_sides(draw) -> tuple:
+    """Two (n, 2) center arrays whose x values are drawn from one small pool."""
+    pool = draw(st.lists(center_coordinates, min_size=1, max_size=4))
+    x = st.sampled_from(pool) | center_coordinates
+    return tuple(np.array([[draw(x), draw(center_coordinates)]
+                           for _ in range(draw(st.integers(0, 9)))]).reshape(-1, 2)
+                 for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(center_sides(), st.integers(-300, 200).map(lambda e: 10.0 ** e)
+       | st.floats(1e-300, 1e200) | st.sampled_from([1.0, 1.5, 2.0, 2.5]))
+@example((np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])), 1.0 + 2e-16)
+@example((np.array([[1.7e308, 0.0]]), np.array([[-1.7e308, 0.0], [1.7e308, 1.0]])), 1e200)
+def test_windowed_center_match_equals_the_all_cells_match(sides, gate):
+    a, b = sides
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, as before
+        distances, expected = all_cells_center_match(a, b, gate)
+        assert np.array_equal(association.center_distances(a, b), distances, equal_nan=True)
+        assert greedy_center_match(a, b, gate).pairs == expected  # below the window's size
+        with unittest.mock.patch.object(association, "_GATE_MIN_PAIRS", 1):  # every size
+            assert greedy_center_match(a, b, gate).pairs == expected
+
+
+def test_large_center_matches_take_the_window_and_keep_their_pairs():
+    rng = np.random.default_rng(36)
+    sizes, windows = ((16, 32), (32, 16), (40, 40), (23, 23), (22, 23)), []
+    real_window_pairs = association._window_pairs
+    with unittest.mock.patch.object(
+            association, "_window_pairs",
+            lambda a_x, b_x, reach: windows.append(len(a_x) * len(b_x))
+            or real_window_pairs(a_x, b_x, reach)):
+        for n, m in sizes:
+            # a half-metre grid: many equal x values, equal distances and gate ties
+            a, b = (np.round(rng.uniform(-5.0, 5.0, size=(k, 2)) * 2.0) / 2.0 for k in (n, m))
+            boxes_a, boxes_b = ([pose(x, y, 0, 0, 1, 1, 1) for x, y in side] for side in (a, b))
+            for gate in (0.75, 1.0, 1.5, 4.0):
+                expected = all_cells_center_match(a, b, gate)[1]
+                assert len(expected) > 0
+                assert greedy_center_match(a, b, gate).pairs == expected
+                assert greedy_center_match(boxes_a, boxes_b, gate).pairs == expected
+    # one window per call from _GATE_MIN_PAIRS pairs on (16 x 32 = 512), none below
+    assert windows == [n * m for n, m in sizes[:4] for _ in range(8)]
+
+
+def keyed_hungarian_tail(distances: np.ndarray, rows, cols, limit: float) -> tuple:
+    """The assigned pairs kept and ordered per pair: finite and below limit, keyed by (d, i, j)."""
+    pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
+             if math.isfinite(distances[i, j]) and distances[i, j] < limit]
+    pairs.sort(key=lambda pair: (distances[pair], *pair))
+    return tuple(pairs)
+
+
+# Few distinct values, so equal costs abound; -0.0 beside 0.0, and NaN and +-inf.
+tied_matrix = st.integers(0, 6).flatmap(lambda rows: st.integers(0, 6).flatmap(
+    lambda cols: st.lists(st.lists(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0, 2.0, math.nan, math.inf, -math.inf])
+        | st.floats(-3.0, 3.0), min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_matrix, st.sampled_from([math.inf, 1.0, 0.5, 0.0, -0.0, math.nan])
+       | st.floats(-3.0, 3.0))
+@example([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]], math.inf)
+@example([[1.0, math.nan, 1.0], [math.inf, 1.0, -math.inf], [1.0, 1.0, 1.0]], 1.0)
+def test_hungarian_orders_its_pairs_as_the_keyed_sort(rows, limit):
+    values = np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
+    solve, assignments = scipy.optimize.linear_sum_assignment, []
+    with unittest.mock.patch.object(scipy.optimize, "linear_sum_assignment",
+                                    lambda costs: assignments.append(solve(costs))
+                                    or assignments[-1]):
+        pairs = hungarian_match(values, limit).pairs
+    if not values.size:
+        assert pairs == () and not assignments
+        return
+    (assigned_rows, assigned_cols), = assignments
+    assert pairs == keyed_hungarian_tail(values, assigned_rows, assigned_cols, limit)
+    assert all(type(i) is int and type(j) is int for i, j in pairs)

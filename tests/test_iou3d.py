@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mot3d import association
 from mot3d.association import footprint_corners, iou_affinity, iou_pairs
-from mot3d.core import Box, observation_rows, wrap_angle
+from mot3d.core import Box, checked_rows, observation_rows, wrap_angle
 from mot3d.kalman import AxisPrediction
 
 
@@ -480,3 +480,67 @@ def test_iou_affinity_rejects_an_invalid_prediction_that_overlaps_nothing():
     prediction.mean[1, 4] = -1.0  # l <= 0
     with pytest.raises(ValueError, match="l must be positive"):
         iou_affinity(prediction, observation_rows([box(), box(x=1.0)]))
+
+
+def all_cells_iou_affinity(prediction: AxisPrediction, detected: np.ndarray, blocks) -> np.ndarray:
+    """iou_affinity as it tested every cell of each block before clipping the candidates."""
+    candidates = [(np.empty((0, 7)), np.empty(0, int), np.empty(0, int))]
+    for rows, cols in blocks:
+        predicted, boxes = checked_rows(prediction.mean[rows, :7].copy()), detected[cols]
+        bottoms_a, tops_a = predicted[:, 2] - predicted[:, 6] / 2.0, predicted[:, 2] + predicted[:, 6] / 2.0
+        bottoms_b, tops_b = boxes[:, 2] - boxes[:, 6] / 2.0, boxes[:, 2] + boxes[:, 6] / 2.0
+        radii_a, radii_b = (0.5 * np.hypot(side[:, 4], side[:, 5]) for side in (predicted, boxes))
+        near = (np.hypot(predicted[:, None, 0] - boxes[None, :, 0],
+                         predicted[:, None, 1] - boxes[None, :, 1])
+                <= (radii_a[:, None] + radii_b[None, :]) * (1.0 + 1e-9))
+        z_overlap = (np.minimum(tops_a[:, None], tops_b[None, :])
+                     > np.maximum(bottoms_a[:, None], bottoms_b[None, :]))
+        i, j = np.nonzero(near & z_overlap)
+        candidates.append((predicted[i], i + rows.start, j + cols.start))
+    picked, rows, cols = (np.concatenate(side) for side in zip(*candidates))
+    values = np.zeros((len(prediction.mean), len(detected)))
+    values[rows, cols] = iou_pairs(picked, detected[cols])
+    return values
+
+
+# x values near the float range's ends, and shared ones: ties and duplicates
+window_xs = st.sampled_from([0.0, 1.0, 2.5, 1e308, -1e308, 1.7976931348623157e308,
+                             -1.7976931348623157e308]) | st.floats(-8.0, 8.0)
+window_extents = (st.sampled_from([1.0, 2.0, 1e150, 1e300]) | st.floats(0.1, 6.0))
+
+
+@st.composite
+def window_frames(draw) -> tuple:
+    """Prediction and detection boxes whose x values come from one small pool."""
+    pool = draw(st.lists(window_xs, min_size=1, max_size=3))
+    x = st.sampled_from(pool) | st.sampled_from(pool) | window_xs
+    y = st.sampled_from([0.0, 1.0]) | st.sampled_from([-1e308, 1e308]) | st.floats(-3.0, 3.0)
+
+    def boxes():
+        return [box(x=draw(x), y=draw(y), z=draw(st.sampled_from([0.0, 0.0, 0.5, 3.0])),
+                    a=draw(st.floats(-math.pi, math.pi)), l=draw(window_extents),
+                    w=draw(window_extents), h=draw(st.sampled_from([1.0, 2.0]) | window_extents))
+                for _ in range(draw(st.integers(0, 6)))]
+    return boxes(), boxes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_frames())
+@example(([box(), box(x=2.0), box(x=2.0, y=1.0)], [box(x=2.0), box(x=4.0), box(x=-2.0)]))
+@example(([box(x=1.7976931348623157e308, l=1e300)], [box(x=-1.7976931348623157e308, l=1e300),
+                                                      box(x=1.7976931348623157e308)]))
+def test_windowed_iou_affinity_equals_the_all_cells_affinity(frame):
+    boxes, detections = frame
+    prediction, detected = as_prediction(boxes), observation_rows(detections)
+    n, m = len(boxes), len(detections)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # differences past the float range
+        assert np.array_equal(iou_affinity(prediction, detected).values,
+                              all_cells_iou_affinity(prediction, detected, [(slice(0, n),
+                                                                            slice(0, m))]),
+                              equal_nan=True)
+        for cut, split in itertools.product(range(n + 1), range(m + 1)):  # every cut
+            blocks = [(slice(0, cut), slice(0, split)), (slice(cut, n), slice(split, m))]
+            assert np.array_equal(iou_affinity(prediction, detected, blocks=blocks).values,
+                                  all_cells_iou_affinity(prediction, detected, blocks),
+                                  equal_nan=True)

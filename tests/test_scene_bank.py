@@ -323,10 +323,10 @@ def test_an_affinity_leaves_the_cells_outside_its_blocks_unscored(monkeypatch):
     detected = observation_rows(sorted(boxes, key=lambda box: box.class_label))
     blocks = [(slice(0, 1), slice(0, 1)), (slice(1, 2), slice(1, 2))]
     measured = []
-    real_center_distances = association.center_distances
-    monkeypatch.setattr(association, "center_distances",
-                        lambda a, b: measured.append((len(a), len(b)))
-                        or real_center_distances(a, b))
+    real_window_pairs = association._window_pairs
+    monkeypatch.setattr(association, "_window_pairs",
+                        lambda a_x, b_x, reach: measured.append((len(a_x), len(b_x)))
+                        or real_window_pairs(a_x, b_x, reach))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         distances = mahalanobis_affinity(prediction, detected, blocks=blocks).values
