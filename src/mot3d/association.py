@@ -78,7 +78,8 @@ def orientation_correct(predicted_angle, detected_angle):
 # The (x, y) gate's relative margin, the limits within which it prunes, and
 # the coordinate magnitude within which no residual it skips can overflow.
 _GATE_MARGIN, _GATE_LIMITS, _GATE_SCALE = 1e-9, (1e-10, 1e10), 1e300
-# Smaller blocks are scored and center-matched in full: a bound costs more than it saves.
+# Smaller blocks are scored, paired and matched in full: a bound, a window or
+# a vectorized Hungarian tail costs more than it saves.
 _GATE_MIN_PAIRS = 512
 # Residuals are formed this many pairs at a time, capping their memory.
 _STACK_PAIRS = 1024
@@ -178,13 +179,21 @@ def mahalanobis_affinity(prediction: AxisPrediction, detected: np.ndarray,
 def _window_pairs(a_x: np.ndarray, b_x: np.ndarray, reach) -> tuple:
     """(i, j) of a superset of the pairs with |a_x[i] - b_x[j]| <= reach (a scalar or per i).
 
-    Sort and sweep: a_x[i] gets the run of the stably sorted b_x within
-    [fl(a_x[i] - reach), fl(a_x[i] + reach)]: for finite x, rounding to nearest is
-    monotone and keeps b_x[j], so a_x[i] - reach <= b_x[j] gives fl(a_x[i] - reach) <= b_x[j].
+    Below _GATE_MIN_PAIRS pairs, every pair, row-major.  Otherwise sort and sweep:
+    a_x[i] gets the run of the stably sorted b_x within [fl(a_x[i] - r), fl(a_x[i] + r)],
+    r = fl(reach * (1 + 2e-9)) >= reach.  Rounding to nearest is monotone and keeps
+    b_x[j], so a_x[i] - r <= b_x[j] gives fl(a_x[i] - r) <= b_x[j], and likewise above.
+    An overflowed bound is +-inf and still holds; a NaN one, from a non-finite x or
+    reach, drops only pairs whose distance cannot fall below reach.
     """
+    if len(a_x) * len(b_x) < _GATE_MIN_PAIRS:
+        return np.divmod(np.arange(len(a_x) * len(b_x)), len(b_x))
     order = b_x.argsort(kind="stable")  # array methods skip the np.* wrappers' cost
-    starts = b_x[order].searchsorted(a_x - reach, "left")
-    runs = np.maximum(b_x[order].searchsorted(a_x + reach, "right") - starts, 0)
+    sorted_b = b_x[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = reach * (1.0 + 2e-9)
+        starts = sorted_b.searchsorted(a_x - reach, "left")
+        runs = np.maximum(sorted_b.searchsorted(a_x + reach, "right") - starts, 0)
     rows = np.arange(len(a_x)).repeat(runs)
     return rows, order[np.arange(len(rows)) - (runs.cumsum() - runs - starts).repeat(runs)]
 
@@ -200,19 +209,19 @@ def iou_affinity(prediction: AxisPrediction, detected: np.ndarray, blocks=None) 
 
     Only the pairs of blocks, (rows, columns) slices (by default all
     pairs), are computed; the others score 0.  Of the pairs _window_pairs
-    finds within (r_a + max r_b)(1 + 2e-9) in x, one whose footprint circles
-    (radius r, half the footprint diagonal) or height intervals are disjoint
-    scores 0 as clipping would; the rest go to iou_pairs in one call.
+    finds within r_a + max r_b in x, one whose footprint circles (radius r,
+    half the footprint diagonal) or height intervals are disjoint scores 0
+    as clipping would; the rest go to iou_pairs in one call.
     Circles within a relative 1e-9 of touching count as overlapping, so
     rounding cannot drop a pair that iou_pairs scores above 0.
     """
-    candidates = [(np.empty((0, OBS_DIM)), *np.empty((2, 0), int))]  # rows and cells, per block
+    candidates = [(np.empty((0, OBS_DIM)), np.empty(0, int), np.empty(0, int))]  # rows, cells
     for rows, cols in [(slice(0, None),) * 2] if blocks is None else blocks:
         predicted, boxes = checked_rows(prediction.mean[rows, :OBS_DIM].copy()), detected[cols]
-        (bottoms_a, tops_a), (bottoms_b, tops_b) = _z_extents(predicted), _z_extents(boxes)
+        bottoms_a, tops_a = _z_extents(predicted)
+        bottoms_b, tops_b = _z_extents(boxes)
         radii_a, radii_b = (0.5 * np.hypot(side[:, 4], side[:, 5]) for side in (predicted, boxes))
-        i, j = _window_pairs(predicted[:, 0], boxes[:, 0],
-                             (radii_a + radii_b.max(initial=0.0)) * (1.0 + 2e-9))
+        i, j = _window_pairs(predicted[:, 0], boxes[:, 0], radii_a + radii_b.max(initial=0.0))
         near = (np.hypot(predicted[:, 0][i] - boxes[:, 0][j], predicted[:, 1][i] - boxes[:, 1][j])
                 <= (radii_a[i] + radii_b[j]) * (1.0 + 1e-9))
         # The same sums iou_pairs forms: its height overlap is positive exactly here.
@@ -426,6 +435,10 @@ def hungarian_match(distances: np.ndarray, limit: float) -> MatchResult:
         costs, infeasible = distances * scale, 1.0 + 2.0 * (magnitudes * scale).sum()
     from scipy.optimize import linear_sum_assignment  # loaded on first use, never by greedy runs
     rows, cols = linear_sum_assignment(np.where(finite, costs, infeasible))
+    if distances.size < _GATE_MIN_PAIRS:  # per pair: the vectorized tail costs more
+        pairs = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
+                 if finite[i, j] and distances[i, j] < limit]
+        return MatchResult(tuple(sorted(pairs, key=lambda pair: (distances[pair], *pair))))
     assigned = np.where(finite[rows, cols], distances[rows, cols], math.inf)
     kept = np.lexsort((cols, rows, assigned))[:np.count_nonzero(assigned < limit)]  # best first
     return MatchResult(tuple(zip(rows[kept].tolist(), cols[kept].tolist())))
@@ -449,12 +462,12 @@ def greedy_center_match(boxes_a, boxes_b, gate: float) -> MatchResult:
     Each side is a sequence of Boxes or an (n, >= 2) array whose first two
     columns are x and y.  Used by evaluation and noise calibration; z is
     ignored, and a pair at or beyond the gate never matches.  From
-    _GATE_MIN_PAIRS pairs on, only pairs within gate * (1 + 2e-9) in x are measured.
+    _GATE_MIN_PAIRS pairs on, only the pairs of _window_pairs are measured.
     """
     a, b = _centers(boxes_a), _centers(boxes_b)
     if len(a) * len(b) < _GATE_MIN_PAIRS:
         return greedy_match(center_distances(a, b), gate)
-    i, j = _window_pairs(a[:, 0], b[:, 0], gate * (1.0 + 2e-9))
+    i, j = _window_pairs(a[:, 0], b[:, 0], gate)
     distances = np.full((len(a), len(b)), math.inf)
     distances[i, j] = np.hypot(a[:, 0][i] - b[:, 0][j], a[:, 1][i] - b[:, 1][j])  # beats a[i, 0]
     return greedy_match(distances, gate)

@@ -705,6 +705,14 @@ def test_an_empty_block_list_scores_no_pair():
     assert (iou_affinity(prediction, rows, blocks=[]).values == 0.0).all()
 
 
+def runtime_warnings(call) -> tuple:
+    """call()'s result and the set of RuntimeWarning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+
+
 def all_cells_center_match(a: np.ndarray, b: np.ndarray, gate: float) -> tuple:
     """greedy_center_match as it measured every pair: the full hypot array, then greedy_match."""
     distances = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
@@ -744,13 +752,24 @@ def center_sides(draw) -> tuple:
 @example((np.array([[1.7e308, 0.0]]), np.array([[-1.7e308, 0.0], [1.7e308, 1.0]])), 1e200)
 def test_windowed_center_match_equals_the_all_cells_match(sides, gate):
     a, b = sides
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, as before
-        distances, expected = all_cells_center_match(a, b, gate)
-        assert np.array_equal(association.center_distances(a, b), distances, equal_nan=True)
-        assert greedy_center_match(a, b, gate).pairs == expected  # below the window's size
-        with unittest.mock.patch.object(association, "_GATE_MIN_PAIRS", 1):  # every size
-            assert greedy_center_match(a, b, gate).pairs == expected
+    (distances, expected), allowed = runtime_warnings(lambda: all_cells_center_match(a, b, gate))
+    measured, _ = runtime_warnings(lambda: association.center_distances(a, b))
+    assert np.array_equal(measured, distances, equal_nan=True)
+    for least in (association._GATE_MIN_PAIRS, 1):  # all cells here, then the window
+        with unittest.mock.patch.object(association, "_GATE_MIN_PAIRS", least):
+            result, raised = runtime_warnings(lambda: greedy_center_match(a, b, gate))
+        # the same pairs, and no warning that measuring every cell does not raise (inf - inf)
+        assert result.pairs == expected and raised <= allowed
+
+
+def test_a_window_bound_past_the_float_range_raises_no_warning():
+    top = np.array([[1.7976931348623157e308, 0.0]])  # top + gate rounds to inf
+    with unittest.mock.patch.object(association, "_GATE_MIN_PAIRS", 1), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert greedy_center_match(top, top, 1e300).pairs == ((0, 0),)
+        assert greedy_center_match(top, top, math.inf).pairs == ((0, 0),)
+        # inf - inf: a NaN bound, for a pair at an infinite distance, which never matches
+        assert greedy_center_match(np.array([[math.inf, 0.0]]), top, math.inf).pairs == ()
 
 
 def test_large_center_matches_take_the_window_and_keep_their_pairs():
@@ -796,14 +815,17 @@ tied_matrix = st.integers(0, 6).flatmap(lambda rows: st.integers(0, 6).flatmap(
 @example([[1.0, math.nan, 1.0], [math.inf, 1.0, -math.inf], [1.0, 1.0, 1.0]], 1.0)
 def test_hungarian_orders_its_pairs_as_the_keyed_sort(rows, limit):
     values = np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
-    solve, assignments = scipy.optimize.linear_sum_assignment, []
-    with unittest.mock.patch.object(scipy.optimize, "linear_sum_assignment",
-                                    lambda costs: assignments.append(solve(costs))
-                                    or assignments[-1]):
-        pairs = hungarian_match(values, limit).pairs
-    if not values.size:
-        assert pairs == () and not assignments
-        return
-    (assigned_rows, assigned_cols), = assignments
-    assert pairs == keyed_hungarian_tail(values, assigned_rows, assigned_cols, limit)
-    assert all(type(i) is int and type(j) is int for i, j in pairs)
+    solve = scipy.optimize.linear_sum_assignment
+    for least in (association._GATE_MIN_PAIRS, 1):  # the per-pair tail here, then the lexsort
+        assignments = []
+        with unittest.mock.patch.object(scipy.optimize, "linear_sum_assignment",
+                                        lambda costs: assignments.append(solve(costs))
+                                        or assignments[-1]), \
+                unittest.mock.patch.object(association, "_GATE_MIN_PAIRS", least):
+            pairs = hungarian_match(values, limit).pairs
+        if not values.size:
+            assert pairs == () and not assignments
+            continue
+        (assigned_rows, assigned_cols), = assignments
+        assert pairs == keyed_hungarian_tail(values, assigned_rows, assigned_cols, limit)
+        assert all(type(i) is int and type(j) is int for i, j in pairs)

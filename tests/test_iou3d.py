@@ -1,5 +1,6 @@
 import itertools
 import math
+import unittest.mock
 import warnings
 from collections import Counter
 
@@ -11,6 +12,7 @@ from mot3d import association
 from mot3d.association import footprint_corners, iou_affinity, iou_pairs
 from mot3d.core import Box, checked_rows, observation_rows, wrap_angle
 from mot3d.kalman import AxisPrediction
+from tests.test_association import runtime_warnings
 
 
 # The scalar reference: Sutherland-Hodgman clipping of one pair at a time
@@ -487,8 +489,9 @@ def all_cells_iou_affinity(prediction: AxisPrediction, detected: np.ndarray, blo
     candidates = [(np.empty((0, 7)), np.empty(0, int), np.empty(0, int))]
     for rows, cols in blocks:
         predicted, boxes = checked_rows(prediction.mean[rows, :7].copy()), detected[cols]
-        bottoms_a, tops_a = predicted[:, 2] - predicted[:, 6] / 2.0, predicted[:, 2] + predicted[:, 6] / 2.0
-        bottoms_b, tops_b = boxes[:, 2] - boxes[:, 6] / 2.0, boxes[:, 2] + boxes[:, 6] / 2.0
+        (bottoms_a, tops_a), (bottoms_b, tops_b) = ((side[:, 2] - side[:, 6] / 2.0,
+                                                     side[:, 2] + side[:, 6] / 2.0)
+                                                    for side in (predicted, boxes))
         radii_a, radii_b = (0.5 * np.hypot(side[:, 4], side[:, 5]) for side in (predicted, boxes))
         near = (np.hypot(predicted[:, None, 0] - boxes[None, :, 0],
                          predicted[:, None, 1] - boxes[None, :, 1])
@@ -533,14 +536,24 @@ def test_windowed_iou_affinity_equals_the_all_cells_affinity(frame):
     boxes, detections = frame
     prediction, detected = as_prediction(boxes), observation_rows(detections)
     n, m = len(boxes), len(detections)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # differences past the float range
-        assert np.array_equal(iou_affinity(prediction, detected).values,
-                              all_cells_iou_affinity(prediction, detected, [(slice(0, n),
-                                                                            slice(0, m))]),
-                              equal_nan=True)
-        for cut, split in itertools.product(range(n + 1), range(m + 1)):  # every cut
-            blocks = [(slice(0, cut), slice(0, split)), (slice(cut, n), slice(split, m))]
-            assert np.array_equal(iou_affinity(prediction, detected, blocks=blocks).values,
-                                  all_cells_iou_affinity(prediction, detected, blocks),
-                                  equal_nan=True)
+    splits = ([(slice(0, cut), slice(0, split)), (slice(cut, n), slice(split, m))]
+              for cut, split in itertools.product(range(n + 1), range(m + 1)))  # every cut
+    for blocks in [None, *splits]:
+        expected, allowed = runtime_warnings(lambda: all_cells_iou_affinity(
+            prediction, detected, blocks or [(slice(0, n), slice(0, m))]))
+        for least in (association._GATE_MIN_PAIRS, 1):  # every pair here, then the window
+            with unittest.mock.patch.object(association, "_GATE_MIN_PAIRS", least):
+                values, raised = runtime_warnings(
+                    lambda: iou_affinity(prediction, detected, blocks=blocks).values)
+            # the same values, and no warning that the all-cells prune does not raise
+            assert np.array_equal(values, expected, equal_nan=True) and raised <= allowed
+
+
+def test_an_iou_window_bound_past_the_float_range_raises_no_warning():
+    top = box(x=1.7976931348623157e308, l=1e300, w=1e300)  # x + reach rounds to inf
+    prediction, detected = as_prediction([top]), observation_rows([top])
+    expected = all_cells_iou_affinity(prediction, detected, [(slice(0, 1), slice(0, 1))])
+    with unittest.mock.patch.object(association, "_GATE_MIN_PAIRS", 1), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # NaN, as the volumes overflow: the pair is scored, as the all-cells prune scores it
+        assert np.array_equal(iou_affinity(prediction, detected).values, expected, equal_nan=True)
